@@ -6,8 +6,9 @@ matrix or a deterministic outcome map).  The choice form instead
 carries a lost-choice block.  Policies are deliberately not part of the
 file; they are selected per run through command-line flags.
 
-Unknown keys are rejected everywhere, and all structural problems are
-reported together.
+Unknown keys are rejected everywhere, and all problems are reported
+together: duplicate keys, the non-standard NaN and Infinity literals,
+booleans where a number belongs, and every structural problem.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .choice import ChoiceCaseModel, validate_choice_case
+from .coupling import Cells, map_cells
 from .outcome import (
     CaseModel,
     CaseValidationError,
@@ -32,6 +34,7 @@ from .outcome import (
     OutcomeSpace,
     TabulatedMoneyMap,
     UtilityCurve,
+    label_positions,
     validate_case,
 )
 
@@ -107,8 +110,22 @@ class LoadedCase:
     """What a case file parses to."""
 
     case: Union[CaseModel, ChoiceCaseModel]
-    evidence_joint: Optional[np.ndarray]
+    evidence_joint: Optional[Union[np.ndarray, Cells]]  # a map loads as Cells
     kind: str  # "outcome" or "choice"
+
+
+def _number(x) -> float:
+    """float(x), refusing booleans: JSON true and false are not numbers."""
+    if isinstance(x, bool):
+        raise TypeError("a boolean is not a number")
+    return float(x)
+
+
+def _has_bool(rows) -> bool:
+    """Whether a list of rows holds a boolean entry."""
+    return isinstance(rows, list) and any(
+        x is True or x is False for row in rows if isinstance(row, list) for x in row
+    )
 
 
 def _money_from_spec(data, errs: list[str]) -> MoneyMap:
@@ -130,26 +147,28 @@ def _money_from_spec(data, errs: list[str]) -> MoneyMap:
         if kind == "identity":
             return IdentityMoneyMap()
         if kind == "crra":
-            return CurveMoneyMap(UtilityCurve(float(data["theta"])))
-        return TabulatedMoneyMap(tuple((v, m) for v, m in data["points"]))
+            return CurveMoneyMap(UtilityCurve(_number(data["theta"])))
+        return TabulatedMoneyMap(
+            tuple((_number(v), _number(m)) for v, m in data["points"])
+        )
     except (TypeError, ValueError) as exc:
         errs.append(f"bad money spec: {exc}")
         return IdentityMoneyMap()
 
 
 def _weights_from_dict(
-    data, labels: tuple[str, ...], name: str, errs: list[str]
+    data, positions: dict[str, int], size: int, name: str, errs: list[str]
 ) -> DiscreteDistribution:
-    weights = [0.0] * len(labels)
+    weights = [0.0] * size
     if not isinstance(data, dict):
         errs.append(f"{name} must be an object mapping labels to weights")
         return DiscreteDistribution(tuple(weights))
     for lab, w in data.items():
-        if lab not in labels:
+        if lab not in positions:
             errs.append(f"{name} refers to unknown label {lab!r}")
             continue
         try:
-            weights[labels.index(lab)] = float(w)
+            weights[positions[lab]] = _number(w)
         except (TypeError, ValueError):
             errs.append(f"{name} weight for {lab!r} is not a number")
     return DiscreteDistribution(tuple(weights))
@@ -192,7 +211,7 @@ def _load_outcome_form(data: dict) -> LoadedCase:
                 continue
             labels.append(str(entry["label"]))
             try:
-                values.append(float(entry["value"]))
+                values.append(_number(entry["value"]))
             except (TypeError, ValueError):
                 errs.append(f"outcomes[{i}] value is not a number")
                 values.append(0.0)
@@ -200,17 +219,19 @@ def _load_outcome_form(data: dict) -> LoadedCase:
         raise CaseValidationError(errs or ["no outcomes"])
     space = OutcomeSpace(tuple(labels), tuple(values))
     counterfactual = _weights_from_dict(
-        data["counterfactual"], space.labels, "counterfactual", errs
+        data["counterfactual"], space.positions, space.size, "counterfactual", errs
     )
-    factual = _weights_from_dict(data["factual"], space.labels, "factual", errs)
+    factual = _weights_from_dict(
+        data["factual"], space.positions, space.size, "factual", errs
+    )
     money = _money_from_spec(data["money"], errs)
     observed = None
     if "observed" in data:
         lab = str(data["observed"])
-        if lab not in space.labels:
+        if lab not in space.positions:
             errs.append(f"observed outcome {lab!r} is not in the outcome space")
         else:
-            observed = space.labels.index(lab)
+            observed = space.positions[lab]
     evidence = None
     if "evidence_coupling" in data:
         ev = data["evidence_coupling"]
@@ -219,6 +240,8 @@ def _load_outcome_form(data: dict) -> LoadedCase:
                 "evidence_coupling must be an object with exactly one of "
                 "'matrix' or 'map'"
             )
+        elif "matrix" in ev and _has_bool(ev["matrix"]):
+            errs.append("evidence matrix entries must be numbers, not booleans")
         elif "matrix" in ev:
             mat = np.asarray(ev["matrix"], dtype=float)
             if mat.shape != (space.size, space.size):
@@ -237,19 +260,14 @@ def _load_outcome_form(data: dict) -> LoadedCase:
                     lab
                     for pair in mapping.items()
                     for lab in pair
-                    if lab not in space.labels
+                    if lab not in space.positions
                 ]
                 if bad:
                     errs.append(
                         f"evidence map refers to unknown labels {sorted(set(bad))}"
                     )
                 else:
-                    j = np.zeros((space.size, space.size))
-                    for src, dst in mapping.items():
-                        j[space.index(src), space.index(dst)] += (
-                            counterfactual.weights[space.index(src)]
-                        )
-                    evidence = j
+                    evidence = map_cells(space, counterfactual.weights, mapping)
     if errs:
         raise CaseValidationError(errs)
     case = validate_case(
@@ -286,6 +304,8 @@ def _load_choice_form(data: dict) -> LoadedCase:
         raise CaseValidationError(errs)
     choices = tuple(str(c) for c in block["choices"])
     results = tuple(str(r) for r in block["results"])
+    choice_positions = label_positions(choices)
+    result_positions = label_positions(results)
 
     def cond_table(key: str) -> tuple[DiscreteDistribution, ...]:
         table = block[key]
@@ -304,7 +324,13 @@ def _load_choice_form(data: dict) -> LoadedCase:
                 out.append(DiscreteDistribution((0.0,) * len(results)))
             else:
                 out.append(
-                    _weights_from_dict(table[c], results, f"{key}[{c!r}]", errs)
+                    _weights_from_dict(
+                        table[c],
+                        result_positions,
+                        len(results),
+                        f"{key}[{c!r}]",
+                        errs,
+                    )
                 )
         return tuple(out)
 
@@ -314,18 +340,22 @@ def _load_choice_form(data: dict) -> LoadedCase:
     cf_choice = None
     if evidence is not None:
         cf_choice = _weights_from_dict(
-            evidence, choices, "counterfactual_choice", errs
+            evidence, choice_positions, len(choices), "counterfactual_choice", errs
         )
     couplings = None
     if block.get("result_couplings") is not None:
         raw = block["result_couplings"]
         if not isinstance(raw, dict):
             errs.append("result_couplings must be an object keyed by choice")
+        elif any(_has_bool(m) for m in raw.values()):
+            errs.append("result coupling entries must be numbers, not booleans")
         else:
             couplings = tuple(
                 (str(c), tuple(tuple(float(x) for x in row) for row in m))
                 for c, m in raw.items()
             )
+    if _has_bool(block["values"]):
+        errs.append("choice values must be numbers, not booleans")
     money = _money_from_spec(data["money"], errs)
     if errs:
         raise CaseValidationError(errs)
@@ -356,13 +386,47 @@ def parse_case(data: dict) -> LoadedCase:
     return _load_outcome_form(data)
 
 
-def load_case(path) -> LoadedCase:
-    text = Path(path).read_text(encoding="utf-8")
+def _strict_json(text: str) -> tuple[object, list[str]]:
+    """Parse JSON, listing what strict JSON forbids but Python's parser
+    accepts: a key repeated in one object (the last value would win) and
+    the NaN, Infinity and -Infinity literals."""
+    problems: list[str] = []
+
+    def pairs_hook(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            seen: set = set()
+            repeated: dict = {}
+            for key, _ in pairs:
+                if key in seen:
+                    repeated[key] = None
+                seen.add(key)
+            problems.extend(f"duplicate key {k!r} in one JSON object" for k in repeated)
+        return obj
+
+    def constant(name: str) -> float:
+        problems.append(f"{name} is not a JSON number")
+        return float(name)
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=pairs_hook, parse_constant=constant)
     except json.JSONDecodeError as exc:
         raise CaseValidationError([f"invalid JSON: {exc}"]) from exc
-    return parse_case(data)
+    return data, problems
+
+
+def load_case(path) -> LoadedCase:
+    data, problems = _strict_json(Path(path).read_text(encoding="utf-8"))
+    if not problems:
+        return parse_case(data)
+    # Report the structural problems too, all in one go.
+    try:
+        parse_case(data)
+    except CaseValidationError as exc:
+        problems.extend(exc.violations)
+    except (KeyError, ValueError) as exc:
+        problems.append(str(exc))
+    raise CaseValidationError(problems)
 
 
 def dump_case(

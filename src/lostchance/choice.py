@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coupling import MARGINAL_TOL, comonotone_matrix
+from .coupling import MARGINAL_TOL, Cells, comonotone_cells
 from .outcome import (
     CaseModel,
     CaseValidationError,
@@ -304,14 +304,10 @@ def presume_choice_ii_cp(model: ChoiceCaseModel) -> ChoiceCaseModel:
     return _with_presumed(model, "ii-cp")
 
 
-def vk_factorize(model: ChoiceCaseModel) -> np.ndarray:
-    """Joint law over (C0, R0, C1, R1) via separate choice and result channels.
+def _factorized_cells(model: ChoiceCaseModel) -> Cells:
+    """Cells of the (C0, R0) x (C1, R1) joint, pair (c, r) at index c*nr + r.
 
-    The factual choice is known, so the choice channel is degenerate
-    there.  Results are coupled per counterfactual choice, by the
-    supplied matrix when one exists and comonotonically (in value order)
-    otherwise.  By construction the counterfactual choice carries no
-    information about the factual result beyond the factual choice.
+    The factual choice is known, so only its columns carry mass.
     """
     if model.counterfactual_choice is None:
         raise ConfigurationError(
@@ -322,7 +318,9 @@ def vk_factorize(model: ChoiceCaseModel) -> np.ndarray:
     fc = model.choice_index(model.factual_choice)
     vmat = model.value_matrix
     f_weights = model.result_given_choice_f[fc].array
-    joint = np.zeros((nc, nr, nc, nr))
+    cell_rows = [np.empty(0, dtype=np.intp)]
+    cell_cols = [np.empty(0, dtype=np.intp)]
+    cell_mass = [np.empty(0)]
     for i, c0 in enumerate(model.choices):
         pc = model.counterfactual_choice.weights[i]
         if pc <= 0.0:
@@ -343,24 +341,45 @@ def vk_factorize(model: ChoiceCaseModel) -> np.ndarray:
                     f"result coupling for {c0!r}: column sums do not match "
                     f"the factual result conditional"
                 )
+            cells = Cells.from_dense(k)
         else:
-            k = comonotone_matrix(
+            cells = comonotone_cells(
                 model.result_given_choice_cf[i].weights,
                 f_weights,
                 vmat[i],
                 vmat[fc],
             )
-        joint[i, :, fc, :] = pc * k
-    return joint
+        cell_rows.append(i * nr + cells.rows)
+        cell_cols.append(fc * nr + cells.cols)
+        cell_mass.append(pc * cells.mass)
+    return Cells(
+        np.concatenate(cell_rows),
+        np.concatenate(cell_cols),
+        np.concatenate(cell_mass),
+        nc * nr,
+    )
 
 
-def flatten_choice_case(model: ChoiceCaseModel) -> tuple[CaseModel, np.ndarray]:
+def vk_factorize(model: ChoiceCaseModel) -> np.ndarray:
+    """Joint law over (C0, R0, C1, R1) via separate choice and result channels.
+
+    The factual choice is known, so the choice channel is degenerate
+    there.  Results are coupled per counterfactual choice, by the
+    supplied matrix when one exists and comonotonically (in value order)
+    otherwise.  By construction the counterfactual choice carries no
+    information about the factual result beyond the factual choice.
+    """
+    nc, nr = model.n_choices, model.n_results
+    return np.asarray(_factorized_cells(model)).reshape(nc, nr, nc, nr)
+
+
+def flatten_choice_case(model: ChoiceCaseModel) -> tuple[CaseModel, Cells]:
     """Collapse (choice, result) pairs into a plain case plus its coupling.
 
-    Returns the flattened case model and the pair-space joint as an
-    evidence matrix, so every downstream policy runs unchanged.
+    Returns the flattened case model and the pair-space joint as evidence
+    cells, so every downstream policy runs unchanged.
     """
-    joint4 = vk_factorize(model)
+    cells = _factorized_cells(model)
     nc, nr = model.n_choices, model.n_results
     labels = [
         model.outcome_label(c, r) for c in model.choices for r in model.results
@@ -384,7 +403,23 @@ def flatten_choice_case(model: ChoiceCaseModel) -> tuple[CaseModel, np.ndarray]:
         factual_observed=fc * nr + model.result_index(model.factual_result),
     )
     validate_case(case)
-    return case, joint4.reshape(nc * nr, nc * nr)
+    return case, cells
+
+
+def resolve_choice(
+    model: ChoiceCaseModel, presumption: Optional[str] = "it-cp"
+) -> ChoiceCaseModel:
+    """Apply a presumption ('it-cp', 'ii-cp') to the counterfactual choice,
+    or none (None)."""
+    if presumption is None:
+        return model
+    if presumption == "it-cp":
+        return presume_choice_it_cp(model)
+    if presumption == "ii-cp":
+        return presume_choice_ii_cp(model)
+    raise ConfigurationError(
+        f"unknown presumption {presumption!r}; expected 'it-cp', 'ii-cp' or None"
+    )
 
 
 def evaluate_choice_case(
@@ -394,16 +429,7 @@ def evaluate_choice_case(
     custom_blocks: Optional[Sequence[Sequence[int]]] = None,
 ) -> CompensationSchedule:
     """Resolve the counterfactual choice, flatten, and run the policy."""
-    if presumption is None:
-        resolved = model
-    elif presumption == "it-cp":
-        resolved = presume_choice_it_cp(model)
-    elif presumption == "ii-cp":
-        resolved = presume_choice_ii_cp(model)
-    else:
-        raise ConfigurationError(
-            f"unknown presumption {presumption!r}; expected 'it-cp', 'ii-cp' or None"
-        )
+    resolved = resolve_choice(model, presumption)
     case, evidence = flatten_choice_case(resolved)
     return evaluate_policy(
         case,

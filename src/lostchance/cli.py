@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .casefile import SCHEMA_TEXT, atomic_write_text, load_case
-from .choice import ChoiceCaseModel, evaluate_choice_case
+from .choice import flatten_choice_case, resolve_choice
 from .outcome import CaseValidationError
 from .scenarios import matos_sweep, medical_sweep
 from .tables import reproduce_table
@@ -72,42 +72,28 @@ def _emit_csv(rows: list[tuple], header: tuple[str, ...], stream) -> None:
         )
 
 
-def _evaluate_one(
-    loaded, combo: PolicyCombo, presumption: Optional[str], custom_blocks
-) -> CompensationSchedule:
+def _evaluate_all(
+    loaded, combos: list[PolicyCombo], presumption: Optional[str], custom_blocks
+) -> list[CompensationSchedule]:
+    """One schedule per combo; a choice case is resolved and flattened once."""
+    case, evidence, notes = loaded.case, loaded.evidence_joint, ()
     if loaded.kind == "choice":
-        blocks = None
-        if custom_blocks is not None:
-            case_model, _ = _flatten_for_blocks(loaded.case, presumption)
-            blocks = _labels_to_indices(case_model, custom_blocks)
-        return evaluate_choice_case(
-            loaded.case, combo, presumption=presumption, custom_blocks=blocks
-        )
+        resolved = resolve_choice(loaded.case, presumption)
+        case, evidence = flatten_choice_case(resolved)
+        notes = resolved.notes
     blocks = None
     if custom_blocks is not None:
-        blocks = _labels_to_indices(loaded.case, custom_blocks)
-    return evaluate_policy(
-        loaded.case,
-        combo,
-        evidence_joint=loaded.evidence_joint,
-        custom_blocks=blocks,
-    )
-
-
-def _flatten_for_blocks(model: ChoiceCaseModel, presumption: Optional[str]):
-    from .choice import (
-        flatten_choice_case,
-        presume_choice_ii_cp,
-        presume_choice_it_cp,
-    )
-
-    if presumption == "ii-cp":
-        resolved = presume_choice_ii_cp(model)
-    elif presumption == "it-cp":
-        resolved = presume_choice_it_cp(model)
-    else:
-        resolved = model
-    return flatten_choice_case(resolved)
+        blocks = _labels_to_indices(case, custom_blocks)
+    return [
+        evaluate_policy(
+            case,
+            combo,
+            evidence_joint=evidence,
+            custom_blocks=blocks,
+            extra_notes=notes,
+        )
+        for combo in combos
+    ]
 
 
 def _labels_to_indices(case_model, blocks: list[list[str]]) -> list[list[int]]:
@@ -131,10 +117,7 @@ def cmd_evaluate(args) -> int:
                     combos.append(PolicyCombo(info, conn, indem))
     else:
         combos = [PolicyCombo(args.info, args.connection, args.indemnity)]
-    schedules = [
-        _evaluate_one(loaded, combo, args.presumption, custom_blocks)
-        for combo in combos
-    ]
+    schedules = _evaluate_all(loaded, combos, args.presumption, custom_blocks)
     rows = [row for s in schedules for row in _schedule_rows(s)]
     if args.csv:
         _emit_csv(rows, ("policy", "outcome", "compensation", "award"), sys.stdout)

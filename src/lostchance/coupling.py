@@ -1,6 +1,6 @@
 """Couplings: joint laws gluing the factual and counterfactual runs.
 
-A coupling is an n x n matrix of probability mass, rows indexed by the
+A coupling is an n x n law of probability mass, rows indexed by the
 counterfactual outcome and columns by the factual one.  Row sums must
 reproduce the counterfactual marginal and column sums the factual
 marginal.  Three constructions are supported:
@@ -10,6 +10,11 @@ marginal.  Three constructions are supported:
 * independence: the outer product of the marginals;
 * least divergence: the joint minimizing the expected squared value gap,
   which for fixed marginals is the comonotone (value-sorted) matching.
+
+A coupling stores only its positive cells (`Cells`): the comonotone
+matching has at most 2n - 1 of them and a deterministic map n, so no
+construction needs an n x n matrix.  Independence is kept as its two
+factors (`RankOneCells`).  The dense matrix is built only on request.
 
 An exhaustive oracle is included for testing: every vertex of the
 transportation polytope is a northwest-corner solution under some pair of
@@ -22,6 +27,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Union
 
 import numpy as np
 
@@ -35,84 +42,280 @@ MARGINAL_TOL = 1e-10
 _ORACLE_MAX_OUTCOMES = 6
 
 
-@dataclass(frozen=True)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class Cells:
+    """An n x n mass matrix given by its listed cells; all others are zero.
+
+    Behaves like the matrix where the engine needs it: `shape`,
+    `sum(axis)`, and conversion with `np.asarray`, which adds up repeated
+    cells.  A `Coupling` keeps its cells positive, unique and sorted by
+    (row, col).
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    mass: np.ndarray
+    n: int
+
+    @classmethod
+    def from_dense(cls, joint: np.ndarray) -> "Cells":
+        """The non-zero cells of a square matrix, in row-major order."""
+        rows, cols = np.nonzero(joint)
+        return cls(rows, cols, joint[rows, cols], joint.shape[0])
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n, self.n)
+
+    def sum(self, axis=None):
+        if axis is None:
+            return float(self.mass.sum())
+        idx = self.cols if axis == 0 else self.rows
+        return np.bincount(idx, weights=self.mass, minlength=self.n)
+
+    def column_sums(self, row_values: np.ndarray) -> np.ndarray:
+        """sum_i mass[i, k] * row_values[i] for every column k."""
+        return np.bincount(
+            self.cols, weights=self.mass * row_values[self.rows], minlength=self.n
+        )
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        j = np.zeros((self.n, self.n))
+        np.add.at(j, (self.rows, self.cols), self.mass)
+        return j if dtype is None else j.astype(dtype)
+
+
+@dataclass(frozen=True, eq=False)
+class RankOneCells:
+    """The outer product of two weight vectors, kept as its factors.
+
+    Its sums and column moments have closed forms; the explicit cells are
+    listed only when asked for.
+    """
+
+    row_weights: np.ndarray
+    col_weights: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.row_weights), len(self.col_weights))
+
+    def sum(self, axis=None):
+        a, b = self.row_weights, self.col_weights
+        if axis is None:
+            return float(a.sum() * b.sum())
+        return b * a.sum() if axis == 0 else a * b.sum()
+
+    def column_sums(self, row_values: np.ndarray) -> np.ndarray:
+        # Independence: the row law is the same in every column.
+        return self.col_weights * float(self.row_weights @ row_values)
+
+    @cached_property
+    def explicit(self) -> Cells:
+        a, b = self.row_weights, self.col_weights
+        ia, ib = np.flatnonzero(a), np.flatnonzero(b)
+        mass = np.outer(a[ia], b[ib]).ravel()
+        keep = mass > 0.0
+        return Cells(
+            np.repeat(ia, ib.size)[keep], np.tile(ib, ia.size)[keep], mass[keep], len(a)
+        )
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.explicit.rows
+
+    @property
+    def cols(self) -> np.ndarray:
+        return self.explicit.cols
+
+    @property
+    def mass(self) -> np.ndarray:
+        return self.explicit.mass
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        j = np.outer(self.row_weights, self.col_weights)
+        return j if dtype is None else j.astype(dtype)
+
+
+def _sorted_unique(cells: Cells, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Copies of the cells' arrays, checked to lie in the n x n joint,
+    sorted by (row, col), with repeated cells added up."""
+    rows = np.array(cells.rows, dtype=np.intp)
+    cols = np.array(cells.cols, dtype=np.intp)
+    mass = np.array(cells.mass, dtype=float)
+    if cells.n != n:
+        raise ValueError(f"joint has shape {cells.shape}, expected {(n, n)}")
+    if not (rows.ndim == cols.ndim == mass.ndim == 1) or not (
+        rows.size == cols.size == mass.size
+    ):
+        raise ValueError("cells need one row, column and mass per cell")
+    if rows.size:
+        # Viewed as unsigned, a negative index is huge, so one bound
+        # per side catches both ends.
+        if max(rows.view(np.uintp).max(), cols.view(np.uintp).max()) >= n:
+            raise ValueError(f"cell index out of range for a {n}x{n} joint")
+        key = rows * n + cols
+        if (key[1:] <= key[:-1]).any():
+            order = np.argsort(key, kind="stable")
+            key, mass = key[order], mass[order]
+            if (key[1:] == key[:-1]).any():
+                key, first = np.unique(key, return_index=True)
+                mass = np.add.reduceat(mass, first)
+            rows, cols = np.divmod(key, n)
+    return rows, cols, mass
+
+
+def _positive(rows: np.ndarray, cols: np.ndarray, mass: np.ndarray, n: int) -> Cells:
+    """Read-only cells after the mass checks; mass within 1e-15 below zero
+    counts as zero and is dropped with the zero cells."""
+    if not np.isfinite(mass).all():
+        raise ValueError("joint contains non-finite mass")
+    positive = mass > 0.0
+    if not positive.all():
+        negative = mass < -1e-15
+        if negative.any():
+            c = int(negative.argmax())
+            raise ValueError(f"negative mass {mass[c]!r} at ({rows[c]}, {cols[c]})")
+        rows, cols, mass = rows[positive], cols[positive], mass[positive]
+    return Cells(_read_only(rows), _read_only(cols), _read_only(mass), n)
+
+
+@dataclass(frozen=True, eq=False)
 class Coupling:
-    """Joint law over (counterfactual outcome, factual outcome)."""
+    """Joint law over (counterfactual outcome, factual outcome).
+
+    `cells` may be given as a dense n x n matrix, as `Cells` or as
+    `RankOneCells`; validation stores it as positive `Cells` sorted by
+    (row, col), or keeps a valid rank-one law as its factors.
+    """
 
     space: OutcomeSpace
-    joint: np.ndarray
+    cells: Union[Cells, RankOneCells, np.ndarray]
 
     def __post_init__(self) -> None:
-        j = np.array(self.joint, dtype=float)
         n = self.space.size
-        if j.shape != (n, n):
-            raise ValueError(f"joint has shape {j.shape}, expected {(n, n)}")
-        if not np.all(np.isfinite(j)):
-            raise ValueError("joint contains non-finite mass")
-        if np.any(j < -1e-15):
-            i, k = map(int, np.argwhere(j < -1e-15)[0])
-            raise ValueError(f"negative mass {j[i, k]!r} at ({i}, {k})")
-        np.clip(j, 0.0, None, out=j)
-        total = float(j.sum())
+        cells = self.cells
+        if isinstance(cells, RankOneCells):
+            a = np.array(cells.row_weights, dtype=float)
+            b = np.array(cells.col_weights, dtype=float)
+            if a.shape != (n,) or b.shape != (n,):
+                raise ValueError(
+                    f"joint has shape {(a.size, b.size)}, expected {(n, n)}"
+                )
+            if np.isfinite(a).all() and np.isfinite(b).all() and (
+                a.min() >= 0.0 and b.min() >= 0.0
+            ):
+                cells = RankOneCells(_read_only(a), _read_only(b))
+                total = cells.sum()
+                if abs(total - 1.0) > MASS_SUM_TOL:
+                    raise ValueError(f"joint mass sums to {total!r}, not 1")
+                object.__setattr__(self, "cells", cells)
+                return
+            # Report bad factors cell by cell, as for any other joint.
+            cells = np.outer(a, b)
+        if isinstance(cells, Cells):
+            cells = _positive(*_sorted_unique(cells, n), n)
+        else:
+            j = np.asarray(cells, dtype=float)
+            if j.shape != (n, n):
+                raise ValueError(f"joint has shape {j.shape}, expected {(n, n)}")
+            # Already sorted and unique: np.nonzero goes in row-major order.
+            dense = Cells.from_dense(j)
+            cells = _positive(dense.rows, dense.cols, dense.mass, n)
+        total = cells.sum()
         if abs(total - 1.0) > MASS_SUM_TOL:
             raise ValueError(f"joint mass sums to {total!r}, not 1")
-        j.setflags(write=False)
-        object.__setattr__(self, "joint", j)
+        object.__setattr__(self, "cells", cells)
+
+    @cached_property
+    def joint(self) -> np.ndarray:
+        """The dense n x n matrix, built on first use and read-only."""
+        return _read_only(np.asarray(self.cells, dtype=float))
 
     @property
     def counterfactual_marginal(self) -> np.ndarray:
-        return self.joint.sum(axis=1)
+        return self.cells.sum(axis=1)
 
     @property
     def factual_marginal(self) -> np.ndarray:
-        return self.joint.sum(axis=0)
+        return self.column_moments[0]
+
+    @cached_property
+    def column_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """(P(O1 = k), E[V0 1{O1 = k}]) for every factual outcome k."""
+        v = self.space.values_array
+        return (
+            _read_only(self.cells.sum(axis=0)),
+            _read_only(self.cells.column_sums(v)),
+        )
 
     def to_csv_rows(self) -> list[tuple[str, str, float]]:
         """(counterfactual label, factual label, mass) for positive cells."""
         labels = self.space.labels
+        c = self.cells
         return [
-            (labels[i], labels[k], float(self.joint[i, k]))
-            for i in range(self.space.size)
-            for k in range(self.space.size)
-            if self.joint[i, k] > 0.0
+            (labels[i], labels[k], m)
+            for i, k, m in zip(c.rows.tolist(), c.cols.tolist(), c.mass.tolist())
         ]
 
 
 def transport_cost(coupling: Coupling) -> float:
     """Expected squared value gap E[(V0 - V1)^2] under the coupling."""
     v = coupling.space.values_array
-    d = v[:, None] - v[None, :]
-    return float(np.einsum("ij,ij->", coupling.joint, d * d))
+    c = coupling.cells
+    d = v[c.rows] - v[c.cols]
+    return float(c.mass @ (d * d))
 
 
-def _check_marginals(model: CaseModel, joint: np.ndarray) -> None:
+def _check_marginals(model: CaseModel, joint) -> None:
     rows = joint.sum(axis=1)
     cols = joint.sum(axis=0)
     cf = model.counterfactual.array
     f = model.factual.array
     labels = model.space.labels
-    for i in range(model.space.size):
-        if abs(rows[i] - cf[i]) > MARGINAL_TOL:
-            raise ValueError(
-                f"counterfactual marginal mismatch at row {i} ({labels[i]!r}): "
-                f"coupling gives {rows[i]!r}, case says {cf[i]!r}"
-            )
-    for k in range(model.space.size):
-        if abs(cols[k] - f[k]) > MARGINAL_TOL:
-            raise ValueError(
-                f"factual marginal mismatch at column {k} ({labels[k]!r}): "
-                f"coupling gives {cols[k]!r}, case says {f[k]!r}"
-            )
+    off = np.abs(rows - cf) > MARGINAL_TOL
+    if off.any():
+        i = int(off.argmax())
+        raise ValueError(
+            f"counterfactual marginal mismatch at row {i} ({labels[i]!r}): "
+            f"coupling gives {rows[i]!r}, case says {cf[i]!r}"
+        )
+    off = np.abs(cols - f) > MARGINAL_TOL
+    if off.any():
+        k = int(off.argmax())
+        raise ValueError(
+            f"factual marginal mismatch at column {k} ({labels[k]!r}): "
+            f"coupling gives {cols[k]!r}, case says {f[k]!r}"
+        )
 
 
 def evidence_coupling(model: CaseModel, joint) -> Coupling:
-    """Wrap an explicitly supplied joint matrix, checking it against the case."""
-    j = np.array(joint, dtype=float)
+    """Wrap an explicitly supplied joint, checking it against the case.
+
+    The joint is a dense matrix or `Cells`.
+    """
+    if not isinstance(joint, Cells):
+        joint = np.asarray(joint, dtype=float)
     n = model.space.size
-    if j.shape != (n, n):
-        raise ValueError(f"evidence joint has shape {j.shape}, expected {(n, n)}")
-    _check_marginals(model, j)
-    return Coupling(model.space, j)
+    if joint.shape != (n, n):
+        raise ValueError(f"evidence joint has shape {joint.shape}, expected {(n, n)}")
+    _check_marginals(model, joint)
+    return Coupling(model.space, joint)
+
+
+def map_cells(space: OutcomeSpace, weights, mapping: dict[str, str]) -> Cells:
+    """Cells of a deterministic outcome map: each source outcome sends its
+    whole weight to the outcome it maps to."""
+    rows = np.fromiter((space.index(src) for src in mapping), np.intp, len(mapping))
+    cols = np.fromiter(
+        (space.index(dst) for dst in mapping.values()), np.intp, len(mapping)
+    )
+    return Cells(rows, cols, np.asarray(weights, dtype=float)[rows], space.size)
 
 
 def coupling_from_map(model: CaseModel, mapping: dict[str, str]) -> Coupling:
@@ -122,62 +325,85 @@ def coupling_from_map(model: CaseModel, mapping: dict[str, str]) -> Coupling:
     outcome.  Every counterfactual outcome with positive mass must be
     mapped.
     """
-    n = model.space.size
-    j = np.zeros((n, n))
     cf = model.counterfactual.array
-    for src, dst in mapping.items():
-        j[model.space.index(src), model.space.index(dst)] += cf[model.space.index(src)]
+    cells = map_cells(model.space, cf, mapping)
     for i in model.counterfactual.support():
         if model.space.labels[i] not in mapping:
             raise ValueError(
                 f"deterministic map misses counterfactual outcome "
                 f"{model.space.labels[i]!r} (mass {cf[i]!r})"
             )
-    _check_marginals(model, j)
-    return Coupling(model.space, j)
+    _check_marginals(model, cells)
+    return Coupling(model.space, cells)
 
 
 def independence_coupling(model: CaseModel) -> Coupling:
     """Outer product of the marginals: the runs share no information."""
-    j = np.outer(model.counterfactual.array, model.factual.array)
-    return Coupling(model.space, j)
-
-
-def _sorted_support(keys, weights) -> list[tuple[int, float]]:
-    # Stable sort on the key keeps equal-keyed entries in label order.
-    order = sorted(
-        (i for i, w in enumerate(weights) if w > 0.0),
-        key=lambda i: (keys[i], i),
+    return Coupling(
+        model.space, RankOneCells(model.counterfactual.array, model.factual.array)
     )
-    return [(i, float(weights[i])) for i in order]
 
 
-def comonotone_matrix(row_weights, col_weights, row_keys, col_keys) -> np.ndarray:
-    """Mass matrix pairing two marginals in increasing key order.
+def northwest_corner(row_order, col_order, row_mass, col_mass) -> Cells:
+    """Cells of the northwest-corner solution, in sweep order.
+
+    Rows and columns are filled greedily in the given orders, so each
+    cell ends a row or a column and there are fewer than
+    len(row_order) + len(col_order) of them.  A remainder at or below
+    1e-15 counts as exhausted.
+    """
+    rows: list[int] = []
+    cols: list[int] = []
+    masses: list[float] = []
+    nr, nc = len(row_order), len(col_order)
+    ri = ci = 0
+    r_rem = row_mass[row_order[0]] if nr else 0.0
+    c_rem = col_mass[col_order[0]] if nc else 0.0
+    while ri < nr and ci < nc:
+        take = r_rem if r_rem < c_rem else c_rem
+        if take > 0.0:
+            rows.append(row_order[ri])
+            cols.append(col_order[ci])
+            masses.append(take)
+        r_rem -= take
+        c_rem -= take
+        if r_rem <= 1e-15:
+            ri += 1
+            if ri < nr:
+                r_rem = row_mass[row_order[ri]]
+        if c_rem <= 1e-15:
+            ci += 1
+            if ci < nc:
+                c_rem = col_mass[col_order[ci]]
+    return Cells(
+        np.array(rows, dtype=np.intp),
+        np.array(cols, dtype=np.intp),
+        np.array(masses, dtype=float),
+        len(row_mass),
+    )
+
+
+def _sorted_support(keys: np.ndarray, weights: np.ndarray) -> list[int]:
+    # A stable sort on the key keeps equal-keyed entries in index order.
+    support = (weights > 0.0).nonzero()[0]
+    return support[np.argsort(keys[support], kind="stable")].tolist()
+
+
+def comonotone_cells(row_weights, col_weights, row_keys, col_keys) -> Cells:
+    """Cells pairing two marginals in increasing key order.
 
     Both supports are swept lowest key first, matching mass greedily, so
     high row keys land on high column keys.  Key ties are broken by index
     order, which pins down one matrix when several qualify.
     """
-    rows = _sorted_support(row_keys, row_weights)
-    cols = _sorted_support(col_keys, col_weights)
-    j = np.zeros((len(row_weights), len(col_weights)))
-    ri = ci = 0
-    r_rem = rows[0][1] if rows else 0.0
-    c_rem = cols[0][1] if cols else 0.0
-    while ri < len(rows) and ci < len(cols):
-        take = min(r_rem, c_rem)
-        if take > 0.0:
-            j[rows[ri][0], cols[ci][0]] += take
-        r_rem -= take
-        c_rem -= take
-        if r_rem <= 1e-15:
-            ri += 1
-            r_rem = rows[ri][1] if ri < len(rows) else 0.0
-        if c_rem <= 1e-15:
-            ci += 1
-            c_rem = cols[ci][1] if ci < len(cols) else 0.0
-    return j
+    rw = np.asarray(row_weights, dtype=float)
+    cw = np.asarray(col_weights, dtype=float)
+    return northwest_corner(
+        _sorted_support(np.asarray(row_keys, dtype=float), rw),
+        _sorted_support(np.asarray(col_keys, dtype=float), cw),
+        rw.tolist(),
+        cw.tolist(),
+    )
 
 
 def least_divergence_coupling(model: CaseModel) -> Coupling:
@@ -187,11 +413,9 @@ def least_divergence_coupling(model: CaseModel) -> Coupling:
     squared value gap.  Value ties are broken by label order, which pins
     down one minimizer when several exist.
     """
-    v = model.space.values
-    j = comonotone_matrix(
-        model.counterfactual.weights, model.factual.weights, v, v
-    )
-    return Coupling(model.space, j)
+    v = model.space.values_array
+    cells = comonotone_cells(model.counterfactual.array, model.factual.array, v, v)
+    return Coupling(model.space, cells)
 
 
 def _nw_cost(
@@ -225,29 +449,6 @@ def _nw_cost(
     return cost
 
 
-def _nw_fill(row_order, col_order, row_mass, col_mass, n) -> np.ndarray:
-    j = np.zeros((n, n))
-    ri = ci = 0
-    r_rem = row_mass[row_order[0]]
-    c_rem = col_mass[col_order[0]]
-    while True:
-        take = r_rem if r_rem < c_rem else c_rem
-        j[row_order[ri], col_order[ci]] += take
-        r_rem -= take
-        c_rem -= take
-        if r_rem <= 1e-15:
-            ri += 1
-            if ri == len(row_order):
-                break
-            r_rem = row_mass[row_order[ri]]
-        if c_rem <= 1e-15:
-            ci += 1
-            if ci == len(col_order):
-                break
-            c_rem = col_mass[col_order[ci]]
-    return j
-
-
 def oracle_min_cost(model: CaseModel) -> tuple[Coupling, float]:
     """Exact minimum transport cost by enumerating polytope vertices.
 
@@ -278,5 +479,5 @@ def oracle_min_cost(model: CaseModel) -> tuple[Coupling, float]:
                 best = c
                 best_orders = (ro, co)
     assert best_orders is not None
-    j = _nw_fill(best_orders[0], best_orders[1], row_mass, col_mass, model.space.size)
-    return Coupling(model.space, j), best
+    cells = northwest_corner(*best_orders, row_mass, col_mass)
+    return Coupling(model.space, cells), best

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,6 +39,11 @@ class CaseValidationError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class OutcomeSpace:
     """Ordered outcome labels, each carrying one real value."""
@@ -59,15 +65,28 @@ class OutcomeSpace:
     def size(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
     def values_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+        """The values as a read-only array, built once."""
+        return _read_only(np.asarray(self.values, dtype=float))
+
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        """Label -> index; a repeated label maps to its first index."""
+        return label_positions(self.labels)
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self.positions[label]
+        except KeyError:
             raise KeyError(f"unknown outcome label {label!r}") from None
+
+
+def label_positions(labels: Sequence[str]) -> dict[str, int]:
+    """Label -> index of its first occurrence."""
+    n = len(labels)
+    # Later writes win, so walking backwards leaves the first occurrence.
+    return dict(zip(reversed(labels), range(n - 1, -1, -1)))
 
 
 @dataclass(frozen=True)
@@ -83,9 +102,10 @@ class DiscreteDistribution:
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 
-    @property
+    @cached_property
     def array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float)
+        """The weights as a read-only array, built once."""
+        return _read_only(np.asarray(self.weights, dtype=float))
 
     @property
     def total(self) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .choice import (
     matos_award,
     validate_choice_case,
 )
+from .coupling import Cells, map_cells
 from .outcome import (
     CaseModel,
     CurveMoneyMap,
@@ -42,8 +43,8 @@ class Scenario:
 
     name: str
     model: CaseModel
-    evidence_joint: Optional[np.ndarray] = None
-    paper_table_joint: Optional[np.ndarray] = None
+    evidence_joint: Optional[Union[np.ndarray, Cells]] = None
+    paper_table_joint: Optional[Union[np.ndarray, Cells]] = None
     notes: tuple[str, ...] = ()
     params: tuple[tuple[str, float], ...] = ()
 
@@ -155,13 +156,6 @@ _PRIZE_EVIDENCE_MAP = {"a1": "a3", "a2": "a3", "a3": "a2", "a4": "a1", "a5": "a4
 _PRIZE_PUBLISHED_LD_MAP = {"a1": "a1", "a2": "a2", "a3": "a3", "a4": "a4", "a5": "a3"}
 
 
-def _expand_map(space: OutcomeSpace, cf: DiscreteDistribution, m: dict) -> np.ndarray:
-    j = np.zeros((space.size, space.size))
-    for src, dst in m.items():
-        j[space.index(src), space.index(dst)] += cf.weights[space.index(src)]
-    return j
-
-
 def prize_case() -> Scenario:
     """Five equally likely prize levels; the harmful act permuted who gets
     what.  Ships with the published evidence table and a published
@@ -181,8 +175,8 @@ def prize_case() -> Scenario:
     return Scenario(
         name="prize",
         model=model,
-        evidence_joint=_expand_map(space, cf, _PRIZE_EVIDENCE_MAP),
-        paper_table_joint=_expand_map(space, cf, _PRIZE_PUBLISHED_LD_MAP),
+        evidence_joint=map_cells(space, cf.weights, _PRIZE_EVIDENCE_MAP),
+        paper_table_joint=map_cells(space, cf.weights, _PRIZE_PUBLISHED_LD_MAP),
         notes=(
             "published least-divergence table costs 1125; the comonotone "
             "matching costs 565 and is the engine default",

@@ -18,6 +18,7 @@ so scanning its breakpoints gives a closed-form root.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -91,25 +92,19 @@ class SelectiveGroups:
 
 def selective_groups(coupling: Coupling) -> SelectiveGroups:
     v = coupling.space.values_array
-    col_mass = coupling.factual_marginal
-    scale = max(1.0, float(np.max(np.abs(v))))
+    col_mass, col_v0 = coupling.column_moments
+    scale = max(1.0, float(np.abs(v).max()))
     tol = 1e-9 * scale
-    plus: list[int] = []
-    minus: list[int] = []
-    ties: list[int] = []
-    for k in range(coupling.space.size):
-        if col_mass[k] <= 0.0:
-            continue
-        cond_mean = float(coupling.joint[:, k] @ v) / float(col_mass[k])
-        diff = cond_mean - float(v[k])
-        if abs(diff) <= tol:
-            ties.append(k)
-            minus.append(k)
-        elif diff > 0.0:
-            plus.append(k)
-        else:
-            minus.append(k)
-    return SelectiveGroups(tuple(plus), tuple(minus), tuple(ties))
+    support = (col_mass > 0.0).nonzero()[0]
+    # Conditional mean of V0 given each factual outcome, minus its value.
+    diff = col_v0[support] / col_mass[support] - v[support]
+    tied = np.abs(diff) <= tol
+    plus = ~tied & (diff > 0.0)
+    return SelectiveGroups(
+        tuple(support[plus].tolist()),
+        tuple(support[~plus].tolist()),
+        tuple(support[tied].tolist()),
+    )
 
 
 @dataclass(frozen=True)
@@ -210,23 +205,27 @@ def conditional_gap(coupling: Coupling, partition: InformationPartition) -> GapT
     are dropped with a warning rather than reported as 0/0.
     """
     v = coupling.space.values_array
-    col_mass = coupling.factual_marginal
+    col_mass, col_v0 = coupling.column_moments
     # E[(V0 - V1) 1{O1 = k}] column by column.
-    col_gap = coupling.joint.T @ v - col_mass * v
+    col_gap = col_v0 - col_mass * v
+    sizes = [len(b) for b in partition.blocks]
+    flat = np.fromiter(
+        itertools.chain.from_iterable(partition.blocks), np.intp, sum(sizes)
+    )
+    block_id = np.repeat(np.arange(len(sizes)), sizes)
+    block_p = np.bincount(block_id, weights=col_mass[flat], minlength=len(sizes))
+    block_gap = np.bincount(block_id, weights=col_gap[flat], minlength=len(sizes))
     blocks: list[GapBlock] = []
-    for block in partition.blocks:
-        idx = list(block)
-        p = float(col_mass[idx].sum())
+    for block, p, g in zip(partition.blocks, block_p.tolist(), block_gap.tolist()):
         if p <= 0.0:
             warnings.warn(
                 f"dropping zero-probability block {tuple(block)}", stacklevel=2
             )
             continue
-        g = float(col_gap[idx].sum()) / p
-        blocks.append(GapBlock(tuple(block), p, g))
+        blocks.append(GapBlock(tuple(block), p, g / p))
     table = GapTable(tuple(blocks))
-    mean_gap = float(coupling.joint.sum(axis=1) @ v - col_mass @ v)
-    scale = max(1.0, float(np.max(np.abs(v))))
+    mean_gap = float(col_v0.sum() - col_mass @ v)
+    scale = max(1.0, float(np.abs(v).max()))
     if abs(table.expected_gap - mean_gap) > GAP_IDENTITY_TOL * scale:
         raise AssertionError(
             f"gap table inconsistent: blocks aggregate to {table.expected_gap!r} "
@@ -262,8 +261,10 @@ def solve_lambda(gaps: GapTable, target: float) -> float:
         p_k += p[k]
         lo = g[k + 1] if k + 1 < len(g) else -math.inf
         cand = (s_k - target) / p_k
-        if lo <= cand <= g[k]:
-            lam = float(cand)
+        if cand >= lo:
+            # The payout at lo reaches the target, so the root lies in
+            # [lo, g[k]]; round-off can push it just past the breakpoint.
+            lam = float(min(cand, g[k]))
             break
     if lam is None:
         raise AssertionError(

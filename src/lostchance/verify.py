@@ -28,10 +28,10 @@ from .choice import (
 )
 from .coupling import (
     Coupling,
-    _nw_fill,
     evidence_coupling,
     independence_coupling,
     least_divergence_coupling,
+    northwest_corner,
     oracle_min_cost,
     transport_cost,
 )
@@ -103,7 +103,7 @@ def random_vertex_coupling(rng: np.random.Generator, model: CaseModel) -> np.nda
     for w in mix:
         ro = tuple(rng.permutation(rows))
         co = tuple(rng.permutation(cols))
-        j += w * _nw_fill(ro, co, row_mass, col_mass, model.space.size)
+        j += w * np.asarray(northwest_corner(ro, co, row_mass, col_mass))
     return j
 
 

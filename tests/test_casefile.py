@@ -278,3 +278,109 @@ class TestFileLevel:
         assert "not part of the" in SCHEMA_TEXT
         assert "command-line flags" in SCHEMA_TEXT
         assert '"kind": "crra"' in SCHEMA_TEXT
+
+
+def load_text(tmp_path, text):
+    path = tmp_path / "case.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CaseValidationError) as exc:
+        load_case(path)
+    return exc.value.violations
+
+
+class TestStrictJson:
+    """What Python's json module accepts but strict JSON does not."""
+
+    def test_duplicate_key_rejected(self, tmp_path):
+        text = json.dumps(outcome_data()).replace(
+            '"counterfactual": {"bad": 0.1, "good": 0.9}',
+            '"counterfactual": {"bad": 0.9, "good": 0.95, "bad": 0.05}',
+        )
+        assert '"bad": 0.05' in text
+        errs = load_text(tmp_path, text)
+        assert errs == ("duplicate key 'bad' in one JSON object",)
+
+    def test_every_duplicate_key_listed(self, tmp_path):
+        text = json.dumps(outcome_data()).replace(
+            '"observed": "bad"', '"observed": "bad", "observed": "good"'
+        ).replace(
+            '"factual": {"bad": 0.4, "good": 0.6}',
+            '"factual": {"bad": 0.4, "good": 0.6, "good": 0.6}',
+        )
+        errs = load_text(tmp_path, text)
+        assert "duplicate key 'observed' in one JSON object" in errs
+        assert "duplicate key 'good' in one JSON object" in errs
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literal_rejected(self, tmp_path, literal):
+        text = json.dumps(outcome_data()).replace(
+            '"value": 100.0', f'"value": {literal}'
+        )
+        errs = load_text(tmp_path, text)
+        assert f"{literal} is not a JSON number" in errs
+
+    def test_literal_in_money_rejected(self, tmp_path):
+        text = json.dumps(outcome_data(money={"kind": "crra", "theta": 0.5}))
+        errs = load_text(tmp_path, text.replace("0.5}", "NaN}"))
+        assert "NaN is not a JSON number" in errs
+
+    def test_all_problems_reported_together(self, tmp_path):
+        data = outcome_data(observed="fine")
+        text = json.dumps(data).replace(
+            '"counterfactual": {"bad": 0.1, "good": 0.9}',
+            '"counterfactual": {"bad": 0.1, "good": 0.9, "bad": 0.1}',
+        ).replace('"value": 100.0', '"value": Infinity')
+        text = text.replace('"factual": {"bad": 0.4', '"factual": {"bad": true')
+        errs = load_text(tmp_path, text)
+        assert "duplicate key 'bad' in one JSON object" in errs
+        assert "Infinity is not a JSON number" in errs
+        assert "factual weight for 'bad' is not a number" in errs
+        assert any("'fine' is not in the outcome space" in e for e in errs)
+
+
+class TestBooleansAreNotNumbers:
+    def test_boolean_weight(self):
+        errs = errors_of(outcome_data(factual={"bad": True, "good": False}))
+        assert "factual weight for 'bad' is not a number" in errs
+        assert "factual weight for 'good' is not a number" in errs
+
+    def test_boolean_outcome_value(self):
+        errs = errors_of(
+            outcome_data(
+                outcomes=[
+                    {"label": "bad", "value": False},
+                    {"label": "good", "value": 100.0},
+                ]
+            )
+        )
+        assert "outcomes[0] value is not a number" in errs
+
+    def test_boolean_in_evidence_matrix(self):
+        errs = errors_of(
+            outcome_data(evidence_coupling={"matrix": [[0.1, False], [0.3, 0.6]]})
+        )
+        assert "evidence matrix entries must be numbers, not booleans" in errs
+
+    def test_boolean_money_parameters(self):
+        errs = errors_of(outcome_data(money={"kind": "crra", "theta": True}))
+        assert any("bad money spec" in e for e in errs)
+        errs = errors_of(
+            outcome_data(money={"kind": "tabulated", "points": [[0, 0], [True, 5]]})
+        )
+        assert any("bad money spec" in e for e in errs)
+
+    def test_boolean_choice_weight_values_and_couplings(self):
+        data = dump_case(matos_case(0.7, 0.0))
+        block = data["choice"]
+        first = block["choices"][0]
+        block["counterfactual_choice"] = {c: 0.0 for c in block["choices"]}
+        block["counterfactual_choice"][first] = True
+        block["values"][0][0] = True
+        nr = len(block["results"])
+        coupling = [[0.0] * nr for _ in range(nr)]
+        coupling[0][0] = False
+        block["result_couplings"] = {first: coupling}
+        errs = errors_of(data)
+        assert f"counterfactual_choice weight for {first!r} is not a number" in errs
+        assert "choice values must be numbers, not booleans" in errs
+        assert "result coupling entries must be numbers, not booleans" in errs

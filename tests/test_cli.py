@@ -260,6 +260,11 @@ class TestVerify:
         assert code == 0
         assert "overall: PASS" in out
 
+    def test_seed_whose_fair_mean_root_sits_on_a_breakpoint(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--seed", "107", "--instances", "200"])
+        assert code == 0
+        assert "overall: PASS" in out
+
     def test_injected_fault_caught(self, capsys):
         code, out, _ = run(
             capsys,

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from lostchance.coupling import (
+    Cells,
     Coupling,
-    comonotone_matrix,
+    comonotone_cells,
     coupling_from_map,
     evidence_coupling,
     independence_coupling,
@@ -74,6 +75,51 @@ class TestCouplingContainer:
         assert ("bad", "good", 0.0) not in [(a, b, m) for a, b, m in rows]
         assert ("good", "bad", 0.05) in rows
         assert len(rows) == 3
+
+
+class TestCells:
+    def space(self):
+        return OutcomeSpace(("a", "b", "c"), (0.0, 1.0, 2.0))
+
+    def test_cells_are_sorted_merged_and_positive(self):
+        cells = Cells(
+            np.array([2, 0, 2, 1]),
+            np.array([1, 0, 1, 2]),
+            np.array([0.25, 0.5, 0.25, 0.0]),
+            3,
+        )
+        c = Coupling(self.space(), cells)
+        assert c.cells.rows.tolist() == [0, 2]
+        assert c.cells.cols.tolist() == [0, 1]
+        assert c.cells.mass.tolist() == [0.5, 0.5]
+        assert np.array_equal(c.joint, np.asarray(cells))
+        assert not c.cells.mass.flags.writeable
+
+    def test_cells_out_of_range_rejected(self):
+        for rows in ([0, 3], [0, -1]):
+            cells = Cells(np.array(rows), np.array([0, 1]), np.array([0.5, 0.5]), 3)
+            with pytest.raises(ValueError, match="out of range"):
+                Coupling(self.space(), cells)
+
+    def test_cells_checked_like_a_matrix(self):
+        cells = Cells(np.array([1, 0]), np.array([1, 2]), np.array([-0.1, 1.1]), 3)
+        with pytest.raises(ValueError, match=r"negative mass .* at \(1, 1\)"):
+            Coupling(self.space(), cells)
+        cells = Cells(np.array([0]), np.array([0]), np.array([np.nan]), 3)
+        with pytest.raises(ValueError, match="non-finite"):
+            Coupling(self.space(), cells)
+        cells = Cells(np.array([0]), np.array([0]), np.array([1.0]), 2)
+        with pytest.raises(ValueError, match="shape"):
+            Coupling(self.space(), cells)
+
+    def test_independence_keeps_factors_until_cells_are_asked_for(self):
+        model = prize_model()
+        c = independence_coupling(model)
+        assert "explicit" not in vars(c.cells)
+        assert np.allclose(c.factual_marginal, model.factual.array)
+        assert len(c.to_csv_rows()) == 5 * 4
+        outer = np.outer(model.counterfactual.array, model.factual.array)
+        assert np.array_equal(c.joint, outer)
 
 
 class TestEvidenceCoupling:
@@ -151,14 +197,15 @@ class TestComonotone:
 
     def test_tie_broken_by_label_order(self):
         weights = (0.5, 0.5)
-        j = comonotone_matrix(weights, weights, (1.0, 1.0), (1.0, 1.0))
+        j = np.asarray(comonotone_cells(weights, weights, (1.0, 1.0), (1.0, 1.0)))
         assert np.allclose(j, np.diag([0.5, 0.5]))
 
     def test_matrix_respects_custom_keys(self):
         # Keys reverse the value order, so the sweep must follow the keys.
-        j = comonotone_matrix((0.5, 0.5), (0.5, 0.5), (2.0, 1.0), (2.0, 1.0))
+        half = (0.5, 0.5)
+        j = np.asarray(comonotone_cells(half, half, (2.0, 1.0), (2.0, 1.0)))
         assert np.allclose(j, np.diag([0.5, 0.5]))
-        j = comonotone_matrix((0.5, 0.5), (0.5, 0.5), (2.0, 1.0), (1.0, 2.0))
+        j = np.asarray(comonotone_cells(half, half, (2.0, 1.0), (1.0, 2.0)))
         assert np.allclose(j, [[0.0, 0.5], [0.5, 0.0]])
 
 

@@ -226,6 +226,20 @@ class TestIndemnities:
         with pytest.raises(ValueError, match="exceeds the payout at zero shift"):
             solve_lambda(table, 0.6)  # f(0) = 0.5
 
+    def test_solve_lambda_root_on_a_shifted_breakpoint(self):
+        # The root is the lower gap, which round-off moves just outside
+        # both segments; the solver must still return it.
+        table = GapTable(
+            (
+                GapBlock((0,), 0.3859254525406075, 3.204410060167252),
+                GapBlock((1,), 0.6140745474593926, 1.8079613122193004e-16),
+            )
+        )
+        lam = solve_lambda(table, 1.236663402595722)
+        assert 0.0 <= lam <= 1.8079613122193004e-16
+        x = fm_indemnity(table)
+        assert float(table.probabilities @ x) == pytest.approx(table.expected_gap)
+
     def test_cc_dominates_fm(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
