@@ -8,7 +8,7 @@ file; they are selected per run through command-line flags.
 
 Unknown keys are rejected everywhere, and all problems are reported
 together: duplicate keys, the non-standard NaN and Infinity literals,
-booleans where a number belongs, and every structural problem.
+booleans or strings where a number belongs, and every structural problem.
 """
 
 from __future__ import annotations
@@ -114,18 +114,42 @@ class LoadedCase:
     kind: str  # "outcome" or "choice"
 
 
+# The types json.loads gives numbers; bool, a subclass of int, is not one.
+_NUMBER_TYPES = (int, float)
+# Plural JSON names of the values that are not numbers.
+_JSON_KINDS = {
+    bool: "booleans",
+    str: "strings",
+    type(None): "nulls",
+    list: "arrays",
+    dict: "objects",
+}
+
+
 def _number(x) -> float:
-    """float(x), refusing booleans: JSON true and false are not numbers."""
-    if isinstance(x, bool):
-        raise TypeError("a boolean is not a number")
+    """float(x) for a JSON number; booleans and strings such as "0.5" are
+    refused, since strict JSON keeps them apart from numbers."""
+    if type(x) not in _NUMBER_TYPES:
+        raise TypeError(f"{x!r} is not a number")
     return float(x)
 
 
-def _has_bool(rows) -> bool:
-    """Whether a list of rows holds a boolean entry."""
-    return isinstance(rows, list) and any(
-        x is True or x is False for row in rows if isinstance(row, list) for x in row
-    )
+def _number_rows(rows, name: str, errs: list[str]):
+    """rows if it is a list of rows of JSON numbers, else None after
+    listing why not.
+
+    `name` names the entries, as in "choice values"; the shape of the
+    table is left to the caller.
+    """
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        errs.append(f"{name} must be a list of rows of numbers")
+        return None
+    bad = {type(x) for r in rows for x in r} - set(_NUMBER_TYPES)
+    if bad:
+        kinds = sorted(_JSON_KINDS.get(t, t.__name__) for t in bad)
+        errs.append(f"{name} must be numbers, not {' or '.join(kinds)}")
+        return None
+    return rows
 
 
 def _money_from_spec(data, errs: list[str]) -> MoneyMap:
@@ -240,17 +264,20 @@ def _load_outcome_form(data: dict) -> LoadedCase:
                 "evidence_coupling must be an object with exactly one of "
                 "'matrix' or 'map'"
             )
-        elif "matrix" in ev and _has_bool(ev["matrix"]):
-            errs.append("evidence matrix entries must be numbers, not booleans")
         elif "matrix" in ev:
-            mat = np.asarray(ev["matrix"], dtype=float)
-            if mat.shape != (space.size, space.size):
-                errs.append(
-                    f"evidence matrix has shape {mat.shape}, expected "
-                    f"{(space.size, space.size)}"
-                )
-            else:
-                evidence = mat
+            rows = _number_rows(ev["matrix"], "evidence matrix entries", errs)
+            widths = set() if rows is None else {len(r) for r in rows}
+            if len(widths) > 1:
+                errs.append("evidence matrix rows differ in length")
+            elif rows is not None:
+                shape = (len(rows), *widths)
+                if shape != (space.size, space.size):
+                    errs.append(
+                        f"evidence matrix has shape {shape}, expected "
+                        f"{(space.size, space.size)}"
+                    )
+                else:
+                    evidence = np.array(rows, dtype=float)
         else:
             mapping = ev["map"]
             if not isinstance(mapping, dict):
@@ -347,15 +374,17 @@ def _load_choice_form(data: dict) -> LoadedCase:
         raw = block["result_couplings"]
         if not isinstance(raw, dict):
             errs.append("result_couplings must be an object keyed by choice")
-        elif any(_has_bool(m) for m in raw.values()):
-            errs.append("result coupling entries must be numbers, not booleans")
         else:
-            couplings = tuple(
-                (str(c), tuple(tuple(float(x) for x in row) for row in m))
+            rows = {
+                str(c): _number_rows(m, "result coupling entries", errs)
                 for c, m in raw.items()
-            )
-    if _has_bool(block["values"]):
-        errs.append("choice values must be numbers, not booleans")
+            }
+            if None not in rows.values():
+                couplings = tuple(
+                    (c, tuple(tuple(float(x) for x in row) for row in m))
+                    for c, m in rows.items()
+                )
+    values = _number_rows(block["values"], "choice values", errs)
     money = _money_from_spec(data["money"], errs)
     if errs:
         raise CaseValidationError(errs)
@@ -364,7 +393,7 @@ def _load_choice_form(data: dict) -> LoadedCase:
             choices=choices,
             duty=frozenset(str(c) for c in block["duty"]),
             results=results,
-            values=tuple(tuple(float(x) for x in row) for row in block["values"]),
+            values=tuple(tuple(float(x) for x in row) for row in values),
             money=money,
             result_given_choice_cf=cf_conds,
             result_given_choice_f=f_conds,

@@ -40,6 +40,9 @@ MASS_SUM_TOL = 1e-12
 MARGINAL_TOL = 1e-10
 
 _ORACLE_MAX_OUTCOMES = 6
+# Ordering pairs swept at once by the oracle: a 6x6 support has 720 x 720
+# of them, and a chunk keeps each working array at 256 KiB.
+_ORACLE_CHUNK = 32768
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -418,34 +421,54 @@ def least_divergence_coupling(model: CaseModel) -> Coupling:
     return Coupling(model.space, cells)
 
 
-def _nw_cost(
-    row_order: tuple[int, ...],
-    col_order: tuple[int, ...],
-    row_mass: list[float],
-    col_mass: list[float],
-    sq: list[list[float]],
-) -> float:
-    """Cost of the northwest-corner solution for the given orderings."""
-    cost = 0.0
-    ri = ci = 0
-    r_rem = row_mass[row_order[0]]
-    c_rem = col_mass[col_order[0]]
-    nr, nc = len(row_order), len(col_order)
-    while True:
-        take = r_rem if r_rem < c_rem else c_rem
-        cost += take * sq[row_order[ri]][col_order[ci]]
+def _nw_costs(
+    row_perms: np.ndarray,
+    col_perms: np.ndarray,
+    pairs: np.ndarray,
+    row_mass: np.ndarray,
+    col_mass: np.ndarray,
+    sq: np.ndarray,
+) -> np.ndarray:
+    """Northwest-corner cost of every (row order, column order) pair.
+
+    Pair p sweeps rows in `row_perms[p // C]` and columns in
+    `col_perms[p % C]`, C = len(col_perms).  All pairs step together, one
+    cell per step, each with the sweep's own arithmetic: the smaller
+    remainder is taken, a remainder at or below 1e-15 counts as exhausted,
+    and a sweep stops when its rows or columns run out (rows checked
+    first).  Finished pairs add nothing more, so every cost is the sum of
+    the same terms in the same order as one sweep on its own.
+    """
+    nr, nc = row_perms.shape[1], col_perms.shape[1]
+    a, b = np.divmod(pairs, len(col_perms))
+    ri = np.zeros(pairs.size, dtype=np.intp)
+    ci = np.zeros(pairs.size, dtype=np.intp)
+    r_rem = row_mass[row_perms[a, 0]]
+    c_rem = col_mass[col_perms[b, 0]]
+    cost = np.zeros(pairs.size)
+    live = np.ones(pairs.size, dtype=bool)
+    # Each step exhausts a row or a column, so no sweep runs longer.
+    for _ in range(nr + nc - 1):
+        take = np.where(r_rem < c_rem, r_rem, c_rem)
+        cell = sq[row_perms[a, ri], col_perms[b, ci]]
+        cost += np.where(live, take * cell, 0.0)
         r_rem -= take
         c_rem -= take
-        if r_rem <= 1e-15:
-            ri += 1
-            if ri == nr:
-                break
-            r_rem = row_mass[row_order[ri]]
-        if c_rem <= 1e-15:
-            ci += 1
-            if ci == nc:
-                break
-            c_rem = col_mass[col_order[ci]]
+        r_out = live & (r_rem <= 1e-15)
+        ri += r_out
+        live &= ri < nr
+        c_out = live & (c_rem <= 1e-15)
+        ci += c_out
+        live &= ci < nc
+        if not live.any():
+            break
+        r_out &= live
+        c_out &= live
+        r_rem[r_out] = row_mass[row_perms[a[r_out], ri[r_out]]]
+        c_rem[c_out] = col_mass[col_perms[b[c_out], ci[c_out]]]
+        # Finished sweeps keep their last index in range for the lookups.
+        np.minimum(ri, nr - 1, out=ri)
+        np.minimum(ci, nc - 1, out=ci)
     return cost
 
 
@@ -454,9 +477,10 @@ def oracle_min_cost(model: CaseModel) -> tuple[Coupling, float]:
 
     Every basic feasible solution of a transportation problem is the
     northwest-corner solution under some ordering of rows and columns, so
-    trying all ordering pairs visits every vertex.  Factorial blowup
-    limits this to supports of at most 6 outcomes per side; larger models
-    are refused.
+    trying all ordering pairs visits every vertex.  The pairs are swept
+    as arrays, a chunk at a time; the first minimum in
+    `itertools.permutations` order wins.  Factorial blowup limits this to
+    supports of at most 6 outcomes per side; larger models are refused.
     """
     v = model.space.values
     row_sup = list(model.counterfactual.support())
@@ -469,15 +493,23 @@ def oracle_min_cost(model: CaseModel) -> tuple[Coupling, float]:
         )
     row_mass = [float(w) for w in model.counterfactual.weights]
     col_mass = [float(w) for w in model.factual.weights]
-    sq = [[(a - b) ** 2 for b in v] for a in v]
+    sq = np.array([[(a - b) ** 2 for b in v] for a in v])
+    row_perms = np.array(list(itertools.permutations(row_sup)), dtype=np.intp)
+    col_perms = np.array(list(itertools.permutations(col_sup)), dtype=np.intp)
+    rm, cm = np.array(row_mass), np.array(col_mass)
+    total = len(row_perms) * len(col_perms)
     best = math.inf
-    best_orders = None
-    for ro in itertools.permutations(row_sup):
-        for co in itertools.permutations(col_sup):
-            c = _nw_cost(ro, co, row_mass, col_mass, sq)
-            if c < best:
-                best = c
-                best_orders = (ro, co)
-    assert best_orders is not None
-    cells = northwest_corner(*best_orders, row_mass, col_mass)
+    best_pair = -1
+    for lo in range(0, total, _ORACLE_CHUNK):
+        pairs = np.arange(lo, min(lo + _ORACLE_CHUNK, total))
+        costs = _nw_costs(row_perms, col_perms, pairs, rm, cm, sq)
+        i = int(costs.argmin())
+        if costs[i] < best:
+            best = float(costs[i])
+            best_pair = lo + i
+    assert best_pair >= 0
+    a, b = divmod(best_pair, len(col_perms))
+    cells = northwest_corner(
+        row_perms[a].tolist(), col_perms[b].tolist(), row_mass, col_mass
+    )
     return Coupling(model.space, cells), best

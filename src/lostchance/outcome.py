@@ -210,6 +210,8 @@ class MoneyMap:
     """Strictly increasing conversion from value units to money."""
 
     kind: str = "abstract"
+    # Highest value the map is given for; awards lifting past it extrapolate.
+    top: float = math.inf
 
     def to_money(self, value: float) -> float:
         raise NotImplementedError
@@ -275,6 +277,16 @@ class TabulatedMoneyMap(MoneyMap):
             )
         return float(np.interp(v, vs, ms))
 
+    @property
+    def top(self) -> float:
+        """The value of the table's last point."""
+        return self.points[-1][0]
+
+    def extrapolate_top(self, value: float) -> float:
+        """Money for a value past the last point, along the end segment."""
+        (v0, m0), (v1, m1) = self.points[-2:]
+        return m1 + (float(value) - v1) * (m1 - m0) / (v1 - v0)
+
     def spec(self) -> dict:
         return {"kind": "tabulated", "points": [list(p) for p in self.points]}
 
@@ -284,10 +296,15 @@ def award_from_compensation(money: MoneyMap, v1: float, x: float) -> float:
 
     x is compensation in value units and must be non-negative; the award
     is the money difference between the lifted and unlifted positions.
+    A table fixes money only up to its last point; a lifted value past it
+    is priced along the table's end segment.
     """
     if not (math.isfinite(x) and x >= 0.0):
         raise ValueError(f"compensation must be finite and >= 0, got {x!r}")
-    return money.to_money(float(v1) + x) - money.to_money(float(v1))
+    v1 = float(v1)
+    if v1 + x > money.top:
+        return money.extrapolate_top(v1 + x) - money.to_money(v1)
+    return money.to_money(v1 + x) - money.to_money(v1)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lostchance import (
     CaseValidationError,
@@ -17,9 +19,11 @@ from lostchance import (
 from lostchance.casefile import atomic_write_text, parse_case
 from lostchance.choice import ChoiceCaseModel, validate_choice_case
 from lostchance.outcome import (
+    CaseModel,
     CurveMoneyMap,
     DiscreteDistribution,
     IdentityMoneyMap,
+    OutcomeSpace,
     TabulatedMoneyMap,
     UtilityCurve,
 )
@@ -384,3 +388,226 @@ class TestBooleansAreNotNumbers:
         assert f"counterfactual_choice weight for {first!r} is not a number" in errs
         assert "choice values must be numbers, not booleans" in errs
         assert "result coupling entries must be numbers, not booleans" in errs
+
+
+class TestStringsAreNotNumbers:
+    """A string such as "0.5" is refused wherever a number belongs."""
+
+    def test_string_weight(self):
+        errs = errors_of(outcome_data(factual={"bad": "0.4", "good": 0.6}))
+        assert "factual weight for 'bad' is not a number" in errs
+
+    def test_string_outcome_value(self):
+        errs = errors_of(
+            outcome_data(
+                outcomes=[
+                    {"label": "bad", "value": "0"},
+                    {"label": "good", "value": 100.0},
+                ]
+            )
+        )
+        assert "outcomes[0] value is not a number" in errs
+
+    def test_string_theta(self):
+        errs = errors_of(outcome_data(money={"kind": "crra", "theta": "0.5"}))
+        assert "bad money spec: '0.5' is not a number" in errs
+
+    def test_string_table_point(self):
+        errs = errors_of(
+            outcome_data(money={"kind": "tabulated", "points": [[0, 0], ["100", 5]]})
+        )
+        assert "bad money spec: '100' is not a number" in errs
+
+    def test_string_in_evidence_matrix(self):
+        errs = errors_of(
+            outcome_data(evidence_coupling={"matrix": [[0.1, "0"], [0.3, 0.6]]})
+        )
+        assert errs == ("evidence matrix entries must be numbers, not strings",)
+
+    def test_null_and_string_in_evidence_matrix(self):
+        errs = errors_of(
+            outcome_data(evidence_coupling={"matrix": [[0.1, None], [0.3, "0.6"]]})
+        )
+        assert errs == (
+            "evidence matrix entries must be numbers, not nulls or strings",
+        )
+
+    def test_ragged_evidence_matrix(self):
+        errs = errors_of(
+            outcome_data(evidence_coupling={"matrix": [[0.1, 0.0], [0.3]]})
+        )
+        assert errs == ("evidence matrix rows differ in length",)
+
+    def test_string_choice_weight(self):
+        data = dump_case(matos_case(0.7, 0.0))
+        block = data["choice"]
+        first = block["choices"][0]
+        block["counterfactual_choice"] = {c: 0.0 for c in block["choices"]}
+        block["counterfactual_choice"][first] = "1"
+        errs = errors_of(data)
+        assert f"counterfactual_choice weight for {first!r} is not a number" in errs
+
+    def test_string_choice_value(self):
+        data = dump_case(matos_case(0.7, 0.0))
+        data["choice"]["values"][0][0] = "0.5"
+        errs = errors_of(data)
+        assert "choice values must be numbers, not strings" in errs
+
+    def test_string_result_coupling(self):
+        data = dump_case(matos_case(0.7, 0.0))
+        block = data["choice"]
+        nr = len(block["results"])
+        coupling = [[0.0] * nr for _ in range(nr)]
+        coupling[0][0] = "0.5"
+        block["result_couplings"] = {block["choices"][0]: coupling}
+        errs = errors_of(data)
+        assert "result coupling entries must be numbers, not strings" in errs
+
+    def test_every_string_listed_with_exit_2(self, tmp_path, capsys):
+        from lostchance.cli import main
+
+        data = outcome_data(
+            outcomes=[
+                {"label": "bad", "value": "0"},
+                {"label": "good", "value": 100.0},
+            ],
+            factual={"bad": "0.4", "good": 0.6},
+            money={"kind": "crra", "theta": "0.5"},
+            evidence_coupling={"matrix": [[0.1, "0"], [0.3, 0.6]]},
+        )
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        errs = load_text(tmp_path, json.dumps(data))
+        assert errs == (
+            "outcomes[0] value is not a number",
+            "factual weight for 'bad' is not a number",
+            "bad money spec: '0.5' is not a number",
+            "evidence matrix entries must be numbers, not strings",
+        )
+        assert main(["evaluate", str(path), "--connection", "ld-c"]) == 2
+        err = capsys.readouterr().err
+        assert all(e in err for e in errs)
+
+
+# -- round trip -------------------------------------------------------------
+
+_labels = st.lists(
+    st.text(min_size=1, max_size=4), min_size=1, max_size=5, unique=True
+)
+_values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _weights(draw, size: int) -> tuple[float, ...]:
+    """A distribution over `size` entries, some of them zero."""
+    raw = draw(st.lists(st.integers(0, 9), min_size=size, max_size=size))
+    raw[draw(st.integers(0, size - 1))] += 1
+    total = sum(raw)
+    return tuple(w / total for w in raw)
+
+
+@st.composite
+def _money(draw):
+    kind = draw(st.sampled_from(["identity", "crra", "tabulated"]))
+    if kind == "identity":
+        return IdentityMoneyMap()
+    if kind == "crra":
+        return CurveMoneyMap(UtilityCurve(draw(st.floats(0.0, 1.0))))
+    steps = draw(
+        st.lists(
+            st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    points = [(draw(_values), draw(_values))]
+    for dv, dm in steps:
+        v, m = points[-1]
+        points.append((v + dv, m + dm))
+    return TabulatedMoneyMap(tuple(points))
+
+
+@st.composite
+def _outcome_cases(draw):
+    labels = draw(_labels)
+    n = len(labels)
+    values = tuple(draw(st.lists(_values, min_size=n, max_size=n)))
+    factual = draw(_weights(n))
+    support = [i for i, w in enumerate(factual) if w > 0.0]
+    observed = draw(st.one_of(st.none(), st.sampled_from(support)))
+    case = CaseModel(
+        space=OutcomeSpace(tuple(labels), values),
+        counterfactual=DiscreteDistribution(draw(_weights(n))),
+        factual=DiscreteDistribution(factual),
+        money=draw(_money()),
+        factual_observed=observed,
+    )
+    joint = None
+    if draw(st.booleans()):
+        joint = np.outer(case.counterfactual.array, case.factual.array)
+    return case, joint
+
+
+@st.composite
+def _choice_cases(draw):
+    choices = tuple(draw(_labels))
+    results = tuple(draw(_labels))
+    nc, nr = len(choices), len(results)
+    cf = tuple(DiscreteDistribution(draw(_weights(nr))) for _ in choices)
+    f = tuple(DiscreteDistribution(draw(_weights(nr))) for _ in choices)
+    fc = draw(st.integers(0, nc - 1))
+    fr = draw(st.sampled_from([r for r, w in enumerate(f[fc].weights) if w > 0.0]))
+    couplings = None
+    coupled = draw(st.lists(st.sampled_from(range(nc)), unique=True, max_size=nc))
+    if coupled:
+        couplings = tuple(
+            (choices[c], np.outer(cf[c].array, f[fc].array)) for c in coupled
+        )
+    duty = draw(st.sets(st.sampled_from(choices), min_size=1))
+    evidence = draw(st.one_of(st.none(), _weights(nc)))
+    return validate_choice_case(
+        ChoiceCaseModel(
+            choices=choices,
+            duty=frozenset(duty),
+            results=results,
+            values=tuple(
+                tuple(draw(st.lists(_values, min_size=nr, max_size=nr)))
+                for _ in choices
+            ),
+            money=draw(_money()),
+            result_given_choice_cf=cf,
+            result_given_choice_f=f,
+            factual_choice=choices[fc],
+            factual_result=results[fr],
+            counterfactual_choice=(
+                None if evidence is None else DiscreteDistribution(evidence)
+            ),
+            result_couplings=couplings,
+            notes=tuple(draw(st.lists(st.text(max_size=8), max_size=2))),
+        )
+    )
+
+
+def _through_json(data: dict) -> dict:
+    return json.loads(json.dumps(data))
+
+
+class TestRoundTripProperty:
+    @given(_outcome_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_outcome_form(self, drawn):
+        case, joint = drawn
+        loaded = parse_case(_through_json(dump_case(case, joint)))
+        assert loaded.kind == "outcome"
+        assert loaded.case == case
+        if joint is None:
+            assert loaded.evidence_joint is None
+        else:
+            assert np.array_equal(loaded.evidence_joint, joint)
+
+    @given(_choice_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_choice_form(self, case):
+        loaded = parse_case(_through_json(dump_case(case)))
+        assert loaded.kind == "choice"
+        assert loaded.case == case

@@ -6,6 +6,7 @@ captured output are checked without spawning subprocesses.
 
 import csv
 import io
+import json
 
 import pytest
 
@@ -48,6 +49,31 @@ def paper_table_file(tmp_path):
 def matos_file(tmp_path):
     path = tmp_path / "matos.json"
     save_case(path, matos_case(0.95, 0.0))
+    return path
+
+
+@pytest.fixture
+def table_top_file(tmp_path):
+    # The money table ends at the top value, and the l-fi payouts of 4
+    # lift the good outcome to 14, past its last point.
+    path = tmp_path / "table_top.json"
+    path.write_text(
+        json.dumps(
+            {
+                "outcomes": [
+                    {"label": "bad", "value": 0.0},
+                    {"label": "good", "value": 10.0},
+                ],
+                "counterfactual": {"bad": 0.5, "good": 0.5},
+                "factual": {"bad": 0.9, "good": 0.1},
+                "money": {
+                    "kind": "tabulated",
+                    "points": [[0.0, 0.0], [10.0, 100000.0]],
+                },
+            }
+        ),
+        encoding="utf-8",
+    )
     return path
 
 
@@ -159,6 +185,25 @@ class TestEvaluate:
             capsys, ["evaluate", str(matos_file), "--presumption", "ii-cp"]
         )
         assert code == 0
+
+    def test_award_past_money_table_extrapolates(self, capsys, table_top_file):
+        code, out, err = run(
+            capsys, ["evaluate", str(table_top_file), "--all-policies", "--csv"]
+        )
+        assert code == 0, err
+        rows = {
+            (r[0], r[1]): (float(r[2]), float(r[3]))
+            for r in csv.reader(io.StringIO(out))
+            if r and not r[0].startswith("#") and r[0] != "policy"
+        }
+        # 4 value units past the table's top at 10 000 money per unit.
+        assert rows[("l-fi/ld-c/cc-i", "good")] == (4.0, 40000.0)
+        # Inside the table nothing changes.
+        assert rows[("h-fi/i-c/cc-i", "bad")] == (5.0, 50000.0)
+        assert (
+            "# note: the award for outcome 'good' extrapolates the money table "
+            "past its last point 10, along its end segment"
+        ) in out.splitlines()
 
 
 class TestTable:

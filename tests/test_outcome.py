@@ -173,6 +173,26 @@ class TestAwardFromCompensation:
         high = award_from_compensation(m, curve.value(1000.0), 1.0)
         assert high > low
 
+    def test_table_extrapolates_past_last_point(self):
+        # The end segment runs from (1, 10) to (2, 40): 30 money per value.
+        m = TabulatedMoneyMap(((0.0, 0.0), (1.0, 10.0), (2.0, 40.0)))
+        assert award_from_compensation(m, 1.5, 1.5) == pytest.approx(70.0 - 25.0)
+        assert award_from_compensation(m, 2.0, 0.5) == pytest.approx(15.0)
+        # The map itself stays strict.
+        with pytest.raises(ValueError):
+            m.to_money(3.0)
+
+    def test_table_awards_inside_unchanged(self):
+        m = TabulatedMoneyMap(((0.0, 0.0), (1.0, 10.0), (2.0, 40.0)))
+        for v1, x in ((0.0, 2.0), (0.3, 1.1), (1.5, 0.5), (2.0, 0.0)):
+            want = m.to_money(v1 + x) - m.to_money(v1)
+            assert award_from_compensation(m, v1, x) == want
+
+    def test_table_start_below_domain_still_rejected(self):
+        m = TabulatedMoneyMap(((0.0, 0.0), (1.0, 10.0)))
+        with pytest.raises(ValueError):
+            award_from_compensation(m, -0.5, 2.0)
+
 
 class TestOutcomeSpace:
     def test_index_lookup(self):
