@@ -8,12 +8,15 @@ file; they are selected per run through command-line flags.
 
 Unknown keys are rejected everywhere, and all problems are reported
 together: duplicate keys, the non-standard NaN and Infinity literals,
-booleans or strings where a number belongs, and every structural problem.
+booleans or strings where a number belongs, numbers beyond a float's
+range, and every structural problem.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -126,12 +129,32 @@ _JSON_KINDS = {
 }
 
 
+_OUT_OF_RANGE = "is beyond a float's range"
+
+
+class _OutOfRange(ValueError):
+    """A JSON number no float holds: 1e400 parses as inf, and a
+    400-digit integer does not convert at all."""
+
+
 def _number(x) -> float:
-    """float(x) for a JSON number; booleans and strings such as "0.5" are
-    refused, since strict JSON keeps them apart from numbers."""
+    """float(x) for a JSON number within a float's range; booleans and
+    strings such as "0.5" are refused, since strict JSON keeps them apart
+    from numbers."""
     if type(x) not in _NUMBER_TYPES:
         raise TypeError(f"{x!r} is not a number")
-    return float(x)
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf
+    if math.isinf(f):
+        raise _OutOfRange(f"a number {_OUT_OF_RANGE}")
+    return f
+
+
+def _not_a_number(exc: Exception) -> str:
+    """What is wrong with a value `_number` refused, as a predicate."""
+    return _OUT_OF_RANGE if isinstance(exc, _OutOfRange) else "is not a number"
 
 
 def _number_rows(rows, name: str, errs: list[str]):
@@ -148,6 +171,14 @@ def _number_rows(rows, name: str, errs: list[str]):
     if bad:
         kinds = sorted(_JSON_KINDS.get(t, t.__name__) for t in bad)
         errs.append(f"{name} must be numbers, not {' or '.join(kinds)}")
+        return None
+    try:
+        flat = np.fromiter(itertools.chain.from_iterable(rows), float)
+        overflow = bool(np.isinf(flat).any())
+    except OverflowError:
+        overflow = True
+    if overflow:
+        errs.append(f"{name} must be numbers within a float's range")
         return None
     return rows
 
@@ -193,8 +224,8 @@ def _weights_from_dict(
             continue
         try:
             weights[positions[lab]] = _number(w)
-        except (TypeError, ValueError):
-            errs.append(f"{name} weight for {lab!r} is not a number")
+        except (TypeError, ValueError) as exc:
+            errs.append(f"{name} weight for {lab!r} {_not_a_number(exc)}")
     return DiscreteDistribution(tuple(weights))
 
 
@@ -236,8 +267,8 @@ def _load_outcome_form(data: dict) -> LoadedCase:
             labels.append(str(entry["label"]))
             try:
                 values.append(_number(entry["value"]))
-            except (TypeError, ValueError):
-                errs.append(f"outcomes[{i}] value is not a number")
+            except (TypeError, ValueError) as exc:
+                errs.append(f"outcomes[{i}] value {_not_a_number(exc)}")
                 values.append(0.0)
     if not labels:
         raise CaseValidationError(errs or ["no outcomes"])
@@ -439,7 +470,8 @@ def _strict_json(text: str) -> tuple[object, list[str]]:
 
     try:
         data = json.loads(text, object_pairs_hook=pairs_hook, parse_constant=constant)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # A JSONDecodeError, or an integer too long to convert at all.
         raise CaseValidationError([f"invalid JSON: {exc}"]) from exc
     return data, problems
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -35,7 +36,7 @@ from .valuation import (
     CompensationSchedule,
     ConfigurationError,
     PolicyCombo,
-    evaluate_policy,
+    evaluate_grid,
 )
 from .verify import run_verification
 
@@ -59,10 +60,6 @@ def _parse_custom_blocks(spec: Optional[str]) -> Optional[list[list[str]]]:
     return blocks
 
 
-def _schedule_rows(schedule: CompensationSchedule) -> list[tuple[str, str, float, float]]:
-    return schedule.to_csv_rows()
-
-
 def _emit_csv(rows: list[tuple], header: tuple[str, ...], stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
@@ -75,7 +72,8 @@ def _emit_csv(rows: list[tuple], header: tuple[str, ...], stream) -> None:
 def _evaluate_all(
     loaded, combos: list[PolicyCombo], presumption: Optional[str], custom_blocks
 ) -> list[CompensationSchedule]:
-    """One schedule per combo; a choice case is resolved and flattened once."""
+    """One schedule per combo, from one policy grid; a choice case is
+    resolved and flattened once."""
     case, evidence, notes = loaded.case, loaded.evidence_joint, ()
     if loaded.kind == "choice":
         resolved = resolve_choice(loaded.case, presumption)
@@ -84,16 +82,9 @@ def _evaluate_all(
     blocks = None
     if custom_blocks is not None:
         blocks = _labels_to_indices(case, custom_blocks)
-    return [
-        evaluate_policy(
-            case,
-            combo,
-            evidence_joint=evidence,
-            custom_blocks=blocks,
-            extra_notes=notes,
-        )
-        for combo in combos
-    ]
+    return evaluate_grid(
+        case, combos, evidence_joint=evidence, custom_blocks=blocks, extra_notes=notes
+    )
 
 
 def _labels_to_indices(case_model, blocks: list[list[str]]) -> list[list[int]]:
@@ -118,7 +109,7 @@ def cmd_evaluate(args) -> int:
     else:
         combos = [PolicyCombo(args.info, args.connection, args.indemnity)]
     schedules = _evaluate_all(loaded, combos, args.presumption, custom_blocks)
-    rows = [row for s in schedules for row in _schedule_rows(s)]
+    rows = [row for s in schedules for row in s.to_csv_rows()]
     if args.csv:
         _emit_csv(rows, ("policy", "outcome", "compensation", "award"), sys.stdout)
     else:
@@ -316,9 +307,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process: parsing keeps no state in the
+    parser, so one tree serves every call of main."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "presumption", None) == "none":
         args.presumption = None
     try:

@@ -34,7 +34,7 @@ from .outcome import (
     UtilityCurve,
     validate_case,
 )
-from .valuation import PolicyCombo, evaluate_policy
+from .valuation import PolicyCombo, evaluate_grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,6 +294,15 @@ def rejected_formula_comparison(
     )
 
 
+# The medical sweep's award columns and the combination behind each.
+_MEDICAL_COLUMNS = {
+    "award_l_fi": PolicyCombo("l-fi", "e-c", "cc-i"),
+    "award_e_c": PolicyCombo("h-fi", "e-c", "cc-i"),
+    "award_i_c_cc_i": PolicyCombo("h-fi", "i-c", "cc-i"),
+    "award_i_c_fm_i": PolicyCombo("h-fi", "i-c", "fm-i"),
+}
+
+
 def medical_sweep(
     p0: float, delta_v: float, p1_values: Iterable[float]
 ) -> Iterator[dict[str, object]]:
@@ -309,18 +318,10 @@ def medical_sweep(
             "p1": float(p1),
             "delta_v": float(delta_v),
         }
-        combos = {
-            "award_l_fi": ("l-fi", "e-c", "cc-i"),
-            "award_e_c": ("h-fi", "e-c", "cc-i"),
-            "award_i_c_cc_i": ("h-fi", "i-c", "cc-i"),
-            "award_i_c_fm_i": ("h-fi", "i-c", "fm-i"),
-        }
-        for col, (info, conn, indem) in combos.items():
-            schedule = evaluate_policy(
-                sc.model,
-                PolicyCombo(info, conn, indem),
-                evidence_joint=sc.evidence_joint,
-            )
+        schedules = evaluate_grid(
+            sc.model, list(_MEDICAL_COLUMNS.values()), sc.evidence_joint
+        )
+        for col, schedule in zip(_MEDICAL_COLUMNS, schedules):
             row[col] = schedule.award_for("bad")
         row["rejected_formula_comparison"] = (p0 - float(p1)) / p0 * float(delta_v)
         yield row

@@ -15,12 +15,10 @@ one-decimal truncations, so its tolerance is 0.1 absolute.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
-
-import numpy as np
+from typing import Callable
 
 from .scenarios import Scenario, medical_malpractice, prize_case, urn_independent, urn_painted
-from .valuation import CompensationSchedule, PolicyCombo, evaluate_policy
+from .valuation import CompensationSchedule, PolicyCombo, evaluate_grid
 
 SYMBOLIC_TOL = 1e-9
 PRINTED_DECIMAL_TOL = 0.1
@@ -59,23 +57,37 @@ class _Row:
     flagged: bool = False
 
 
-def _evaluate_row(
+def _reproduce(
     scenario: Scenario,
+    rows: list[_Row],
+    table: str,
+    tol_for: Callable[[float], float],
+) -> list[TableCell]:
+    """Every row's cells, from one policy grid over all the rows' members.
+
+    e-c evaluates the scenario's evidence, paper-table its published table.
+    """
+    combos = list(dict.fromkeys(c for row in rows for c in row.members))
+    grid = evaluate_grid(
+        scenario.model,
+        combos,
+        scenario.evidence_joint,
+        paper_table_joint=scenario.paper_table_joint,
+    )
+    schedule_of = dict(zip(combos, grid))
+    cells: list[TableCell] = []
+    for row in rows:
+        members = [(c, schedule_of[c]) for c in row.members]
+        cells.extend(_evaluate_row(row, table, tol_for, members))
+    return cells
+
+
+def _evaluate_row(
     row: _Row,
     table: str,
     tol_for: Callable[[float], float],
-    joint_for: Callable[[PolicyCombo], Optional[np.ndarray]],
+    schedules: list[tuple[PolicyCombo, CompensationSchedule]],
 ) -> list[TableCell]:
-    schedules: list[tuple[PolicyCombo, CompensationSchedule]] = []
-    for combo in row.members:
-        schedules.append(
-            (
-                combo,
-                evaluate_policy(
-                    scenario.model, combo, evidence_joint=joint_for(combo)
-                ),
-            )
-        )
     cells: list[TableCell] = []
     for outcome, printed in row.printed.items():
         tolerance = tol_for(printed)
@@ -206,15 +218,7 @@ def reproduce_table_2(
     """Malpractice table: four symbolic rows over (bad, good)."""
     scenario = medical_malpractice(p0, p1, delta_v)
     rows = _two_outcome_rows("bad", "good", p0, p1, delta_v, "threshold")
-    out: list[TableCell] = []
-    for row in rows:
-        out.extend(
-            _evaluate_row(
-                scenario, row, "2", _symbolic_tol,
-                lambda combo: scenario.evidence_joint,
-            )
-        )
-    return out
+    return _reproduce(scenario, rows, "2", _symbolic_tol)
 
 
 def reproduce_table_5(
@@ -224,15 +228,7 @@ def reproduce_table_5(
     scenario = urn_painted(p0, p1, v_red, v_blue)
     delta_v = float(v_blue) - float(v_red)
     rows = _two_outcome_rows("red", "blue", p0, p1, delta_v, "threshold")
-    out: list[TableCell] = []
-    for row in rows:
-        out.extend(
-            _evaluate_row(
-                scenario, row, "5", _symbolic_tol,
-                lambda combo: scenario.evidence_joint,
-            )
-        )
-    return out
+    return _reproduce(scenario, rows, "5", _symbolic_tol)
 
 
 def reproduce_table_6(
@@ -242,15 +238,7 @@ def reproduce_table_6(
     scenario = urn_independent(p0, p1, v_red, v_blue)
     delta_v = float(v_blue) - float(v_red)
     rows = _two_outcome_rows("red", "blue", p0, p1, delta_v, "independent")
-    out: list[TableCell] = []
-    for row in rows:
-        out.extend(
-            _evaluate_row(
-                scenario, row, "6", _symbolic_tol,
-                lambda combo: scenario.evidence_joint,
-            )
-        )
-    return out
+    return _reproduce(scenario, rows, "6", _symbolic_tol)
 
 
 def reproduce_table_4() -> list[TableCell]:
@@ -260,15 +248,6 @@ def reproduce_table_4() -> list[TableCell]:
     paper-table connection and flagged, since the matrix behind it is
     not cost-minimal.
     """
-    scenario = prize_case()
-
-    def joint_for(combo: PolicyCombo) -> Optional[np.ndarray]:
-        if combo.connection == "e-c":
-            return scenario.evidence_joint
-        if combo.connection == "paper-table":
-            return scenario.paper_table_joint
-        return None
-
     rows = [
         _Row(
             "L-FI / any / any",
@@ -330,10 +309,7 @@ def reproduce_table_4() -> list[TableCell]:
             {"a1": 40.0, "a2": 15.0, "a3": 10.0, "a4": 0.0},
         ),
     ]
-    out: list[TableCell] = []
-    for row in rows:
-        out.extend(_evaluate_row(scenario, row, "4", _decimal_tol, joint_for))
-    return out
+    return _reproduce(prize_case(), rows, "4", _decimal_tol)
 
 
 TABLES: dict[str, Callable[..., list[TableCell]]] = {

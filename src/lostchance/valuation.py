@@ -173,6 +173,13 @@ def build_partition(
     raise ConfigurationError(f"unknown information policy {info!r}")
 
 
+def _frozen(values: list) -> np.ndarray:
+    """`values` as a read-only array."""
+    a = np.asarray(values)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class GapBlock:
     outcomes: tuple[int, ...]
@@ -186,13 +193,13 @@ class GapTable:
 
     blocks: tuple[GapBlock, ...]
 
-    @property
+    @functools.cached_property
     def probabilities(self) -> np.ndarray:
-        return np.asarray([b.probability for b in self.blocks])
+        return _frozen([b.probability for b in self.blocks])
 
-    @property
+    @functools.cached_property
     def gaps(self) -> np.ndarray:
-        return np.asarray([b.gap for b in self.blocks])
+        return _frozen([b.gap for b in self.blocks])
 
     @property
     def expected_gap(self) -> float:
@@ -331,43 +338,161 @@ class CompensationSchedule:
 
 
 def _coupling_for(
-    model: CaseModel, combo: PolicyCombo, evidence_joint
-) -> tuple[Coupling, list[str]]:
-    notes: list[str] = []
-    conn = combo.connection
+    model: CaseModel, conn: str, joint, least_divergence
+) -> tuple[Coupling, tuple[str, ...]]:
+    """The coupling a connection policy uses, and the notes it carries.
+
+    `joint` is what e-c or paper-table evaluates: a matrix, `Cells`, an
+    outcome map or a `Coupling`.  `least_divergence()` gives the engine's
+    own least-divergence coupling, which paper-table is costed against.
+    """
     if conn in ("e-c", "paper-table"):
-        if evidence_joint is None:
+        if joint is None:
             raise ConfigurationError(
                 f"connection policy {conn!r} needs an explicit coupling and "
                 f"none was supplied"
             )
-        if isinstance(evidence_joint, Coupling):
-            c = evidence_joint
-        elif isinstance(evidence_joint, dict):
-            c = coupling_from_map(model, evidence_joint)
+        if isinstance(joint, Coupling):
+            c = joint
+        elif isinstance(joint, dict):
+            c = coupling_from_map(model, joint)
         else:
-            c = evidence_coupling(model, evidence_joint)
+            c = evidence_coupling(model, joint)
         if conn == "paper-table":
-            own = least_divergence_coupling(model)
+            own = least_divergence()
             supplied_cost = transport_cost(c)
             own_cost = transport_cost(own)
             if supplied_cost > own_cost + 1e-9:
-                notes.append(
+                return c, (
                     "FLAG published least-divergence table is not cost-minimal: "
-                    f"cost {supplied_cost:.6g} vs optimal {own_cost:.6g}"
+                    f"cost {supplied_cost:.6g} vs optimal {own_cost:.6g}",
                 )
-        return c, notes
+        return c, ()
     if conn == "ld-c":
         vals = model.space.values
+        notes = ()
         if len(set(vals)) < len(vals):
-            notes.append(
+            notes = (
                 "note: value ties present; least-divergence matching breaks "
-                "them by label order and the schedule may depend on that order"
+                "them by label order and the schedule may depend on that order",
             )
-        return least_divergence_coupling(model), notes
+        return least_divergence(), notes
     if conn == "i-c":
-        return independence_coupling(model), notes
+        return independence_coupling(model), ()
     raise ConfigurationError(f"unknown connection policy {conn!r}")
+
+
+@dataclass(frozen=True)
+class _SharedGaps:
+    """What every combination with one (connection, info) pair shares."""
+
+    gaps: GapTable
+    notes: tuple[str, ...]
+    # For each factual support outcome, the row of `gaps` that pays it,
+    # or len(gaps.blocks) when its block was dropped (it is paid 0).
+    slot: np.ndarray
+
+
+def _shared_gaps(
+    model: CaseModel,
+    info: str,
+    coupling: Coupling,
+    notes: tuple[str, ...],
+    groups: SelectiveGroups,
+    support: tuple[int, ...],
+    custom_blocks,
+) -> _SharedGaps:
+    if groups.ties and info == "m-fi":
+        tied = ", ".join(model.space.labels[i] for i in groups.ties)
+        notes += (
+            f"note: outcome(s) {tied} sit exactly at their conditional mean "
+            f"and are grouped as non-compensable",
+        )
+    partition = build_partition(info, support, groups, custom_blocks)
+    gaps = conditional_gap(coupling, partition)
+    sizes = [len(b.outcomes) for b in gaps.blocks]
+    paid = np.fromiter(
+        itertools.chain.from_iterable(b.outcomes for b in gaps.blocks),
+        np.intp,
+        sum(sizes),
+    )
+    slot = np.full(model.space.size, len(sizes), dtype=np.intp)
+    slot[paid] = np.repeat(np.arange(len(sizes)), sizes)
+    return _SharedGaps(gaps, notes, slot[list(support)])
+
+
+def evaluate_grid(
+    model: CaseModel,
+    combos: Sequence[PolicyCombo],
+    evidence_joint=None,
+    custom_blocks: Optional[Sequence[Sequence[int]]] = None,
+    extra_notes: Sequence[str] = (),
+    *,
+    paper_table_joint=None,
+) -> list[CompensationSchedule]:
+    """One schedule per combination: coupling, partition, gaps, indemnity,
+    money awards.
+
+    The coupling, its notes and its selective groups depend only on the
+    connection, and the partition and gap table only on the connection and
+    the information policy, so each is built once, when the first
+    combination needing it comes up; only the indemnity and the awards are
+    computed per combination.  A grid therefore raises exactly where, and
+    as, the first failing combination would on its own.
+
+    e-c evaluates `evidence_joint`; paper-table evaluates
+    `paper_table_joint`, or `evidence_joint` when that is not given.
+    """
+    if paper_table_joint is None:
+        paper_table_joint = evidence_joint
+    joints = {"e-c": evidence_joint, "paper-table": paper_table_joint}
+    support = model.factual.support()
+    labels = tuple(model.space.labels[k] for k in support)
+    v_support = model.space.values_array[list(support)].tolist()
+    money = model.money
+    extra_notes = tuple(extra_notes)
+    # ld-c and paper-table's cost check share one least-divergence coupling.
+    least_divergence = functools.cache(lambda: least_divergence_coupling(model))
+    connected: dict[str, tuple[Coupling, tuple[str, ...], SelectiveGroups]] = {}
+    shared: dict[tuple[str, str], _SharedGaps] = {}
+    schedules: list[CompensationSchedule] = []
+    for combo in combos:
+        conn, key = combo.connection, (combo.connection, combo.info)
+        if key not in shared:
+            if conn not in connected:
+                coupling, notes = _coupling_for(
+                    model, conn, joints.get(conn), least_divergence
+                )
+                connected[conn] = (coupling, notes, selective_groups(coupling))
+            shared[key] = _shared_gaps(
+                model, combo.info, *connected[conn], support, custom_blocks
+            )
+        table = shared[key]
+        if combo.indemnity == "cc-i":
+            block_x = cc_indemnity(table.gaps)
+        else:
+            block_x = fm_indemnity(table.gaps)
+        values = np.concatenate((block_x, (0.0,)))[table.slot].tolist()
+        notes = list(extra_notes + table.notes)
+        awards: list[float] = []
+        for label, vk, x in zip(labels, v_support, values):
+            awards.append(award_from_compensation(money, vk, x))
+            if vk + x > money.top:
+                notes.append(
+                    f"note: the award for outcome {label!r} extrapolates the "
+                    f"money table past its last point {money.top:g}, along "
+                    f"its end segment"
+                )
+        schedules.append(
+            CompensationSchedule(
+                policy=combo,
+                outcomes=labels,
+                values=tuple(values),
+                awards=tuple(awards),
+                notes=tuple(notes),
+            )
+        )
+    return schedules
 
 
 def evaluate_policy(
@@ -377,49 +502,8 @@ def evaluate_policy(
     custom_blocks: Optional[Sequence[Sequence[int]]] = None,
     extra_notes: Sequence[str] = (),
 ) -> CompensationSchedule:
-    """Full pipeline: coupling, partition, gaps, indemnity, money awards."""
-    coupling, notes = _coupling_for(model, combo, evidence_joint)
-    groups = selective_groups(coupling)
-    if groups.ties and combo.info == "m-fi":
-        tied = ", ".join(model.space.labels[i] for i in groups.ties)
-        notes.append(
-            f"note: outcome(s) {tied} sit exactly at their conditional mean "
-            f"and are grouped as non-compensable"
-        )
-    support = model.factual.support()
-    partition = build_partition(combo.info, support, groups, custom_blocks)
-    gaps = conditional_gap(coupling, partition)
-    if combo.indemnity == "cc-i":
-        block_x = cc_indemnity(gaps)
-    else:
-        block_x = fm_indemnity(gaps)
-    x_of: dict[int, float] = {}
-    for block, x in zip(gaps.blocks, block_x):
-        for k in block.outcomes:
-            x_of[k] = float(x)
-    v = model.space.values_array
-    outcomes: list[str] = []
-    values: list[float] = []
-    awards: list[float] = []
-    for k in support:
-        x = x_of.get(k, 0.0)
-        vk = float(v[k])
-        outcomes.append(model.space.labels[k])
-        values.append(x)
-        awards.append(award_from_compensation(model.money, vk, x))
-        if vk + x > model.money.top:
-            notes.append(
-                f"note: the award for outcome {model.space.labels[k]!r} "
-                f"extrapolates the money table past its last point "
-                f"{model.money.top:g}, along its end segment"
-            )
-    return CompensationSchedule(
-        policy=combo,
-        outcomes=tuple(outcomes),
-        values=tuple(values),
-        awards=tuple(awards),
-        notes=tuple(extra_notes) + tuple(notes),
-    )
+    """One combination: a one-element `evaluate_grid`."""
+    return evaluate_grid(model, [combo], evidence_joint, custom_blocks, extra_notes)[0]
 
 
 def schedule_risk(

@@ -489,6 +489,92 @@ class TestStringsAreNotNumbers:
         assert all(e in err for e in errs)
 
 
+class TestNumbersBeyondFloatRange:
+    """JSON numbers no float holds: 1e400 parses as inf, and a 400-digit
+    integer does not convert at all.  Both are refused at every site."""
+
+    BIG = "9" * 400
+
+    def test_table_point_past_float_range(self, tmp_path, capsys):
+        from lostchance.cli import main
+
+        text = json.dumps(
+            outcome_data(money={"kind": "tabulated", "points": [[0, 0], [100, 5], "X"]})
+        ).replace('"X"', "[1e400, 1e400]")
+        errs = load_text(tmp_path, text)
+        assert errs == ("bad money spec: a number is beyond a float's range",)
+        path = tmp_path / "case.json"
+        argv = ["evaluate", str(path), "--info", "l-fi", "--connection", "ld-c", "--csv"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert "nan" not in out
+        assert "beyond a float's range" in err
+
+    def test_long_integer_outcome_value(self, tmp_path, capsys):
+        from lostchance.cli import main
+
+        text = json.dumps(outcome_data()).replace('"value": 100.0', f'"value": {self.BIG}')
+        assert load_text(tmp_path, text) == ("outcomes[1] value is beyond a float's range",)
+        path = tmp_path / "case.json"
+        assert main(["evaluate", str(path), "--connection", "ld-c"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "outcomes[1] value is beyond a float's range" in err
+
+    @pytest.mark.parametrize(
+        "literal", ["1e400", "-1e400", BIG], ids=["1e400", "-1e400", "400-digits"]
+    )
+    def test_weight(self, tmp_path, literal):
+        text = json.dumps(outcome_data()).replace('"good": 0.6', f'"good": {literal}')
+        errs = load_text(tmp_path, text)
+        assert "factual weight for 'good' is beyond a float's range" in errs
+
+    def test_theta(self, tmp_path):
+        text = json.dumps(outcome_data(money={"kind": "crra", "theta": 0.5}))
+        errs = load_text(tmp_path, text.replace("0.5}", "1e400}"))
+        assert errs == ("bad money spec: a number is beyond a float's range",)
+
+    @pytest.mark.parametrize("literal", ["1e400", BIG], ids=["1e400", "400-digits"])
+    def test_evidence_matrix(self, tmp_path, literal):
+        data = outcome_data(evidence_coupling={"matrix": [[0.1, 0.0], [0.3, "X"]]})
+        errs = load_text(tmp_path, json.dumps(data).replace('"X"', literal))
+        assert errs == ("evidence matrix entries must be numbers within a float's range",)
+
+    @pytest.mark.parametrize("literal", ["1e400", BIG], ids=["1e400", "400-digits"])
+    def test_choice_values_couplings_and_weights(self, tmp_path, literal):
+        data = dump_case(matos_case(0.7, 0.0))
+        block = data["choice"]
+        first = block["choices"][0]
+        block["counterfactual_choice"] = {c: 0.0 for c in block["choices"]}
+        block["counterfactual_choice"][first] = "X"
+        block["values"][0][0] = "X"
+        nr = len(block["results"])
+        coupling = [[0.0] * nr for _ in range(nr)]
+        coupling[0][0] = "X"
+        block["result_couplings"] = {first: coupling}
+        errs = load_text(tmp_path, json.dumps(data).replace('"X"', literal))
+        assert f"counterfactual_choice weight for {first!r} is beyond a float's range" in errs
+        assert "choice values must be numbers within a float's range" in errs
+        assert "result coupling entries must be numbers within a float's range" in errs
+
+    def test_integer_too_long_to_parse(self, tmp_path):
+        # Python refuses to convert integers of more than 4300 digits.
+        text = json.dumps(outcome_data()).replace('"value": 100.0', f'"value": {"9" * 5000}')
+        (err,) = load_text(tmp_path, text)
+        assert err.startswith("invalid JSON: ")
+
+    def test_largest_floats_still_load(self):
+        loaded = parse_case(
+            outcome_data(
+                outcomes=[
+                    {"label": "bad", "value": -1.7e308},
+                    {"label": "good", "value": 10**308},
+                ]
+            )
+        )
+        assert loaded.case.space.values == (-1.7e308, 1e308)
+
+
 # -- round trip -------------------------------------------------------------
 
 _labels = st.lists(

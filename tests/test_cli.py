@@ -358,3 +358,47 @@ class TestSchemaAndErrors:
         )
         assert code == 2
         assert "error:" in err
+
+
+class TestParserReuse:
+    """main builds its argparse tree once per process and reuses it."""
+
+    def test_one_parser_per_process(self, capsys, medical_file):
+        from lostchance import cli
+
+        run(capsys, ["schema"])
+        run(capsys, ["evaluate", str(medical_file)])
+        assert cli._parser.cache_info().currsize == 1
+        assert cli._parser() is cli._parser()
+
+    def test_reused_parser_matches_a_fresh_one(
+        self, capsys, tmp_path, medical_file, matos_file
+    ):
+        from lostchance import cli
+
+        sequence = [
+            ["evaluate", str(matos_file), "--presumption", "none"],
+            ["evaluate", str(matos_file)],
+            ["evaluate", str(matos_file), "--presumption", "ii-cp", "--csv"],
+            ["evaluate", str(medical_file), "--all-policies", "--csv"],
+            ["evaluate", str(medical_file)],
+            ["evaluate", str(medical_file), "--info", "custom",
+             "--custom-blocks", "bad|good", "--strict"],
+            ["evaluate", str(medical_file), "--connection", "nope"],
+            ["table", "2", "--p1", "0.5"],
+            ["table", "2"],
+            ["sweep", "medical", "--p1-steps", "3", "--out", str(tmp_path / "m.csv")],
+            ["sweep", "matos", "--theta-steps", "2", "--p-steps", "2",
+             "--out", str(tmp_path / "t.csv")],
+            ["verify", "--instances", "20", "--seed", "4"],
+            ["schema"],
+        ]
+        cli._parser.cache_clear()
+        reused = [run(capsys, argv) for argv in sequence]
+        fresh = []
+        for argv in sequence:
+            cli._parser.cache_clear()
+            fresh.append(run(capsys, argv))
+        assert reused == fresh
+        codes = [code for code, _, _ in reused]
+        assert codes == [2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0]

@@ -220,6 +220,20 @@ class TestSweeps:
             )
             assert row[col] == schedule.award_for("bad")
 
+    def test_medical_sweep_one_grid_per_scenario(self, monkeypatch):
+        import lostchance.scenarios as scenarios
+
+        grids = []
+        evaluate_grid = scenarios.evaluate_grid
+
+        def counted(model, combos, *args, **kwargs):
+            grids.append(len(combos))
+            return evaluate_grid(model, combos, *args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "evaluate_grid", counted)
+        assert len(list(medical_sweep(0.95, 1e5, [0.0, 0.5, 0.9]))) == 3
+        assert grids == [4, 4, 4]
+
     def test_medical_sweep_carries_the_rejected_formula(self):
         row = next(iter(medical_sweep(0.95, 1e5, [0.90])))
         assert row["rejected_formula_comparison"] == pytest.approx(

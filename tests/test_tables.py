@@ -149,6 +149,30 @@ class TestDispatch:
         ]
         assert reproduce_table(4) == reproduce_table("4")
 
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    def test_one_grid_per_table(self, monkeypatch, table):
+        import lostchance.tables as tables
+        import lostchance.valuation as valuation
+
+        grids, builds = [], []
+        evaluate_grid = tables.evaluate_grid
+        least_divergence = valuation.least_divergence_coupling
+
+        def counted_grid(model, combos, *args, **kwargs):
+            grids.append(len(combos))
+            return evaluate_grid(model, combos, *args, **kwargs)
+
+        def counted_build(model):
+            builds.append(model)
+            return least_divergence(model)
+
+        monkeypatch.setattr(tables, "evaluate_grid", counted_grid)
+        monkeypatch.setattr(valuation, "least_divergence_coupling", counted_build)
+        cells = reproduce_table(table)
+        assert len(grids) == 1
+        assert grids[0] == len({d for c in cells for d in c.combos})
+        assert len(builds) == 1
+
     def test_unknown_table_rejected(self):
         with pytest.raises(ValueError, match="unknown table"):
             reproduce_table("3")

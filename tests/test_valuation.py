@@ -22,6 +22,7 @@ from lostchance.valuation import (
     build_partition,
     cc_indemnity,
     conditional_gap,
+    evaluate_grid,
     evaluate_policy,
     fm_indemnity,
     oracle_best_schedule,
@@ -403,3 +404,103 @@ class TestOracleBestSchedule:
                 if c.joint[i, k] > 0:
                     manual += c.joint[i, k] * (v[i] - v[k] - x_of.get(k, 0.0)) ** 2
         assert schedule_risk(c, part, x) == pytest.approx(manual)
+
+
+ALL_COMBOS = [
+    PolicyCombo(info, conn, indem)
+    for info in ("l-fi", "m-fi", "h-fi", "custom")
+    for conn in ("e-c", "ld-c", "i-c", "paper-table")
+    for indem in ("cc-i", "fm-i")
+]
+PRIZE_PUBLISHED = {"a1": "a1", "a2": "a2", "a3": "a3", "a4": "a4", "a5": "a3"}
+PRIZE_BLOCKS = [[0, 3], [1], [2]]
+
+
+class TestEvaluateGrid:
+    def test_grid_matches_one_combination_at_a_time(self):
+        model = prize_model()
+        joint = prize_evidence_joint()
+        grid = evaluate_grid(model, ALL_COMBOS, joint, PRIZE_BLOCKS, ("extra",))
+        assert [s.policy for s in grid] == ALL_COMBOS
+        for combo, schedule in zip(ALL_COMBOS, grid):
+            alone = evaluate_grid(model, [combo], joint, PRIZE_BLOCKS, ("extra",))
+            assert [schedule] == alone
+            assert schedule.notes[0] == "extra"
+        # paper-table evaluates the evidence when no published table is given.
+        by_combo = {s.policy: s for s in grid}
+        for s in grid:
+            if s.policy.connection == "paper-table":
+                e_c = PolicyCombo(s.policy.info, "e-c", s.policy.indemnity)
+                assert s.values == by_combo[e_c].values
+
+    def test_evaluate_policy_is_a_one_combination_grid(self):
+        model = prize_model()
+        combo = PolicyCombo("m-fi", "i-c", "fm-i")
+        assert evaluate_policy(model, combo) == evaluate_grid(model, [combo])[0]
+
+    def test_paper_table_joint_only_for_paper_table(self):
+        model = prize_model()
+        combos = [
+            PolicyCombo("h-fi", "e-c", "cc-i"),
+            PolicyCombo("h-fi", "paper-table", "cc-i"),
+            PolicyCombo("h-fi", "ld-c", "cc-i"),
+        ]
+        grid = evaluate_grid(
+            model, combos, PRIZE_EVIDENCE, paper_table_joint=PRIZE_PUBLISHED
+        )
+        assert grid[0] == evaluate_policy(model, combos[0], PRIZE_EVIDENCE)
+        assert grid[1] == evaluate_policy(model, combos[1], PRIZE_PUBLISHED)
+        assert grid[1].notes[0].startswith("FLAG")
+        assert grid[2] == evaluate_policy(model, combos[2])
+
+    def test_shares_couplings_and_gap_tables(self, monkeypatch):
+        import lostchance.valuation as valuation
+
+        calls = []
+        for name in ("least_divergence_coupling", "conditional_gap"):
+            original = getattr(valuation, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(valuation, name, counted)
+        evaluate_grid(prize_model(), ALL_COMBOS, PRIZE_EVIDENCE, PRIZE_BLOCKS)
+        # ld-c and paper-table share the one least-divergence coupling.
+        assert calls.count("least_divergence_coupling") == 1
+        assert calls.count("conditional_gap") == 16
+
+    @pytest.mark.parametrize(
+        "combos, error, match",
+        [
+            (
+                [("h-fi", "ld-c", "cc-i"), ("l-fi", "e-c", "cc-i"), ("custom", "i-c", "cc-i")],
+                ConfigurationError,
+                "'e-c' needs an explicit coupling",
+            ),
+            (
+                [("h-fi", "i-c", "fm-i"), ("custom", "ld-c", "cc-i"), ("h-fi", "e-c", "cc-i")],
+                ConfigurationError,
+                "custom partition needs explicit blocks",
+            ),
+        ],
+    )
+    def test_raises_where_the_first_failing_combination_does(
+        self, combos, error, match
+    ):
+        model = prize_model()
+        combos = [PolicyCombo(*c) for c in combos]
+        with pytest.raises(error, match=match) as in_grid:
+            evaluate_grid(model, combos)
+        first = next(c for c in combos if _raises(model, c))
+        with pytest.raises(error) as alone:
+            evaluate_policy(model, first)
+        assert str(in_grid.value) == str(alone.value)
+
+
+def _raises(model, combo) -> bool:
+    try:
+        evaluate_policy(model, combo)
+    except Exception:
+        return True
+    return False
