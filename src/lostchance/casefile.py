@@ -17,11 +17,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -119,6 +120,7 @@ class LoadedCase:
 
 # The types json.loads gives numbers; bool, a subclass of int, is not one.
 _NUMBER_TYPES = (int, float)
+_NUMBER_SET = frozenset(_NUMBER_TYPES)
 # Plural JSON names of the values that are not numbers.
 _JSON_KINDS = {
     bool: "booleans",
@@ -157,6 +159,25 @@ def _not_a_number(exc: Exception) -> str:
     return _OUT_OF_RANGE if isinstance(exc, _OutOfRange) else "is not a number"
 
 
+def _floats(items, count: int) -> Optional[np.ndarray]:
+    """The `count` JSON numbers in `items` as a float array, or None if
+    one is beyond a float's range."""
+    try:
+        flat = np.fromiter(items, float, count)
+    except OverflowError:
+        return None
+    return None if np.isinf(flat).any() else flat
+
+
+def _numbers(items: Sequence) -> Optional[np.ndarray]:
+    """`items` as a float array when every one is a JSON number within a
+    float's range, else None: one type-set test and one conversion, with
+    no loop over the items in Python."""
+    if not set(map(type, items)) <= _NUMBER_SET:
+        return None
+    return _floats(items, len(items))
+
+
 def _number_rows(rows, name: str, errs: list[str]):
     """rows if it is a list of rows of JSON numbers, else None after
     listing why not.
@@ -167,17 +188,13 @@ def _number_rows(rows, name: str, errs: list[str]):
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         errs.append(f"{name} must be a list of rows of numbers")
         return None
-    bad = {type(x) for r in rows for x in r} - set(_NUMBER_TYPES)
+    bad = {type(x) for r in rows for x in r} - _NUMBER_SET
     if bad:
         kinds = sorted(_JSON_KINDS.get(t, t.__name__) for t in bad)
         errs.append(f"{name} must be numbers, not {' or '.join(kinds)}")
         return None
-    try:
-        flat = np.fromiter(itertools.chain.from_iterable(rows), float)
-        overflow = bool(np.isinf(flat).any())
-    except OverflowError:
-        overflow = True
-    if overflow:
+    count = sum(map(len, rows))
+    if _floats(itertools.chain.from_iterable(rows), count) is None:
         errs.append(f"{name} must be numbers within a float's range")
         return None
     return rows
@@ -214,10 +231,16 @@ def _money_from_spec(data, errs: list[str]) -> MoneyMap:
 def _weights_from_dict(
     data, positions: dict[str, int], size: int, name: str, errs: list[str]
 ) -> DiscreteDistribution:
-    weights = [0.0] * size
+    weights = np.zeros(size)
     if not isinstance(data, dict):
         errs.append(f"{name} must be an object mapping labels to weights")
-        return DiscreteDistribution(tuple(weights))
+        return DiscreteDistribution(weights)
+    at = np.fromiter(map(positions.get, data, itertools.repeat(-1)), np.intp, len(data))
+    given = _numbers(list(data.values()))
+    if given is not None and (at >= 0).all():
+        weights[at] = given
+        return DiscreteDistribution(weights)
+    # Something is wrong: list every problem, in the file's order.
     for lab, w in data.items():
         if lab not in positions:
             errs.append(f"{name} refers to unknown label {lab!r}")
@@ -226,7 +249,7 @@ def _weights_from_dict(
             weights[positions[lab]] = _number(w)
         except (TypeError, ValueError) as exc:
             errs.append(f"{name} weight for {lab!r} {_not_a_number(exc)}")
-    return DiscreteDistribution(tuple(weights))
+    return DiscreteDistribution(weights)
 
 
 def _reject_policy_keys(data: dict, errs: list[str]) -> None:
@@ -236,6 +259,45 @@ def _reject_policy_keys(data: dict, errs: list[str]) -> None:
                 f"case files do not carry policies ({key!r} found); select "
                 f"them with the --info/--connection/--indemnity flags"
             )
+
+
+_LABEL = operator.itemgetter("label")
+_VALUE = operator.itemgetter("value")
+
+
+def _outcome_columns(entries: list, errs: list[str]) -> tuple:
+    """The labels and values of a non-empty outcome list, for
+    `OutcomeSpace`, which turns labels into strings.
+
+    A well-formed list is read with no loop over its entries in Python;
+    otherwise each entry is checked in turn, to list every problem.
+    Raises CaseValidationError when no entry is usable.
+    """
+    if set(map(type, entries)) == {dict} and set(map(len, entries)) == {2}:
+        try:
+            labels = list(map(_LABEL, entries))
+            flat = _numbers(list(map(_VALUE, entries)))
+        except KeyError:
+            flat = None
+        if flat is not None:
+            return labels, flat
+    labels, values = [], []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or set(entry) != {"label", "value"}:
+            errs.append(
+                f"outcomes[{i}] must be an object with exactly "
+                f"'label' and 'value'"
+            )
+            continue
+        labels.append(entry["label"])
+        try:
+            values.append(_number(entry["value"]))
+        except (TypeError, ValueError) as exc:
+            errs.append(f"outcomes[{i}] value {_not_a_number(exc)}")
+            values.append(0.0)
+    if not labels:
+        raise CaseValidationError(errs)
+    return labels, values
 
 
 def _load_outcome_form(data: dict) -> LoadedCase:
@@ -249,30 +311,10 @@ def _load_outcome_form(data: dict) -> LoadedCase:
     if missing:
         errs.append(f"missing required keys: {sorted(missing)}")
         raise CaseValidationError(errs)
-    labels: list[str] = []
-    values: list[float] = []
     if not isinstance(data["outcomes"], list) or not data["outcomes"]:
         errs.append("outcomes must be a non-empty list")
-    else:
-        for i, entry in enumerate(data["outcomes"]):
-            if (
-                not isinstance(entry, dict)
-                or set(entry) != {"label", "value"}
-            ):
-                errs.append(
-                    f"outcomes[{i}] must be an object with exactly "
-                    f"'label' and 'value'"
-                )
-                continue
-            labels.append(str(entry["label"]))
-            try:
-                values.append(_number(entry["value"]))
-            except (TypeError, ValueError) as exc:
-                errs.append(f"outcomes[{i}] value {_not_a_number(exc)}")
-                values.append(0.0)
-    if not labels:
-        raise CaseValidationError(errs or ["no outcomes"])
-    space = OutcomeSpace(tuple(labels), tuple(values))
+        raise CaseValidationError(errs)
+    space = OutcomeSpace(*_outcome_columns(data["outcomes"], errs))
     counterfactual = _weights_from_dict(
         data["counterfactual"], space.positions, space.size, "counterfactual", errs
     )
@@ -314,16 +356,9 @@ def _load_outcome_form(data: dict) -> LoadedCase:
             if not isinstance(mapping, dict):
                 errs.append("evidence map must be an object of label pairs")
             else:
-                bad = [
-                    lab
-                    for pair in mapping.items()
-                    for lab in pair
-                    if lab not in space.positions
-                ]
+                bad = (set(mapping) | set(mapping.values())) - space.positions.keys()
                 if bad:
-                    errs.append(
-                        f"evidence map refers to unknown labels {sorted(set(bad))}"
-                    )
+                    errs.append(f"evidence map refers to unknown labels {sorted(bad)}")
                 else:
                     evidence = map_cells(space, counterfactual.weights, mapping)
     if errs:
@@ -411,10 +446,7 @@ def _load_choice_form(data: dict) -> LoadedCase:
                 for c, m in raw.items()
             }
             if None not in rows.values():
-                couplings = tuple(
-                    (c, tuple(tuple(float(x) for x in row) for row in m))
-                    for c, m in rows.items()
-                )
+                couplings = tuple(rows.items())
     values = _number_rows(block["values"], "choice values", errs)
     money = _money_from_spec(data["money"], errs)
     if errs:
@@ -424,7 +456,7 @@ def _load_choice_form(data: dict) -> LoadedCase:
             choices=choices,
             duty=frozenset(str(c) for c in block["duty"]),
             results=results,
-            values=tuple(tuple(float(x) for x in row) for row in values),
+            values=values,
             money=money,
             result_given_choice_cf=cf_conds,
             result_given_choice_f=f_conds,

@@ -21,7 +21,7 @@ the award the mirrored case would grant, floored at zero.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -63,7 +63,7 @@ _PRESUMPTION_RULE_NOTE = (
 
 
 def _as_matrix_tuple(m) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(float(x) for x in row) for row in np.asarray(m, dtype=float))
+    return tuple(map(tuple, np.asarray(m, dtype=float).tolist()))
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class ChoiceCaseModel:
         object.__setattr__(self, "results", tuple(str(r) for r in self.results))
         object.__setattr__(self, "duty", frozenset(str(c) for c in self.duty))
         object.__setattr__(
-            self, "values", tuple(tuple(float(x) for x in row) for row in self.values)
+            self, "values", tuple(tuple(map(float, row)) for row in self.values)
         )
         object.__setattr__(
             self, "result_given_choice_cf", tuple(self.result_given_choice_cf)
@@ -180,10 +180,10 @@ def validate_choice_case(model: ChoiceCaseModel) -> ChoiceCaseModel:
             f"{[len(r) for r in model.values]}"
         )
     else:
-        for c, row in zip(model.choices, model.values):
-            for r, x in zip(model.results, row):
-                if not math.isfinite(x):
-                    errs.append(f"value of ({c!r}, {r!r}) is not finite")
+        for i, j in zip(*np.nonzero(~np.isfinite(model.value_matrix))):
+            errs.append(
+                f"value of ({model.choices[i]!r}, {model.results[j]!r}) is not finite"
+            )
     for name, conds in (
         ("counterfactual", model.result_given_choice_cf),
         ("factual", model.result_given_choice_f),
@@ -381,11 +381,10 @@ def flatten_choice_case(model: ChoiceCaseModel) -> tuple[CaseModel, Cells]:
     """
     cells = _factorized_cells(model)
     nc, nr = model.n_choices, model.n_results
-    labels = [
-        model.outcome_label(c, r) for c in model.choices for r in model.results
-    ]
-    values = [float(v) for row in model.values for v in row]
-    space = OutcomeSpace(tuple(labels), tuple(values))
+    labels = itertools.starmap(
+        model.outcome_label, itertools.product(model.choices, model.results)
+    )
+    space = OutcomeSpace(tuple(labels), model.value_matrix.ravel())
     fc = model.choice_index(model.factual_choice)
     cf_weights = np.zeros(nc * nr)
     for i in range(nc):
@@ -397,8 +396,8 @@ def flatten_choice_case(model: ChoiceCaseModel) -> tuple[CaseModel, Cells]:
     f_weights[fc * nr : (fc + 1) * nr] = model.result_given_choice_f[fc].array
     case = CaseModel(
         space=space,
-        counterfactual=DiscreteDistribution(tuple(cf_weights)),
-        factual=DiscreteDistribution(tuple(f_weights)),
+        counterfactual=DiscreteDistribution(cf_weights),
+        factual=DiscreteDistribution(f_weights),
         money=model.money,
         factual_observed=fc * nr + model.result_index(model.factual_result),
     )

@@ -20,10 +20,11 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -60,13 +61,32 @@ def _parse_custom_blocks(spec: Optional[str]) -> Optional[list[list[str]]]:
     return blocks
 
 
-def _emit_csv(rows: list[tuple], header: tuple[str, ...], stream) -> None:
+def _cell(x) -> str:
+    """A CSV cell: a number at full precision, anything else as text."""
+    if isinstance(x, (int, float, np.floating)) and not isinstance(x, bool):
+        return repr(float(x))
+    return str(x)
+
+
+def _emit_csv(rows: Iterable[Iterable[str]], header: tuple[str, ...], stream) -> None:
+    """Write `header`, then `rows` of cells already formatted as text."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(
-            [repr(float(x)) if isinstance(x, (int, float, np.floating)) and not isinstance(x, bool) else str(x) for x in row]
+    writer.writerows(rows)
+
+
+def _schedule_cells(schedules: list[CompensationSchedule]) -> Iterable[tuple]:
+    """Every schedule's CSV rows, column by column: the floats are already
+    Python floats, so repr gives them at full precision."""
+    return itertools.chain.from_iterable(
+        zip(
+            itertools.repeat(s.policy.descriptor),
+            s.outcomes,
+            map(repr, s.values),
+            map(repr, s.awards),
         )
+        for s in schedules
+    )
 
 
 def _evaluate_all(
@@ -109,10 +129,11 @@ def cmd_evaluate(args) -> int:
     else:
         combos = [PolicyCombo(args.info, args.connection, args.indemnity)]
     schedules = _evaluate_all(loaded, combos, args.presumption, custom_blocks)
-    rows = [row for s in schedules for row in s.to_csv_rows()]
     if args.csv:
-        _emit_csv(rows, ("policy", "outcome", "compensation", "award"), sys.stdout)
+        header = ("policy", "outcome", "compensation", "award")
+        _emit_csv(_schedule_cells(schedules), header, sys.stdout)
     else:
+        rows = [row for s in schedules for row in s.to_csv_rows()]
         width = max(len(r[0]) for r in rows)
         owidth = max(len(r[1]) for r in rows)
         for policy, outcome, comp, award in rows:
@@ -202,7 +223,7 @@ def cmd_sweep(args) -> int:
             "rejected_formula_comparison",
         )
     buf = io.StringIO()
-    _emit_csv([tuple(r[h] for h in header) for r in rows], header, buf)
+    _emit_csv(([_cell(r[h]) for h in header] for r in rows), header, buf)
     path = _default_out(args.scenario, args.out)
     atomic_write_text(path, buf.getvalue())
     print(f"wrote {len(rows)} rows to {path}")

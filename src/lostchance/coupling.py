@@ -314,10 +314,12 @@ def evidence_coupling(model: CaseModel, joint) -> Coupling:
 def map_cells(space: OutcomeSpace, weights, mapping: dict[str, str]) -> Cells:
     """Cells of a deterministic outcome map: each source outcome sends its
     whole weight to the outcome it maps to."""
-    rows = np.fromiter((space.index(src) for src in mapping), np.intp, len(mapping))
-    cols = np.fromiter(
-        (space.index(dst) for dst in mapping.values()), np.intp, len(mapping)
-    )
+    at = space.positions.__getitem__
+    try:
+        rows = np.fromiter(map(at, mapping), np.intp, len(mapping))
+        cols = np.fromiter(map(at, mapping.values()), np.intp, len(mapping))
+    except KeyError as exc:
+        raise KeyError(f"unknown outcome label {exc.args[0]!r}") from None
     return Cells(rows, cols, np.asarray(weights, dtype=float)[rows], space.size)
 
 

@@ -14,7 +14,7 @@ back to a monetary award through a strictly increasing money map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -46,14 +46,23 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OutcomeSpace:
-    """Ordered outcome labels, each carrying one real value."""
+    """Ordered outcome labels, each carrying one real value.
+
+    `values_array` holds the values as a read-only array, made once from
+    the values given, which may be a sequence or an array.
+    """
 
     labels: tuple[str, ...]
     values: tuple[float, ...]
+    values_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
-        object.__setattr__(self, "values", tuple(float(x) for x in self.values))
+        values = _read_only(np.array(self.values, dtype=float))
+        if values.ndim != 1:
+            raise TypeError("outcome values must be a flat sequence of numbers")
+        object.__setattr__(self, "labels", tuple(map(str, self.labels)))
+        object.__setattr__(self, "values", tuple(values.tolist()))
+        object.__setattr__(self, "values_array", values)
         if len(self.labels) != len(self.values):
             raise ValueError(
                 f"{len(self.labels)} labels but {len(self.values)} values"
@@ -64,11 +73,6 @@ class OutcomeSpace:
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    @cached_property
-    def values_array(self) -> np.ndarray:
-        """The values as a read-only array, built once."""
-        return _read_only(np.asarray(self.values, dtype=float))
 
     @cached_property
     def positions(self) -> dict[str, int]:
@@ -94,18 +98,20 @@ class DiscreteDistribution:
     """Weights over an outcome space, in label order.
 
     The constructor only coerces; normalization and sign checks live in
-    validate_case so a malformed case can be reported in full.
+    validate_case so a malformed case can be reported in full.  `array`
+    holds the weights as a read-only array, made once from the weights
+    given, which may be a sequence or an array.
     """
 
     weights: tuple[float, ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        """The weights as a read-only array, built once."""
-        return _read_only(np.asarray(self.weights, dtype=float))
+        weights = _read_only(np.array(self.weights, dtype=float))
+        if weights.ndim != 1:
+            raise TypeError("weights must be a flat sequence of numbers")
+        object.__setattr__(self, "weights", tuple(weights.tolist()))
+        object.__setattr__(self, "array", weights)
 
     @property
     def total(self) -> float:
@@ -113,7 +119,7 @@ class DiscreteDistribution:
 
     def support(self) -> tuple[int, ...]:
         """Indices with strictly positive weight."""
-        return tuple(i for i, w in enumerate(self.weights) if w > 0.0)
+        return tuple(np.flatnonzero(self.array > 0.0).tolist())
 
     def mean(self, values: Sequence[float]) -> float:
         return float(np.dot(self.array, np.asarray(values, dtype=float)))
@@ -124,14 +130,17 @@ class DiscreteDistribution:
             out.append(
                 f"{name} marginal has {len(self.weights)} weights for {size} outcomes"
             )
-        for i, w in enumerate(self.weights):
+        bad = ~np.isfinite(self.array) | (self.array < 0.0)
+        for i in np.flatnonzero(bad).tolist():
+            w = self.weights[i]
             if not math.isfinite(w):
                 out.append(f"{name} marginal weight {i} is not finite")
-            elif w < 0.0:
+            else:
                 out.append(f"{name} marginal weight {i} is negative ({w!r})")
-        if abs(self.total - 1.0) > WEIGHT_SUM_TOL:
+        total = self.total
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
             out.append(
-                f"{name} marginal weights sum to {self.total!r}, not 1 "
+                f"{name} marginal weights sum to {total!r}, not 1 "
                 f"(tolerance {WEIGHT_SUM_TOL})"
             )
         return out
@@ -175,12 +184,13 @@ class UtilityCurve:
         return math.expm1(eps * math.log(m)) / eps
 
     def money(self, value: float) -> float:
-        """Inverse of value(); rejects values outside the curve's range."""
+        """Inverse of value(); rejects values outside the curve's range,
+        and values whose money is beyond a float's range."""
         v = float(value)
         if not math.isfinite(v):
             raise ValueError(f"value must be finite, got {value!r}")
         if self._log_branch:
-            return math.exp(v)
+            return self._exp(v, v)
         if self.theta == 0.0:
             if v + 1.0 <= 0.0:
                 raise ValueError(
@@ -193,7 +203,42 @@ class UtilityCurve:
             raise ValueError(
                 f"value {v!r} lies outside the range of the theta={self.theta} curve"
             )
-        return math.exp(math.log1p(v * eps) / eps)
+        return self._exp(math.log1p(v * eps) / eps, v)
+
+    def _exp(self, power: float, value: float) -> float:
+        try:
+            return math.exp(power)
+        except OverflowError:
+            raise ValueError(
+                f"value {value!r} needs more money than a float holds under "
+                f"the theta={self.theta} curve"
+            ) from None
+
+    def money_array(self, values: np.ndarray) -> np.ndarray:
+        """money() of every element, with the same arithmetic: exp and
+        log1p stay math's, one element at a time, since numpy's differ
+        from them in the last bit on some values.  Raises what money()
+        raises for the first element it refuses."""
+        v = np.asarray(values, dtype=float)
+        n = v.size
+        try:
+            if not np.isfinite(v).all():
+                raise ValueError
+            if self._log_branch:
+                return np.fromiter(map(math.exp, v.tolist()), float, n)
+            if self.theta == 0.0:
+                if (v + 1.0 <= 0.0).any():
+                    raise ValueError
+                return v + 1.0
+            eps = 1.0 - self.theta
+            if (1.0 + v * eps <= 0.0).any():
+                raise ValueError
+            power = np.fromiter(map(math.log1p, (v * eps).tolist()), float, n) / eps
+            return np.fromiter(map(math.exp, power.tolist()), float, n)
+        except (ValueError, OverflowError):
+            for x in v.tolist():
+                self.money(x)
+            raise
 
 
 def utility_value(curve: UtilityCurve, money: float) -> float:
@@ -216,6 +261,11 @@ class MoneyMap:
     def to_money(self, value: float) -> float:
         raise NotImplementedError
 
+    def to_money_array(self, values: np.ndarray) -> np.ndarray:
+        """to_money() of every element, bit for bit; raises what to_money()
+        raises for the first element it refuses."""
+        raise NotImplementedError
+
     def spec(self) -> dict:
         """Serializable description of this map."""
         raise NotImplementedError
@@ -229,6 +279,9 @@ class IdentityMoneyMap(MoneyMap):
 
     def to_money(self, value: float) -> float:
         return float(value)
+
+    def to_money_array(self, values: np.ndarray) -> np.ndarray:
+        return np.asarray(values, dtype=float)
 
     def spec(self) -> dict:
         return {"kind": "identity"}
@@ -244,13 +297,20 @@ class CurveMoneyMap(MoneyMap):
     def to_money(self, value: float) -> float:
         return self.curve.money(value)
 
+    def to_money_array(self, values: np.ndarray) -> np.ndarray:
+        return self.curve.money_array(values)
+
     def spec(self) -> dict:
         return {"kind": "crra", "theta": self.curve.theta}
 
 
 @dataclass(frozen=True)
 class TabulatedMoneyMap(MoneyMap):
-    """Piecewise-linear map through strictly increasing (value, money) knots."""
+    """Piecewise-linear map through strictly increasing (value, money) knots.
+
+    The knots' value and money spans and every segment's slope must be
+    finite, so that every award the map prices inside its knots is too.
+    """
 
     points: tuple[tuple[float, float], ...]
     kind: str = "tabulated"
@@ -266,6 +326,24 @@ class TabulatedMoneyMap(MoneyMap):
                     "tabulated money map must be strictly increasing in both "
                     f"coordinates; offending pair ({v0}, {m0}) -> ({v1}, {m1})"
                 )
+            if not math.isfinite((m1 - m0) / (v1 - v0)):
+                raise ValueError(
+                    "tabulated money map has a slope beyond a float's range "
+                    f"between ({v0}, {m0}) and ({v1}, {m1})"
+                )
+        (v_first, m_first), (v_last, m_last) = pts[0], pts[-1]
+        if not (math.isfinite(v_last - v_first) and math.isfinite(m_last - m_first)):
+            raise ValueError(
+                "tabulated money map spans more than a float holds, from "
+                f"({v_first}, {m_first}) to ({v_last}, {m_last})"
+            )
+
+    @cached_property
+    def _knots(self) -> tuple[np.ndarray, np.ndarray]:
+        return (
+            np.array([p[0] for p in self.points]),
+            np.array([p[1] for p in self.points]),
+        )
 
     def to_money(self, value: float) -> float:
         v = float(value)
@@ -277,34 +355,96 @@ class TabulatedMoneyMap(MoneyMap):
             )
         return float(np.interp(v, vs, ms))
 
+    def to_money_array(self, values: np.ndarray) -> np.ndarray:
+        v = np.asarray(values, dtype=float)
+        vs, ms = self._knots
+        outside = (v < vs[0]) | (v > vs[-1])
+        if outside.any():
+            self.to_money(v[outside][0])
+        return np.interp(v, vs, ms)
+
     @property
     def top(self) -> float:
         """The value of the table's last point."""
         return self.points[-1][0]
 
-    def extrapolate_top(self, value: float) -> float:
-        """Money for a value past the last point, along the end segment."""
+    def extrapolate_top(self, value):
+        """Money for a value past the last point, along the end segment;
+        `value` is a float or an array."""
         (v0, m0), (v1, m1) = self.points[-2:]
-        return m1 + (float(value) - v1) * (m1 - m0) / (v1 - v0)
+        return m1 + (value - v1) * (m1 - m0) / (v1 - v0)
 
     def spec(self) -> dict:
         return {"kind": "tabulated", "points": [list(p) for p in self.points]}
 
 
-def award_from_compensation(money: MoneyMap, v1: float, x: float) -> float:
-    """Monetary award that lifts a factual value v1 by compensation x.
-
-    x is compensation in value units and must be non-negative; the award
-    is the money difference between the lifted and unlifted positions.
-    A table fixes money only up to its last point; a lifted value past it
-    is priced along the table's end segment.
-    """
+def _award(money: MoneyMap, v1: float, x: float) -> float:
+    """award_from_compensation for one outcome."""
     if not (math.isfinite(x) and x >= 0.0):
         raise ValueError(f"compensation must be finite and >= 0, got {x!r}")
     v1 = float(v1)
     if v1 + x > money.top:
-        return money.extrapolate_top(v1 + x) - money.to_money(v1)
-    return money.to_money(v1 + x) - money.to_money(v1)
+        award = money.extrapolate_top(v1 + x) - money.to_money(v1)
+    else:
+        award = money.to_money(v1 + x) - money.to_money(v1)
+    if not math.isfinite(award):
+        raise ValueError(
+            f"the award lifting value {v1!r} by {x!r} is not a finite amount "
+            f"of money"
+        )
+    return award
+
+
+def _awards(money: MoneyMap, v1: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """_award over arrays, with the same arithmetic; raises a bare
+    ValueError if it would refuse any outcome."""
+    # An overflow shows as a non-finite award, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lifted = v1 + x
+        past = lifted > money.top
+        if past.any():
+            up = np.where(
+                past,
+                money.extrapolate_top(lifted),
+                money.to_money_array(np.minimum(lifted, money.top)),
+            )
+        else:
+            up = money.to_money_array(lifted)
+        award = up - money.to_money_array(v1)
+    if not ((x >= 0.0).all() and np.isfinite(award).all()):
+        raise ValueError
+    return award
+
+
+# Below this many outcomes, calls one outcome at a time beat the array
+# path's fixed cost of a few dozen numpy calls.
+_ARRAY_MIN = 32
+
+
+def award_from_compensation(money: MoneyMap, v1, x):
+    """Monetary award that lifts a factual value v1 by compensation x.
+
+    x is compensation in value units and must be finite and non-negative;
+    the award is the money difference between the lifted and unlifted
+    positions, and must be finite too.  A table fixes money only up to
+    its last point; a lifted value past it is priced along the table's
+    end segment.
+
+    v1 and x are floats, giving a float, or equal-length arrays, giving
+    the whole schedule's awards as an array in one call, bit for bit as
+    the calls per outcome would; such a call raises the error of the
+    first outcome whose own call would fail.
+    """
+    if np.ndim(v1) == 0 and np.ndim(x) == 0:
+        return _award(money, v1, x)
+    v1 = np.asarray(v1, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if v1.size >= _ARRAY_MIN:
+        try:
+            return _awards(money, v1, x)
+        except ValueError:
+            pass  # the calls below name the first failing outcome
+    return np.array([_award(money, a, b) for a, b in zip(v1.tolist(), x.tolist())])
 
 
 @dataclass(frozen=True)
@@ -335,16 +475,18 @@ def validate_case(model: CaseModel) -> CaseModel:
     """Check every case invariant, reporting all violations together."""
     errs: list[str] = []
     space = model.space
-    seen: set[str] = set()
-    for lab in space.labels:
-        if lab in seen:
-            errs.append(f"duplicate outcome label {lab!r}")
-        seen.add(lab)
-        if not lab:
-            errs.append("empty outcome label")
-    for lab, val in zip(space.labels, space.values):
-        if not math.isfinite(val):
-            errs.append(f"outcome {lab!r} has non-finite value {val!r}")
+    if len(space.positions) != space.size or "" in space.positions:
+        seen: set[str] = set()
+        for lab in space.labels:
+            if lab in seen:
+                errs.append(f"duplicate outcome label {lab!r}")
+            seen.add(lab)
+            if not lab:
+                errs.append("empty outcome label")
+    for i in np.flatnonzero(~np.isfinite(space.values_array)).tolist():
+        errs.append(
+            f"outcome {space.labels[i]!r} has non-finite value {space.values[i]!r}"
+        )
     errs.extend(model.counterfactual.violations("counterfactual", space.size))
     errs.extend(model.factual.violations("factual", space.size))
     if not isinstance(model.money, MoneyMap):

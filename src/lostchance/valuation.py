@@ -108,28 +108,47 @@ def selective_groups(coupling: Coupling) -> SelectiveGroups:
     )
 
 
-@dataclass(frozen=True)
 class InformationPartition:
-    """Blocks of factual outcome indices the court can tell apart."""
+    """Blocks of factual outcome indices the court can tell apart.
 
-    blocks: tuple[tuple[int, ...], ...]
-    origin: str
+    Held as two aligned read-only arrays: `outcomes`, the indices block
+    after block, and `block_ids`, the block (0, 1, ...) of each.  `blocks`,
+    the same partition as a tuple of index tuples, is built when read.
+    """
 
-    def __post_init__(self) -> None:
-        blocks = tuple(tuple(int(i) for i in b) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        flat = [i for b in blocks for i in b]
-        if len(set(flat)) != len(flat):
-            raise ValueError("partition blocks overlap")
-        if any(not b for b in blocks):
+    def __init__(self, blocks: Sequence[Sequence[int]], origin: str):
+        sizes = [len(b) for b in blocks]
+        outcomes = np.fromiter(
+            itertools.chain.from_iterable(blocks), np.intp, sum(sizes)
+        )
+        self._set(outcomes, np.repeat(np.arange(len(sizes)), sizes), origin)
+        if 0 in sizes:
             raise ValueError("partition contains an empty block")
 
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
+    @classmethod
+    def from_ids(
+        cls, outcomes: np.ndarray, block_ids: np.ndarray, origin: str
+    ) -> "InformationPartition":
+        """The partition putting outcomes[i] in block block_ids[i]; the
+        ids must run 0, 1, ... without gaps, in non-decreasing order."""
+        part = cls.__new__(cls)
+        part._set(outcomes, block_ids, origin)
+        return part
 
-    def block_of(self) -> dict[int, int]:
-        return {i: bi for bi, block in enumerate(self.blocks) for i in block}
+    def _set(self, outcomes: np.ndarray, block_ids: np.ndarray, origin: str) -> None:
+        ordered = np.sort(outcomes)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("partition blocks overlap")
+        self.outcomes = _frozen(outcomes)
+        self.block_ids = _frozen(block_ids)
+        self.origin = origin
+        self.block_count = int(block_ids[-1]) + 1 if block_ids.size else 0
+
+    @functools.cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        flat = self.outcomes.tolist()
+        ends = [0, *(np.flatnonzero(np.diff(self.block_ids)) + 1).tolist(), len(flat)]
+        return tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:]) if b > a)
 
 
 def build_partition(
@@ -146,13 +165,13 @@ def build_partition(
     * custom: caller-supplied blocks, which must tile the support exactly.
     """
     info = str(info).strip().lower()
-    sup = tuple(int(i) for i in support)
-    if not sup:
+    sup = np.array(support, dtype=np.intp)
+    if not sup.size:
         raise ValueError("factual support is empty")
     if info == "l-fi":
-        return InformationPartition((sup,), "l-fi")
+        return InformationPartition.from_ids(sup, np.zeros_like(sup), "l-fi")
     if info == "h-fi":
-        return InformationPartition(tuple((i,) for i in sup), "h-fi")
+        return InformationPartition.from_ids(sup, np.arange(sup.size), "h-fi")
     if info == "m-fi":
         if groups is None:
             raise ConfigurationError("m-fi partition needs selective groups")
@@ -164,16 +183,16 @@ def build_partition(
         blocks = tuple(tuple(int(i) for i in b) for b in custom_blocks)
         part = InformationPartition(blocks, "custom")
         covered = sorted(i for b in blocks for i in b)
-        if covered != sorted(sup):
+        if covered != sorted(sup.tolist()):
             raise ValueError(
                 f"custom blocks cover indices {covered}, expected exactly the "
-                f"factual support {sorted(sup)}"
+                f"factual support {sorted(sup.tolist())}"
             )
         return part
     raise ConfigurationError(f"unknown information policy {info!r}")
 
 
-def _frozen(values: list) -> np.ndarray:
+def _frozen(values) -> np.ndarray:
     """`values` as a read-only array."""
     a = np.asarray(values)
     a.setflags(write=False)
@@ -187,19 +206,47 @@ class GapBlock:
     gap: float
 
 
-@dataclass(frozen=True)
 class GapTable:
-    """Conditional mean value gaps, one row per partition block."""
+    """Conditional mean value gaps, one row per partition block.
 
-    blocks: tuple[GapBlock, ...]
+    Held as arrays: `probabilities` and `gaps` per row, and `partition`,
+    whose blocks are the rows' outcomes.  `blocks`, the rows as
+    `GapBlock`s, is built when read; `GapTable(blocks)` builds a table
+    from them.
+    """
+
+    def __init__(self, blocks: Sequence[GapBlock]):
+        blocks = tuple(blocks)
+        self._set(
+            InformationPartition(tuple(b.outcomes for b in blocks), "custom"),
+            [b.probability for b in blocks],
+            [b.gap for b in blocks],
+        )
+
+    @classmethod
+    def from_arrays(
+        cls, partition: InformationPartition, probabilities, gaps
+    ) -> "GapTable":
+        """The table whose row b is block b of `partition`."""
+        table = cls.__new__(cls)
+        table._set(partition, probabilities, gaps)
+        return table
+
+    def _set(self, partition: InformationPartition, probabilities, gaps) -> None:
+        self.partition = partition
+        self.probabilities = _frozen(probabilities)
+        self.gaps = _frozen(gaps)
 
     @functools.cached_property
-    def probabilities(self) -> np.ndarray:
-        return _frozen([b.probability for b in self.blocks])
-
-    @functools.cached_property
-    def gaps(self) -> np.ndarray:
-        return _frozen([b.gap for b in self.blocks])
+    def blocks(self) -> tuple[GapBlock, ...]:
+        return tuple(
+            map(
+                GapBlock,
+                self.partition.blocks,
+                self.probabilities.tolist(),
+                self.gaps.tolist(),
+            )
+        )
 
     @property
     def expected_gap(self) -> float:
@@ -216,22 +263,22 @@ def conditional_gap(coupling: Coupling, partition: InformationPartition) -> GapT
     col_mass, col_v0 = coupling.column_moments
     # E[(V0 - V1) 1{O1 = k}] column by column.
     col_gap = col_v0 - col_mass * v
-    sizes = [len(b) for b in partition.blocks]
-    flat = np.fromiter(
-        itertools.chain.from_iterable(partition.blocks), np.intp, sum(sizes)
-    )
-    block_id = np.repeat(np.arange(len(sizes)), sizes)
-    block_p = np.bincount(block_id, weights=col_mass[flat], minlength=len(sizes))
-    block_gap = np.bincount(block_id, weights=col_gap[flat], minlength=len(sizes))
-    blocks: list[GapBlock] = []
-    for block, p, g in zip(partition.blocks, block_p.tolist(), block_gap.tolist()):
-        if p <= 0.0:
+    ids, flat, count = partition.block_ids, partition.outcomes, partition.block_count
+    block_p = np.bincount(ids, weights=col_mass[flat], minlength=count)
+    block_gap = np.bincount(ids, weights=col_gap[flat], minlength=count)
+    empty = block_p <= 0.0
+    if empty.any():
+        for b in np.flatnonzero(empty).tolist():
             warnings.warn(
-                f"dropping zero-probability block {tuple(block)}", stacklevel=2
+                f"dropping zero-probability block {partition.blocks[b]}", stacklevel=2
             )
-            continue
-        blocks.append(GapBlock(tuple(block), p, g / p))
-    table = GapTable(tuple(blocks))
+        kept = ~empty
+        member = kept[ids]
+        partition = InformationPartition.from_ids(
+            flat[member], (np.cumsum(kept) - 1)[ids[member]], partition.origin
+        )
+        block_p, block_gap = block_p[kept], block_gap[kept]
+    table = GapTable.from_arrays(partition, block_p, block_gap / block_p)
     mean_gap = float(col_v0.sum() - col_mass @ v)
     scale = max(1.0, float(np.abs(v).max()))
     if abs(table.expected_gap - mean_gap) > GAP_IDENTITY_TOL * scale:
@@ -261,24 +308,20 @@ def solve_lambda(gaps: GapTable, target: float) -> float:
     order = np.argsort(-gaps.gaps, kind="stable")
     g = gaps.gaps[order]
     p = gaps.probabilities[order]
-    s_k = 0.0
-    p_k = 0.0
-    lam = None
-    for k in range(len(g)):
-        s_k += p[k] * g[k]
-        p_k += p[k]
-        lo = g[k + 1] if k + 1 < len(g) else -math.inf
-        cand = (s_k - target) / p_k
-        if cand >= lo:
-            # The payout at lo reaches the target, so the root lies in
-            # [lo, g[k]]; round-off can push it just past the breakpoint.
-            lam = float(min(cand, g[k]))
-            break
-    if lam is None:
+    # cumsum adds in order, so S_k and P_k are the running sums a loop
+    # over the segments would take.
+    cand = (np.cumsum(p * g) - target) / np.cumsum(p)
+    lo = np.append(g[1:], -math.inf)
+    # The first segment whose candidate reaches its lower breakpoint holds
+    # the root; round-off can push it just past the upper one.
+    hit = np.flatnonzero(cand >= lo)
+    if not hit.size:
         raise AssertionError(
             f"no breakpoint segment contained the root for target {target!r}; "
             f"gaps {g.tolist()!r}"
         )
+    k = hit[0]
+    lam = float(min(cand[k], g[k]))
     scale = max(1.0, float(np.max(np.abs(g))) if len(g) else 1.0)
     if lam < -1e-12 * scale:
         raise ValueError(
@@ -297,7 +340,7 @@ def fm_indemnity(gaps: GapTable) -> np.ndarray:
     """
     target = gaps.expected_gap
     if target <= 0.0:
-        return np.zeros(len(gaps.blocks))
+        return np.zeros(gaps.gaps.size)
     lam = solve_lambda(gaps, target)
     return np.maximum(0.0, gaps.gaps - lam)
 
@@ -389,7 +432,7 @@ class _SharedGaps:
     gaps: GapTable
     notes: tuple[str, ...]
     # For each factual support outcome, the row of `gaps` that pays it,
-    # or len(gaps.blocks) when its block was dropped (it is paid 0).
+    # or the row count when its block was dropped (it is paid 0).
     slot: np.ndarray
 
 
@@ -399,7 +442,7 @@ def _shared_gaps(
     coupling: Coupling,
     notes: tuple[str, ...],
     groups: SelectiveGroups,
-    support: tuple[int, ...],
+    support: np.ndarray,
     custom_blocks,
 ) -> _SharedGaps:
     if groups.ties and info == "m-fi":
@@ -410,15 +453,9 @@ def _shared_gaps(
         )
     partition = build_partition(info, support, groups, custom_blocks)
     gaps = conditional_gap(coupling, partition)
-    sizes = [len(b.outcomes) for b in gaps.blocks]
-    paid = np.fromiter(
-        itertools.chain.from_iterable(b.outcomes for b in gaps.blocks),
-        np.intp,
-        sum(sizes),
-    )
-    slot = np.full(model.space.size, len(sizes), dtype=np.intp)
-    slot[paid] = np.repeat(np.arange(len(sizes)), sizes)
-    return _SharedGaps(gaps, notes, slot[list(support)])
+    slot = np.full(model.space.size, gaps.gaps.size, dtype=np.intp)
+    slot[gaps.partition.outcomes] = gaps.partition.block_ids
+    return _SharedGaps(gaps, notes, slot[support])
 
 
 def evaluate_grid(
@@ -446,9 +483,10 @@ def evaluate_grid(
     if paper_table_joint is None:
         paper_table_joint = evidence_joint
     joints = {"e-c": evidence_joint, "paper-table": paper_table_joint}
-    support = model.factual.support()
-    labels = tuple(model.space.labels[k] for k in support)
-    v_support = model.space.values_array[list(support)].tolist()
+    # model.factual.support(), as an array.
+    support = np.flatnonzero(model.factual.array > 0.0)
+    labels = tuple(map(model.space.labels.__getitem__, support.tolist()))
+    v_support = model.space.values_array[support]
     money = model.money
     extra_notes = tuple(extra_notes)
     # ld-c and paper-table's cost check share one least-divergence coupling.
@@ -472,24 +510,25 @@ def evaluate_grid(
             block_x = cc_indemnity(table.gaps)
         else:
             block_x = fm_indemnity(table.gaps)
-        values = np.concatenate((block_x, (0.0,)))[table.slot].tolist()
-        notes = list(extra_notes + table.notes)
-        awards: list[float] = []
-        for label, vk, x in zip(labels, v_support, values):
-            awards.append(award_from_compensation(money, vk, x))
-            if vk + x > money.top:
-                notes.append(
-                    f"note: the award for outcome {label!r} extrapolates the "
-                    f"money table past its last point {money.top:g}, along "
-                    f"its end segment"
-                )
+        x = np.concatenate((block_x, (0.0,)))[table.slot]
+        awards = award_from_compensation(money, v_support, x)
+        notes = extra_notes + table.notes
+        past = []
+        if money.top < math.inf:  # only a money table has a last point
+            past = np.flatnonzero(v_support + x > money.top).tolist()
+        for k in past:
+            notes += (
+                f"note: the award for outcome {labels[k]!r} extrapolates the "
+                f"money table past its last point {money.top:g}, along "
+                f"its end segment",
+            )
         schedules.append(
             CompensationSchedule(
                 policy=combo,
                 outcomes=labels,
-                values=tuple(values),
-                awards=tuple(awards),
-                notes=tuple(notes),
+                values=tuple(x.tolist()),
+                awards=tuple(awards.tolist()),
+                notes=notes,
             )
         )
     return schedules

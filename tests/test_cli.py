@@ -352,6 +352,51 @@ class TestSchemaAndErrors:
         assert "  - " in err
         assert "--info/--connection/--indemnity" in err
 
+    @pytest.mark.parametrize(
+        "money,value,reason",
+        [
+            # The money difference of the one segment overflows.
+            (
+                {"kind": "tabulated", "points": [[0.0, -1e308], [10.0, 1e308]]},
+                10.0,
+                "bad money spec: tabulated money map has a slope beyond a "
+                "float's range",
+            ),
+            # Lifting 'bad' by 400 000 value units needs 10001**100 money.
+            (
+                {"kind": "crra", "theta": 0.99},
+                1e6,
+                "error: value 400000.0 needs more money than a float holds "
+                "under the theta=0.99 curve",
+            ),
+        ],
+    )
+    def test_award_beyond_float_range_is_an_input_error(
+        self, capsys, tmp_path, money, value, reason
+    ):
+        path = tmp_path / "overflow.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "outcomes": [
+                        {"label": "bad", "value": 0.0},
+                        {"label": "good", "value": value},
+                    ],
+                    "counterfactual": {"bad": 0.1, "good": 0.9},
+                    "factual": {"bad": 0.5, "good": 0.5},
+                    "money": money,
+                }
+            )
+        )
+        code, out, err = run(
+            capsys,
+            ["evaluate", str(path), "--info", "l-fi", "--connection", "ld-c",
+             "--indemnity", "cc-i", "--csv"],
+        )
+        assert (code, out) == (2, "")
+        assert reason in err
+        assert "inf" not in err.replace("info", "")
+
     def test_unknown_policy_name(self, capsys, medical_file):
         code, _, err = run(
             capsys, ["evaluate", str(medical_file), "--info", "x-fi"]

@@ -194,6 +194,88 @@ class TestAwardFromCompensation:
             award_from_compensation(m, -0.5, 2.0)
 
 
+class TestAwardsBeyondFloatRange:
+    """A non-finite award is refused, never returned."""
+
+    def test_table_spanning_more_than_a_float_rejected(self):
+        with pytest.raises(ValueError, match="slope beyond a float's range"):
+            TabulatedMoneyMap(((0.0, -1e308), (10.0, 1e308)))
+        with pytest.raises(ValueError, match="slope beyond a float's range"):
+            TabulatedMoneyMap(((0.0, 0.0), (1e-300, 1e10)))
+        with pytest.raises(ValueError, match="spans more than a float holds"):
+            TabulatedMoneyMap(((0.0, -1e308), (1.0, 0.0), (2.0, 1e308)))
+        with pytest.raises(ValueError, match="spans more than a float holds"):
+            TabulatedMoneyMap(((-1e308, 0.0), (0.0, 1.0), (1e308, 2.0)))
+
+    def test_curve_money_past_float_range_is_a_value_error(self):
+        for theta, value in ((0.99, 1e6), (1.0, 710.0)):
+            with pytest.raises(ValueError, match="more money than a float holds"):
+                UtilityCurve(theta).money(value)
+            with pytest.raises(ValueError, match="more money than a float holds"):
+                award_from_compensation(CurveMoneyMap(UtilityCurve(theta)), 0.0, value)
+
+    def test_overflowing_award_is_refused(self):
+        m = IdentityMoneyMap()
+        with pytest.raises(ValueError, match="not a finite amount of money"):
+            award_from_compensation(m, 1e308, 1e308)
+        # The table's end segment extrapolates past a float's range.
+        table = TabulatedMoneyMap(((0.0, 0.0), (1.0, 1e300)))
+        with pytest.raises(ValueError, match="not a finite amount of money"):
+            award_from_compensation(table, 1.0, 1e10)
+        for size in (2, 40):
+            v1, x = np.full(size, 0.5), np.full(size, 0.1)
+            x[1] = 1e10
+            with pytest.raises(ValueError, match="not a finite amount of money"):
+                award_from_compensation(table, v1, x)
+
+
+class TestAwardArrays:
+    """One call over a schedule's arrays, bit for bit as the calls per outcome."""
+
+    MAPS = [
+        IdentityMoneyMap(),
+        CurveMoneyMap(UtilityCurve(0.0)),
+        CurveMoneyMap(UtilityCurve(0.37)),
+        CurveMoneyMap(UtilityCurve(1.0)),
+        TabulatedMoneyMap(((-1.0, 2.0), (3.0, 7.5), (6.0, 8.0))),
+    ]
+
+    @pytest.mark.parametrize(
+        "money", MAPS, ids=["identity", "theta0", "theta0.37", "theta1", "table"]
+    )
+    def test_matches_the_calls_per_outcome(self, money):
+        rng = np.random.default_rng(3)
+        v1 = rng.uniform(-1.0, 6.0, size=2000)
+        x = np.where(rng.random(2000) < 0.2, 0.0, rng.uniform(0.0, 4.0, size=2000))
+        got = award_from_compensation(money, v1, x)
+        want = [
+            award_from_compensation(money, a, b)
+            for a, b in zip(v1.tolist(), x.tolist())
+        ]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("size", [3, 40])
+    def test_raises_the_first_failing_outcomes_error(self, size):
+        def arrays(*head):
+            # The failing outcomes first, then good ones up to `size`.
+            return np.concatenate((head, np.full(size - len(head), 0.5)))
+
+        m = TabulatedMoneyMap(((0.0, 0.0), (1.0, 10.0)))
+        v1 = arrays(0.5, -0.5, -0.7)
+        # The lifted value is priced before the factual one.
+        with pytest.raises(ValueError, match=r"value -0\.4 outside"):
+            award_from_compensation(m, v1, arrays(0.0, 0.1, 0.0))
+        with pytest.raises(ValueError, match="got -1.0"):
+            award_from_compensation(m, v1, arrays(0.0, -1.0, 0.0))
+        with pytest.raises(ValueError, match="got nan"):
+            award_from_compensation(IdentityMoneyMap(), v1, arrays(0.0, np.nan))
+        curve = CurveMoneyMap(UtilityCurve(0.5))
+        with pytest.raises(ValueError, match=r"value -2\.5 lies outside"):
+            award_from_compensation(curve, arrays(1.0, -3.0), arrays(0.0, 0.5))
+        with pytest.raises(ValueError, match="more money than a float holds"):
+            award_from_compensation(curve, arrays(1.0, 1e160), arrays(0.0, 0.0))
+
+
 class TestOutcomeSpace:
     def test_index_lookup(self):
         space = OutcomeSpace(("a", "b"), (1.0, 2.0))
