@@ -355,6 +355,8 @@ def _load_outcome_form(data: dict) -> LoadedCase:
             mapping = ev["map"]
             if not isinstance(mapping, dict):
                 errs.append("evidence map must be an object of label pairs")
+            elif odd := [k for k, t in mapping.items() if not isinstance(t, str)]:
+                errs.append(f"evidence map sends {odd} to targets that are not labels")
             else:
                 bad = (set(mapping) | set(mapping.values())) - space.positions.keys()
                 if bad:

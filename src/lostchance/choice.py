@@ -157,6 +157,25 @@ class ChoiceCaseModel:
         return replace(self, notes=self.notes + (note,))
 
 
+def _result_coupling_sum_errors(
+    model: ChoiceCaseModel, choice: str, mat: np.ndarray, f_weights: np.ndarray
+) -> list[str]:
+    """One message per marginal the result coupling for `choice` misses."""
+    errs = []
+    cf_weights = model.result_given_choice_cf[model.choice_index(choice)].array
+    if np.max(np.abs(mat.sum(axis=1) - cf_weights)) > MARGINAL_TOL:
+        errs.append(
+            f"result coupling for {choice!r}: row sums do not match the "
+            f"counterfactual result conditional"
+        )
+    if np.max(np.abs(mat.sum(axis=0) - f_weights)) > MARGINAL_TOL:
+        errs.append(
+            f"result coupling for {choice!r}: column sums do not match the "
+            f"factual result conditional"
+        )
+    return errs
+
+
 def validate_choice_case(model: ChoiceCaseModel) -> ChoiceCaseModel:
     """Check every lost-choice invariant, reporting all violations together."""
     errs: list[str] = []
@@ -223,19 +242,7 @@ def validate_choice_case(model: ChoiceCaseModel) -> ChoiceCaseModel:
                 continue
             if np.any(mat < 0.0):
                 errs.append(f"result coupling for {c!r} has negative mass")
-            rows = mat.sum(axis=1)
-            cols = mat.sum(axis=0)
-            cf_weights = model.result_given_choice_cf[model.choice_index(c)].array
-            if np.max(np.abs(rows - cf_weights)) > MARGINAL_TOL:
-                errs.append(
-                    f"result coupling for {c!r}: row sums do not match the "
-                    f"counterfactual result conditional"
-                )
-            if np.max(np.abs(cols - f_weights)) > MARGINAL_TOL:
-                errs.append(
-                    f"result coupling for {c!r}: column sums do not match the "
-                    f"factual result conditional"
-                )
+            errs.extend(_result_coupling_sum_errors(model, c, mat, f_weights))
     if not isinstance(model.money, MoneyMap):
         errs.append(f"money map has unsupported type {type(model.money).__name__}")
     if errs:
@@ -327,21 +334,10 @@ def _factorized_cells(model: ChoiceCaseModel) -> Cells:
             continue
         supplied = model.result_coupling_for(c0)
         if supplied is not None:
-            k = supplied
-            rows = k.sum(axis=1)
-            cols = k.sum(axis=0)
-            cf_weights = model.result_given_choice_cf[i].array
-            if np.max(np.abs(rows - cf_weights)) > MARGINAL_TOL:
-                raise ValueError(
-                    f"result coupling for {c0!r}: row sums do not match the "
-                    f"counterfactual result conditional"
-                )
-            if np.max(np.abs(cols - f_weights)) > MARGINAL_TOL:
-                raise ValueError(
-                    f"result coupling for {c0!r}: column sums do not match "
-                    f"the factual result conditional"
-                )
-            cells = Cells.from_dense(k)
+            errs = _result_coupling_sum_errors(model, c0, supplied, f_weights)
+            if errs:
+                raise ValueError(errs[0])
+            cells = Cells.from_dense(supplied)
         else:
             cells = comonotone_cells(
                 model.result_given_choice_cf[i].weights,
@@ -441,7 +437,7 @@ def evaluate_choice_case(
 
 def mitigation_offset(
     main_award: float,
-    dual: "DualCaseModel",
+    dual: ChoiceCaseModel,
     combo: PolicyCombo,
     presumption: Optional[str] = "it-cp",
 ) -> float:
@@ -449,8 +445,9 @@ def mitigation_offset(
 
     The dual case mirrors the roles: the victim is treated as a
     tortfeasor who failed to mitigate, and the award that mirrored case
-    would grant is subtracted from the main one, floored at zero.  A
-    victim whose factual choice was dutiful owes nothing.
+    would grant is subtracted from the main one, floored at zero.  In
+    `dual`, values and money are the dual tortfeasor's.  A victim whose
+    factual choice was dutiful owes nothing.
     """
     if dual.factual_choice in dual.duty:
         dual_award = 0.0
@@ -459,11 +456,6 @@ def mitigation_offset(
         label = dual.outcome_label(dual.factual_choice, dual.factual_result)
         dual_award = schedule.award_for(label)
     return max(0.0, float(main_award) - dual_award)
-
-
-class DualCaseModel(ChoiceCaseModel):
-    """Mirrored lost-choice case for mitigation: values and money are the
-    dual tortfeasor's, and the counterfactual choice is the dutiful one."""
 
 
 def matos_threshold(theta: float) -> float:

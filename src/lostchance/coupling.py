@@ -32,7 +32,7 @@ from typing import Union
 
 import numpy as np
 
-from .outcome import CaseModel, OutcomeSpace
+from .outcome import CaseModel, OutcomeSpace, read_only
 
 # A coupling's total mass must be 1 within this tolerance.
 MASS_SUM_TOL = 1e-12
@@ -43,11 +43,6 @@ _ORACLE_MAX_OUTCOMES = 6
 # Ordering pairs swept at once by the oracle: a 6x6 support has 720 x 720
 # of them, and a chunk keeps each working array at 256 KiB.
 _ORACLE_CHUNK = 32768
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,20 +180,20 @@ def _positive(rows: np.ndarray, cols: np.ndarray, mass: np.ndarray, n: int) -> C
             c = int(negative.argmax())
             raise ValueError(f"negative mass {mass[c]!r} at ({rows[c]}, {cols[c]})")
         rows, cols, mass = rows[positive], cols[positive], mass[positive]
-    return Cells(_read_only(rows), _read_only(cols), _read_only(mass), n)
+    return Cells(read_only(rows), read_only(cols), read_only(mass), n)
 
 
 @dataclass(frozen=True, eq=False)
 class Coupling:
     """Joint law over (counterfactual outcome, factual outcome).
 
-    `cells` may be given as a dense n x n matrix, as `Cells` or as
-    `RankOneCells`; validation stores it as positive `Cells` sorted by
-    (row, col), or keeps a valid rank-one law as its factors.
+    `cells` is `Cells` or `RankOneCells`; validation stores it as
+    positive `Cells` sorted by (row, col), or keeps a valid rank-one law
+    as its factors.  A dense matrix enters through `evidence_coupling`.
     """
 
     space: OutcomeSpace
-    cells: Union[Cells, RankOneCells, np.ndarray]
+    cells: Union[Cells, RankOneCells]
 
     def __post_init__(self) -> None:
         n = self.space.size
@@ -213,23 +208,20 @@ class Coupling:
             if np.isfinite(a).all() and np.isfinite(b).all() and (
                 a.min() >= 0.0 and b.min() >= 0.0
             ):
-                cells = RankOneCells(_read_only(a), _read_only(b))
+                cells = RankOneCells(read_only(a), read_only(b))
                 total = cells.sum()
                 if abs(total - 1.0) > MASS_SUM_TOL:
                     raise ValueError(f"joint mass sums to {total!r}, not 1")
                 object.__setattr__(self, "cells", cells)
                 return
             # Report bad factors cell by cell, as for any other joint.
-            cells = np.outer(a, b)
-        if isinstance(cells, Cells):
-            cells = _positive(*_sorted_unique(cells, n), n)
-        else:
-            j = np.asarray(cells, dtype=float)
-            if j.shape != (n, n):
-                raise ValueError(f"joint has shape {j.shape}, expected {(n, n)}")
-            # Already sorted and unique: np.nonzero goes in row-major order.
-            dense = Cells.from_dense(j)
-            cells = _positive(dense.rows, dense.cols, dense.mass, n)
+            cells = Cells.from_dense(np.outer(a, b))
+        elif not isinstance(cells, Cells):
+            raise TypeError(
+                f"coupling cells must be Cells or RankOneCells, "
+                f"not {type(cells).__name__}"
+            )
+        cells = _positive(*_sorted_unique(cells, n), n)
         total = cells.sum()
         if abs(total - 1.0) > MASS_SUM_TOL:
             raise ValueError(f"joint mass sums to {total!r}, not 1")
@@ -238,7 +230,7 @@ class Coupling:
     @cached_property
     def joint(self) -> np.ndarray:
         """The dense n x n matrix, built on first use and read-only."""
-        return _read_only(np.asarray(self.cells, dtype=float))
+        return read_only(np.asarray(self.cells, dtype=float))
 
     @property
     def counterfactual_marginal(self) -> np.ndarray:
@@ -253,18 +245,9 @@ class Coupling:
         """(P(O1 = k), E[V0 1{O1 = k}]) for every factual outcome k."""
         v = self.space.values_array
         return (
-            _read_only(self.cells.sum(axis=0)),
-            _read_only(self.cells.column_sums(v)),
+            read_only(self.cells.sum(axis=0)),
+            read_only(self.cells.column_sums(v)),
         )
-
-    def to_csv_rows(self) -> list[tuple[str, str, float]]:
-        """(counterfactual label, factual label, mass) for positive cells."""
-        labels = self.space.labels
-        c = self.cells
-        return [
-            (labels[i], labels[k], m)
-            for i, k, m in zip(c.rows.tolist(), c.cols.tolist(), c.mass.tolist())
-        ]
 
 
 def transport_cost(coupling: Coupling) -> float:
@@ -300,7 +283,8 @@ def _check_marginals(model: CaseModel, joint) -> None:
 def evidence_coupling(model: CaseModel, joint) -> Coupling:
     """Wrap an explicitly supplied joint, checking it against the case.
 
-    The joint is a dense matrix or `Cells`.
+    The joint is `Cells` or a dense matrix; this is where a matrix
+    becomes a coupling's cells.
     """
     if not isinstance(joint, Cells):
         joint = np.asarray(joint, dtype=float)
@@ -308,6 +292,8 @@ def evidence_coupling(model: CaseModel, joint) -> Coupling:
     if joint.shape != (n, n):
         raise ValueError(f"evidence joint has shape {joint.shape}, expected {(n, n)}")
     _check_marginals(model, joint)
+    if not isinstance(joint, Cells):
+        joint = Cells.from_dense(joint)
     return Coupling(model.space, joint)
 
 

@@ -39,7 +39,9 @@ class CaseValidationError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
+def read_only(values) -> np.ndarray:
+    """`values` as a read-only array."""
+    a = np.asarray(values)
     a.setflags(write=False)
     return a
 
@@ -57,7 +59,7 @@ class OutcomeSpace:
     values_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        values = _read_only(np.array(self.values, dtype=float))
+        values = read_only(np.array(self.values, dtype=float))
         if values.ndim != 1:
             raise TypeError("outcome values must be a flat sequence of numbers")
         object.__setattr__(self, "labels", tuple(map(str, self.labels)))
@@ -107,7 +109,7 @@ class DiscreteDistribution:
     array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        weights = _read_only(np.array(self.weights, dtype=float))
+        weights = read_only(np.array(self.weights, dtype=float))
         if weights.ndim != 1:
             raise TypeError("weights must be a flat sequence of numbers")
         object.__setattr__(self, "weights", tuple(weights.tolist()))
@@ -239,16 +241,6 @@ class UtilityCurve:
             for x in v.tolist():
                 self.money(x)
             raise
-
-
-def utility_value(curve: UtilityCurve, money: float) -> float:
-    """Value of a monetary amount under the given risk-aversion curve."""
-    return curve.value(money)
-
-
-def money_equivalent(curve: UtilityCurve, value: float) -> float:
-    """Monetary amount whose value under the curve equals `value`."""
-    return curve.money(value)
 
 
 class MoneyMap:

@@ -62,6 +62,39 @@ def _check_chances(p0: float, p1: float) -> tuple[float, float]:
     return p0, p1
 
 
+def _check_delta_v(delta_v: float) -> float:
+    delta_v = float(delta_v)
+    if not (math.isfinite(delta_v) and delta_v > 0.0):
+        raise ValueError(f"value gap delta_v must be positive, got {delta_v!r}")
+    return delta_v
+
+
+def _two_outcome(
+    name: str, evidence: str, space: OutcomeSpace, p0: float, p1: float, *params
+) -> Scenario:
+    """A case over the (low, high) outcomes of `space`: high has chance p0
+    in the counterfactual run and p1 in the factual one, where low was
+    observed.  `evidence` is the coupling the physical evidence shows:
+    'threshold' (every factual high would also have been high
+    counterfactually) or 'independent' (the runs are unrelated).
+    """
+    model = validate_case(
+        CaseModel(
+            space=space,
+            counterfactual=DiscreteDistribution((1.0 - p0, p0)),
+            factual=DiscreteDistribution((1.0 - p1, p1)),
+            money=IdentityMoneyMap(),
+            factual_observed=0,
+        )
+    )
+    if evidence == "threshold":
+        joint = np.array([[1.0 - p0, 0.0], [p0 - p1, p1]])
+    else:
+        joint = np.outer(model.counterfactual.array, model.factual.array)
+    params = (("p0", p0), ("p1", p1), *params)
+    return Scenario(name=name, model=model, evidence_joint=joint, params=params)
+
+
 def medical_malpractice(p0: float, p1: float, delta_v: float) -> Scenario:
     """Two-outcome malpractice case: proper treatment cures with chance p0,
     the negligent treatment with chance p1; the patient was not cured.
@@ -70,26 +103,19 @@ def medical_malpractice(p0: float, p1: float, delta_v: float) -> Scenario:
     cured under negligence would also have been cured under proper care.
     """
     p0, p1 = _check_chances(p0, p1)
-    delta_v = float(delta_v)
-    if not (math.isfinite(delta_v) and delta_v > 0.0):
-        raise ValueError(f"value gap delta_v must be positive, got {delta_v!r}")
+    delta_v = _check_delta_v(delta_v)
     space = OutcomeSpace(("bad", "good"), (0.0, delta_v))
-    model = validate_case(
-        CaseModel(
-            space=space,
-            counterfactual=DiscreteDistribution((1.0 - p0, p0)),
-            factual=DiscreteDistribution((1.0 - p1, p1)),
-            money=IdentityMoneyMap(),
-            factual_observed=0,
-        )
-    )
-    evidence = np.array([[1.0 - p0, 0.0], [p0 - p1, p1]])
-    return Scenario(
-        name="medical",
-        model=model,
-        evidence_joint=evidence,
-        params=(("p0", p0), ("p1", p1), ("delta_v", delta_v)),
-    )
+    return _two_outcome("medical", "threshold", space, p0, p1, ("delta_v", delta_v))
+
+
+def _urn(name: str, evidence: str, p0, p1, v_red, v_blue) -> Scenario:
+    p0, p1 = _check_chances(p0, p1)
+    v_red, v_blue = float(v_red), float(v_blue)
+    if not v_blue > v_red:
+        raise ValueError("blue must out-value red")
+    space = OutcomeSpace(("red", "blue"), (v_red, v_blue))
+    params = (("v_red", v_red), ("v_blue", v_blue))
+    return _two_outcome(name, evidence, space, p0, p1, *params)
 
 
 def urn_independent(
@@ -98,27 +124,7 @@ def urn_independent(
     """Draw from an urn whose blue share was reduced from p0 to p1; the
     draws are physically unrelated, so the evidence coupling is the
     independent one.  Blue is the good outcome."""
-    p0, p1 = _check_chances(p0, p1)
-    if not float(v_blue) > float(v_red):
-        raise ValueError("blue must out-value red")
-    space = OutcomeSpace(("red", "blue"), (float(v_red), float(v_blue)))
-    model = validate_case(
-        CaseModel(
-            space=space,
-            counterfactual=DiscreteDistribution((1.0 - p0, p0)),
-            factual=DiscreteDistribution((1.0 - p1, p1)),
-            money=IdentityMoneyMap(),
-            factual_observed=0,
-        )
-    )
-    cf = model.counterfactual.array
-    f = model.factual.array
-    return Scenario(
-        name="urn-independent",
-        model=model,
-        evidence_joint=np.outer(cf, f),
-        params=(("p0", p0), ("p1", p1), ("v_red", float(v_red)), ("v_blue", float(v_blue))),
-    )
+    return _urn("urn-independent", "independent", p0, p1, v_red, v_blue)
 
 
 def urn_painted(
@@ -127,26 +133,7 @@ def urn_painted(
     """Same urn, but the harmful act painted some blue balls red, so the
     drawn ball is the same physical ball in both runs: the evidence
     coupling is the threshold one."""
-    p0, p1 = _check_chances(p0, p1)
-    if not float(v_blue) > float(v_red):
-        raise ValueError("blue must out-value red")
-    space = OutcomeSpace(("red", "blue"), (float(v_red), float(v_blue)))
-    model = validate_case(
-        CaseModel(
-            space=space,
-            counterfactual=DiscreteDistribution((1.0 - p0, p0)),
-            factual=DiscreteDistribution((1.0 - p1, p1)),
-            money=IdentityMoneyMap(),
-            factual_observed=0,
-        )
-    )
-    evidence = np.array([[1.0 - p0, 0.0], [p0 - p1, p1]])
-    return Scenario(
-        name="urn-painted",
-        model=model,
-        evidence_joint=evidence,
-        params=(("p0", p0), ("p1", p1), ("v_red", float(v_red)), ("v_blue", float(v_blue))),
-    )
+    return _urn("urn-painted", "threshold", p0, p1, v_red, v_blue)
 
 
 PRIZE_VALUES = (5.0, 30.0, 35.0, 70.0, 110.0)
@@ -286,9 +273,7 @@ def rejected_formula_comparison(
     p0: float, p1: float, delta_v: float
 ) -> RejectedFormulaComparison:
     p0, p1 = _check_chances(p0, p1)
-    delta_v = float(delta_v)
-    if not (math.isfinite(delta_v) and delta_v > 0.0):
-        raise ValueError(f"value gap delta_v must be positive, got {delta_v!r}")
+    delta_v = _check_delta_v(delta_v)
     return RejectedFormulaComparison(
         p0=p0, p1=p1, delta_v=delta_v, value=(p0 - p1) / p0 * delta_v
     )

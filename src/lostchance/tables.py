@@ -131,15 +131,20 @@ def _evaluate_row(
     return cells
 
 
-def _two_outcome_rows(
-    low: str, high: str, p0: float, p1: float, delta_v: float, evidence_like: str
-) -> list[_Row]:
-    """Row families shared by the two-outcome examples.
+def _symbolic_table(
+    table: str, scenario: Scenario, evidence_like: str
+) -> list[TableCell]:
+    """A two-outcome table at the scenario's own parameters, from the row
+    families all the two-outcome examples share.
 
     evidence_like says which engine coupling the case's physical evidence
     matches: 'threshold' lumps E-C with LD-C, 'independent' lumps it with
     I-C.
     """
+    space, params = scenario.model.space, dict(scenario.params)
+    low, high = space.labels
+    p0, p1 = params["p0"], params["p1"]
+    delta_v = space.values[1] - space.values[0]
     share = (p0 - p1) / (1.0 - p1) * delta_v
     full = (p0 - p1) * delta_v
     unconditional = p0 * delta_v
@@ -209,36 +214,28 @@ def _two_outcome_rows(
                 {low: share, high: 0.0},
             ),
         ]
-    return rows
+    return _reproduce(scenario, rows, table, _symbolic_tol)
 
 
 def reproduce_table_2(
     p0: float = 0.95, p1: float = 0.90, delta_v: float = 100_000.0
 ) -> list[TableCell]:
     """Malpractice table: four symbolic rows over (bad, good)."""
-    scenario = medical_malpractice(p0, p1, delta_v)
-    rows = _two_outcome_rows("bad", "good", p0, p1, delta_v, "threshold")
-    return _reproduce(scenario, rows, "2", _symbolic_tol)
+    return _symbolic_table("2", medical_malpractice(p0, p1, delta_v), "threshold")
 
 
 def reproduce_table_5(
     p0: float = 0.95, p1: float = 0.90, v_red: float = 0.0, v_blue: float = 100_000.0
 ) -> list[TableCell]:
     """Painted-urn table: evidence follows the threshold coupling."""
-    scenario = urn_painted(p0, p1, v_red, v_blue)
-    delta_v = float(v_blue) - float(v_red)
-    rows = _two_outcome_rows("red", "blue", p0, p1, delta_v, "threshold")
-    return _reproduce(scenario, rows, "5", _symbolic_tol)
+    return _symbolic_table("5", urn_painted(p0, p1, v_red, v_blue), "threshold")
 
 
 def reproduce_table_6(
     p0: float = 0.95, p1: float = 0.90, v_red: float = 0.0, v_blue: float = 100_000.0
 ) -> list[TableCell]:
     """Independent-urn table: evidence follows the independence coupling."""
-    scenario = urn_independent(p0, p1, v_red, v_blue)
-    delta_v = float(v_blue) - float(v_red)
-    rows = _two_outcome_rows("red", "blue", p0, p1, delta_v, "independent")
-    return _reproduce(scenario, rows, "6", _symbolic_tol)
+    return _symbolic_table("6", urn_independent(p0, p1, v_red, v_blue), "independent")
 
 
 def reproduce_table_4() -> list[TableCell]:

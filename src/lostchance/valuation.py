@@ -35,7 +35,7 @@ from .coupling import (
     least_divergence_coupling,
     transport_cost,
 )
-from .outcome import CaseModel, award_from_compensation
+from .outcome import CaseModel, award_from_compensation, read_only
 
 # Sum of block probability times block gap must equal the mean gap
 # within this tolerance.
@@ -139,8 +139,8 @@ class InformationPartition:
         ordered = np.sort(outcomes)
         if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("partition blocks overlap")
-        self.outcomes = _frozen(outcomes)
-        self.block_ids = _frozen(block_ids)
+        self.outcomes = read_only(outcomes)
+        self.block_ids = read_only(block_ids)
         self.origin = origin
         self.block_count = int(block_ids[-1]) + 1 if block_ids.size else 0
 
@@ -192,13 +192,6 @@ def build_partition(
     raise ConfigurationError(f"unknown information policy {info!r}")
 
 
-def _frozen(values) -> np.ndarray:
-    """`values` as a read-only array."""
-    a = np.asarray(values)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class GapBlock:
     outcomes: tuple[int, ...]
@@ -234,8 +227,8 @@ class GapTable:
 
     def _set(self, partition: InformationPartition, probabilities, gaps) -> None:
         self.partition = partition
-        self.probabilities = _frozen(probabilities)
-        self.gaps = _frozen(gaps)
+        self.probabilities = read_only(probabilities)
+        self.gaps = read_only(gaps)
 
     @functools.cached_property
     def blocks(self) -> tuple[GapBlock, ...]:
@@ -385,9 +378,9 @@ def _coupling_for(
 ) -> tuple[Coupling, tuple[str, ...]]:
     """The coupling a connection policy uses, and the notes it carries.
 
-    `joint` is what e-c or paper-table evaluates: a matrix, `Cells`, an
-    outcome map or a `Coupling`.  `least_divergence()` gives the engine's
-    own least-divergence coupling, which paper-table is costed against.
+    `joint` is what e-c or paper-table evaluates: a matrix, `Cells` or an
+    outcome map.  `least_divergence()` gives the engine's own
+    least-divergence coupling, which paper-table is costed against.
     """
     if conn in ("e-c", "paper-table"):
         if joint is None:
@@ -395,9 +388,7 @@ def _coupling_for(
                 f"connection policy {conn!r} needs an explicit coupling and "
                 f"none was supplied"
             )
-        if isinstance(joint, Coupling):
-            c = joint
-        elif isinstance(joint, dict):
+        if isinstance(joint, dict):
             c = coupling_from_map(model, joint)
         else:
             c = evidence_coupling(model, joint)

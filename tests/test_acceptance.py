@@ -30,7 +30,7 @@ from lostchance import (
     transport_cost,
     vk_factorize,
 )
-from lostchance.choice import DualCaseModel
+from lostchance.choice import ChoiceCaseModel
 from lostchance.tables import (
     reproduce_table_2,
     reproduce_table_4,
@@ -302,7 +302,7 @@ def test_criterion_7_choice_layer_properties():
             best = best_dutiful_choice(model)
             assert ii.counterfactual_choice.weights[ii.choice_index(best)] == 1.0, i
 
-            dual = DualCaseModel(
+            dual = ChoiceCaseModel(
                 choices=model.choices,
                 duty=model.duty,
                 results=model.results,

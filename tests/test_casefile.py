@@ -17,6 +17,7 @@ from lostchance import (
     save_case,
 )
 from lostchance.casefile import atomic_write_text, parse_case
+from lostchance.cli import main
 from lostchance.choice import ChoiceCaseModel, validate_choice_case
 from lostchance.outcome import (
     CaseModel,
@@ -135,6 +136,18 @@ class TestOutcomeForm:
         assert any("exactly one of" in e for e in errs)
         errs = errors_of(outcome_data(evidence_coupling={"map": {"bad": "odd"}}))
         assert any("unknown labels ['odd']" in e for e in errs)
+
+    def test_evidence_map_targets_must_be_labels(self, tmp_path, capsys):
+        data = outcome_data(
+            evidence_coupling={"map": {"bad": ["good"], "good": "bad", "x": 1}}
+        )
+        errs = errors_of(data)
+        expected = "evidence map sends ['bad', 'x'] to targets that are not labels"
+        assert errs == (expected,)
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(data))
+        assert main(["evaluate", str(path)]) == 2
+        assert "targets that are not labels" in capsys.readouterr().err
 
     def test_problems_reported_together(self):
         data = outcome_data(

@@ -3,7 +3,6 @@ import pytest
 
 from lostchance.choice import (
     ChoiceCaseModel,
-    DualCaseModel,
     best_dutiful_choice,
     counterfactual_choice_scores,
     evaluate_choice_case,
@@ -253,7 +252,7 @@ class TestMitigation:
             factual_result="same",
         )
         base.update(overrides)
-        return DualCaseModel(**base)
+        return ChoiceCaseModel(**base)
 
     def test_offset_reduces_award(self):
         combo = PolicyCombo("h-fi", "e-c", "cc-i")

@@ -56,12 +56,19 @@ class TestCouplingContainer:
         with pytest.raises(ValueError, match="negative mass"):
             Coupling(
                 OutcomeSpace(("a", "b"), (0.0, 1.0)),
-                [[0.6, -0.1], [0.2, 0.3]],
+                Cells.from_dense(np.array([[0.6, -0.1], [0.2, 0.3]])),
             )
 
     def test_rejects_wrong_total(self):
         with pytest.raises(ValueError, match="sums to"):
-            Coupling(OutcomeSpace(("a", "b"), (0.0, 1.0)), [[0.5, 0.0], [0.0, 0.4]])
+            Coupling(
+                OutcomeSpace(("a", "b"), (0.0, 1.0)),
+                Cells.from_dense(np.array([[0.5, 0.0], [0.0, 0.4]])),
+            )
+
+    def test_rejects_a_dense_matrix(self):
+        with pytest.raises(TypeError, match="Cells or RankOneCells"):
+            Coupling(OutcomeSpace(("a", "b"), (0.0, 1.0)), np.eye(2) / 2)
 
     def test_joint_is_read_only(self):
         c = independence_coupling(medical_model())
@@ -71,10 +78,9 @@ class TestCouplingContainer:
     def test_csv_rows_skip_zero_cells(self):
         model = medical_model()
         c = evidence_coupling(model, [[0.05, 0.0], [0.05, 0.90]])
-        rows = c.to_csv_rows()
-        assert ("bad", "good", 0.0) not in [(a, b, m) for a, b, m in rows]
-        assert ("good", "bad", 0.05) in rows
-        assert len(rows) == 3
+        cells = list(zip(c.cells.rows.tolist(), c.cells.cols.tolist()))
+        assert cells == [(0, 0), (1, 0), (1, 1)]
+        assert c.cells.mass.tolist() == [0.05, 0.05, 0.90]
 
 
 class TestCells:
@@ -117,7 +123,7 @@ class TestCells:
         c = independence_coupling(model)
         assert "explicit" not in vars(c.cells)
         assert np.allclose(c.factual_marginal, model.factual.array)
-        assert len(c.to_csv_rows()) == 5 * 4
+        assert c.cells.mass.size == 5 * 4
         outer = np.outer(model.counterfactual.array, model.factual.array)
         assert np.array_equal(c.joint, outer)
 

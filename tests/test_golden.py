@@ -10,6 +10,11 @@ factual support and matrix or map evidence, choice cases under every
 presumption, and a money table that gets extrapolated past its last
 point.  These files are reference data: a difference is a regression in
 the engine, never a reason to rewrite them.
+
+`tests/golden/cli/` holds, under the same rule, what `table`, `sweep` and
+`verify` printed or wrote before the two-outcome scenarios shared one
+builder: each table's stdout at the defaults (and tables 5 and 6 at
+shifted parameters), both sweep CSVs, and three audit reports.
 """
 
 import json
@@ -23,6 +28,7 @@ from lostchance.choice import resolve_choice
 from lostchance.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+CLI_GOLDEN = GOLDEN / "cli"
 RUNS = sorted(p.name[: -len(".csv")] for p in GOLDEN.glob("*.csv"))
 GRID = [
     PolicyCombo(info, conn, indem)
@@ -111,3 +117,39 @@ def test_all_policies_builds_each_coupling_once(run, monkeypatch, capsys):
     ]
     assert len(gaps) == len(set(gaps)) == 9
     assert len({c for c, _ in gaps}) == 3
+
+
+SHIFTED = ["--p0", "0.6", "--p1", "0.3", "--v-red", "3", "--v-blue", "7"]
+CLI_RUNS = {
+    "table-2.txt": (["table", "2"], 0),
+    "table-4.txt": (["table", "4"], 0),
+    "table-5.txt": (["table", "5"], 0),
+    "table-6.txt": (["table", "6"], 0),
+    "table-5-shifted.txt": (["table", "5", *SHIFTED], 0),
+    "table-6-shifted.txt": (["table", "6", *SHIFTED], 0),
+    "verify-seed0.txt": (["verify", "--seed", "0", "--instances", "200"], 0),
+    "verify-seed107.txt": (["verify", "--seed", "107", "--instances", "200"], 0),
+    "verify-injected.txt": (
+        ["verify", "--seed", "0", "--instances", "30", "--inject-lambda-offset", "0.1"],
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_RUNS))
+def test_cli_stdout_is_byte_identical(name, capsys):
+    argv, status = CLI_RUNS[name]
+    assert main(argv) == status
+    assert capsys.readouterr().out.encode("utf-8") == (CLI_GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("scenario", ["matos", "medical"])
+def test_sweep_csv_is_byte_identical(scenario, tmp_path, capsys):
+    out = tmp_path / f"{scenario}.csv"
+    assert main(["sweep", scenario, "--out", str(out)]) == 0
+    assert out.read_bytes() == (CLI_GOLDEN / f"sweep-{scenario}.csv").read_bytes()
+
+
+def test_every_cli_golden_is_checked():
+    checked = set(CLI_RUNS) | {"sweep-matos.csv", "sweep-medical.csv"}
+    assert {p.name for p in CLI_GOLDEN.iterdir()} == checked

@@ -15,8 +15,6 @@ from lostchance.outcome import (
     TabulatedMoneyMap,
     UtilityCurve,
     award_from_compensation,
-    money_equivalent,
-    utility_value,
     validate_case,
 )
 
@@ -102,11 +100,6 @@ class TestUtilityCurve:
             UtilityCurve(0.0).money(-1.0)
         # the log branch accepts any finite value
         assert UtilityCurve(1.0).money(-50.0) > 0.0
-
-    def test_module_level_wrappers(self):
-        curve = UtilityCurve(0.0)
-        assert utility_value(curve, 100.0) == 99.0
-        assert money_equivalent(curve, 99.0) == 100.0
 
     @given(
         theta=st.floats(0.0, 1.0),

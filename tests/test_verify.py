@@ -51,3 +51,14 @@ class TestRunVerification:
         report = run_verification(seed=0, instances=20, lambda_offset=0.05)
         assert "lambda_offset=0.05" in report.render()
         assert "overall: FAIL" in report.render()
+
+    def test_a_suite_that_skipped_every_instance_draws_on(self):
+        # Seed 4's three instances give the two-block closed form nothing
+        # to check; it draws more from its own stream until it has.
+        report = run_verification(seed=4, instances=3)
+        closed_form = {r.name: r for r in report.results}[
+            "two-block-fair-mean-closed-form"
+        ]
+        assert closed_form.checked > 0 and closed_form.failed == 0
+        assert report.passed
+        assert report.render().startswith("verification report (seed=4, instances=3)")
