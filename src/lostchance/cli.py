@@ -34,6 +34,7 @@ from .outcome import CaseValidationError
 from .scenarios import matos_sweep, medical_sweep
 from .tables import reproduce_table
 from .valuation import (
+    STANDARD_AXES,
     CompensationSchedule,
     ConfigurationError,
     PolicyCombo,
@@ -117,15 +118,16 @@ def cmd_evaluate(args) -> int:
     combos: list[PolicyCombo]
     skipped: list[str] = []
     if args.all_policies:
-        combos = []
         has_evidence = loaded.kind == "choice" or loaded.evidence_joint is not None
-        for info in ("l-fi", "m-fi", "h-fi"):
-            for conn in ("e-c", "ld-c", "i-c"):
-                if conn == "e-c" and not has_evidence:
-                    skipped.append(f"{info}/{conn}: no evidence coupling in file")
-                    continue
-                for indem in ("cc-i", "fm-i"):
-                    combos.append(PolicyCombo(info, conn, indem))
+        combos = [
+            PolicyCombo(*c)
+            for c in itertools.product(*STANDARD_AXES)
+            if has_evidence or c[1] != "e-c"
+        ]
+        if not has_evidence:
+            skipped = [
+                f"{info}/e-c: no evidence coupling in file" for info in STANDARD_AXES[0]
+            ]
     else:
         combos = [PolicyCombo(args.info, args.connection, args.indemnity)]
     schedules = _evaluate_all(loaded, combos, args.presumption, custom_blocks)
@@ -346,10 +348,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for violation in exc.violations:
             print(f"  - {violation}", file=sys.stderr)
         return 2
-    except (ConfigurationError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except KeyError as exc:
+        # str() of a KeyError is the repr of its message; print the message.
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
-    except (KeyError, ValueError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -78,6 +78,11 @@ def _two_outcome(
     'threshold' (every factual high would also have been high
     counterfactually) or 'independent' (the runs are unrelated).
     """
+    if p1 >= 1.0:
+        raise ValueError(
+            f"p1 must be below 1: at p1 = {p1!r} the observed outcome "
+            f"{space.labels[0]!r} has zero factual probability"
+        )
     model = validate_case(
         CaseModel(
             space=space,

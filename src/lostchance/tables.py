@@ -1,11 +1,12 @@
 """Reproduction of the published compensation tables, cell by cell.
 
-Each table row names a family of policy combinations that share one
-printed value per outcome.  Reproduction evaluates every member of the
+Each table row is named by its printed label, and the label names the
+family of policy combinations that share the row's printed value per
+outcome (see `_members`).  Reproduction evaluates every member of the
 family through the engine and compares against the printed value: PASS
 when every member matches within tolerance, FLAG when the row matches
-but carries a documented caveat (the published least-divergence table is
-not cost-minimal), FAIL otherwise.
+but a member's schedule carries a FLAG note (the published
+least-divergence table is not cost-minimal), FAIL otherwise.
 
 Symbolic tables (the two-outcome examples) are checked at the supplied
 parameters with a 1e-9 relative tolerance.  The prize table prints
@@ -14,11 +15,13 @@ one-decimal truncations, so its tolerance is 0.1 absolute.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
 from .scenarios import Scenario, medical_malpractice, prize_case, urn_independent, urn_painted
-from .valuation import CompensationSchedule, PolicyCombo, evaluate_grid
+from .valuation import STANDARD_AXES, PolicyCombo, evaluate_grid
 
 SYMBOLIC_TOL = 1e-9
 PRINTED_DECIMAL_TOL = 0.1
@@ -49,25 +52,37 @@ class TableCell:
         return self.status in ("PASS", "FLAG")
 
 
-@dataclass(frozen=True)
-class _Row:
-    label: str
-    members: tuple[PolicyCombo, ...]
-    printed: dict[str, float]
-    flagged: bool = False
+_PUBLISHED = {"ld-c (published table)": "paper-table"}
+
+
+@functools.cache
+def _members(label: str) -> tuple[PolicyCombo, ...]:
+    """The combinations a printed row label names, in product order.
+
+    " / " separates the information, connection and indemnity axes and
+    " or " the policies on one axis; "any" is the axis's standard
+    policies, and "LD-C (published table)" is the paper-table connection.
+    """
+    axes = (
+        standard if axis == "any" else [_PUBLISHED.get(p, p) for p in axis.split(" or ")]
+        for axis, standard in zip(label.lower().split(" / "), STANDARD_AXES, strict=True)
+    )
+    return tuple(itertools.starmap(PolicyCombo, itertools.product(*axes)))
 
 
 def _reproduce(
     scenario: Scenario,
-    rows: list[_Row],
     table: str,
+    outcomes: tuple[str, ...],
+    rows: list[tuple[str, tuple[float, ...]]],
     tol_for: Callable[[float], float],
 ) -> list[TableCell]:
     """Every row's cells, from one policy grid over all the rows' members.
 
-    e-c evaluates the scenario's evidence, paper-table its published table.
+    A row is (label, printed value per outcome).  e-c evaluates the
+    scenario's evidence, paper-table its published table.
     """
-    combos = list(dict.fromkeys(c for row in rows for c in row.members))
+    combos = list(dict.fromkeys(c for label, _ in rows for c in _members(label)))
     grid = evaluate_grid(
         scenario.model,
         combos,
@@ -76,58 +91,35 @@ def _reproduce(
     )
     schedule_of = dict(zip(combos, grid))
     cells: list[TableCell] = []
-    for row in rows:
-        members = [(c, schedule_of[c]) for c in row.members]
-        cells.extend(_evaluate_row(row, table, tol_for, members))
-    return cells
-
-
-def _evaluate_row(
-    row: _Row,
-    table: str,
-    tol_for: Callable[[float], float],
-    schedules: list[tuple[PolicyCombo, CompensationSchedule]],
-) -> list[TableCell]:
-    cells: list[TableCell] = []
-    for outcome, printed in row.printed.items():
-        tolerance = tol_for(printed)
-        worst = 0.0
-        worst_combo = schedules[0][0].descriptor
-        computed = schedules[0][1].value_for(outcome)
-        for combo, schedule in schedules:
-            dev = abs(schedule.value_for(outcome) - printed)
-            if dev > worst:
-                worst = dev
-                worst_combo = combo.descriptor
-        if worst > tolerance:
-            status = "FAIL"
-            note = f"worst member {worst_combo} deviates by {worst:.3g}"
-        elif row.flagged:
-            status = "FLAG"
-            note = "; ".join(
-                dict.fromkeys(
-                    n
-                    for _, s in schedules
-                    for n in s.notes
-                    if n.startswith("FLAG")
+    for label, printed_row in rows:
+        members = _members(label)
+        schedules = [schedule_of[c] for c in members]
+        flags = "; ".join(
+            dict.fromkeys(n for s in schedules for n in s.notes if n.startswith("FLAG"))
+        )
+        for outcome, printed in zip(outcomes, printed_row, strict=True):
+            tolerance = tol_for(printed)
+            devs = [abs(s.value_for(outcome) - printed) for s in schedules]
+            worst = max((0.0, *devs))
+            if worst > tolerance:
+                status = "FAIL"
+                worst_combo = members[devs.index(worst)].descriptor
+                note = f"worst member {worst_combo} deviates by {worst:.3g}"
+            else:
+                status, note = ("FLAG", flags) if flags else ("PASS", "")
+            cells.append(
+                TableCell(
+                    table=table,
+                    row=label,
+                    outcome=outcome,
+                    computed=schedules[0].value_for(outcome),
+                    printed=printed,
+                    tolerance=tolerance,
+                    status=status,
+                    combos=tuple(c.descriptor for c in members),
+                    note=note,
                 )
             )
-        else:
-            status = "PASS"
-            note = ""
-        cells.append(
-            TableCell(
-                table=table,
-                row=row.label,
-                outcome=outcome,
-                computed=computed,
-                printed=printed,
-                tolerance=tolerance,
-                status=status,
-                combos=tuple(c.descriptor for c, _ in schedules),
-                note=note,
-            )
-        )
     return cells
 
 
@@ -144,77 +136,29 @@ def _symbolic_table(
     space, params = scenario.model.space, dict(scenario.params)
     low, high = space.labels
     p0, p1 = params["p0"], params["p1"]
+    if p1 <= 0.0:
+        raise ValueError(
+            f"table {table} needs p1 > 0: at p1 = {p1!r} the outcome {high!r} "
+            f"is factually impossible, so its cells have no schedule"
+        )
     delta_v = space.values[1] - space.values[0]
     share = (p0 - p1) / (1.0 - p1) * delta_v
     full = (p0 - p1) * delta_v
     unconditional = p0 * delta_v
-    infos = ("m-fi", "h-fi")
-    l_fi_members = tuple(
-        PolicyCombo("l-fi", conn, indem)
-        for conn in ("e-c", "ld-c", "i-c")
-        for indem in ("cc-i", "fm-i")
-    )
-    rows = [
-        _Row(
-            "L-FI / any / any",
-            l_fi_members,
-            {low: full, high: full},
-        )
-    ]
+    rows = [("L-FI / any / any", (full, full))]
     if evidence_like == "threshold":
         rows += [
-            _Row(
-                "M-FI or H-FI / E-C or LD-C / CC-I or FM-I",
-                tuple(
-                    PolicyCombo(info, conn, indem)
-                    for info in infos
-                    for conn in ("e-c", "ld-c")
-                    for indem in ("cc-i", "fm-i")
-                ),
-                {low: share, high: 0.0},
-            ),
-            _Row(
-                "M-FI or H-FI / I-C / CC-I",
-                tuple(PolicyCombo(info, "i-c", "cc-i") for info in infos),
-                {low: unconditional, high: 0.0},
-            ),
-            _Row(
-                "M-FI or H-FI / I-C / FM-I",
-                tuple(PolicyCombo(info, "i-c", "fm-i") for info in infos),
-                {low: share, high: 0.0},
-            ),
+            ("M-FI or H-FI / E-C or LD-C / CC-I or FM-I", (share, 0.0)),
+            ("M-FI or H-FI / I-C / CC-I", (unconditional, 0.0)),
+            ("M-FI or H-FI / I-C / FM-I", (share, 0.0)),
         ]
     else:
         rows += [
-            _Row(
-                "M-FI or H-FI / E-C or I-C / CC-I",
-                tuple(
-                    PolicyCombo(info, conn, "cc-i")
-                    for info in infos
-                    for conn in ("e-c", "i-c")
-                ),
-                {low: unconditional, high: 0.0},
-            ),
-            _Row(
-                "M-FI or H-FI / E-C or I-C / FM-I",
-                tuple(
-                    PolicyCombo(info, conn, "fm-i")
-                    for info in infos
-                    for conn in ("e-c", "i-c")
-                ),
-                {low: share, high: 0.0},
-            ),
-            _Row(
-                "M-FI or H-FI / LD-C / CC-I or FM-I",
-                tuple(
-                    PolicyCombo(info, "ld-c", indem)
-                    for info in infos
-                    for indem in ("cc-i", "fm-i")
-                ),
-                {low: share, high: 0.0},
-            ),
+            ("M-FI or H-FI / E-C or I-C / CC-I", (unconditional, 0.0)),
+            ("M-FI or H-FI / E-C or I-C / FM-I", (share, 0.0)),
+            ("M-FI or H-FI / LD-C / CC-I or FM-I", (share, 0.0)),
         ]
-    return _reproduce(scenario, rows, table, _symbolic_tol)
+    return _reproduce(scenario, table, (low, high), rows, _symbolic_tol)
 
 
 def reproduce_table_2(
@@ -238,75 +182,30 @@ def reproduce_table_6(
     return _symbolic_table("6", urn_independent(p0, p1, v_red, v_blue), "independent")
 
 
+# The prize table as printed: each row's values for a1..a4.
+_PRIZE_ROWS = [
+    ("L-FI / any / any", (15.0, 15.0, 15.0, 15.0)),
+    ("M-FI / E-C / CC-I", (36.6, 36.6, 0.0, 36.6)),
+    ("M-FI / E-C / FM-I", (25.0, 25.0, 0.0, 25.0)),
+    ("H-FI / E-C / CC-I", (65.0, 5.0, 0.0, 40.0)),
+    ("H-FI / E-C / FM-I", (50.0, 0.0, 0.0, 25.0)),
+    ("M-FI or H-FI / LD-C (published table) / CC-I or FM-I", (0.0, 0.0, 37.5, 0.0)),
+    ("M-FI / I-C / CC-I", (23.7, 23.7, 23.7, 0.0)),
+    ("M-FI / I-C / FM-I", (18.7, 18.7, 18.7, 0.0)),
+    ("H-FI / I-C / CC-I", (45.0, 20.0, 15.0, 0.0)),
+    ("H-FI / I-C / FM-I", (40.0, 15.0, 10.0, 0.0)),
+]
+
+
 def reproduce_table_4() -> list[TableCell]:
     """Prize table: ten rows over (a1..a4), printed to one decimal.
 
     The published least-divergence row is reproduced through the
-    paper-table connection and flagged, since the matrix behind it is
-    not cost-minimal.
+    paper-table connection; it comes out FLAG, since the matrix behind
+    it is not cost-minimal.
     """
-    rows = [
-        _Row(
-            "L-FI / any / any",
-            tuple(
-                PolicyCombo("l-fi", conn, indem)
-                for conn in ("e-c", "ld-c", "i-c")
-                for indem in ("cc-i", "fm-i")
-            ),
-            {"a1": 15.0, "a2": 15.0, "a3": 15.0, "a4": 15.0},
-        ),
-        _Row(
-            "M-FI / E-C / CC-I",
-            (PolicyCombo("m-fi", "e-c", "cc-i"),),
-            {"a1": 36.6, "a2": 36.6, "a3": 0.0, "a4": 36.6},
-        ),
-        _Row(
-            "M-FI / E-C / FM-I",
-            (PolicyCombo("m-fi", "e-c", "fm-i"),),
-            {"a1": 25.0, "a2": 25.0, "a3": 0.0, "a4": 25.0},
-        ),
-        _Row(
-            "H-FI / E-C / CC-I",
-            (PolicyCombo("h-fi", "e-c", "cc-i"),),
-            {"a1": 65.0, "a2": 5.0, "a3": 0.0, "a4": 40.0},
-        ),
-        _Row(
-            "H-FI / E-C / FM-I",
-            (PolicyCombo("h-fi", "e-c", "fm-i"),),
-            {"a1": 50.0, "a2": 0.0, "a3": 0.0, "a4": 25.0},
-        ),
-        _Row(
-            "M-FI or H-FI / LD-C (published table) / CC-I or FM-I",
-            tuple(
-                PolicyCombo(info, "paper-table", indem)
-                for info in ("m-fi", "h-fi")
-                for indem in ("cc-i", "fm-i")
-            ),
-            {"a1": 0.0, "a2": 0.0, "a3": 37.5, "a4": 0.0},
-            flagged=True,
-        ),
-        _Row(
-            "M-FI / I-C / CC-I",
-            (PolicyCombo("m-fi", "i-c", "cc-i"),),
-            {"a1": 23.7, "a2": 23.7, "a3": 23.7, "a4": 0.0},
-        ),
-        _Row(
-            "M-FI / I-C / FM-I",
-            (PolicyCombo("m-fi", "i-c", "fm-i"),),
-            {"a1": 18.7, "a2": 18.7, "a3": 18.7, "a4": 0.0},
-        ),
-        _Row(
-            "H-FI / I-C / CC-I",
-            (PolicyCombo("h-fi", "i-c", "cc-i"),),
-            {"a1": 45.0, "a2": 20.0, "a3": 15.0, "a4": 0.0},
-        ),
-        _Row(
-            "H-FI / I-C / FM-I",
-            (PolicyCombo("h-fi", "i-c", "fm-i"),),
-            {"a1": 40.0, "a2": 15.0, "a3": 10.0, "a4": 0.0},
-        ),
-    ]
-    return _reproduce(prize_case(), rows, "4", _decimal_tol)
+    outcomes = ("a1", "a2", "a3", "a4")
+    return _reproduce(prize_case(), "4", outcomes, _PRIZE_ROWS, _decimal_tol)
 
 
 TABLES: dict[str, Callable[..., list[TableCell]]] = {

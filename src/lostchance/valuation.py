@@ -44,6 +44,10 @@ GAP_IDENTITY_TOL = 1e-10
 INFO_POLICIES = ("l-fi", "m-fi", "h-fi", "custom")
 CONNECTION_POLICIES = ("e-c", "ld-c", "i-c", "paper-table")
 INDEMNITY_POLICIES = ("cc-i", "fm-i")
+# The standard policies on each axis: all but custom blocks and a
+# published table, which need input beyond a case file.  `evaluate
+# --all-policies` spans them, and "any" in a table row's label means them.
+STANDARD_AXES = (("l-fi", "m-fi", "h-fi"), ("e-c", "ld-c", "i-c"), INDEMNITY_POLICIES)
 
 
 class ConfigurationError(ValueError):
@@ -192,54 +196,23 @@ def build_partition(
     raise ConfigurationError(f"unknown information policy {info!r}")
 
 
-@dataclass(frozen=True)
-class GapBlock:
-    outcomes: tuple[int, ...]
-    probability: float
-    gap: float
-
-
 class GapTable:
     """Conditional mean value gaps, one row per partition block.
 
     Held as arrays: `probabilities` and `gaps` per row, and `partition`,
-    whose blocks are the rows' outcomes.  `blocks`, the rows as
-    `GapBlock`s, is built when read; `GapTable(blocks)` builds a table
-    from them.
+    whose blocks are the rows' outcomes.
     """
-
-    def __init__(self, blocks: Sequence[GapBlock]):
-        blocks = tuple(blocks)
-        self._set(
-            InformationPartition(tuple(b.outcomes for b in blocks), "custom"),
-            [b.probability for b in blocks],
-            [b.gap for b in blocks],
-        )
 
     @classmethod
     def from_arrays(
         cls, partition: InformationPartition, probabilities, gaps
     ) -> "GapTable":
         """The table whose row b is block b of `partition`."""
-        table = cls.__new__(cls)
-        table._set(partition, probabilities, gaps)
+        table = cls()
+        table.partition = partition
+        table.probabilities = read_only(probabilities)
+        table.gaps = read_only(gaps)
         return table
-
-    def _set(self, partition: InformationPartition, probabilities, gaps) -> None:
-        self.partition = partition
-        self.probabilities = read_only(probabilities)
-        self.gaps = read_only(gaps)
-
-    @functools.cached_property
-    def blocks(self) -> tuple[GapBlock, ...]:
-        return tuple(
-            map(
-                GapBlock,
-                self.partition.blocks,
-                self.probabilities.tolist(),
-                self.gaps.tolist(),
-            )
-        )
 
     @property
     def expected_gap(self) -> float:

@@ -50,7 +50,7 @@ from .valuation import (
 
 MAX_FAILURES_SHOWN = 5
 # Single instances drawn past the requested count for a suite that has
-# checked nothing yet.
+# not yet exercised its property.
 MAX_EXTRA_INSTANCES = 100
 
 
@@ -307,7 +307,9 @@ def _check_unconstrained_optimal(res: PropertyResult, rng, instances: range) -> 
 
 def _check_constrained_optimal(
     res: PropertyResult, rng, instances: range, lambda_offset: float
-) -> None:
+) -> bool:
+    """Returns whether some instance had a positive mean gap: without one
+    the fair-mean shift was never exercised."""
     positives = 0
     for i in instances:
         model = random_case(rng)
@@ -359,8 +361,7 @@ def _check_constrained_optimal(
                 f"instance {i} {info}: fair-mean schedule drifts from the "
                 f"constrained oracle beyond grid resolution",
             )
-    if positives == 0:
-        res.ok(False, "no instance produced a positive mean gap")
+    return positives > 0
 
 
 def _check_cc_dominates_fm(res: PropertyResult, rng, instances: range) -> None:
@@ -416,7 +417,7 @@ def _check_mfi_fmi_closed_form(res: PropertyResult, rng, instances: range) -> No
             continue
         x_fm = fm_indemnity(gaps)
         # The compensable block always comes first in an m-fi partition.
-        expected = target / gaps.blocks[0].probability
+        expected = target / float(gaps.probabilities[0])
         res.ok(
             abs(x_fm[0] - expected) <= 1e-9 * max(1.0, abs(expected)),
             f"instance {i}: compensable-block payout {x_fm[0]!r} differs "
@@ -520,6 +521,8 @@ def run_verification(
     engine) so a non-zero value must make the report fail; it exists to
     prove the checks are live.
     """
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
     report = VerificationReport(
         seed=int(seed), instances=int(instances), lambda_offset=float(lambda_offset)
     )
@@ -547,14 +550,17 @@ def run_verification(
     for stream, (name, fn, count, kwargs) in enumerate(suites):
         res = PropertyResult(name)
         rng = _rng_for(seed, stream)
-        fn(res, rng, range(count), **kwargs)
-        # A suite may skip every instance it drew (the two-block closed
-        # form skips a case without a positive mean gap): draw on, one at a
-        # time, until it checks something.  The fair-mean suite's "no
-        # positive mean gap" failure is a check, so it fires at most once.
+        positive = fn(res, rng, range(count), **kwargs)
+        # A suite may not exercise its property on any instance it drew:
+        # the two-block closed form skips a case without a positive mean
+        # gap, and the fair-mean suite returns False until it meets one.
+        # Draw on, one at a time, until it does; a property still
+        # unexercised at the cap fails.
         for i in range(count, count + MAX_EXTRA_INSTANCES):
-            if res.checked:
+            if res.checked and positive is not False:
                 break
-            fn(res, rng, range(i, i + 1), **kwargs)
+            positive = fn(res, rng, range(i, i + 1), **kwargs)
+        if positive is False:
+            res.ok(False, "no instance produced a positive mean gap")
         report.results.append(res)
     return report

@@ -13,8 +13,8 @@ import numpy as np
 
 from lostchance.outcome import CaseModel, award_from_compensation
 from lostchance.valuation import (
-    GapBlock,
     GapTable,
+    InformationPartition,
     PolicyCombo,
     SelectiveGroups,
     build_partition,
@@ -122,14 +122,17 @@ def selective_groups(joint: np.ndarray, v: np.ndarray) -> SelectiveGroups:
 def conditional_gap(joint: np.ndarray, v: np.ndarray, partition) -> GapTable:
     col_mass = joint.sum(axis=0)
     col_gap = joint.T @ v - col_mass * v
-    blocks: list[GapBlock] = []
+    blocks, probabilities, gaps = [], [], []
     for block in partition.blocks:
         idx = list(block)
         p = float(col_mass[idx].sum())
         if p <= 0.0:
             continue
-        blocks.append(GapBlock(tuple(block), p, float(col_gap[idx].sum()) / p))
-    return GapTable(tuple(blocks))
+        blocks.append(tuple(block))
+        probabilities.append(p)
+        gaps.append(float(col_gap[idx].sum()) / p)
+    kept = InformationPartition(blocks, partition.origin)
+    return GapTable.from_arrays(kept, probabilities, gaps)
 
 
 def evaluate(
@@ -142,7 +145,7 @@ def evaluate(
     partition = build_partition(combo.info, support, groups, custom_blocks)
     gaps = conditional_gap(joint, v, partition)
     block_x = cc_indemnity(gaps) if combo.indemnity == "cc-i" else fm_indemnity(gaps)
-    x_of = {k: float(x) for b, x in zip(gaps.blocks, block_x) for k in b.outcomes}
+    x_of = {k: float(x) for b, x in zip(gaps.partition.blocks, block_x) for k in b}
     outcomes = tuple(model.space.labels[k] for k in support)
     values = tuple(x_of.get(k, 0.0) for k in support)
     awards = tuple(

@@ -6,7 +6,7 @@ per-outcome data as arrays:
 * the information partition as a tuple of index tuples, h-fi as one
   singleton per outcome;
 * `conditional_gap` building one (outcomes, probability, gap) row per
-  block, as it built one `GapBlock`;
+  block;
 * `solve_lambda` scanning its breakpoints in a loop;
 * one `award_from_compensation` call per outcome, with the extrapolation
   note added outcome by outcome;

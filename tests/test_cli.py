@@ -310,6 +310,20 @@ class TestVerify:
         assert code == 0
         assert "overall: PASS" in out
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_instance_count_below_one_is_an_input_error(self, capsys, count):
+        code, out, err = run(capsys, ["verify", "--instances", count])
+        assert (code, out) == (2, "")
+        assert err == f"error: instances must be at least 1, got {count}\n"
+
+    def test_one_instance_passes_when_no_check_fails(self, capsys):
+        # Seed 0's one instance has no positive mean gap, so the fair-mean
+        # suite draws on until an instance has one.
+        code, out, _ = run(capsys, ["verify", "--seed", "0", "--instances", "1"])
+        assert code == 0
+        assert out.startswith("verification report (seed=0, instances=1)")
+        assert out.rstrip().endswith("overall: PASS (13 properties)")
+
     def test_injected_fault_caught(self, capsys):
         code, out, _ = run(
             capsys,
@@ -319,6 +333,46 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
         assert "fair-mean-constrained-optimal" in out
+
+
+class TestParameterErrors:
+    """A bad built-in scenario parameter is reported by name."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "2", "--p0", "1", "--p1", "1"],
+            ["sweep", "medical", "--p0", "1", "--p1-min", "1", "--p1-max", "1",
+             "--p1-steps", "1"],
+        ],
+    )
+    def test_p1_of_one(self, capsys, tmp_path, argv):
+        if argv[0] == "sweep":
+            argv = argv + ["--out", str(tmp_path / "medical.csv")]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: p1 must be below 1: at p1 = 1.0 the observed outcome 'bad' "
+            "has zero factual probability\n"
+        )
+
+    @pytest.mark.parametrize("table, high", [("2", "good"), ("5", "blue"), ("6", "blue")])
+    def test_symbolic_table_at_p1_zero(self, capsys, table, high):
+        code, out, err = run(capsys, ["table", table, "--p1", "0"])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: table {table} needs p1 > 0: at p1 = 0.0 the outcome "
+            f"'{high}' is factually impossible, so its cells have no schedule\n"
+        )
+
+    def test_unknown_custom_block_label(self, capsys, medical_file):
+        code, out, err = run(
+            capsys,
+            ["evaluate", str(medical_file), "--info", "custom",
+             "--custom-blocks", "bad|nope"],
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: unknown outcome label 'nope'\n"
 
 
 class TestSchemaAndErrors:

@@ -79,6 +79,22 @@ class TestPrizeTable:
         for c in flagged:
             assert "1125" in c.note and "565" in c.note
 
+    def test_row_label_names_its_combinations_in_product_order(self):
+        rows = by_row(reproduce_table_4())
+        published = rows["M-FI or H-FI / LD-C (published table) / CC-I or FM-I"]
+        assert published["a1"].combos == (
+            "m-fi/paper-table/cc-i",
+            "m-fi/paper-table/fm-i",
+            "h-fi/paper-table/cc-i",
+            "h-fi/paper-table/fm-i",
+        )
+        assert rows["L-FI / any / any"]["a1"].combos == tuple(
+            f"l-fi/{conn}/{indem}"
+            for conn in ("e-c", "ld-c", "i-c")
+            for indem in ("cc-i", "fm-i")
+        )
+        assert rows["H-FI / I-C / FM-I"]["a1"].combos == ("h-fi/i-c/fm-i",)
+
     def test_published_least_divergence_row_values(self):
         rows = by_row(reproduce_table_4())
         row = rows["M-FI or H-FI / LD-C (published table) / CC-I or FM-I"]

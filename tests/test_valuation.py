@@ -16,8 +16,8 @@ from lostchance.outcome import (
 )
 from lostchance.valuation import (
     ConfigurationError,
-    GapBlock,
     GapTable,
+    InformationPartition,
     PolicyCombo,
     build_partition,
     cc_indemnity,
@@ -30,6 +30,14 @@ from lostchance.valuation import (
     selective_groups,
     solve_lambda,
 )
+
+
+def singleton_table(p, g) -> GapTable:
+    """A gap table with one outcome per block: block i has chance p[i]
+    and gap g[i]."""
+    partition = InformationPartition([(i,) for i in range(len(p))], "custom")
+    return GapTable.from_arrays(partition, p, g)
+
 
 PRIZE_EVIDENCE = {
     "a1": "a3",
@@ -172,12 +180,10 @@ class TestConditionalGap:
         # build_partition would refuse a block outside the factual
         # support, so stretch the partition by hand: block (4,) covers
         # only a5, which has zero factual mass.
-        from lostchance.valuation import InformationPartition
-
         part = InformationPartition(((0, 1, 2, 3), (4,)), "custom")
         with pytest.warns(UserWarning, match="zero-probability block"):
             table = conditional_gap(c, part)
-        assert len(table.blocks) == 1
+        assert table.partition.blocks == ((0, 1, 2, 3),)
 
 
 class TestIndemnities:
@@ -212,16 +218,12 @@ class TestIndemnities:
         assert np.allclose(fm_indemnity(table), [25.0, 0.0])
 
     def test_fm_zero_when_mean_gap_not_positive(self):
-        table = GapTable(
-            (GapBlock((0,), 0.5, 1.0), GapBlock((1,), 0.5, -3.0))
-        )
+        table = singleton_table([0.5, 0.5], [1.0, -3.0])
         assert table.expected_gap == pytest.approx(-1.0)
         assert np.array_equal(fm_indemnity(table), np.zeros(2))
 
     def test_solve_lambda_rejects_bad_targets(self):
-        table = GapTable(
-            (GapBlock((0,), 0.5, 1.0), GapBlock((1,), 0.5, -1.0))
-        )
+        table = singleton_table([0.5, 0.5], [1.0, -1.0])
         with pytest.raises(ValueError, match="must be positive"):
             solve_lambda(table, 0.0)
         with pytest.raises(ValueError, match="exceeds the payout at zero shift"):
@@ -230,11 +232,9 @@ class TestIndemnities:
     def test_solve_lambda_root_on_a_shifted_breakpoint(self):
         # The root is the lower gap, which round-off moves just outside
         # both segments; the solver must still return it.
-        table = GapTable(
-            (
-                GapBlock((0,), 0.3859254525406075, 3.204410060167252),
-                GapBlock((1,), 0.6140745474593926, 1.8079613122193004e-16),
-            )
+        table = singleton_table(
+            [0.3859254525406075, 0.6140745474593926],
+            [3.204410060167252, 1.8079613122193004e-16],
         )
         lam = solve_lambda(table, 1.236663402595722)
         assert 0.0 <= lam <= 1.8079613122193004e-16
@@ -247,11 +247,7 @@ class TestIndemnities:
             n = int(rng.integers(1, 5))
             p = rng.dirichlet(np.ones(n))
             g = rng.uniform(-5.0, 5.0, size=n)
-            table = GapTable(
-                tuple(
-                    GapBlock((i,), float(p[i]), float(g[i])) for i in range(n)
-                )
-            )
+            table = singleton_table(p, g)
             assert np.all(cc_indemnity(table) >= fm_indemnity(table))
 
 

@@ -1,5 +1,6 @@
 """Tests for the randomized property audit."""
 
+from lostchance import verify
 from lostchance.verify import run_verification
 
 EXPECTED_PROPERTIES = {
@@ -62,3 +63,14 @@ class TestRunVerification:
         assert closed_form.checked > 0 and closed_form.failed == 0
         assert report.passed
         assert report.render().startswith("verification report (seed=4, instances=3)")
+
+    def test_an_unexercised_fair_mean_suite_fails(self, monkeypatch):
+        # With no draws past the requested one, seed 0 never meets a
+        # positive mean gap, and an unexercised property is not a PASS.
+        monkeypatch.setattr(verify, "MAX_EXTRA_INSTANCES", 0)
+        report = run_verification(seed=0, instances=1)
+        fair_mean = {r.name: r for r in report.results}[
+            "fair-mean-constrained-optimal"
+        ]
+        assert fair_mean.failures == ["no instance produced a positive mean gap"]
+        assert not report.passed
