@@ -21,6 +21,7 @@ import csv
 import functools
 import io
 import itertools
+import json
 import os
 import sys
 from pathlib import Path
@@ -50,8 +51,13 @@ def _fmt(x: float) -> str:
 
 
 def _parse_custom_blocks(spec: Optional[str]) -> Optional[list[list[str]]]:
+    """Blocks of outcome labels, from 'a,b|c' or, when the spec starts
+    with '[', from a JSON list of lists of labels, which can name any
+    label, a choice case's 'choice|result' among them."""
     if spec is None:
         return None
+    if spec.lstrip().startswith("["):
+        return _json_blocks(spec)
     blocks = [
         [label.strip() for label in part.split(",") if label.strip()]
         for part in spec.split("|")
@@ -59,6 +65,26 @@ def _parse_custom_blocks(spec: Optional[str]) -> Optional[list[list[str]]]:
     blocks = [b for b in blocks if b]
     if not blocks:
         raise ConfigurationError(f"could not parse custom blocks from {spec!r}")
+    return blocks
+
+
+def _json_blocks(spec: str) -> list[list[str]]:
+    try:
+        blocks = json.loads(spec)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"custom blocks {spec!r} are not JSON: {exc}") from None
+    if not isinstance(blocks, list) or not blocks:
+        problems = ["expected a non-empty list of blocks"]
+    else:
+        problems = [
+            f"block {i} is {json.dumps(b)}, not a non-empty list of labels"
+            for i, b in enumerate(blocks)
+            if not (isinstance(b, list) and b and all(isinstance(x, str) for x in b))
+        ]
+    if problems:
+        raise ConfigurationError(
+            f"could not parse custom blocks from {spec!r}: " + "; ".join(problems)
+        )
     return blocks
 
 
@@ -76,18 +102,51 @@ def _emit_csv(rows: Iterable[Iterable[str]], header: tuple[str, ...], stream) ->
     writer.writerows(rows)
 
 
-def _schedule_cells(schedules: list[CompensationSchedule]) -> Iterable[tuple]:
-    """Every schedule's CSV rows, column by column: the floats are already
-    Python floats, so repr gives them at full precision."""
-    return itertools.chain.from_iterable(
-        zip(
-            itertools.repeat(s.policy.descriptor),
-            s.outcomes,
-            map(repr, s.values),
-            map(repr, s.awards),
+def _csv_field(text: str) -> str:
+    """`text` as a field of a row `_emit_csv` writes: as it is, unless it
+    holds a delimiter, a quote or a line break; then as csv.writer writes
+    it, which quotes it where its Python version does."""
+    if not any(c in text for c in ',"\r\n'):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text,))
+    return buf.getvalue()[:-1]
+
+
+def _schedules_csv(schedules: list[CompensationSchedule]) -> str:
+    """The CSV `_emit_csv` writes for every schedule's rows, as one string.
+    A label is formatted once per outcome tuple; the floats are Python
+    floats, so repr gives them at full precision."""
+    lines = ["policy,outcome,compensation,award\n"]
+    outcomes = cells = None
+    for s in schedules:
+        if s.outcomes is not outcomes:
+            outcomes = s.outcomes
+            cells = [_csv_field(o) for o in outcomes]
+        # A policy descriptor holds no character csv.writer would quote.
+        policy = s.policy.descriptor
+        lines.extend(
+            f"{policy},{o},{x!r},{a!r}\n" for o, x, a in zip(cells, s.values, s.awards)
         )
-        for s in schedules
-    )
+    return "".join(lines)
+
+
+def _schedules_text(schedules: list[CompensationSchedule]) -> str:
+    """Every schedule's rows as aligned text, as one string."""
+    width = max(len(s.policy.descriptor) for s in schedules)
+    owidth = max(len(o) for s in schedules for o in s.outcomes)
+    lines = []
+    outcomes = cells = None
+    for s in schedules:
+        if s.outcomes is not outcomes:
+            outcomes = s.outcomes
+            cells = [f"{o:<{owidth}}" for o in outcomes]
+        policy = f"{s.policy.descriptor:<{width}}"
+        lines.extend(
+            f"{policy}  {o}  compensation={x:.6g}  award={a:.6g}\n"
+            for o, x, a in zip(cells, s.values, s.awards)
+        )
+    return "".join(lines)
 
 
 def _evaluate_all(
@@ -109,7 +168,17 @@ def _evaluate_all(
 
 
 def _labels_to_indices(case_model, blocks: list[list[str]]) -> list[list[int]]:
-    return [[case_model.space.index(lab) for lab in block] for block in blocks]
+    space = case_model.space
+    try:
+        return [[space.index(lab) for lab in block] for block in blocks]
+    except KeyError as exc:
+        if not any("," in lab or "|" in lab for lab in space.labels):
+            raise
+        raise KeyError(
+            f"{exc.args[0]}; 'a,b|c' splits labels at ',' and '|', so name "
+            f"labels that hold them in the JSON form, for example "
+            f"--custom-blocks '{json.dumps([[space.labels[0]]])}'"
+        ) from None
 
 
 def cmd_evaluate(args) -> int:
@@ -131,23 +200,11 @@ def cmd_evaluate(args) -> int:
     else:
         combos = [PolicyCombo(args.info, args.connection, args.indemnity)]
     schedules = _evaluate_all(loaded, combos, args.presumption, custom_blocks)
-    if args.csv:
-        header = ("policy", "outcome", "compensation", "award")
-        _emit_csv(_schedule_cells(schedules), header, sys.stdout)
-    else:
-        rows = [row for s in schedules for row in s.to_csv_rows()]
-        width = max(len(r[0]) for r in rows)
-        owidth = max(len(r[1]) for r in rows)
-        for policy, outcome, comp, award in rows:
-            print(
-                f"{policy:<{width}}  {outcome:<{owidth}}  "
-                f"compensation={_fmt(comp)}  award={_fmt(award)}"
-            )
     notes = sorted({n for s in schedules for n in s.notes})
-    for note in notes:
-        print(f"# {note}")
-    for s in skipped:
-        print(f"# skipped {s}")
+    out = [_schedules_csv(schedules) if args.csv else _schedules_text(schedules)]
+    out.extend(f"# {note}\n" for note in notes)
+    out.extend(f"# skipped {s}\n" for s in skipped)
+    sys.stdout.write("".join(out))
     flagged = any(n.startswith("FLAG") for n in notes)
     if flagged and args.strict:
         return 1
@@ -282,7 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--custom-blocks",
         default=None,
-        help="custom information blocks as 'a,b|c' (outcome labels)",
+        help="custom information blocks of outcome labels: 'a,b|c' ('|' "
+        "between blocks, ',' between labels), or a JSON list of lists such as "
+        "'[[\"refuse|500000\"]]', which names any label, a choice case's "
+        "'choice|result' among them",
     )
     p_eval.add_argument("--csv", action="store_true", help="machine-readable output")
     p_eval.add_argument("--strict", action="store_true", help="exit 1 on flags")

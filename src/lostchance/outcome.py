@@ -339,13 +339,10 @@ class TabulatedMoneyMap(MoneyMap):
 
     def to_money(self, value: float) -> float:
         v = float(value)
-        vs = [p[0] for p in self.points]
-        ms = [p[1] for p in self.points]
-        if v < vs[0] or v > vs[-1]:
-            raise ValueError(
-                f"value {v!r} outside tabulated domain [{vs[0]}, {vs[-1]}]"
-            )
-        return float(np.interp(v, vs, ms))
+        low, high = self.points[0][0], self.points[-1][0]
+        if v < low or v > high:
+            raise ValueError(f"value {v!r} outside tabulated domain [{low}, {high}]")
+        return float(np.interp(v, *self._knots))
 
     def to_money_array(self, values: np.ndarray) -> np.ndarray:
         v = np.asarray(values, dtype=float)

@@ -339,12 +339,6 @@ class CompensationSchedule:
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.outcomes, self.values))
 
-    def to_csv_rows(self) -> list[tuple[str, str, float, float]]:
-        return [
-            (self.policy.descriptor, o, x, a)
-            for o, x, a in zip(self.outcomes, self.values, self.awards)
-        ]
-
 
 def _coupling_for(
     model: CaseModel, conn: str, joint, least_divergence
@@ -437,9 +431,13 @@ def evaluate_grid(
     The coupling, its notes and its selective groups depend only on the
     connection, and the partition and gap table only on the connection and
     the information policy, so each is built once, when the first
-    combination needing it comes up; only the indemnity and the awards are
-    computed per combination.  A grid therefore raises exactly where, and
-    as, the first failing combination would on its own.
+    combination needing it comes up; only the indemnity is computed per
+    combination.  The payouts of every combination then form one
+    (combination x outcome) matrix, priced by one award call.  A grid
+    raises exactly where, and as, the first failing combination would on
+    its own: when combination k fails to build its table or indemnity,
+    combinations 0..k-1 are priced first, and an award error among them
+    wins.
 
     e-c evaluates `evidence_joint`; paper-table evaluates
     `paper_table_joint`, or `evidence_joint` when that is not given.
@@ -449,53 +447,82 @@ def evaluate_grid(
     joints = {"e-c": evidence_joint, "paper-table": paper_table_joint}
     # model.factual.support(), as an array.
     support = np.flatnonzero(model.factual.array > 0.0)
-    labels = tuple(map(model.space.labels.__getitem__, support.tolist()))
-    v_support = model.space.values_array[support]
-    money = model.money
-    extra_notes = tuple(extra_notes)
     # ld-c and paper-table's cost check share one least-divergence coupling.
     least_divergence = functools.cache(lambda: least_divergence_coupling(model))
     connected: dict[str, tuple[Coupling, tuple[str, ...], SelectiveGroups]] = {}
     shared: dict[tuple[str, str], _SharedGaps] = {}
-    schedules: list[CompensationSchedule] = []
-    for combo in combos:
-        conn, key = combo.connection, (combo.connection, combo.info)
-        if key not in shared:
-            if conn not in connected:
-                coupling, notes = _coupling_for(
-                    model, conn, joints.get(conn), least_divergence
+    tables: list[_SharedGaps] = []
+    payouts: list[np.ndarray] = []
+    failure: Optional[Exception] = None
+    try:
+        for combo in combos:
+            conn, key = combo.connection, (combo.connection, combo.info)
+            if key not in shared:
+                if conn not in connected:
+                    coupling, notes = _coupling_for(
+                        model, conn, joints.get(conn), least_divergence
+                    )
+                    connected[conn] = (coupling, notes, selective_groups(coupling))
+                shared[key] = _shared_gaps(
+                    model, combo.info, *connected[conn], support, custom_blocks
                 )
-                connected[conn] = (coupling, notes, selective_groups(coupling))
-            shared[key] = _shared_gaps(
-                model, combo.info, *connected[conn], support, custom_blocks
-            )
-        table = shared[key]
-        if combo.indemnity == "cc-i":
-            block_x = cc_indemnity(table.gaps)
-        else:
-            block_x = fm_indemnity(table.gaps)
-        x = np.concatenate((block_x, (0.0,)))[table.slot]
-        awards = award_from_compensation(money, v_support, x)
-        notes = extra_notes + table.notes
-        past = []
-        if money.top < math.inf:  # only a money table has a last point
-            past = np.flatnonzero(v_support + x > money.top).tolist()
-        for k in past:
-            notes += (
+            table = shared[key]
+            if combo.indemnity == "cc-i":
+                block_x = cc_indemnity(table.gaps)
+            else:
+                block_x = fm_indemnity(table.gaps)
+            payouts.append(np.concatenate((block_x, (0.0,)))[table.slot])
+            tables.append(table)
+    except Exception as exc:
+        failure = exc
+    # The combinations before a failing one are priced first, so that an
+    # award error among them wins, as it would one combination at a time.
+    schedules = _price(model, combos, support, tables, payouts, tuple(extra_notes))
+    if failure is not None:
+        raise failure
+    return schedules
+
+
+def _price(
+    model: CaseModel,
+    combos: Sequence[PolicyCombo],
+    support: np.ndarray,
+    tables: list[_SharedGaps],
+    payouts: list[np.ndarray],
+    extra_notes: tuple[str, ...],
+) -> list[CompensationSchedule]:
+    """The schedules of the first len(payouts) combinations, priced by one
+    award call over their (combination x outcome) payout matrix."""
+    if not payouts:
+        return []
+    labels = tuple(map(model.space.labels.__getitem__, support.tolist()))
+    money = model.money
+    # The (combination x outcome) payout matrix, flattened row after row,
+    # so the call raises the error of the first combination that fails.
+    x = np.concatenate(payouts)
+    v = np.concatenate([model.space.values_array[support]] * len(payouts))
+    awards = award_from_compensation(money, v, x).tolist()
+    values = x.tolist()
+    n = len(labels)
+    notes = [extra_notes + table.notes for table in tables]
+    if money.top < math.inf:  # only a money table has a last point
+        for i in np.flatnonzero(v + x > money.top).tolist():
+            row, k = divmod(i, n)
+            notes[row] += (
                 f"note: the award for outcome {labels[k]!r} extrapolates the "
                 f"money table past its last point {money.top:g}, along "
                 f"its end segment",
             )
-        schedules.append(
-            CompensationSchedule(
-                policy=combo,
-                outcomes=labels,
-                values=tuple(x.tolist()),
-                awards=tuple(awards.tolist()),
-                notes=notes,
-            )
+    return [
+        CompensationSchedule(
+            policy=combo,
+            outcomes=labels,
+            values=tuple(values[row * n : (row + 1) * n]),
+            awards=tuple(awards[row * n : (row + 1) * n]),
+            notes=row_notes,
         )
-    return schedules
+        for row, (combo, row_notes) in enumerate(zip(combos, notes))
+    ]
 
 
 def evaluate_policy(

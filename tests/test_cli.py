@@ -9,6 +9,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lostchance import (
     SCHEMA_TEXT,
@@ -17,7 +19,8 @@ from lostchance import (
     prize_case,
     save_case,
 )
-from lostchance.cli import main
+from lostchance.cli import _emit_csv, _schedules_csv, main
+from lostchance.valuation import CompensationSchedule, PolicyCombo
 
 
 @pytest.fixture
@@ -374,6 +377,53 @@ class TestParameterErrors:
         assert (code, out) == (2, "")
         assert err == "error: unknown outcome label 'nope'\n"
 
+    def test_json_custom_blocks_name_choice_labels(self, capsys, matos_file):
+        # A choice case's labels are "choice|result"; 'a,b|c' splits them.
+        base = ["evaluate", str(matos_file), "--connection", "ld-c", "--csv"]
+        code, out, _ = run(
+            capsys, base + ["--info", "custom", "--custom-blocks", '[["refuse|500000"]]']
+        )
+        assert code == 0
+        _, h_fi, _ = run(capsys, base + ["--info", "h-fi"])
+        assert out == h_fi.replace("h-fi/", "custom/")
+        code, out, err = run(
+            capsys, base + ["--info", "custom", "--custom-blocks", "refuse|500000"]
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: unknown outcome label 'refuse'; 'a,b|c' splits labels at ',' "
+            "and '|', so name labels that hold them in the JSON form, for example "
+            "--custom-blocks '[[\"answer|300\"]]'\n"
+        )
+
+    def test_json_custom_blocks_keep_the_plain_meaning(self, capsys, medical_file):
+        base = ["evaluate", str(medical_file), "--info", "custom", "--csv"]
+        plain = run(capsys, base + ["--custom-blocks", "bad|good"])
+        assert run(capsys, base + ["--custom-blocks", ' [["bad"], ["good"]]']) == plain
+        assert plain[0] == 0
+
+    @pytest.mark.parametrize(
+        "spec, problem",
+        [
+            ("[]", "expected a non-empty list of blocks"),
+            ('[["bad"], []]', "block 1 is [], not a non-empty list of labels"),
+            ('[["bad", 2]]', 'block 0 is ["bad", 2], not a non-empty list of labels'),
+            ('["bad", ["good"]]', 'block 0 is "bad", not a non-empty list of labels'),
+        ],
+    )
+    def test_malformed_json_custom_blocks(self, capsys, medical_file, spec, problem):
+        argv = ["evaluate", str(medical_file), "--info", "custom", "--custom-blocks", spec]
+        assert run(capsys, argv) == (
+            2, "", f"error: could not parse custom blocks from {spec!r}: {problem}\n"
+        )
+
+    def test_custom_blocks_that_are_not_json(self, capsys, medical_file):
+        argv = ["evaluate", str(medical_file), "--info", "custom",
+                "--custom-blocks", '[["bad"']
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: custom blocks '[[\"bad\"' are not JSON: ")
+
 
 class TestSchemaAndErrors:
     def test_schema_prints_grammar(self, capsys):
@@ -501,3 +551,32 @@ class TestParserReuse:
         assert reused == fresh
         codes = [code for code, _, _ in reused]
         assert codes == [2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0]
+
+
+LABEL_CHARS = st.one_of(st.sampled_from(',"\r\n é€中'), st.characters())
+
+
+@given(
+    labels=st.lists(st.text(LABEL_CHARS, max_size=6), min_size=1, max_size=5),
+    numbers=st.lists(st.floats(), min_size=10, max_size=10),
+)
+@settings(max_examples=300, deadline=None)
+def test_schedule_csv_is_what_csv_writer_writes(labels, numbers):
+    """Labels with delimiters, quotes, line breaks, spaces and non-ASCII
+    characters come out as csv.writer writes them."""
+    outcomes = tuple(labels)
+    n = len(outcomes)
+    schedules = [
+        CompensationSchedule(
+            PolicyCombo(*combo), outcomes, tuple(numbers[:n]), tuple(numbers[-n:])
+        )
+        for combo in (("l-fi", "e-c", "cc-i"), ("custom", "paper-table", "fm-i"))
+    ]
+    want = io.StringIO()
+    rows = (
+        (s.policy.descriptor, o, repr(x), repr(a))
+        for s in schedules
+        for o, x, a in zip(s.outcomes, s.values, s.awards)
+    )
+    _emit_csv(rows, ("policy", "outcome", "compensation", "award"), want)
+    assert _schedules_csv(schedules) == want.getvalue()

@@ -11,12 +11,19 @@ presumption, and a money table that gets extrapolated past its last
 point.  These files are reference data: a difference is a regression in
 the engine, never a reason to rewrite them.
 
+`tests/golden/human/` holds, under the same rule, each run's output
+without `--csv` (`RUN.txt`), as printed before the rows were written as
+one string.
+
 `tests/golden/cli/` holds, under the same rule, what `table`, `sweep` and
 `verify` printed or wrote before the two-outcome scenarios shared one
 builder: each table's stdout at the defaults (and tables 5 and 6 at
 shifted parameters), both sweep CSVs, and three audit reports.
 """
 
+import contextlib
+import io
+import itertools
 import json
 from pathlib import Path
 
@@ -26,9 +33,11 @@ import lostchance.valuation as valuation
 from lostchance import PolicyCombo, evaluate_grid, flatten_choice_case, load_case
 from lostchance.choice import resolve_choice
 from lostchance.cli import main
+from lostchance.valuation import STANDARD_AXES
 
 GOLDEN = Path(__file__).parent / "golden"
 CLI_GOLDEN = GOLDEN / "cli"
+HUMAN_GOLDEN = GOLDEN / "human"
 RUNS = sorted(p.name[: -len(".csv")] for p in GOLDEN.glob("*.csv"))
 GRID = [
     PolicyCombo(info, conn, indem)
@@ -55,6 +64,72 @@ def test_all_policies_csv_is_byte_identical(run, capsys):
     assert main(["evaluate", str(case), "--all-policies", "--csv", *flags]) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / f"{run}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_all_policies_text_is_byte_identical(run, capsys):
+    case, flags = _case_and_presumption(run)
+    assert main(["evaluate", str(case), "--all-policies", *flags]) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (HUMAN_GOLDEN / f"{run}.txt").read_bytes()
+
+
+def test_every_human_golden_is_checked():
+    assert sorted(p.name for p in HUMAN_GOLDEN.iterdir()) == [f"{r}.txt" for r in RUNS]
+
+
+def _stdout(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_all_policies_is_the_union_of_single_combination_runs(run):
+    """Metamorphic: the grid's CSV rows are its single-combination runs'
+    rows, in grid order, and its notes are their sorted union."""
+    case, flags = _case_and_presumption(run)
+    loaded = load_case(case)
+    has_evidence = loaded.kind == "choice" or loaded.evidence_joint is not None
+    header = "policy,outcome,compensation,award\n"
+    rows, notes, skipped = [], set(), []
+    for info, conn, indem in itertools.product(*STANDARD_AXES):
+        if conn == "e-c" and not has_evidence:
+            if indem == "cc-i":
+                skipped.append(f"# skipped {info}/e-c: no evidence coupling in file\n")
+            continue
+        argv = ["evaluate", str(case), "--info", info, "--connection", conn,
+                "--indemnity", indem, "--csv", *flags]
+        code, out = _stdout(argv)
+        assert code == 0 and out.startswith(header)
+        lines = out[len(header):].splitlines(keepends=True)
+        count = sum(not line.startswith("# ") for line in lines)
+        # A run prints its rows, then its notes.
+        rows += lines[:count]
+        notes.update(lines[count:])
+        assert all(line.startswith("# ") for line in lines[count:])
+    code, grid = _stdout(["evaluate", str(case), "--all-policies", "--csv", *flags])
+    assert code == 0
+    assert grid == header + "".join(rows) + "".join(sorted(notes)) + "".join(skipped)
+
+
+@pytest.mark.parametrize(
+    "run", ["paper-prize", "table-top-edge", "choice-evidence.none"]
+)
+def test_all_policies_prices_with_one_award_call(run, monkeypatch, capsys):
+    calls = []
+    award = valuation.award_from_compensation
+
+    def counted(*args):
+        calls.append(args)
+        return award(*args)
+
+    monkeypatch.setattr(valuation, "award_from_compensation", counted)
+    case, flags = _case_and_presumption(run)
+    assert main(["evaluate", str(case), "--all-policies", "--csv", *flags]) == 0
+    assert capsys.readouterr().out.count("/") >= 15
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("run", RUNS)

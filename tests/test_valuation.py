@@ -344,9 +344,8 @@ class TestEvaluatePolicy:
         sched = evaluate_policy(model, PolicyCombo("h-fi", "i-c", "cc-i"))
         d = sched.as_dict()
         assert d["a1"] == pytest.approx(45.0)
-        rows = sched.to_csv_rows()
-        assert rows[0][0] == "h-fi/i-c/cc-i"
-        assert rows[0][1] == "a1"
+        assert sched.policy.descriptor == "h-fi/i-c/cc-i"
+        assert sched.outcomes[0] == "a1"
 
 
 class TestOracleBestSchedule:
@@ -488,6 +487,40 @@ class TestEvaluateGrid:
         combos = [PolicyCombo(*c) for c in combos]
         with pytest.raises(error, match=match) as in_grid:
             evaluate_grid(model, combos)
+        first = next(c for c in combos if _raises(model, c))
+        with pytest.raises(error) as alone:
+            evaluate_policy(model, first)
+        assert str(in_grid.value) == str(alone.value)
+
+    @pytest.mark.parametrize(
+        "combos, error, match",
+        [
+            # The earlier combination fails to price, the later to build.
+            (
+                [("h-fi", "i-c", "cc-i"), ("h-fi", "ld-c", "cc-i"), ("h-fi", "e-c", "cc-i")],
+                ValueError,
+                "value 1000.0 needs more money than a float holds",
+            ),
+            (
+                [("h-fi", "i-c", "cc-i"), ("h-fi", "e-c", "cc-i"), ("h-fi", "ld-c", "cc-i")],
+                ConfigurationError,
+                "'e-c' needs an explicit coupling",
+            ),
+        ],
+    )
+    def test_an_award_error_before_a_failing_table_wins(self, combos, error, match):
+        # Money is exp(value), so only a lift to 1000 (ld-c pays "mid" 600)
+        # overflows; i-c lifts both outcomes to 500.
+        model = CaseModel(
+            OutcomeSpace(("lo", "mid", "hi"), (0.0, 400.0, 1000.0)),
+            DiscreteDistribution((0.5, 0.0, 0.5)),
+            DiscreteDistribution((0.5, 0.5, 0.0)),
+            CurveMoneyMap(UtilityCurve(1.0)),
+        )
+        combos = [PolicyCombo(*c) for c in combos]
+        with pytest.raises(error, match=match) as in_grid:
+            evaluate_grid(model, combos)
+        assert not _raises(model, combos[0])
         first = next(c for c in combos if _raises(model, c))
         with pytest.raises(error) as alone:
             evaluate_policy(model, first)
