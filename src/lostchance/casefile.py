@@ -279,7 +279,7 @@ def _outcome_columns(entries: list, errs: list[str]) -> tuple:
             flat = _numbers(list(map(_VALUE, entries)))
         except KeyError:
             flat = None
-        if flat is not None:
+        if flat is not None and set(map(type, labels)) == {str}:
             return labels, flat
     labels, values = [], []
     for i, entry in enumerate(entries):
@@ -289,6 +289,8 @@ def _outcome_columns(entries: list, errs: list[str]) -> tuple:
                 f"'label' and 'value'"
             )
             continue
+        if not isinstance(entry["label"], str):
+            errs.append(f"outcomes[{i}] label is not a string")
         labels.append(entry["label"])
         try:
             values.append(_number(entry["value"]))
@@ -324,8 +326,10 @@ def _load_outcome_form(data: dict) -> LoadedCase:
     money = _money_from_spec(data["money"], errs)
     observed = None
     if "observed" in data:
-        lab = str(data["observed"])
-        if lab not in space.positions:
+        lab = data["observed"]
+        if not isinstance(lab, str):
+            errs.append("observed outcome must be a label string")
+        elif lab not in space.positions:
             errs.append(f"observed outcome {lab!r} is not in the outcome space")
         else:
             observed = space.positions[lab]
@@ -377,6 +381,15 @@ def _load_outcome_form(data: dict) -> LoadedCase:
     return LoadedCase(case=case, evidence_joint=evidence, kind="outcome")
 
 
+def _label_list(data, name: str, errs: list[str]) -> Optional[tuple[str, ...]]:
+    """`data` as a tuple if it is a list of strings, else None after
+    listing why not."""
+    if isinstance(data, list) and set(map(type, data)) <= {str}:
+        return tuple(data)
+    errs.append(f"{name} must be a list of strings")
+    return None
+
+
 def _load_choice_form(data: dict) -> LoadedCase:
     errs: list[str] = []
     _reject_policy_keys(data, errs)
@@ -397,8 +410,15 @@ def _load_choice_form(data: dict) -> LoadedCase:
     if missing:
         errs.append(f"choice block is missing {sorted(missing)}")
         raise CaseValidationError(errs)
-    choices = tuple(str(c) for c in block["choices"])
-    results = tuple(str(r) for r in block["results"])
+    choices = _label_list(block["choices"], "choices", errs)
+    results = _label_list(block["results"], "results", errs)
+    duty = _label_list(block["duty"], "duty", errs)
+    notes = _label_list(block.get("notes", []), "notes", errs)
+    for key in ("factual_choice", "factual_result"):
+        if not isinstance(block[key], str):
+            errs.append(f"{key} must be a string")
+    if choices is None or results is None:
+        raise CaseValidationError(errs)
     choice_positions = label_positions(choices)
     result_positions = label_positions(results)
 
@@ -456,17 +476,17 @@ def _load_choice_form(data: dict) -> LoadedCase:
     model = validate_choice_case(
         ChoiceCaseModel(
             choices=choices,
-            duty=frozenset(str(c) for c in block["duty"]),
+            duty=frozenset(duty),
             results=results,
             values=values,
             money=money,
             result_given_choice_cf=cf_conds,
             result_given_choice_f=f_conds,
-            factual_choice=str(block["factual_choice"]),
-            factual_result=str(block["factual_result"]),
+            factual_choice=block["factual_choice"],
+            factual_result=block["factual_result"],
             counterfactual_choice=cf_choice,
             result_couplings=couplings,
-            notes=tuple(str(n) for n in block.get("notes", ())),
+            notes=notes,
         )
     )
     return LoadedCase(case=model, evidence_joint=None, kind="choice")

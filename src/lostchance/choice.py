@@ -31,12 +31,9 @@ from .coupling import MARGINAL_TOL, Cells, comonotone_cells
 from .outcome import (
     CaseModel,
     CaseValidationError,
-    CurveMoneyMap,
     DiscreteDistribution,
     MoneyMap,
     OutcomeSpace,
-    UtilityCurve,
-    award_from_compensation,
     validate_case,
 )
 from .valuation import (
@@ -45,16 +42,6 @@ from .valuation import (
     PolicyCombo,
     evaluate_policy,
 )
-
-# Matos v. TV Globo facts: a quiz-show contestant was read a defective
-# question, lost the chance to answer the real one, and kept the
-# guaranteed prize.  Answering right would have doubled it; answering
-# wrong would have left only the consolation amount.  The factual game
-# gave a 25% chance of the top prize.
-MATOS_GUARANTEED = 500_000.0
-MATOS_TOP = 1_000_000.0
-MATOS_CONSOLATION = 300.0
-MATOS_FACTUAL_TOP_CHANCE = 0.25
 
 _PRESUMPTION_RULE_NOTE = (
     "presumption picks the highest-valued dutiful choice; "
@@ -456,32 +443,3 @@ def mitigation_offset(
         label = dual.outcome_label(dual.factual_choice, dual.factual_result)
         dual_award = schedule.award_for(label)
     return max(0.0, float(main_award) - dual_award)
-
-
-def matos_threshold(theta: float) -> float:
-    """Success chance at which answering and refusing are equally valued."""
-    curve = UtilityCurve(theta)
-    v_refuse = curve.value(MATOS_GUARANTEED)
-    v_top = curve.value(MATOS_TOP)
-    v_low = curve.value(MATOS_CONSOLATION)
-    return (v_refuse - v_low) / (v_top - v_low)
-
-
-def matos_award(p: float, theta: float) -> float:
-    """Matos award for counterfactual success chance p and risk aversion theta.
-
-    The factual position is the guaranteed prize with certainty, so the
-    compensation is the clamped mean value gain of answering, and the
-    award converts it back through the same risk curve.  Identical to
-    running the full lost-choice pipeline on the built-in Matos case.
-    """
-    p = float(p)
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"success chance must lie in [0, 1], got {p!r}")
-    curve = UtilityCurve(theta)
-    v_refuse = curve.value(MATOS_GUARANTEED)
-    v_top = curve.value(MATOS_TOP)
-    v_low = curve.value(MATOS_CONSOLATION)
-    answer_mean = p * v_top + (1.0 - p) * v_low
-    x = max(0.0, answer_mean - v_refuse)
-    return award_from_compensation(CurveMoneyMap(curve), v_refuse, x)

@@ -17,15 +17,13 @@ output directory for sweeps.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import itertools
 import json
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -95,35 +93,26 @@ def _cell(x) -> str:
     return str(x)
 
 
-def _emit_csv(rows: Iterable[Iterable[str]], header: tuple[str, ...], stream) -> None:
-    """Write `header`, then `rows` of cells already formatted as text."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
 def _csv_field(text: str) -> str:
-    """`text` as a field of a row `_emit_csv` writes: as it is, unless it
-    holds a delimiter, a quote or a line break; then as csv.writer writes
-    it, which quotes it where its Python version does."""
-    if not any(c in text for c in ',"\r\n'):
-        return text
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((text,))
-    return buf.getvalue()[:-1]
+    """`text` as a CSV field: as it is, unless it holds a delimiter, a
+    quote or a line break, "\\r" among them; then in quotes, with its
+    quotes doubled."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _schedules_csv(schedules: list[CompensationSchedule]) -> str:
-    """The CSV `_emit_csv` writes for every schedule's rows, as one string.
-    A label is formatted once per outcome tuple; the floats are Python
-    floats, so repr gives them at full precision."""
+    """Every schedule's rows as CSV, as one string.  A label is formatted
+    once per outcome tuple; the floats are Python floats, so repr gives
+    them at full precision."""
     lines = ["policy,outcome,compensation,award\n"]
     outcomes = cells = None
     for s in schedules:
         if s.outcomes is not outcomes:
             outcomes = s.outcomes
             cells = [_csv_field(o) for o in outcomes]
-        # A policy descriptor holds no character csv.writer would quote.
+        # A policy descriptor holds no character a CSV field quotes.
         policy = s.policy.descriptor
         lines.extend(
             f"{policy},{o},{x!r},{a!r}\n" for o, x, a in zip(cells, s.values, s.awards)
@@ -199,14 +188,18 @@ def cmd_evaluate(args) -> int:
             ]
     else:
         combos = [PolicyCombo(args.info, args.connection, args.indemnity)]
+    if custom_blocks is not None and all(c.info != "custom" for c in combos):
+        raise ConfigurationError(
+            "--custom-blocks is given, but no evaluated combination has "
+            "information policy 'custom' (--info custom, without --all-policies)"
+        )
     schedules = _evaluate_all(loaded, combos, args.presumption, custom_blocks)
     notes = sorted({n for s in schedules for n in s.notes})
     out = [_schedules_csv(schedules) if args.csv else _schedules_text(schedules)]
     out.extend(f"# {note}\n" for note in notes)
     out.extend(f"# skipped {s}\n" for s in skipped)
     sys.stdout.write("".join(out))
-    flagged = any(n.startswith("FLAG") for n in notes)
-    if flagged and args.strict:
+    if args.strict and any(s.flags for s in schedules):
         return 1
     return 0
 
@@ -281,10 +274,10 @@ def cmd_sweep(args) -> int:
             "award_i_c_fm_i",
             "rejected_formula_comparison",
         )
-    buf = io.StringIO()
-    _emit_csv(([_cell(r[h]) for h in header] for r in rows), header, buf)
+    table = [header, *([_cell(r[h]) for h in header] for r in rows)]
+    text = "".join(",".join(map(_csv_field, row)) + "\n" for row in table)
     path = _default_out(args.scenario, args.out)
-    atomic_write_text(path, buf.getvalue())
+    atomic_write_text(path, text)
     print(f"wrote {len(rows)} rows to {path}")
     if args.scenario == "medical":
         print(

@@ -219,34 +219,29 @@ class UtilityCurve:
     def money_array(self, values: np.ndarray) -> np.ndarray:
         """money() of every element, with the same arithmetic: exp and
         log1p stay math's, one element at a time, since numpy's differ
-        from them in the last bit on some values.  Raises what money()
-        raises for the first element it refuses."""
+        from them in the last bit on some values.  Raises a bare
+        ValueError, or math's OverflowError, if money() would refuse an
+        element."""
         v = np.asarray(values, dtype=float)
         n = v.size
-        try:
-            if not np.isfinite(v).all():
+        if not np.isfinite(v).all():
+            raise ValueError
+        if self._log_branch:
+            return np.fromiter(map(math.exp, v.tolist()), float, n)
+        if self.theta == 0.0:
+            if (v + 1.0 <= 0.0).any():
                 raise ValueError
-            if self._log_branch:
-                return np.fromiter(map(math.exp, v.tolist()), float, n)
-            if self.theta == 0.0:
-                if (v + 1.0 <= 0.0).any():
-                    raise ValueError
-                return v + 1.0
-            eps = 1.0 - self.theta
-            if (1.0 + v * eps <= 0.0).any():
-                raise ValueError
-            power = np.fromiter(map(math.log1p, (v * eps).tolist()), float, n) / eps
-            return np.fromiter(map(math.exp, power.tolist()), float, n)
-        except (ValueError, OverflowError):
-            for x in v.tolist():
-                self.money(x)
-            raise
+            return v + 1.0
+        eps = 1.0 - self.theta
+        if (1.0 + v * eps <= 0.0).any():
+            raise ValueError
+        power = np.fromiter(map(math.log1p, (v * eps).tolist()), float, n) / eps
+        return np.fromiter(map(math.exp, power.tolist()), float, n)
 
 
 class MoneyMap:
     """Strictly increasing conversion from value units to money."""
 
-    kind: str = "abstract"
     # Highest value the map is given for; awards lifting past it extrapolate.
     top: float = math.inf
 
@@ -254,8 +249,9 @@ class MoneyMap:
         raise NotImplementedError
 
     def to_money_array(self, values: np.ndarray) -> np.ndarray:
-        """to_money() of every element, bit for bit; raises what to_money()
-        raises for the first element it refuses."""
+        """to_money() of every element, bit for bit; raises a bare
+        ValueError, or math's OverflowError, if to_money() would refuse
+        an element."""
         raise NotImplementedError
 
     def spec(self) -> dict:
@@ -266,8 +262,6 @@ class MoneyMap:
 @dataclass(frozen=True)
 class IdentityMoneyMap(MoneyMap):
     """Value units are money units."""
-
-    kind: str = "identity"
 
     def to_money(self, value: float) -> float:
         return float(value)
@@ -284,7 +278,6 @@ class CurveMoneyMap(MoneyMap):
     """Inverts a risk-aversion curve: value back to money."""
 
     curve: UtilityCurve
-    kind: str = "crra"
 
     def to_money(self, value: float) -> float:
         return self.curve.money(value)
@@ -305,7 +298,6 @@ class TabulatedMoneyMap(MoneyMap):
     """
 
     points: tuple[tuple[float, float], ...]
-    kind: str = "tabulated"
 
     def __post_init__(self) -> None:
         pts = tuple((float(v), float(m)) for v, m in self.points)
@@ -347,9 +339,8 @@ class TabulatedMoneyMap(MoneyMap):
     def to_money_array(self, values: np.ndarray) -> np.ndarray:
         v = np.asarray(values, dtype=float)
         vs, ms = self._knots
-        outside = (v < vs[0]) | (v > vs[-1])
-        if outside.any():
-            self.to_money(v[outside][0])
+        if ((v < vs[0]) | (v > vs[-1])).any():
+            raise ValueError
         return np.interp(v, vs, ms)
 
     @property
@@ -386,7 +377,7 @@ def _award(money: MoneyMap, v1: float, x: float) -> float:
 
 def _awards(money: MoneyMap, v1: np.ndarray, x: np.ndarray) -> np.ndarray:
     """_award over arrays, with the same arithmetic; raises a bare
-    ValueError if it would refuse any outcome."""
+    ValueError, or math's OverflowError, if it would refuse any outcome."""
     # An overflow shows as a non-finite award, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         lifted = v1 + x
@@ -403,11 +394,6 @@ def _awards(money: MoneyMap, v1: np.ndarray, x: np.ndarray) -> np.ndarray:
     if not ((x >= 0.0).all() and np.isfinite(award).all()):
         raise ValueError
     return award
-
-
-# Below this many outcomes, calls one outcome at a time beat the array
-# path's fixed cost of a few dozen numpy calls.
-_ARRAY_MIN = 32
 
 
 def award_from_compensation(money: MoneyMap, v1, x):
@@ -428,11 +414,10 @@ def award_from_compensation(money: MoneyMap, v1, x):
         return _award(money, v1, x)
     v1 = np.asarray(v1, dtype=float)
     x = np.asarray(x, dtype=float)
-    if v1.size >= _ARRAY_MIN:
-        try:
-            return _awards(money, v1, x)
-        except ValueError:
-            pass  # the calls below name the first failing outcome
+    try:
+        return _awards(money, v1, x)
+    except (ValueError, OverflowError):
+        pass  # the calls below name the first failing outcome
     return np.array([_award(money, a, b) for a, b in zip(v1.tolist(), x.tolist())])
 
 

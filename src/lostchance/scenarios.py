@@ -15,15 +15,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .choice import (
-    MATOS_CONSOLATION,
-    MATOS_FACTUAL_TOP_CHANCE,
-    MATOS_GUARANTEED,
-    MATOS_TOP,
-    ChoiceCaseModel,
-    matos_award,
-    validate_choice_case,
-)
+from .choice import ChoiceCaseModel, validate_choice_case
 from .coupling import Cells, map_cells
 from .outcome import (
     CaseModel,
@@ -32,6 +24,7 @@ from .outcome import (
     IdentityMoneyMap,
     OutcomeSpace,
     UtilityCurve,
+    award_from_compensation,
     validate_case,
 )
 from .valuation import PolicyCombo, evaluate_grid
@@ -176,6 +169,32 @@ def prize_case() -> Scenario:
     )
 
 
+# Matos v. TV Globo facts: a quiz-show contestant was read a defective
+# question, lost the chance to answer the real one, and kept the
+# guaranteed prize.  Answering right would have doubled it; answering
+# wrong would have left only the consolation amount.  The factual game
+# gave a 25% chance of the top prize.
+MATOS_GUARANTEED = 500_000.0
+MATOS_TOP = 1_000_000.0
+MATOS_CONSOLATION = 300.0
+MATOS_FACTUAL_TOP_CHANCE = 0.25
+# The Matos case's results in order: a wrong answer, refusing, a right one.
+_MATOS_RESULTS = (MATOS_CONSOLATION, MATOS_GUARANTEED, MATOS_TOP)
+
+
+def _matos_chance(p: float) -> float:
+    p = float(p)
+    if not (0.0 <= p <= 1.0):
+        raise ValueError(f"success chance must lie in [0, 1], got {p!r}")
+    return p
+
+
+def _matos_values(theta: float) -> tuple[UtilityCurve, tuple[float, ...]]:
+    """The risk curve for theta and its value of each Matos result."""
+    curve = UtilityCurve(theta)
+    return curve, tuple(map(curve.value, _MATOS_RESULTS))
+
+
 def matos_case(p: float, theta: float) -> ChoiceCaseModel:
     """The Matos quiz-show case as a lost-choice model.
 
@@ -185,25 +204,14 @@ def matos_case(p: float, theta: float) -> ChoiceCaseModel:
     question was defective).  Both answering and refusing are treated as
     dutiful, so the presumption is free to pick either.
     """
-    p = float(p)
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"success chance must lie in [0, 1], got {p!r}")
-    curve = UtilityCurve(theta)
-    results = (
-        str(int(MATOS_CONSOLATION)),
-        str(int(MATOS_GUARANTEED)),
-        str(int(MATOS_TOP)),
-    )
-    result_money = (MATOS_CONSOLATION, MATOS_GUARANTEED, MATOS_TOP)
-    values = tuple(
-        tuple(curve.value(m) for m in result_money) for _ in ("answer", "refuse")
-    )
+    p = _matos_chance(p)
+    curve, values = _matos_values(theta)
     q = MATOS_FACTUAL_TOP_CHANCE
     model = ChoiceCaseModel(
         choices=("answer", "refuse"),
         duty=frozenset({"answer", "refuse"}),
-        results=results,
-        values=values,
+        results=tuple(str(int(m)) for m in _MATOS_RESULTS),
+        values=(values, values),
         money=CurveMoneyMap(curve),
         result_given_choice_cf=(
             DiscreteDistribution((1.0 - p, 0.0, p)),
@@ -221,6 +229,26 @@ def matos_case(p: float, theta: float) -> ChoiceCaseModel:
         ),
     )
     return validate_choice_case(model)
+
+
+def matos_threshold(theta: float) -> float:
+    """Success chance at which answering and refusing are equally valued."""
+    _, (v_low, v_refuse, v_top) = _matos_values(theta)
+    return (v_refuse - v_low) / (v_top - v_low)
+
+
+def matos_award(p: float, theta: float) -> float:
+    """Matos award for counterfactual success chance p and risk aversion theta.
+
+    The factual position is the guaranteed prize with certainty, so the
+    compensation is the clamped mean value gain of answering, and the
+    award converts it back through the same risk curve.  Identical to
+    running the full lost-choice pipeline on the built-in Matos case.
+    """
+    p = _matos_chance(p)
+    curve, (v_low, v_refuse, v_top) = _matos_values(theta)
+    x = max(0.0, p * v_top + (1.0 - p) * v_low - v_refuse)
+    return award_from_compensation(CurveMoneyMap(curve), v_refuse, x)
 
 
 MATOS_BAND_EDGES = (0.0, 125_000.0, 250_000.0, 375_000.0, 500_000.0)
@@ -313,5 +341,7 @@ def medical_sweep(
         )
         for col, schedule in zip(_MEDICAL_COLUMNS, schedules):
             row[col] = schedule.award_for("bad")
-        row["rejected_formula_comparison"] = (p0 - float(p1)) / p0 * float(delta_v)
+        row["rejected_formula_comparison"] = rejected_formula_comparison(
+            p0, p1, delta_v
+        ).value
         yield row

@@ -94,9 +94,7 @@ def _reproduce(
     for label, printed_row in rows:
         members = _members(label)
         schedules = [schedule_of[c] for c in members]
-        flags = "; ".join(
-            dict.fromkeys(n for s in schedules for n in s.notes if n.startswith("FLAG"))
-        )
+        flags = "; ".join(dict.fromkeys(n for s in schedules for n in s.flags))
         for outcome, printed in zip(outcomes, printed_row, strict=True):
             tolerance = tol_for(printed)
             devs = [abs(s.value_for(outcome) - printed) for s in schedules]

@@ -339,6 +339,12 @@ class CompensationSchedule:
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.outcomes, self.values))
 
+    @property
+    def flags(self) -> tuple[str, ...]:
+        """The notes that flag a computation `--strict` refuses: a
+        published least-divergence table that is not cost-minimal."""
+        return tuple(n for n in self.notes if n.startswith("FLAG"))
+
 
 def _coupling_for(
     model: CaseModel, conn: str, joint, least_divergence

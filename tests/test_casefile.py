@@ -502,6 +502,49 @@ class TestStringsAreNotNumbers:
         assert all(e in err for e in errs)
 
 
+class TestLabelsAreStrings:
+    """A label is a JSON string: nothing else is read as one."""
+
+    def problems(self, tmp_path, capsys, data) -> str:
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["evaluate", str(path)]) == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, bad, problem",
+        [
+            ("choices", 5, "choices must be a list of strings"),
+            ("duty", 5, "duty must be a list of strings"),
+            ("notes", 5, "notes must be a list of strings"),
+            ("results", "abc", "results must be a list of strings"),
+            ("duty", ["answer", 5], "duty must be a list of strings"),
+            ("factual_choice", ["refuse"], "factual_choice must be a string"),
+            ("factual_result", 500000, "factual_result must be a string"),
+        ],
+    )
+    def test_choice_block(self, tmp_path, capsys, key, bad, problem):
+        data = dump_case(matos_case(0.7, 0.0))
+        data["choice"][key] = bad
+        assert f"  - {problem}\n" in self.problems(tmp_path, capsys, data)
+
+    @pytest.mark.parametrize("label", [None, ["g"], 5])
+    def test_outcome_label(self, tmp_path, capsys, label):
+        outcomes = [{"label": "bad", "value": 0.0}, {"label": label, "value": 1.0}]
+        err = self.problems(tmp_path, capsys, outcome_data(outcomes=outcomes))
+        assert "  - outcomes[1] label is not a string\n" in err
+
+    def test_observed(self, tmp_path, capsys):
+        data = outcome_data(
+            outcomes=[{"label": "0", "value": 0.0}, {"label": "1", "value": 1.0}],
+            counterfactual={"0": 0.5, "1": 0.5},
+            factual={"0": 0.5, "1": 0.5},
+            observed=0,
+        )
+        err = self.problems(tmp_path, capsys, data)
+        assert "  - observed outcome must be a label string\n" in err
+
+
 class TestNumbersBeyondFloatRange:
     """JSON numbers no float holds: 1e400 parses as inf, and a 400-digit
     integer does not convert at all.  Both are refused at every site."""

@@ -7,8 +7,6 @@ from lostchance.choice import (
     counterfactual_choice_scores,
     evaluate_choice_case,
     flatten_choice_case,
-    matos_award,
-    matos_threshold,
     mitigation_offset,
     presume_choice_ii_cp,
     presume_choice_it_cp,
@@ -20,7 +18,7 @@ from lostchance.outcome import (
     DiscreteDistribution,
     IdentityMoneyMap,
 )
-from lostchance.scenarios import matos_case
+from lostchance.scenarios import matos_award, matos_case, matos_threshold
 from lostchance.valuation import ConfigurationError, PolicyCombo
 
 

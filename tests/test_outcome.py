@@ -238,16 +238,17 @@ class TestAwardArrays:
     )
     def test_matches_the_calls_per_outcome(self, money):
         rng = np.random.default_rng(3)
-        v1 = rng.uniform(-1.0, 6.0, size=2000)
-        x = np.where(rng.random(2000) < 0.2, 0.0, rng.uniform(0.0, 4.0, size=2000))
-        got = award_from_compensation(money, v1, x)
-        want = [
-            award_from_compensation(money, a, b)
-            for a, b in zip(v1.tolist(), x.tolist())
-        ]
-        assert got.tolist() == want
+        for size in (2000, *range(1, 32)):
+            v1 = rng.uniform(-1.0, 6.0, size=size)
+            x = np.where(rng.random(size) < 0.2, 0.0, rng.uniform(0.0, 4.0, size=size))
+            got = award_from_compensation(money, v1, x)
+            want = [
+                award_from_compensation(money, a, b)
+                for a, b in zip(v1.tolist(), x.tolist())
+            ]
+            assert got.tolist() == want, size
 
-    @pytest.mark.parametrize("size", [3, 40])
+    @pytest.mark.parametrize("size", [3, 31, 40])
     def test_raises_the_first_failing_outcomes_error(self, size):
         def arrays(*head):
             # The failing outcomes first, then good ones up to `size`.

@@ -4,20 +4,22 @@ import numpy as np
 import pytest
 
 from lostchance import (
-    MATOS_GUARANTEED,
     PolicyCombo,
     RejectedFormulaComparison,
     evaluate_policy,
-    matos_award,
-    matos_band,
-    matos_case,
-    matos_sweep,
     medical_malpractice,
     medical_sweep,
     prize_case,
     rejected_formula_comparison,
     urn_independent,
     urn_painted,
+)
+from lostchance.scenarios import (
+    MATOS_GUARANTEED,
+    matos_award,
+    matos_band,
+    matos_case,
+    matos_sweep,
 )
 
 
