@@ -9,6 +9,8 @@ Lost-choice claims add an explicit choice layer that is flattened onto
 the same machinery.
 """
 
+import importlib
+
 from .casefile import LoadedCase, SCHEMA_TEXT, dump_case, load_case, save_case
 from .choice import (
     ChoiceCaseModel,
@@ -44,30 +46,10 @@ from .outcome import (
     award_from_compensation,
     validate_case,
 )
-from .scenarios import (
-    MATOS_BAND_EDGES,
-    MATOS_CONSOLATION,
-    MATOS_FACTUAL_TOP_CHANCE,
-    MATOS_GUARANTEED,
-    MATOS_TOP,
-    RejectedFormulaComparison,
-    Scenario,
-    matos_award,
-    matos_band,
-    matos_case,
-    matos_sweep,
-    matos_threshold,
-    medical_malpractice,
-    medical_sweep,
-    prize_case,
-    rejected_formula_comparison,
-    urn_independent,
-    urn_painted,
-)
-from .tables import TableCell, reproduce_table
 from .valuation import (
     CompensationSchedule,
     ConfigurationError,
+    GapStack,
     GapTable,
     PolicyCombo,
     cc_indemnity,
@@ -80,7 +62,44 @@ from .valuation import (
     selective_groups,
     solve_lambda,
 )
-from .verify import run_verification
+
+# The modules behind the table, sweep and verify verbs load when one of
+# their names is first read (PEP 562), so `evaluate` never imports them.
+_LAZY = {
+    "scenarios": (
+        "MATOS_BAND_EDGES",
+        "MATOS_CONSOLATION",
+        "MATOS_FACTUAL_TOP_CHANCE",
+        "MATOS_GUARANTEED",
+        "MATOS_TOP",
+        "RejectedFormulaComparison",
+        "Scenario",
+        "matos_award",
+        "matos_band",
+        "matos_case",
+        "matos_sweep",
+        "matos_threshold",
+        "medical_malpractice",
+        "medical_sweep",
+        "prize_case",
+        "rejected_formula_comparison",
+        "urn_independent",
+        "urn_painted",
+    ),
+    "tables": ("TableCell", "reproduce_table"),
+    "verify": ("run_verification",),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 
@@ -94,6 +113,7 @@ __all__ = [
     "Coupling",
     "CurveMoneyMap",
     "DiscreteDistribution",
+    "GapStack",
     "GapTable",
     "IdentityMoneyMap",
     "LoadedCase",

@@ -30,8 +30,6 @@ import numpy as np
 from .casefile import SCHEMA_TEXT, atomic_write_text, load_case
 from .choice import flatten_choice_case, resolve_choice
 from .outcome import CaseValidationError
-from .scenarios import matos_sweep, medical_sweep
-from .tables import reproduce_table
 from .valuation import (
     STANDARD_AXES,
     CompensationSchedule,
@@ -39,7 +37,6 @@ from .valuation import (
     PolicyCombo,
     evaluate_grid,
 )
-from .verify import run_verification
 
 OUT_DIR_ENV = "LOSTCHANCE_OUT_DIR"
 
@@ -205,6 +202,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .tables import reproduce_table
+
     params = {}
     if args.table in ("2",):
         params = {"p0": args.p0, "p1": args.p1, "delta_v": args.delta_v}
@@ -256,6 +255,8 @@ def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
 
 
 def cmd_sweep(args) -> int:
+    from .scenarios import matos_sweep, medical_sweep
+
     if args.scenario == "matos":
         thetas = _grid(args.theta_min, args.theta_max, args.theta_steps)
         ps = _grid(args.p_min, args.p_max, args.p_steps)
@@ -288,6 +289,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_verification
+
     report = run_verification(
         seed=args.seed,
         instances=args.instances,
@@ -405,7 +408,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # str() of a KeyError is the repr of its message; print the message.
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -164,7 +164,7 @@ class UtilityCurve:
     def __post_init__(self) -> None:
         t = float(self.theta)
         if not math.isfinite(t) or not (0.0 <= t <= 1.0):
-            raise ValueError(f"theta must lie in [0, 1], got {self.theta!r}")
+            raise ValueError(f"theta must lie in [0, 1], got {t!r}")
         object.__setattr__(self, "theta", t)
 
     @property

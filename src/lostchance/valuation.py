@@ -23,7 +23,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -104,7 +104,8 @@ def selective_groups(coupling: Coupling) -> SelectiveGroups:
     # Conditional mean of V0 given each factual outcome, minus its value.
     diff = col_v0[support] / col_mass[support] - v[support]
     tied = np.abs(diff) <= tol
-    plus = ~tied & (diff > 0.0)
+    # Strictly above the tie band: not tied, and positive.
+    plus = diff > tol
     return SelectiveGroups(
         tuple(support[plus].tolist()),
         tuple(support[~plus].tolist()),
@@ -121,13 +122,7 @@ class InformationPartition:
     """
 
     def __init__(self, blocks: Sequence[Sequence[int]], origin: str):
-        sizes = [len(b) for b in blocks]
-        outcomes = np.fromiter(
-            itertools.chain.from_iterable(blocks), np.intp, sum(sizes)
-        )
-        self._set(outcomes, np.repeat(np.arange(len(sizes)), sizes), origin)
-        if 0 in sizes:
-            raise ValueError("partition contains an empty block")
+        self._set(*_block_arrays(blocks), origin)
 
     @classmethod
     def from_ids(
@@ -135,14 +130,12 @@ class InformationPartition:
     ) -> "InformationPartition":
         """The partition putting outcomes[i] in block block_ids[i]; the
         ids must run 0, 1, ... without gaps, in non-decreasing order."""
+        _check_disjoint(outcomes)
         part = cls.__new__(cls)
         part._set(outcomes, block_ids, origin)
         return part
 
     def _set(self, outcomes: np.ndarray, block_ids: np.ndarray, origin: str) -> None:
-        ordered = np.sort(outcomes)
-        if (ordered[1:] == ordered[:-1]).any():
-            raise ValueError("partition blocks overlap")
         self.outcomes = read_only(outcomes)
         self.block_ids = read_only(block_ids)
         self.origin = origin
@@ -153,6 +146,22 @@ class InformationPartition:
         flat = self.outcomes.tolist()
         ends = [0, *(np.flatnonzero(np.diff(self.block_ids)) + 1).tolist(), len(flat)]
         return tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:]) if b > a)
+
+
+def _check_disjoint(outcomes: np.ndarray) -> None:
+    ordered = np.sort(outcomes)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise ValueError("partition blocks overlap")
+
+
+def _block_arrays(blocks: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(outcomes, block ids) of a partition given as blocks of indices."""
+    sizes = [len(b) for b in blocks]
+    outcomes = np.fromiter(itertools.chain.from_iterable(blocks), np.intp, sum(sizes))
+    _check_disjoint(outcomes)
+    if 0 in sizes:
+        raise ValueError("partition contains an empty block")
+    return outcomes, np.repeat(np.arange(len(sizes)), sizes)
 
 
 def build_partition(
@@ -170,29 +179,38 @@ def build_partition(
     """
     info = str(info).strip().lower()
     sup = np.array(support, dtype=np.intp)
-    if not sup.size:
+    return InformationPartition.from_ids(
+        *_partition(info, sup, groups, custom_blocks), info
+    )
+
+
+def _partition(
+    info: str, support: np.ndarray, groups, custom_blocks
+) -> tuple[np.ndarray, np.ndarray]:
+    """(outcomes, block ids) of the partition `info` allows on `support`,
+    an index array; see build_partition."""
+    if not support.size:
         raise ValueError("factual support is empty")
     if info == "l-fi":
-        return InformationPartition.from_ids(sup, np.zeros_like(sup), "l-fi")
+        return support, np.zeros_like(support)
     if info == "h-fi":
-        return InformationPartition.from_ids(sup, np.arange(sup.size), "h-fi")
+        return support, np.arange(support.size)
     if info == "m-fi":
         if groups is None:
             raise ConfigurationError("m-fi partition needs selective groups")
-        blocks = tuple(b for b in (groups.plus, groups.minus) if b)
-        return InformationPartition(blocks, "m-fi")
+        return _block_arrays(tuple(b for b in (groups.plus, groups.minus) if b))
     if info == "custom":
         if custom_blocks is None:
             raise ConfigurationError("custom partition needs explicit blocks")
         blocks = tuple(tuple(int(i) for i in b) for b in custom_blocks)
-        part = InformationPartition(blocks, "custom")
+        arrays = _block_arrays(blocks)
         covered = sorted(i for b in blocks for i in b)
-        if covered != sorted(sup.tolist()):
+        if covered != sorted(support.tolist()):
             raise ValueError(
                 f"custom blocks cover indices {covered}, expected exactly the "
-                f"factual support {sorted(sup.tolist())}"
+                f"factual support {sorted(support.tolist())}"
             )
-        return part
+        return arrays
     raise ConfigurationError(f"unknown information policy {info!r}")
 
 
@@ -219,44 +237,103 @@ class GapTable:
         return float(self.probabilities @ self.gaps)
 
 
-def conditional_gap(coupling: Coupling, partition: InformationPartition) -> GapTable:
-    """E[V0 - V1 | block] and block probability for each block.
+class GapStack:
+    """The gap tables of several partitions of one coupling's factual
+    support, from one pass; see `conditional_gap`.
 
-    Blocks with zero factual probability carry no conditional mean; they
-    are dropped with a warning rather than reported as 0/0.
+    Rows are the blocks of nonzero probability, table after table:
+    `probabilities` and `gaps` per row, and table t's rows are
+    `starts[t]:starts[t + 1]`.  `outcomes` holds the partitions' outcomes
+    end to end, table t's at `bounds[t]:bounds[t + 1]`, and `rows` the row
+    of each, or the row count when its block was dropped.  A table is read
+    with `table(t)`, which runs `check(t)` first.
     """
-    v = coupling.space.values_array
-    col_mass, col_v0 = coupling.column_moments
-    # E[(V0 - V1) 1{O1 = k}] column by column.
-    col_gap = col_v0 - col_mass * v
-    ids, flat, count = partition.block_ids, partition.outcomes, partition.block_count
-    block_p = np.bincount(ids, weights=col_mass[flat], minlength=count)
-    block_gap = np.bincount(ids, weights=col_gap[flat], minlength=count)
-    empty = block_p <= 0.0
-    if empty.any():
-        for b in np.flatnonzero(empty).tolist():
-            warnings.warn(
-                f"dropping zero-probability block {partition.blocks[b]}", stacklevel=2
+
+    def __init__(self, coupling: Coupling, partitions: Sequence) -> None:
+        v = coupling.space.values_array
+        col_mass, col_v0 = coupling.column_moments
+        # E[(V0 - V1) 1{O1 = k}] column by column.
+        col_gap = col_v0 - col_mass * v
+        self.partitions = partitions
+        # Table t's block b is block first[t] + b of the stack.
+        ids, first, self.bounds = [], [0], [0]
+        for p in partitions:
+            ids.append(p.block_ids + first[-1] if first[-1] else p.block_ids)
+            count = int(p.block_ids[-1]) + 1 if p.block_ids.size else 0
+            first.append(first[-1] + count)
+            self.bounds.append(self.bounds[-1] + p.outcomes.size)
+        self.outcomes = flat = np.concatenate([p.outcomes for p in partitions])
+        ids = np.concatenate(ids)
+        # bincount adds each bin's weights in input order, so a block's
+        # sums are the ones a pass over its table alone would take.
+        block_p = np.bincount(ids, weights=col_mass[flat], minlength=first[-1])
+        block_gap = np.bincount(ids, weights=col_gap[flat], minlength=first[-1])
+        kept = block_p > 0.0
+        self._dropped = not kept.all()
+        self.rows, self.starts = ids, first
+        if self._dropped:
+            kept_before = np.concatenate(([0], np.cumsum(kept)))
+            self.rows = np.where(kept[ids], kept_before[ids], kept_before[-1])
+            self.starts = kept_before[first].tolist()
+            block_p, block_gap = block_p[kept], block_gap[kept]
+        self.probabilities = read_only(block_p)
+        self.gaps = read_only(block_gap / block_p)
+        self._mean_gap = float(col_v0.sum() - col_mass @ v)
+        self._scale = max(1.0, float(np.abs(v).max()))
+
+    def check(self, t: int) -> float:
+        """Warn of each block of table t dropped for zero probability, then
+        hold its rows to the gap identity: sum_b p_b gap_b = E[V0 - V1].
+        Returns the left side, the table's expected gap."""
+        if self._dropped:
+            part = self.partitions[t]
+            rows = self.rows[self.bounds[t] : self.bounds[t + 1]]
+            for b in np.unique(part.block_ids[rows == self.gaps.size]).tolist():
+                block = tuple(part.outcomes[part.block_ids == b].tolist())
+                warnings.warn(f"dropping zero-probability block {block}", stacklevel=2)
+        lo, hi = self.starts[t], self.starts[t + 1]
+        expected = float(self.probabilities[lo:hi] @ self.gaps[lo:hi])
+        if abs(expected - self._mean_gap) > GAP_IDENTITY_TOL * self._scale:
+            raise AssertionError(
+                f"gap table inconsistent: blocks aggregate to {expected!r} "
+                f"but the coupling's mean gap is {self._mean_gap!r}"
             )
-        kept = ~empty
-        member = kept[ids]
-        partition = InformationPartition.from_ids(
-            flat[member], (np.cumsum(kept) - 1)[ids[member]], partition.origin
-        )
-        block_p, block_gap = block_p[kept], block_gap[kept]
-    table = GapTable.from_arrays(partition, block_p, block_gap / block_p)
-    mean_gap = float(col_v0.sum() - col_mass @ v)
-    scale = max(1.0, float(np.abs(v).max()))
-    if abs(table.expected_gap - mean_gap) > GAP_IDENTITY_TOL * scale:
-        raise AssertionError(
-            f"gap table inconsistent: blocks aggregate to {table.expected_gap!r} "
-            f"but the coupling's mean gap is {mean_gap!r}"
-        )
-    return table
+        return expected
+
+    def table(self, t: int) -> GapTable:
+        """Table t, checked, as a `GapTable` over the blocks it keeps."""
+        self.check(t)
+        part = self.partitions[t]
+        lo, hi = self.starts[t], self.starts[t + 1]
+        if self._dropped:
+            rows = self.rows[self.bounds[t] : self.bounds[t + 1]]
+            kept = rows < self.gaps.size
+            if not kept.all():
+                part = InformationPartition.from_ids(
+                    part.outcomes[kept], rows[kept] - lo, part.origin
+                )
+        return GapTable.from_arrays(part, self.probabilities[lo:hi], self.gaps[lo:hi])
 
 
-def cc_indemnity(gaps: GapTable) -> np.ndarray:
-    """Clamp each block's conditional gap at zero; one payout per block."""
+def conditional_gap(coupling: Coupling, partitions):
+    """E[V0 - V1 | block] and block probability for each block, for one or
+    more partitions of the coupling's factual support, in one pass.
+
+    Given a sequence of partitions (objects holding `outcomes` and
+    `block_ids` arrays, as `InformationPartition` does), returns their
+    `GapStack`.  Given one `InformationPartition`, returns its `GapTable`:
+    `conditional_gap(coupling, [partition]).table(0)`.  Blocks with zero
+    factual probability carry no conditional mean; they are dropped with
+    a warning, when their table is read, rather than reported as 0/0.
+    """
+    if isinstance(partitions, InformationPartition):
+        return GapStack(coupling, [partitions]).table(0)
+    return GapStack(coupling, partitions)
+
+
+def cc_indemnity(gaps) -> np.ndarray:
+    """Clamp each row's conditional gap at zero; one payout per row of a
+    `GapTable` or `GapStack`."""
     return np.maximum(0.0, gaps.gaps)
 
 
@@ -269,18 +346,22 @@ def solve_lambda(gaps: GapTable, target: float) -> float:
     S_k - P_k * lambda with S_k and P_k the partial mass-weighted sum and
     mass of the blocks above the segment, so the root is exact.
     """
+    return _shift(gaps.probabilities, gaps.gaps, target)
+
+
+def _shift(probabilities: np.ndarray, gaps: np.ndarray, target: float) -> float:
+    """solve_lambda on a table's probability and gap arrays."""
     if not (math.isfinite(target) and target > 0.0):
         raise ValueError(f"target payout must be positive, got {target!r}")
-    order = np.argsort(-gaps.gaps, kind="stable")
-    g = gaps.gaps[order]
-    p = gaps.probabilities[order]
+    order = (-gaps).argsort(kind="stable")
+    g = gaps[order]
+    p = probabilities[order]
     # cumsum adds in order, so S_k and P_k are the running sums a loop
     # over the segments would take.
-    cand = (np.cumsum(p * g) - target) / np.cumsum(p)
-    lo = np.append(g[1:], -math.inf)
+    cand = ((p * g).cumsum() - target) / p.cumsum()
     # The first segment whose candidate reaches its lower breakpoint holds
     # the root; round-off can push it just past the upper one.
-    hit = np.flatnonzero(cand >= lo)
+    hit = (cand >= np.concatenate((g[1:], (-math.inf,)))).nonzero()[0]
     if not hit.size:
         raise AssertionError(
             f"no breakpoint segment contained the root for target {target!r}; "
@@ -288,8 +369,8 @@ def solve_lambda(gaps: GapTable, target: float) -> float:
         )
     k = hit[0]
     lam = float(min(cand[k], g[k]))
-    scale = max(1.0, float(np.max(np.abs(g))) if len(g) else 1.0)
-    if lam < -1e-12 * scale:
+    # A negative root is refused past round-off at the gaps' scale.
+    if lam < 0.0 and lam < -1e-12 * max(1.0, float(np.max(np.abs(g)))):
         raise ValueError(
             f"target {target!r} exceeds the payout at zero shift; no "
             f"non-negative shift exists"
@@ -304,11 +385,15 @@ def fm_indemnity(gaps: GapTable) -> np.ndarray:
     Otherwise the shift is solve_lambda's exact root, which is always
     non-negative, so fair-mean payouts never exceed the clamped ones.
     """
-    target = gaps.expected_gap
+    return _fair_mean(gaps.probabilities, gaps.gaps, gaps.expected_gap)
+
+
+def _fair_mean(probabilities: np.ndarray, gaps: np.ndarray, target: float) -> np.ndarray:
+    """fm_indemnity on a table's probability and gap arrays, whose expected
+    gap is `target`."""
     if target <= 0.0:
-        return np.zeros(gaps.gaps.size)
-    lam = solve_lambda(gaps, target)
-    return np.maximum(0.0, gaps.gaps - lam)
+        return np.zeros(gaps.size)
+    return np.maximum(0.0, gaps - _shift(probabilities, gaps, target))
 
 
 @dataclass(frozen=True)
@@ -389,37 +474,90 @@ def _coupling_for(
     raise ConfigurationError(f"unknown connection policy {conn!r}")
 
 
-@dataclass(frozen=True)
-class _SharedGaps:
-    """What every combination with one (connection, info) pair shares."""
+class _Partition(NamedTuple):
+    """A partition as the gap pass reads it: `_partition`'s arrays."""
 
-    gaps: GapTable
-    notes: tuple[str, ...]
-    # For each factual support outcome, the row of `gaps` that pays it,
-    # or the row count when its block was dropped (it is paid 0).
-    slot: np.ndarray
+    outcomes: np.ndarray
+    block_ids: np.ndarray
 
 
-def _shared_gaps(
-    model: CaseModel,
-    info: str,
-    coupling: Coupling,
-    notes: tuple[str, ...],
-    groups: SelectiveGroups,
-    support: np.ndarray,
-    custom_blocks,
-) -> _SharedGaps:
-    if groups.ties and info == "m-fi":
-        tied = ", ".join(model.space.labels[i] for i in groups.ties)
-        notes += (
-            f"note: outcome(s) {tied} sit exactly at their conditional mean "
-            f"and are grouped as non-compensable",
-        )
-    partition = build_partition(info, support, groups, custom_blocks)
-    gaps = conditional_gap(coupling, partition)
-    slot = np.full(model.space.size, gaps.gaps.size, dtype=np.intp)
-    slot[gaps.partition.outcomes] = gaps.partition.block_ids
-    return _SharedGaps(gaps, notes, slot[support])
+class _Connection:
+    """What the combinations with one connection share: its coupling's
+    notes, and the tables of every information policy they use, in order
+    of first use, from one `conditional_gap` pass.
+
+    `payouts` holds every row's clamped payout, a 0, every row's fair-mean
+    payout and a 0.  The grid lays every connection's `payouts` end to
+    end, this one's from `base`, and `slots[i][t]` gives, for each factual
+    support outcome, where in them its payout under table t is, clamped
+    for i = 0 and fair-mean for i = 1; an outcome no kept block holds is
+    paid a 0.  A table is checked, and its fair-mean payouts solved, when
+    the first combination needing them comes up.
+    """
+
+    def __init__(
+        self, model, conn, infos, joint, least_divergence, support, custom_blocks, base
+    ):
+        coupling, notes = _coupling_for(model, conn, joint, least_divergence)
+        groups = selective_groups(coupling)
+        partitions: list[_Partition] = []
+        self.notes: list[tuple[str, ...]] = []
+        # The first information policy whose partition cannot be built;
+        # the combinations before its first one are priced before it raises.
+        self.failure: Optional[Exception] = None
+        for info in infos:
+            try:
+                partitions.append(
+                    _Partition(*_partition(info, support, groups, custom_blocks))
+                )
+            except Exception as exc:
+                if not partitions:
+                    raise
+                self.failure = exc
+                break
+            self.notes.append(notes + _tie_note(model, info, groups))
+        self.table_of = dict(zip(infos, range(len(partitions))))
+        self.gaps = gaps = conditional_gap(coupling, partitions)
+        rows = gaps.gaps.size
+        self.payouts = np.zeros(2 * rows + 2)
+        self.payouts[:rows] = cc_indemnity(gaps)
+        sizes = [p.outcomes.size for p in partitions]
+        where = np.full((len(partitions), model.space.size), rows)
+        where[np.arange(len(partitions)).repeat(sizes), gaps.outcomes] = gaps.rows
+        clamped = where[:, support] + base
+        self.slots = (clamped, clamped + (rows + 1))
+        # Each table's expected gap, once it is checked.
+        self._expected: list[Optional[float]] = [None] * len(partitions)
+        self._unsolved = [True] * len(partitions)
+
+    def slot(self, info: str, indemnity: str) -> tuple[int, np.ndarray]:
+        """The table `info` uses, and the slots of its payouts under
+        `indemnity`."""
+        t = self.table_of.get(info)
+        if t is None:
+            raise self.failure
+        if self._expected[t] is None:
+            self._expected[t] = self.gaps.check(t)
+        if indemnity == "cc-i":
+            return t, self.slots[0][t]
+        if self._unsolved[t]:
+            lo, hi = self.gaps.starts[t], self.gaps.starts[t + 1]
+            shift = self.gaps.gaps.size + 1
+            self.payouts[shift + lo : shift + hi] = _fair_mean(
+                self.gaps.probabilities[lo:hi], self.gaps.gaps[lo:hi], self._expected[t]
+            )
+            self._unsolved[t] = False
+        return t, self.slots[1][t]
+
+
+def _tie_note(model: CaseModel, info: str, groups: SelectiveGroups) -> tuple[str, ...]:
+    if not (groups.ties and info == "m-fi"):
+        return ()
+    tied = ", ".join(model.space.labels[i] for i in groups.ties)
+    return (
+        f"note: outcome(s) {tied} sit exactly at their conditional mean "
+        f"and are grouped as non-compensable",
+    )
 
 
 def evaluate_grid(
@@ -435,15 +573,18 @@ def evaluate_grid(
     money awards.
 
     The coupling, its notes and its selective groups depend only on the
-    connection, and the partition and gap table only on the connection and
-    the information policy, so each is built once, when the first
-    combination needing it comes up; only the indemnity is computed per
-    combination.  The payouts of every combination then form one
-    (combination x outcome) matrix, priced by one award call.  A grid
-    raises exactly where, and as, the first failing combination would on
-    its own: when combination k fails to build its table or indemnity,
-    combinations 0..k-1 are priced first, and an award error among them
-    wins.
+    connection, so each is built once, when the first combination needing
+    it comes up.  So are the partitions of every information policy that
+    the connection's combinations use, and their gap tables, from one
+    `conditional_gap` pass, and their clamped payouts, from one
+    `np.maximum`.  A table is checked, and its fair-mean payouts solved,
+    when its first combination comes up.  The payouts of every
+    combination then form one (combination x outcome) matrix, gathered
+    at once from the connections' payouts and priced by one award call.
+    A grid raises exactly where, and as, the first failing combination
+    would on its own: when combination k fails to build its coupling,
+    table or indemnity, combinations 0..k-1 are priced first, and an
+    award error among them wins.
 
     e-c evaluates `evidence_joint`; paper-table evaluates
     `paper_table_joint`, or `evidence_joint` when that is not given.
@@ -455,35 +596,44 @@ def evaluate_grid(
     support = np.flatnonzero(model.factual.array > 0.0)
     # ld-c and paper-table's cost check share one least-divergence coupling.
     least_divergence = functools.cache(lambda: least_divergence_coupling(model))
-    connected: dict[str, tuple[Coupling, tuple[str, ...], SelectiveGroups]] = {}
-    shared: dict[tuple[str, str], _SharedGaps] = {}
-    tables: list[_SharedGaps] = []
-    payouts: list[np.ndarray] = []
+    # The information policies of each connection, in order of first use.
+    infos: dict[str, dict[str, None]] = {}
+    for combo in combos:
+        infos.setdefault(combo.connection, {})[combo.info] = None
+    connected: dict[str, _Connection] = {}
+    base = 0
+    # Per priced combination: its notes and its payouts' slots.
+    notes: list[tuple[str, ...]] = []
+    slots: list[np.ndarray] = []
     failure: Optional[Exception] = None
     try:
         for combo in combos:
-            conn, key = combo.connection, (combo.connection, combo.info)
-            if key not in shared:
-                if conn not in connected:
-                    coupling, notes = _coupling_for(
-                        model, conn, joints.get(conn), least_divergence
-                    )
-                    connected[conn] = (coupling, notes, selective_groups(coupling))
-                shared[key] = _shared_gaps(
-                    model, combo.info, *connected[conn], support, custom_blocks
+            conn = connected.get(combo.connection)
+            if conn is None:
+                conn = connected[combo.connection] = _Connection(
+                    model,
+                    combo.connection,
+                    list(infos[combo.connection]),
+                    joints.get(combo.connection),
+                    least_divergence,
+                    support,
+                    custom_blocks,
+                    base,
                 )
-            table = shared[key]
-            if combo.indemnity == "cc-i":
-                block_x = cc_indemnity(table.gaps)
-            else:
-                block_x = fm_indemnity(table.gaps)
-            payouts.append(np.concatenate((block_x, (0.0,)))[table.slot])
-            tables.append(table)
+                base += conn.payouts.size
+            t, slot = conn.slot(combo.info, combo.indemnity)
+            notes.append(conn.notes[t])
+            slots.append(slot)
     except Exception as exc:
         failure = exc
     # The combinations before a failing one are priced first, so that an
     # award error among them wins, as it would one combination at a time.
-    schedules = _price(model, combos, support, tables, payouts, tuple(extra_notes))
+    schedules = []
+    if slots:
+        payouts = np.concatenate([conn.payouts for conn in connected.values()])
+        # The (combination x outcome) payout matrix, flattened row after row.
+        x = payouts[np.concatenate(slots)]
+        schedules = _price(model, combos, support, x, notes, tuple(extra_notes))
     if failure is not None:
         raise failure
     return schedules
@@ -493,24 +643,21 @@ def _price(
     model: CaseModel,
     combos: Sequence[PolicyCombo],
     support: np.ndarray,
-    tables: list[_SharedGaps],
-    payouts: list[np.ndarray],
+    x: np.ndarray,
+    notes: list[tuple[str, ...]],
     extra_notes: tuple[str, ...],
 ) -> list[CompensationSchedule]:
-    """The schedules of the first len(payouts) combinations, priced by one
-    award call over their (combination x outcome) payout matrix."""
-    if not payouts:
-        return []
+    """The schedules of the first len(notes) combinations, priced by one
+    award call over `x`, their (combination x outcome) payout matrix
+    flattened row after row, so the call raises the error of the first
+    combination that fails."""
     labels = tuple(map(model.space.labels.__getitem__, support.tolist()))
     money = model.money
-    # The (combination x outcome) payout matrix, flattened row after row,
-    # so the call raises the error of the first combination that fails.
-    x = np.concatenate(payouts)
-    v = np.concatenate([model.space.values_array[support]] * len(payouts))
+    n = len(labels)
+    v = np.concatenate([model.space.values_array[support]] * len(notes))
     awards = award_from_compensation(money, v, x).tolist()
     values = x.tolist()
-    n = len(labels)
-    notes = [extra_notes + table.notes for table in tables]
+    notes = [extra_notes + row_notes for row_notes in notes]
     if money.top < math.inf:  # only a money table has a last point
         for i in np.flatnonzero(v + x > money.top).tolist():
             row, k = divmod(i, n)

@@ -36,7 +36,7 @@ from .coupling import (
 )
 from .outcome import CaseModel, DiscreteDistribution, IdentityMoneyMap, OutcomeSpace
 from .valuation import (
-    GapTable,
+    STANDARD_AXES,
     PolicyCombo,
     build_partition,
     cc_indemnity,
@@ -259,11 +259,16 @@ def _check_independence_covariance(res: PropertyResult, rng, instances: range) -
         res.ok(abs(cov) <= 1e-10, f"instance {i}: independent coupling cov {cov:g}")
 
 
-def _partitions_for(coupling: Coupling, model: CaseModel):
+def _tables_for(coupling: Coupling, model: CaseModel):
+    """(info, partition, gap table) for l-fi, m-fi and h-fi, from one gap
+    pass; each table is checked as it is yielded."""
     groups = selective_groups(coupling)
     support = model.factual.support()
-    for info in ("l-fi", "m-fi", "h-fi"):
-        yield info, build_partition(info, support, groups)
+    infos = STANDARD_AXES[0]
+    partitions = [build_partition(info, support, groups) for info in infos]
+    gaps = conditional_gap(coupling, partitions)
+    for t, info in enumerate(infos):
+        yield info, partitions[t], gaps.table(t)
 
 
 def _check_unconstrained_optimal(res: PropertyResult, rng, instances: range) -> None:
@@ -274,8 +279,7 @@ def _check_unconstrained_optimal(res: PropertyResult, rng, instances: range) -> 
         vrange = float(v.max() - v.min())
         step = max(0.005 * vrange, 1e-6)
         risk_tol = 1e-9 * max(1.0, vrange**2)
-        for info, partition in _partitions_for(coupling, model):
-            gaps = conditional_gap(coupling, partition)
+        for info, partition, gaps in _tables_for(coupling, model):
             x_cc = cc_indemnity(gaps)
             x_or, r_or = oracle_best_schedule(
                 coupling, partition, constrained=False, target_step=step
@@ -305,8 +309,7 @@ def _check_constrained_optimal(
         v = model.space.values_array
         vrange = float(v.max() - v.min())
         risk_tol = 1e-9 * max(1.0, vrange**2)
-        for info, partition in _partitions_for(coupling, model):
-            gaps = conditional_gap(coupling, partition)
+        for info, partition, gaps in _tables_for(coupling, model):
             target = gaps.expected_gap
             x_fm = fm_indemnity(gaps)
             if target <= 0.0:
@@ -356,8 +359,7 @@ def _check_cc_dominates_fm(res: PropertyResult, rng, instances: range) -> None:
     for i in instances:
         model = random_case(rng)
         coupling = _any_coupling(rng, model)
-        for info, partition in _partitions_for(coupling, model):
-            gaps = conditional_gap(coupling, partition)
+        for info, partition, gaps in _tables_for(coupling, model):
             x_cc = cc_indemnity(gaps)
             x_fm = fm_indemnity(gaps)
             res.ok(
@@ -422,8 +424,7 @@ def _check_gap_identity(res: PropertyResult, rng, instances: range) -> None:
         model = random_case(rng)
         coupling = _any_coupling(rng, model)
         mean_gap = model.expected_gap()
-        for info, partition in _partitions_for(coupling, model):
-            gaps = conditional_gap(coupling, partition)
+        for info, partition, gaps in _tables_for(coupling, model):
             res.ok(
                 abs(gaps.expected_gap - mean_gap) <= 1e-10,
                 f"instance {i} {info}: block gaps aggregate to "

@@ -314,6 +314,14 @@ class TestSweep:
         assert "wrote 0 rows" in out
         assert out_path.read_text() == "theta,p,award,band\n"
 
+    def test_theta_outside_unit_interval_is_named_as_a_float(self, capsys, tmp_path):
+        out_path = tmp_path / "matos.csv"
+        argv = ["sweep", "matos", "--theta-min", "2", "--theta-steps", "1"]
+        code, _, err = run(capsys, [*argv, "--out", str(out_path)])
+        assert code == 2
+        assert err == "error: theta must lie in [0, 1], got 2.0\n"
+        assert not out_path.exists()
+
     def test_out_dir_env_sets_default_path(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("LOSTCHANCE_OUT_DIR", str(tmp_path))
         code, out, _ = run(
@@ -471,6 +479,12 @@ class TestSchemaAndErrors:
         code, _, err = run(capsys, ["evaluate", "/nonexistent/case.json"])
         assert code == 2
         assert err.startswith("error:")
+
+    def test_case_path_that_is_a_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["evaluate", str(tmp_path)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
     def test_invalid_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

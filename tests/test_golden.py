@@ -154,10 +154,11 @@ def test_schedule_notes_keep_their_order(run):
     "run", ["paper-prize", "outcome-ties-matrix", "choice-evidence.none"]
 )
 def test_all_policies_builds_each_coupling_once(run, monkeypatch, capsys):
-    """One command: one coupling per connection, one gap table per
+    """One command: one coupling per connection, and one gap pass per
+    connection over its three information policies, not one per
     (connection, info) pair."""
     builds: list[str] = []
-    gaps: list[tuple[int, str]] = []
+    gaps: list[tuple[int, int]] = []
 
     def counted(name):
         original = getattr(valuation, name)
@@ -177,9 +178,9 @@ def test_all_policies_builds_each_coupling_once(run, monkeypatch, capsys):
         counted(name)
     conditional_gap = valuation.conditional_gap
 
-    def counted_gap(coupling, partition):
-        gaps.append((id(coupling), partition.origin))
-        return conditional_gap(coupling, partition)
+    def counted_gap(coupling, partitions):
+        gaps.append((id(coupling), len(partitions)))
+        return conditional_gap(coupling, partitions)
 
     monkeypatch.setattr(valuation, "conditional_gap", counted_gap)
     case, flags = _case_and_presumption(run)
@@ -190,8 +191,8 @@ def test_all_policies_builds_each_coupling_once(run, monkeypatch, capsys):
         "independence_coupling",
         "least_divergence_coupling",
     ]
-    assert len(gaps) == len(set(gaps)) == 9
-    assert len({c for c, _ in gaps}) == 3
+    assert len(gaps) == len({c for c, _ in gaps}) == 3
+    assert [n for _, n in gaps] == [3, 3, 3]
 
 
 SHIFTED = ["--p0", "0.6", "--p1", "0.3", "--v-red", "3", "--v-blue", "7"]

@@ -87,6 +87,10 @@ class TestUtilityCurve:
             with pytest.raises(ValueError):
                 UtilityCurve(bad)
 
+    def test_rejected_theta_is_named_as_a_float(self):
+        with pytest.raises(ValueError, match=r"got 2\.0$"):
+            UtilityCurve(np.float64(2.0))
+
     def test_nonpositive_money_rejected(self):
         curve = UtilityCurve(0.5)
         for bad in (0.0, -1.0, float("nan")):

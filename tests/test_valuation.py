@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -401,6 +403,84 @@ class TestOracleBestSchedule:
         assert schedule_risk(c, part, x) == pytest.approx(manual)
 
 
+def _seeded_model(seed: int, n: int, ties: bool, zero: bool, empty_side: bool):
+    """A case of n outcomes; `ties` repeats values, `zero` gives one
+    outcome no factual mass, and `empty_side` puts all counterfactual mass
+    on the lowest value, so under i-c no outcome is compensable."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-10.0, 10.0, n)
+    if ties:
+        values[rng.integers(1, n, size=max(1, n // 4))] = values[0]
+    cf = rng.dirichlet(np.ones(n))
+    if empty_side:
+        cf = np.eye(n)[int(np.argmin(values))]
+    f = rng.dirichlet(np.ones(n))
+    if zero:
+        f[int(rng.integers(0, n))] = 0.0
+        f /= f.sum()
+    space = OutcomeSpace(tuple(f"o{i}" for i in range(n)), tuple(values.tolist()))
+    model = CaseModel(
+        space,
+        DiscreteDistribution(tuple(cf.tolist())),
+        DiscreteDistribution(tuple(f.tolist())),
+        IdentityMoneyMap(),
+    )
+    return rng, model
+
+
+class TestStackedGaps:
+    @pytest.mark.parametrize(
+        "seed, n, ties, zero, empty_side",
+        [
+            (0, 2, False, False, False),
+            (1, 3, True, False, False),
+            (2, 5, False, True, False),
+            (3, 17, True, True, False),
+            (4, 40, False, False, True),
+            (5, 300, True, True, False),
+            (6, 3000, False, True, False),
+            (7, 3000, True, False, True),
+        ],
+    )
+    @pytest.mark.parametrize("connect", [independence_coupling, least_divergence_coupling])
+    def test_one_pass_equals_one_call_per_partition(
+        self, seed, n, ties, zero, empty_side, connect
+    ):
+        rng, model = _seeded_model(seed, n, ties, zero, empty_side)
+        c = connect(model)
+        groups = selective_groups(c)
+        if empty_side and connect is independence_coupling:
+            assert not groups.plus
+        support = model.factual.support()
+        parts = [build_partition(i, support, groups) for i in ("l-fi", "m-fi", "h-fi")]
+        cuts = np.sort(rng.choice(np.arange(1, len(support)), size=min(3, len(support) - 1), replace=False))
+        blocks = [b.tolist() for b in np.split(rng.permutation(support), cuts)]
+        parts.append(build_partition("custom", support, custom_blocks=blocks))
+        if zero:
+            # A block outside the factual support: zero probability.
+            (off,) = set(range(n)) - set(support)
+            parts.append(InformationPartition([*blocks, (off,)], "custom"))
+        with warnings.catch_warnings(record=True) as stacked_warnings:
+            warnings.simplefilter("always")
+            stack = conditional_gap(c, parts)
+            stacked = [stack.table(t) for t in range(len(parts))]
+        with warnings.catch_warnings(record=True) as alone_warnings:
+            warnings.simplefilter("always")
+            alone = [conditional_gap(c, p) for p in parts]
+        assert [str(w.message) for w in stacked_warnings] == [
+            str(w.message) for w in alone_warnings
+        ]
+        assert len(alone_warnings) == int(zero)
+        for got, want in zip(stacked, alone):
+            assert np.array_equal(got.probabilities, want.probabilities)
+            assert np.array_equal(got.gaps, want.gaps)
+            assert np.array_equal(got.partition.outcomes, want.partition.outcomes)
+            assert np.array_equal(got.partition.block_ids, want.partition.block_ids)
+            assert got.partition.origin == want.partition.origin
+        if zero:
+            assert stacked[-1].partition.blocks == tuple(map(tuple, blocks))
+
+
 ALL_COMBOS = [
     PolicyCombo(info, conn, indem)
     for info in ("l-fi", "m-fi", "h-fi", "custom")
@@ -456,14 +536,16 @@ class TestEvaluateGrid:
             original = getattr(valuation, name)
 
             def counted(*args, _name=name, _original=original):
-                calls.append(_name)
+                calls.append((_name, *(len(a) for a in args[1:])))
                 return _original(*args)
 
             monkeypatch.setattr(valuation, name, counted)
         evaluate_grid(prize_model(), ALL_COMBOS, PRIZE_EVIDENCE, PRIZE_BLOCKS)
         # ld-c and paper-table share the one least-divergence coupling.
-        assert calls.count("least_divergence_coupling") == 1
-        assert calls.count("conditional_gap") == 16
+        assert calls.count(("least_divergence_coupling",)) == 1
+        # One gap pass per connection, over its four information policies.
+        assert calls.count(("conditional_gap", 4)) == 4
+        assert len(calls) == 5
 
     @pytest.mark.parametrize(
         "combos, error, match",
@@ -477,6 +559,13 @@ class TestEvaluateGrid:
                 [("h-fi", "i-c", "fm-i"), ("custom", "ld-c", "cc-i"), ("h-fi", "e-c", "cc-i")],
                 ConfigurationError,
                 "custom partition needs explicit blocks",
+            ),
+            # ld-c's gap pass builds h-fi and custom at the first
+            # combination, but custom's failure belongs to the third.
+            (
+                [("h-fi", "ld-c", "cc-i"), ("l-fi", "e-c", "cc-i"), ("custom", "ld-c", "cc-i")],
+                ConfigurationError,
+                "'e-c' needs an explicit coupling",
             ),
         ],
     )
@@ -506,6 +595,12 @@ class TestEvaluateGrid:
                 ConfigurationError,
                 "'e-c' needs an explicit coupling",
             ),
+            # The failing custom table shares i-c with the first combination.
+            (
+                [("h-fi", "i-c", "cc-i"), ("h-fi", "ld-c", "cc-i"), ("custom", "i-c", "cc-i")],
+                ValueError,
+                "value 1000.0 needs more money than a float holds",
+            ),
         ],
     )
     def test_an_award_error_before_a_failing_table_wins(self, combos, error, match):
@@ -527,9 +622,46 @@ class TestEvaluateGrid:
         assert str(in_grid.value) == str(alone.value)
 
 
-def _raises(model, combo) -> bool:
+    @pytest.mark.parametrize(
+        "combos, error",
+        [
+            (
+                [("l-fi", "e-c", "cc-i"), ("custom", "i-c", "cc-i"), ("h-fi", "e-c", "cc-i")],
+                ConfigurationError,
+            ),
+            (
+                [("l-fi", "e-c", "cc-i"), ("h-fi", "e-c", "cc-i"), ("custom", "i-c", "cc-i")],
+                UserWarning,
+            ),
+        ],
+    )
+    def test_a_dropped_block_warns_at_its_own_combination(self, combos, error):
+        # The evidence gives "a" no factual mass, though the case gives it
+        # 1e-17, so h-fi/e-c drops the block (0,); e-c's one gap pass
+        # builds that table at the first combination.
+        model = CaseModel(
+            OutcomeSpace(("a", "b", "c"), (0.0, 1.0, 2.0)),
+            DiscreteDistribution((0.5, 0.5, 0.0)),
+            DiscreteDistribution((1e-17, 0.5, 0.5)),
+            IdentityMoneyMap(),
+        )
+        joint = [[0.0, 0.5, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]]
+        combos = [PolicyCombo(*c) for c in combos]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as in_grid:
+                evaluate_grid(model, combos, joint)
+            first = next(c for c in combos if _raises(model, c, joint))
+            with pytest.raises(error) as alone:
+                evaluate_policy(model, first, joint)
+        assert str(in_grid.value) == str(alone.value)
+        with pytest.warns(UserWarning, match=r"zero-probability block \(0,\)"):
+            evaluate_policy(model, PolicyCombo("h-fi", "e-c", "cc-i"), joint)
+
+
+def _raises(model, combo, joint=None) -> bool:
     try:
-        evaluate_policy(model, combo)
+        evaluate_policy(model, combo, joint)
     except Exception:
         return True
     return False
