@@ -205,7 +205,8 @@ def _money_from_spec(data, errs: list[str]) -> MoneyMap:
         errs.append("money must be an object with a 'kind' field")
         return IdentityMoneyMap()
     kind = data["kind"]
-    if kind not in _MONEY_KEYS:
+    # Only a string names a kind; a list or an object is not even hashable.
+    if not isinstance(kind, str) or kind not in _MONEY_KEYS:
         errs.append(f"unknown money kind {kind!r}; expected one of {sorted(_MONEY_KEYS)}")
         return IdentityMoneyMap()
     extra = set(data) - {"kind"} - _MONEY_KEYS[kind]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
@@ -32,6 +31,7 @@ from .choice import flatten_choice_case, resolve_choice
 from .outcome import CaseValidationError
 from .valuation import (
     STANDARD_AXES,
+    STANDARD_COMBOS,
     CompensationSchedule,
     ConfigurationError,
     PolicyCombo,
@@ -174,11 +174,7 @@ def cmd_evaluate(args) -> int:
     skipped: list[str] = []
     if args.all_policies:
         has_evidence = loaded.kind == "choice" or loaded.evidence_joint is not None
-        combos = [
-            PolicyCombo(*c)
-            for c in itertools.product(*STANDARD_AXES)
-            if has_evidence or c[1] != "e-c"
-        ]
+        combos = [c for c in STANDARD_COMBOS if has_evidence or c.connection != "e-c"]
         if not has_evidence:
             skipped = [
                 f"{info}/e-c: no evidence coupling in file" for info in STANDARD_AXES[0]

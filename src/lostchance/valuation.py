@@ -80,6 +80,11 @@ class PolicyCombo:
         return f"{self.info}/{self.connection}/{self.indemnity}"
 
 
+# Every combination of the standard policies, in product order; built
+# once, as `evaluate --all-policies` evaluates them on every call.
+STANDARD_COMBOS = tuple(itertools.starmap(PolicyCombo, itertools.product(*STANDARD_AXES)))
+
+
 @dataclass(frozen=True)
 class SelectiveGroups:
     """Split of the factual support by conditional counterfactual mean.

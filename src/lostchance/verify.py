@@ -13,7 +13,11 @@ The harness can inject a deliberate shift into the fair-mean root
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import sys
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -501,6 +505,141 @@ def _check_mitigation(res: PropertyResult, rng, instances: range) -> None:
         )
 
 
+def _suites(instances: int, lambda_offset: float) -> list:
+    """Every property suite as (stream, name, check, instances, keyword
+    arguments), the heaviest first.
+
+    A suite draws from its own stream and is reported in stream order,
+    so the order the suites run in changes no byte of the report.
+    """
+    fair_mean = {"lambda_offset": lambda_offset}
+    return [
+        (4, "clamped-gap-risk-optimal", _check_unconstrained_optimal, instances, {}),
+        (5, "fair-mean-constrained-optimal", _check_constrained_optimal, instances, fair_mean),
+        (1, "comonotone-transport-optimal", _check_comonotone_optimal, min(instances, 60), {}),
+        (12, "mitigation-clamp", _check_mitigation, instances, {}),
+        (0, "coupling-marginals", _check_marginal_preservation, instances, {}),
+        (11, "presumption-behavior", _check_presumptions, instances, {}),
+        (10, "choice-result-independence", _check_choice_independence, instances, {}),
+        (6, "clamped-dominates-fair-mean", _check_cc_dominates_fm, instances, {}),
+        (9, "block-gap-aggregation", _check_gap_identity, instances, {}),
+        (7, "payout-curve-shape", _check_shift_function_shape, instances, {}),
+        (8, "two-block-fair-mean-closed-form", _check_mfi_fmi_closed_form, instances, {}),
+        (3, "independence-zero-covariance", _check_independence_covariance, instances, {}),
+        (2, "comonotone-monotone-support", _check_monotone_rearrangement, instances, {}),
+    ]
+
+
+def _run_suite(
+    seed: int, stream: int, name: str, check: Callable, count: int, kwargs: dict
+) -> PropertyResult:
+    res = PropertyResult(name)
+    rng = _rng_for(seed, stream)
+    positive = check(res, rng, range(count), **kwargs)
+    # A suite may not exercise its property on any instance it drew:
+    # the two-block closed form skips a case without a positive mean
+    # gap, and the fair-mean suite returns False until it meets one.
+    # Draw on, one at a time, until it does; a property still
+    # unexercised at the cap fails.
+    for i in range(count, count + MAX_EXTRA_INSTANCES):
+        if res.checked and positive is not False:
+            break
+        positive = check(res, rng, range(i, i + 1), **kwargs)
+    if positive is False:
+        res.ok(False, "no instance produced a positive mean gap")
+    return res
+
+
+def _worker_count() -> int:
+    """The CPUs this process may run on; 1 where `fork` or CPU affinity
+    is missing."""
+    if "fork" not in multiprocessing.get_all_start_methods() or not hasattr(
+        os, "sched_getaffinity"
+    ):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _run_suites(seed: int, suites: list) -> list[PropertyResult]:
+    """Every suite's result, in stream order.
+
+    The suites run on one worker per CPU this process may use.  With one
+    CPU, or without `fork`, they all run here, in order; a suite that a
+    forked child took but never reported runs here too.
+    """
+    outcomes: dict = {}  # stream -> PropertyResult
+    workers = min(_worker_count(), len(suites))
+    if workers > 1:
+        _run_forked(seed, suites, workers, outcomes)
+    for suite in suites:
+        if suite[0] not in outcomes:
+            outcomes[suite[0]] = _run_suite(seed, *suite)
+    return [outcomes[stream] for stream in sorted(outcomes)]
+
+
+def _run_forked(seed: int, suites: list, workers: int, outcomes: dict) -> None:
+    """Run the suites on this process and `workers - 1` forked children.
+
+    Each worker takes the next suite from a shared counter until none is
+    left, so with the heaviest first the load balances itself; a child
+    sends each result back over a pipe.  A suite that raises stops the
+    handing out of suites, and once every child is joined, the first
+    such suite's exception is raised here.
+    """
+    ctx = multiprocessing.get_context("fork")
+    next_suite = ctx.Value("i", 0)
+
+    def stop() -> None:
+        with next_suite.get_lock():
+            next_suite.value = len(suites)
+
+    def work(deliver: Callable) -> None:
+        while True:
+            with next_suite.get_lock():
+                k = next_suite.value
+                next_suite.value = k + 1
+            if k >= len(suites):
+                return
+            try:
+                outcome = _run_suite(seed, *suites[k])
+            except Exception as exc:  # raised in the parent, below
+                outcome = exc
+                stop()
+            deliver(suites[k][0], outcome)
+
+    def child(send) -> None:
+        with send:
+            work(lambda stream, outcome: send.send((stream, outcome)))
+
+    # A child's copy of unflushed output would be written twice.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []
+    try:
+        for _ in range(workers - 1):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=child, args=(send,))
+            children.append((proc, recv))
+            with send:  # the child holds its own end
+                proc.start()
+        work(outcomes.__setitem__)
+    finally:
+        stop()
+        for proc, recv in children:
+            with recv:
+                while True:
+                    try:
+                        stream, outcome = recv.recv()
+                    except EOFError:
+                        break
+                    outcomes[stream] = outcome
+            if proc.pid is not None:
+                proc.join()
+    for stream, *_ in suites:
+        if isinstance(outcomes.get(stream), Exception):
+            raise outcomes[stream]
+
+
 def run_verification(
     seed: int = 0, instances: int = 200, lambda_offset: float = 0.0
 ) -> VerificationReport:
@@ -515,41 +654,5 @@ def run_verification(
     report = VerificationReport(
         seed=int(seed), instances=int(instances), lambda_offset=float(lambda_offset)
     )
-    comonotone_instances = min(instances, 60)
-    suites = [
-        ("coupling-marginals", _check_marginal_preservation, instances, {}),
-        ("comonotone-transport-optimal", _check_comonotone_optimal, comonotone_instances, {}),
-        ("comonotone-monotone-support", _check_monotone_rearrangement, instances, {}),
-        ("independence-zero-covariance", _check_independence_covariance, instances, {}),
-        ("clamped-gap-risk-optimal", _check_unconstrained_optimal, instances, {}),
-        (
-            "fair-mean-constrained-optimal",
-            _check_constrained_optimal,
-            instances,
-            {"lambda_offset": lambda_offset},
-        ),
-        ("clamped-dominates-fair-mean", _check_cc_dominates_fm, instances, {}),
-        ("payout-curve-shape", _check_shift_function_shape, instances, {}),
-        ("two-block-fair-mean-closed-form", _check_mfi_fmi_closed_form, instances, {}),
-        ("block-gap-aggregation", _check_gap_identity, instances, {}),
-        ("choice-result-independence", _check_choice_independence, instances, {}),
-        ("presumption-behavior", _check_presumptions, instances, {}),
-        ("mitigation-clamp", _check_mitigation, instances, {}),
-    ]
-    for stream, (name, fn, count, kwargs) in enumerate(suites):
-        res = PropertyResult(name)
-        rng = _rng_for(seed, stream)
-        positive = fn(res, rng, range(count), **kwargs)
-        # A suite may not exercise its property on any instance it drew:
-        # the two-block closed form skips a case without a positive mean
-        # gap, and the fair-mean suite returns False until it meets one.
-        # Draw on, one at a time, until it does; a property still
-        # unexercised at the cap fails.
-        for i in range(count, count + MAX_EXTRA_INSTANCES):
-            if res.checked and positive is not False:
-                break
-            positive = fn(res, rng, range(i, i + 1), **kwargs)
-        if positive is False:
-            res.ok(False, "no instance produced a positive mean gap")
-        report.results.append(res)
+    report.results = _run_suites(seed, _suites(instances, lambda_offset))
     return report

@@ -255,6 +255,21 @@ class TestMoneySpecs:
         errs = errors_of(outcome_data(money={"kind": "alchemy"}))
         assert any("unknown money kind 'alchemy'" in e for e in errs)
 
+    @pytest.mark.parametrize("kind", [[1], {}, 5, None], ids=["list", "object", "number", "null"])
+    @pytest.mark.parametrize("form", ["outcome", "choice"])
+    def test_kind_that_is_not_a_string(self, tmp_path, capsys, form, kind):
+        data = outcome_data() if form == "outcome" else dump_case(matos_case(0.7, 0.0))
+        data["money"] = {"kind": kind}
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["evaluate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: case file is invalid\n"
+            f"  - unknown money kind {kind!r}; expected one of "
+            "['crra', 'identity', 'tabulated']\n"
+        )
+
     def test_missing_and_extra_fields(self):
         errs = errors_of(outcome_data(money={"kind": "crra"}))
         assert any("missing ['theta']" in e for e in errs)

@@ -132,6 +132,24 @@ def test_all_policies_prices_with_one_award_call(run, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_all_policies_builds_no_policy_combination(monkeypatch, capsys):
+    """The standard grid is built once per process, not once per command."""
+    built = []
+    post_init = PolicyCombo.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PolicyCombo, "__post_init__", counted)
+    case, flags = _case_and_presumption("paper-prize")
+    assert main(["evaluate", str(case), "--all-policies", "--csv"]) == 0
+    assert capsys.readouterr().out.count("/") >= 15
+    assert built == []
+    assert main(["evaluate", str(case), "--info", "H-FI "]) == 0
+    assert [c.descriptor for c in built] == ["h-fi/e-c/cc-i"]
+
+
 @pytest.mark.parametrize("run", RUNS)
 def test_schedule_notes_keep_their_order(run):
     case, flags = _case_and_presumption(run)
