@@ -487,72 +487,49 @@ class _Partition(NamedTuple):
 
 
 class _Connection:
-    """What the combinations with one connection share: its coupling's
-    notes, and the tables of every information policy they use, in order
-    of first use, from one `conditional_gap` pass.
+    """What the combinations with one connection share, built at once: its
+    coupling's notes, and the checked tables of every information policy
+    they use, in order of first use, from one `conditional_gap` pass.
 
     `payouts` holds every row's clamped payout, a 0, every row's fair-mean
-    payout and a 0.  The grid lays every connection's `payouts` end to
-    end, this one's from `base`, and `slots[i][t]` gives, for each factual
-    support outcome, where in them its payout under table t is, clamped
-    for i = 0 and fair-mean for i = 1; an outcome no kept block holds is
-    paid a 0.  A table is checked, and its fair-mean payouts solved, when
-    the first combination needing them comes up.
+    payout and a 0; fair-mean payouts are solved only for the tables that
+    some fm-i combination uses.  The grid lays every connection's
+    `payouts` end to end, this one's from `base`, and
+    `slots[indemnity][info]` gives, for each factual support outcome,
+    where in them its payout is; an outcome no kept block holds is paid
+    a 0.
     """
 
     def __init__(
         self, model, conn, infos, joint, least_divergence, support, custom_blocks, base
     ):
+        """`infos` maps each information policy, in order of first use, to
+        whether some fm-i combination uses its table."""
         coupling, notes = _coupling_for(model, conn, joint, least_divergence)
         groups = selective_groups(coupling)
-        partitions: list[_Partition] = []
-        self.notes: list[tuple[str, ...]] = []
-        # The first information policy whose partition cannot be built;
-        # the combinations before its first one are priced before it raises.
-        self.failure: Optional[Exception] = None
-        for info in infos:
-            try:
-                partitions.append(
-                    _Partition(*_partition(info, support, groups, custom_blocks))
-                )
-            except Exception as exc:
-                if not partitions:
-                    raise
-                self.failure = exc
-                break
-            self.notes.append(notes + _tie_note(model, info, groups))
-        self.table_of = dict(zip(infos, range(len(partitions))))
-        self.gaps = gaps = conditional_gap(coupling, partitions)
+        partitions = [
+            _Partition(*_partition(info, support, groups, custom_blocks)) for info in infos
+        ]
+        self.notes = {info: notes + _tie_note(model, info, groups) for info in infos}
+        gaps = conditional_gap(coupling, partitions)
         rows = gaps.gaps.size
         self.payouts = np.zeros(2 * rows + 2)
         self.payouts[:rows] = cc_indemnity(gaps)
+        for t, fair in enumerate(infos.values()):
+            expected = gaps.check(t)
+            if fair:
+                lo, hi = gaps.starts[t], gaps.starts[t + 1]
+                self.payouts[rows + 1 + lo : rows + 1 + hi] = _fair_mean(
+                    gaps.probabilities[lo:hi], gaps.gaps[lo:hi], expected
+                )
         sizes = [p.outcomes.size for p in partitions]
         where = np.full((len(partitions), model.space.size), rows)
         where[np.arange(len(partitions)).repeat(sizes), gaps.outcomes] = gaps.rows
         clamped = where[:, support] + base
-        self.slots = (clamped, clamped + (rows + 1))
-        # Each table's expected gap, once it is checked.
-        self._expected: list[Optional[float]] = [None] * len(partitions)
-        self._unsolved = [True] * len(partitions)
-
-    def slot(self, info: str, indemnity: str) -> tuple[int, np.ndarray]:
-        """The table `info` uses, and the slots of its payouts under
-        `indemnity`."""
-        t = self.table_of.get(info)
-        if t is None:
-            raise self.failure
-        if self._expected[t] is None:
-            self._expected[t] = self.gaps.check(t)
-        if indemnity == "cc-i":
-            return t, self.slots[0][t]
-        if self._unsolved[t]:
-            lo, hi = self.gaps.starts[t], self.gaps.starts[t + 1]
-            shift = self.gaps.gaps.size + 1
-            self.payouts[shift + lo : shift + hi] = _fair_mean(
-                self.gaps.probabilities[lo:hi], self.gaps.gaps[lo:hi], self._expected[t]
-            )
-            self._unsolved[t] = False
-        return t, self.slots[1][t]
+        self.slots = {
+            "cc-i": dict(zip(infos, clamped)),
+            "fm-i": dict(zip(infos, clamped + (rows + 1))),
+        }
 
 
 def _tie_note(model: CaseModel, info: str, groups: SelectiveGroups) -> tuple[str, ...]:
@@ -577,23 +554,25 @@ def evaluate_grid(
     """One schedule per combination: coupling, partition, gaps, indemnity,
     money awards.
 
-    The coupling, its notes and its selective groups depend only on the
-    connection, so each is built once, when the first combination needing
-    it comes up.  So are the partitions of every information policy that
-    the connection's combinations use, and their gap tables, from one
-    `conditional_gap` pass, and their clamped payouts, from one
-    `np.maximum`.  A table is checked, and its fair-mean payouts solved,
-    when its first combination comes up.  The payouts of every
-    combination then form one (combination x outcome) matrix, gathered
-    at once from the connections' payouts and priced by one award call.
-    A grid raises exactly where, and as, the first failing combination
-    would on its own: when combination k fails to build its coupling,
-    table or indemnity, combinations 0..k-1 are priced first, and an
-    award error among them wins.
+    The grid is built first, then priced.  The coupling, its notes and
+    its selective groups depend only on the connection, so each is built
+    once per connection, in order of first use.  So are the partitions of
+    every information policy that the connection's combinations use, and
+    their gap tables, from one `conditional_gap` pass; each table is
+    checked once, its clamped payouts come from one `np.maximum`, and its
+    fair-mean payouts are solved when some fm-i combination uses it.  The
+    payouts of every combination then form one (combination x outcome)
+    matrix, gathered at once from the connections' payouts and priced by
+    one award call.  So an error in building any connection, in order of
+    first use, and within it in its first information policy, wins over
+    an award error; the award call names the first combination, and its
+    first outcome, that cannot be priced.
 
     e-c evaluates `evidence_joint`; paper-table evaluates
     `paper_table_joint`, or `evidence_joint` when that is not given.
     """
+    if not combos:
+        return []
     if paper_table_joint is None:
         paper_table_joint = evidence_joint
     joints = {"e-c": evidence_joint, "paper-table": paper_table_joint}
@@ -601,47 +580,33 @@ def evaluate_grid(
     support = np.flatnonzero(model.factual.array > 0.0)
     # ld-c and paper-table's cost check share one least-divergence coupling.
     least_divergence = functools.cache(lambda: least_divergence_coupling(model))
-    # The information policies of each connection, in order of first use.
-    infos: dict[str, dict[str, None]] = {}
+    # The information policies of each connection, in order of first use,
+    # and whether some fm-i combination uses each.
+    infos: dict[str, dict[str, bool]] = {}
     for combo in combos:
-        infos.setdefault(combo.connection, {})[combo.info] = None
+        fair = infos.setdefault(combo.connection, {})
+        fair[combo.info] = fair.get(combo.info, False) or combo.indemnity == "fm-i"
     connected: dict[str, _Connection] = {}
     base = 0
-    # Per priced combination: its notes and its payouts' slots.
-    notes: list[tuple[str, ...]] = []
-    slots: list[np.ndarray] = []
-    failure: Optional[Exception] = None
-    try:
-        for combo in combos:
-            conn = connected.get(combo.connection)
-            if conn is None:
-                conn = connected[combo.connection] = _Connection(
-                    model,
-                    combo.connection,
-                    list(infos[combo.connection]),
-                    joints.get(combo.connection),
-                    least_divergence,
-                    support,
-                    custom_blocks,
-                    base,
-                )
-                base += conn.payouts.size
-            t, slot = conn.slot(combo.info, combo.indemnity)
-            notes.append(conn.notes[t])
-            slots.append(slot)
-    except Exception as exc:
-        failure = exc
-    # The combinations before a failing one are priced first, so that an
-    # award error among them wins, as it would one combination at a time.
-    schedules = []
-    if slots:
-        payouts = np.concatenate([conn.payouts for conn in connected.values()])
-        # The (combination x outcome) payout matrix, flattened row after row.
-        x = payouts[np.concatenate(slots)]
-        schedules = _price(model, combos, support, x, notes, tuple(extra_notes))
-    if failure is not None:
-        raise failure
-    return schedules
+    for conn, conn_infos in infos.items():
+        connected[conn] = _Connection(
+            model,
+            conn,
+            conn_infos,
+            joints.get(conn),
+            least_divergence,
+            support,
+            custom_blocks,
+            base,
+        )
+        base += connected[conn].payouts.size
+    payouts = np.concatenate([conn.payouts for conn in connected.values()])
+    # The (combination x outcome) payout matrix, flattened row after row.
+    x = payouts[
+        np.concatenate([connected[c.connection].slots[c.indemnity][c.info] for c in combos])
+    ]
+    notes = [connected[c.connection].notes[c.info] for c in combos]
+    return _price(model, combos, support, x, notes, tuple(extra_notes))
 
 
 def _price(
@@ -652,14 +617,13 @@ def _price(
     notes: list[tuple[str, ...]],
     extra_notes: tuple[str, ...],
 ) -> list[CompensationSchedule]:
-    """The schedules of the first len(notes) combinations, priced by one
-    award call over `x`, their (combination x outcome) payout matrix
-    flattened row after row, so the call raises the error of the first
-    combination that fails."""
+    """The combinations' schedules, priced by one award call over `x`,
+    their (combination x outcome) payout matrix flattened row after row,
+    so the call raises the error of the first combination that fails."""
     labels = tuple(map(model.space.labels.__getitem__, support.tolist()))
     money = model.money
     n = len(labels)
-    v = np.concatenate([model.space.values_array[support]] * len(notes))
+    v = np.concatenate([model.space.values_array[support]] * len(combos))
     awards = award_from_compensation(money, v, x).tolist()
     values = x.tolist()
     notes = [extra_notes + row_notes for row_notes in notes]

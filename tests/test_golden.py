@@ -176,7 +176,9 @@ def test_all_policies_builds_each_coupling_once(run, monkeypatch, capsys):
     connection over its three information policies, not one per
     (connection, info) pair."""
     builds: list[str] = []
-    gaps: list[tuple[int, int]] = []
+    # The couplings themselves: holding them keeps each alive, so no two
+    # can share an id.
+    gaps: list[tuple[object, int]] = []
 
     def counted(name):
         original = getattr(valuation, name)
@@ -197,7 +199,7 @@ def test_all_policies_builds_each_coupling_once(run, monkeypatch, capsys):
     conditional_gap = valuation.conditional_gap
 
     def counted_gap(coupling, partitions):
-        gaps.append((id(coupling), len(partitions)))
+        gaps.append((coupling, len(partitions)))
         return conditional_gap(coupling, partitions)
 
     monkeypatch.setattr(valuation, "conditional_gap", counted_gap)
@@ -209,7 +211,7 @@ def test_all_policies_builds_each_coupling_once(run, monkeypatch, capsys):
         "independence_coupling",
         "least_divergence_coupling",
     ]
-    assert len(gaps) == len({c for c, _ in gaps}) == 3
+    assert len(gaps) == len({id(c) for c, _ in gaps}) == 3
     assert [n for _, n in gaps] == [3, 3, 3]
 
 

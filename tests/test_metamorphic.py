@@ -1,15 +1,21 @@
 """Metamorphic relations of the policy grid, at sizes no oracle reaches.
 
 Each test changes a case in a way that must not move its schedules, or
-must move them in a known way, and compares the two grids bit for bit
-under the twelve least-divergence and independence combinations:
+must move them in a known way, and compares the two grids under the
+twelve least-divergence and independence combinations:
 
 - an outcome added at the end of the list, with a value no other
   outcome has and no weight in either world, is never factually
-  possible, so no schedule may change;
+  possible, so no schedule may change, bit for bit;
 - multiplying every value by 8 multiplies every gap by a power of two,
   so under identity money every compensation and award is 8 times the
-  original, exactly.
+  original, exactly;
+- permuting the outcome list leaves every outcome's compensation and
+  award where they were, up to round-off: the engine's sums then meet
+  their terms in another order, so the two grids are compared label by
+  label within the gap identity's tolerance, never bit for bit.
+  Least-divergence matching breaks value ties by label order, so under
+  ld-c the values are distinct.
 
 The outcome goes at the end so that every reduction meets the other
 outcomes in the same order: an outcome inserted before them moves the
@@ -32,7 +38,7 @@ from lostchance.outcome import (
     IdentityMoneyMap,
     OutcomeSpace,
 )
-from lostchance.valuation import STANDARD_COMBOS, evaluate_grid
+from lostchance.valuation import GAP_IDENTITY_TOL, STANDARD_COMBOS, evaluate_grid
 
 COMBOS = [c for c in STANDARD_COMBOS if c.connection != "e-c"]
 SIZES = (3, 4, 30, 300, 3000)
@@ -40,8 +46,9 @@ SIZES = (3, 4, 30, 300, 3000)
 BOUNDARY_SIZES = (7, 127, 255)
 
 
-def _model(values, counterfactual, factual) -> CaseModel:
-    labels = tuple(f"o{i}" for i in range(len(values)))
+def _model(values, counterfactual, factual, labels=None) -> CaseModel:
+    if labels is None:
+        labels = tuple(f"o{i}" for i in range(len(values)))
     return CaseModel(
         OutcomeSpace(labels, values),
         DiscreteDistribution(counterfactual),
@@ -131,3 +138,45 @@ def test_values_times_8_scale_every_compensation_exactly(n, seed):
         assert new.outcomes == old.outcomes
         assert _bits(new.values) == _bits(np.multiply(old.values, 8.0)), new.policy
         assert _bits(new.awards) == _bits(np.multiply(old.awards, 8.0)), new.policy
+
+
+TIE_NOTE = "note: outcome(s) "
+
+
+def _note_key(note: str):
+    """A note, with the m-fi tie note's labels as a set: it lists them in
+    outcome-list order.  Least-divergence matching moves all the mass of
+    some outcomes onto themselves, so most ld-c cases have such a note."""
+    if note.startswith(TIE_NOTE):
+        labels, rest = note[len(TIE_NOTE) :].split(" sit exactly", 1)
+        return frozenset(labels.split(", ")), rest
+    return note
+
+
+@pytest.mark.parametrize("seed", [0, 2, 4])
+@pytest.mark.parametrize("n", SIZES)
+def test_a_permuted_outcome_list_moves_schedules_by_round_off_only(n, seed):
+    # Even seeds draw distinct values, which ld-c needs.
+    values, counterfactual, factual = _seeded(seed, n)
+    assert np.unique(values).size == n
+    labels = tuple(f"o{i}" for i in range(n))
+    order = np.random.default_rng([seed, n, 1]).permutation(n)
+    base = evaluate_grid(_model(values, counterfactual, factual), COMBOS)
+    permuted = evaluate_grid(
+        _model(
+            values[order],
+            counterfactual[order],
+            factual[order],
+            tuple(labels[i] for i in order),
+        ),
+        COMBOS,
+    )
+    tol = GAP_IDENTITY_TOL * max(1.0, float(np.abs(values).max()))
+    for old, new in zip(base, permuted, strict=True):
+        assert new.policy == old.policy
+        assert sorted(new.outcomes) == sorted(old.outcomes)
+        assert list(map(_note_key, new.notes)) == list(map(_note_key, old.notes))
+        for got, want in ((new.values, old.values), (new.awards, old.awards)):
+            by_label = dict(zip(new.outcomes, got))
+            moved = np.subtract([by_label[k] for k in old.outcomes], want)
+            assert np.abs(moved).max() <= tol, new.policy

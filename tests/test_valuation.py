@@ -528,82 +528,64 @@ class TestEvaluateGrid:
         assert grid[1].notes[0].startswith("FLAG")
         assert grid[2] == evaluate_policy(model, combos[2])
 
+    def test_an_empty_grid_has_no_schedules(self):
+        assert evaluate_grid(prize_model(), []) == []
+
     def test_shares_couplings_and_gap_tables(self, monkeypatch):
         import lostchance.valuation as valuation
 
         calls = []
-        for name in ("least_divergence_coupling", "conditional_gap"):
+        for name in ("least_divergence_coupling", "conditional_gap", "_fair_mean"):
             original = getattr(valuation, name)
 
             def counted(*args, _name=name, _original=original):
-                calls.append((_name, *(len(a) for a in args[1:])))
+                calls.append((_name, *(len(a) for a in args[1:2])))
                 return _original(*args)
 
             monkeypatch.setattr(valuation, name, counted)
+        checks = []
+        check = valuation.GapStack.check
+
+        def counted_check(stack, t):
+            checks.append((stack, t))
+            return check(stack, t)
+
+        monkeypatch.setattr(valuation.GapStack, "check", counted_check)
         evaluate_grid(prize_model(), ALL_COMBOS, PRIZE_EVIDENCE, PRIZE_BLOCKS)
         # ld-c and paper-table share the one least-divergence coupling.
         assert calls.count(("least_divergence_coupling",)) == 1
         # One gap pass per connection, over its four information policies.
         assert calls.count(("conditional_gap", 4)) == 4
-        assert len(calls) == 5
+        # One fair-mean solve per table, though two combinations use each.
+        assert [c[0] for c in calls].count("_fair_mean") == 16
+        assert len(calls) == 21
+        # Each of the 16 tables is checked exactly once.
+        assert len({(id(stack), t) for stack, t in checks}) == len(checks) == 16
+
+        # A grid of clamped combinations solves no fair-mean shift.
+        calls.clear()
+        checks.clear()
+        clamped = [c for c in ALL_COMBOS if c.indemnity == "cc-i"]
+        evaluate_grid(prize_model(), clamped, PRIZE_EVIDENCE, PRIZE_BLOCKS)
+        assert "_fair_mean" not in [c[0] for c in calls]
+        assert len(checks) == 16
 
     @pytest.mark.parametrize(
-        "combos, error, match",
-        [
-            (
-                [("h-fi", "ld-c", "cc-i"), ("l-fi", "e-c", "cc-i"), ("custom", "i-c", "cc-i")],
-                ConfigurationError,
-                "'e-c' needs an explicit coupling",
-            ),
-            (
-                [("h-fi", "i-c", "fm-i"), ("custom", "ld-c", "cc-i"), ("h-fi", "e-c", "cc-i")],
-                ConfigurationError,
-                "custom partition needs explicit blocks",
-            ),
-            # ld-c's gap pass builds h-fi and custom at the first
-            # combination, but custom's failure belongs to the third.
-            (
-                [("h-fi", "ld-c", "cc-i"), ("l-fi", "e-c", "cc-i"), ("custom", "ld-c", "cc-i")],
-                ConfigurationError,
-                "'e-c' needs an explicit coupling",
-            ),
-        ],
-    )
-    def test_raises_where_the_first_failing_combination_does(
-        self, combos, error, match
-    ):
-        model = prize_model()
-        combos = [PolicyCombo(*c) for c in combos]
-        with pytest.raises(error, match=match) as in_grid:
-            evaluate_grid(model, combos)
-        first = next(c for c in combos if _raises(model, c))
-        with pytest.raises(error) as alone:
-            evaluate_policy(model, first)
-        assert str(in_grid.value) == str(alone.value)
-
-    @pytest.mark.parametrize(
-        "combos, error, match",
+        "combos, match",
         [
             # The earlier combination fails to price, the later to build.
             (
                 [("h-fi", "i-c", "cc-i"), ("h-fi", "ld-c", "cc-i"), ("h-fi", "e-c", "cc-i")],
-                ValueError,
-                "value 1000.0 needs more money than a float holds",
-            ),
-            (
-                [("h-fi", "i-c", "cc-i"), ("h-fi", "e-c", "cc-i"), ("h-fi", "ld-c", "cc-i")],
-                ConfigurationError,
                 "'e-c' needs an explicit coupling",
             ),
             # The failing custom table shares i-c with the first combination.
             (
                 [("h-fi", "i-c", "cc-i"), ("h-fi", "ld-c", "cc-i"), ("custom", "i-c", "cc-i")],
-                ValueError,
-                "value 1000.0 needs more money than a float holds",
+                "custom partition needs explicit blocks",
             ),
         ],
     )
-    def test_an_award_error_before_a_failing_table_wins(self, combos, error, match):
+    def test_a_build_error_wins_over_an_earlier_award_error(self, combos, match):
         # Money is exp(value), so only a lift to 1000 (ld-c pays "mid" 600)
         # overflows; i-c lifts both outcomes to 500.
         model = CaseModel(
@@ -613,55 +595,81 @@ class TestEvaluateGrid:
             CurveMoneyMap(UtilityCurve(1.0)),
         )
         combos = [PolicyCombo(*c) for c in combos]
-        with pytest.raises(error, match=match) as in_grid:
+        with pytest.raises(ConfigurationError, match=match):
             evaluate_grid(model, combos)
-        assert not _raises(model, combos[0])
-        first = next(c for c in combos if _raises(model, c))
-        with pytest.raises(error) as alone:
-            evaluate_policy(model, first)
-        assert str(in_grid.value) == str(alone.value)
-
+        evaluate_grid(model, combos[:1])
+        with pytest.raises(ValueError, match="needs more money than a float holds"):
+            evaluate_grid(model, combos[:2])
 
     @pytest.mark.parametrize(
-        "combos, error",
+        "combos, match",
         [
+            # i-c is built before e-c, though e-c's first combination
+            # comes before i-c's failing one.
             (
-                [("l-fi", "e-c", "cc-i"), ("custom", "i-c", "cc-i"), ("h-fi", "e-c", "cc-i")],
-                ConfigurationError,
+                [("l-fi", "i-c", "cc-i"), ("l-fi", "e-c", "cc-i"), ("custom", "i-c", "cc-i")],
+                "custom partition needs explicit blocks",
             ),
             (
-                [("l-fi", "e-c", "cc-i"), ("h-fi", "e-c", "cc-i"), ("custom", "i-c", "cc-i")],
-                UserWarning,
+                [("l-fi", "e-c", "cc-i"), ("custom", "i-c", "cc-i"), ("h-fi", "ld-c", "cc-i")],
+                "'e-c' needs an explicit coupling",
             ),
         ],
     )
-    def test_a_dropped_block_warns_at_its_own_combination(self, combos, error):
-        # The evidence gives "a" no factual mass, though the case gives it
-        # 1e-17, so h-fi/e-c drops the block (0,); e-c's one gap pass
-        # builds that table at the first combination.
+    def test_the_connection_used_first_raises_first(self, combos, match):
+        combos = [PolicyCombo(*c) for c in combos]
+        with pytest.raises(ConfigurationError, match=match):
+            evaluate_grid(prize_model(), combos)
+
+    @staticmethod
+    def _dropping_model():
+        """A case whose evidence gives "a" and "b" no factual mass, though
+        the case gives each 1e-17: h-fi/e-c drops the blocks (0,) and
+        (1,), and custom/e-c over DROPPING_BLOCKS drops (0, 1)."""
         model = CaseModel(
-            OutcomeSpace(("a", "b", "c"), (0.0, 1.0, 2.0)),
-            DiscreteDistribution((0.5, 0.5, 0.0)),
-            DiscreteDistribution((1e-17, 0.5, 0.5)),
+            OutcomeSpace(("a", "b", "c", "d"), (0.0, 1.0, 2.0, 3.0)),
+            DiscreteDistribution((0.0, 0.0, 0.0, 1.0)),
+            DiscreteDistribution((1e-17, 1e-17, 0.5, 0.5)),
             IdentityMoneyMap(),
         )
-        joint = [[0.0, 0.5, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]]
-        combos = [PolicyCombo(*c) for c in combos]
+        joint = np.zeros((4, 4))
+        joint[3, 2:] = 0.5
+        return model, joint
+
+    DROPPING_BLOCKS = [[0, 1], [2], [3]]
+
+    @pytest.mark.parametrize(
+        "infos, match",
+        [
+            (("custom", "h-fi"), r"zero-probability block \(0, 1\)"),
+            (("h-fi", "custom"), r"zero-probability block \(0,\)"),
+        ],
+    )
+    def test_a_connection_s_first_information_policy_raises_first(self, infos, match):
+        model, joint = self._dropping_model()
+        combos = [PolicyCombo(info, "e-c", "cc-i") for info in infos]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(error) as in_grid:
-                evaluate_grid(model, combos, joint)
-            first = next(c for c in combos if _raises(model, c, joint))
-            with pytest.raises(error) as alone:
-                evaluate_policy(model, first, joint)
-        assert str(in_grid.value) == str(alone.value)
-        with pytest.warns(UserWarning, match=r"zero-probability block \(0,\)"):
-            evaluate_policy(model, PolicyCombo("h-fi", "e-c", "cc-i"), joint)
+            with pytest.raises(UserWarning, match=match):
+                evaluate_grid(model, combos, joint, self.DROPPING_BLOCKS)
+            # Every partition is built before any table is checked.
+            with pytest.raises(ValueError, match="custom blocks cover"):
+                evaluate_grid(model, combos, joint, [[0, 1, 2]])
 
-
-def _raises(model, combo, joint=None) -> bool:
-    try:
-        evaluate_policy(model, combo, joint)
-    except Exception:
-        return True
-    return False
+    def test_each_dropped_block_warns_once(self):
+        model, joint = self._dropping_model()
+        combos = [
+            PolicyCombo(info, conn, indemnity)
+            for info in ("h-fi", "l-fi", "custom")
+            for conn in ("e-c", "i-c")
+            for indemnity in ("cc-i", "fm-i")
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            grid = evaluate_grid(model, combos, joint, self.DROPPING_BLOCKS)
+        assert [str(w.message) for w in caught] == [
+            "dropping zero-probability block (0,)",
+            "dropping zero-probability block (1,)",
+            "dropping zero-probability block (0, 1)",
+        ]
+        assert [s.policy for s in grid] == combos
