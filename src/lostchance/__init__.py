@@ -50,7 +50,6 @@ from .valuation import (
     CompensationSchedule,
     ConfigurationError,
     GapStack,
-    GapTable,
     PolicyCombo,
     cc_indemnity,
     conditional_gap,
@@ -114,7 +113,6 @@ __all__ = [
     "CurveMoneyMap",
     "DiscreteDistribution",
     "GapStack",
-    "GapTable",
     "IdentityMoneyMap",
     "LoadedCase",
     "MATOS_BAND_EDGES",

@@ -23,7 +23,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -118,128 +118,80 @@ def selective_groups(coupling: Coupling) -> SelectiveGroups:
     )
 
 
-class InformationPartition:
+@dataclass(frozen=True, eq=False)
+class Partition:
     """Blocks of factual outcome indices the court can tell apart.
 
-    Held as two aligned read-only arrays: `outcomes`, the indices block
-    after block, and `block_ids`, the block (0, 1, ...) of each.  `blocks`,
-    the same partition as a tuple of index tuples, is built when read.
+    Held as two aligned arrays: `outcomes`, the indices block after block,
+    and `block_ids`, the block (0, 1, ...) of each.
     """
 
-    def __init__(self, blocks: Sequence[Sequence[int]], origin: str):
-        self._set(*_block_arrays(blocks), origin)
+    outcomes: np.ndarray
+    block_ids: np.ndarray
 
-    @classmethod
-    def from_ids(
-        cls, outcomes: np.ndarray, block_ids: np.ndarray, origin: str
-    ) -> "InformationPartition":
-        """The partition putting outcomes[i] in block block_ids[i]; the
-        ids must run 0, 1, ... without gaps, in non-decreasing order."""
-        _check_disjoint(outcomes)
-        part = cls.__new__(cls)
-        part._set(outcomes, block_ids, origin)
-        return part
-
-    def _set(self, outcomes: np.ndarray, block_ids: np.ndarray, origin: str) -> None:
-        self.outcomes = read_only(outcomes)
-        self.block_ids = read_only(block_ids)
-        self.origin = origin
-        self.block_count = int(block_ids[-1]) + 1 if block_ids.size else 0
+    @property
+    def block_count(self) -> int:
+        return int(self.block_ids[-1]) + 1 if self.block_ids.size else 0
 
     @functools.cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The partition as a tuple of index tuples, built when first read."""
         flat = self.outcomes.tolist()
         ends = [0, *(np.flatnonzero(np.diff(self.block_ids)) + 1).tolist(), len(flat)]
         return tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:]) if b > a)
 
 
-def _check_disjoint(outcomes: np.ndarray) -> None:
+def _from_blocks(blocks: Sequence[Sequence[int]]) -> Partition:
+    """The partition given as blocks of indices, which must be disjoint
+    and non-empty."""
+    sizes = [len(b) for b in blocks]
+    outcomes = np.fromiter(itertools.chain.from_iterable(blocks), np.intp, sum(sizes))
     ordered = np.sort(outcomes)
     if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("partition blocks overlap")
-
-
-def _block_arrays(blocks: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """(outcomes, block ids) of a partition given as blocks of indices."""
-    sizes = [len(b) for b in blocks]
-    outcomes = np.fromiter(itertools.chain.from_iterable(blocks), np.intp, sum(sizes))
-    _check_disjoint(outcomes)
     if 0 in sizes:
         raise ValueError("partition contains an empty block")
-    return outcomes, np.repeat(np.arange(len(sizes)), sizes)
+    return Partition(outcomes, np.repeat(np.arange(len(sizes)), sizes))
 
 
 def build_partition(
     info: str,
-    support: Sequence[int],
+    support: Sequence[int] | np.ndarray,
     groups: Optional[SelectiveGroups] = None,
     custom_blocks: Optional[Sequence[Sequence[int]]] = None,
-) -> InformationPartition:
-    """Assemble the partition a given information policy allows.
+) -> Partition:
+    """The partition an information policy allows on `support`, the
+    indices of the factual support in increasing order.
 
     * l-fi: one block, the whole factual support;
     * m-fi: the compensable/non-compensable split (empty side dropped);
     * h-fi: singletons, full knowledge of the factual outcome;
     * custom: caller-supplied blocks, which must tile the support exactly.
     """
-    info = str(info).strip().lower()
-    sup = np.array(support, dtype=np.intp)
-    return InformationPartition.from_ids(
-        *_partition(info, sup, groups, custom_blocks), info
-    )
-
-
-def _partition(
-    info: str, support: np.ndarray, groups, custom_blocks
-) -> tuple[np.ndarray, np.ndarray]:
-    """(outcomes, block ids) of the partition `info` allows on `support`,
-    an index array; see build_partition."""
+    support = np.asarray(support, dtype=np.intp)
     if not support.size:
         raise ValueError("factual support is empty")
     if info == "l-fi":
-        return support, np.zeros_like(support)
+        return Partition(support, np.zeros_like(support))
     if info == "h-fi":
-        return support, np.arange(support.size)
+        return Partition(support, np.arange(support.size))
     if info == "m-fi":
         if groups is None:
             raise ConfigurationError("m-fi partition needs selective groups")
-        return _block_arrays(tuple(b for b in (groups.plus, groups.minus) if b))
+        return _from_blocks(tuple(b for b in (groups.plus, groups.minus) if b))
     if info == "custom":
         if custom_blocks is None:
             raise ConfigurationError("custom partition needs explicit blocks")
         blocks = tuple(tuple(int(i) for i in b) for b in custom_blocks)
-        arrays = _block_arrays(blocks)
+        partition = _from_blocks(blocks)
         covered = sorted(i for b in blocks for i in b)
         if covered != sorted(support.tolist()):
             raise ValueError(
                 f"custom blocks cover indices {covered}, expected exactly the "
                 f"factual support {sorted(support.tolist())}"
             )
-        return arrays
+        return partition
     raise ConfigurationError(f"unknown information policy {info!r}")
-
-
-class GapTable:
-    """Conditional mean value gaps, one row per partition block.
-
-    Held as arrays: `probabilities` and `gaps` per row, and `partition`,
-    whose blocks are the rows' outcomes.
-    """
-
-    @classmethod
-    def from_arrays(
-        cls, partition: InformationPartition, probabilities, gaps
-    ) -> "GapTable":
-        """The table whose row b is block b of `partition`."""
-        table = cls()
-        table.partition = partition
-        table.probabilities = read_only(probabilities)
-        table.gaps = read_only(gaps)
-        return table
-
-    @property
-    def expected_gap(self) -> float:
-        return float(self.probabilities @ self.gaps)
 
 
 class GapStack:
@@ -250,22 +202,22 @@ class GapStack:
     `probabilities` and `gaps` per row, and table t's rows are
     `starts[t]:starts[t + 1]`.  `outcomes` holds the partitions' outcomes
     end to end, table t's at `bounds[t]:bounds[t + 1]`, and `rows` the row
-    of each, or the row count when its block was dropped.  A table is read
-    with `table(t)`, which runs `check(t)` first.
+    of each, or the row count when its block was dropped.  Read a table
+    only after `check(t)`.
     """
 
-    def __init__(self, coupling: Coupling, partitions: Sequence) -> None:
+    def __init__(self, coupling: Coupling, partitions: Sequence[Partition]) -> None:
         v = coupling.space.values_array
         col_mass, col_v0 = coupling.column_moments
         # E[(V0 - V1) 1{O1 = k}] column by column.
         col_gap = col_v0 - col_mass * v
         self.partitions = partitions
+        self._labels = coupling.space.labels
         # Table t's block b is block first[t] + b of the stack.
         ids, first, self.bounds = [], [0], [0]
         for p in partitions:
             ids.append(p.block_ids + first[-1] if first[-1] else p.block_ids)
-            count = int(p.block_ids[-1]) + 1 if p.block_ids.size else 0
-            first.append(first[-1] + count)
+            first.append(first[-1] + p.block_count)
             self.bounds.append(self.bounds[-1] + p.outcomes.size)
         self.outcomes = flat = np.concatenate([p.outcomes for p in partitions])
         ids = np.concatenate(ids)
@@ -287,15 +239,20 @@ class GapStack:
         self._scale = max(1.0, float(np.abs(v).max()))
 
     def check(self, t: int) -> float:
-        """Warn of each block of table t dropped for zero probability, then
-        hold its rows to the gap identity: sum_b p_b gap_b = E[V0 - V1].
-        Returns the left side, the table's expected gap."""
+        """Warn of each block of table t dropped for zero probability, by
+        its outcomes' labels, then hold its rows to the gap identity:
+        sum_b p_b gap_b = E[V0 - V1].  Returns the left side, the table's
+        expected gap."""
         if self._dropped:
             part = self.partitions[t]
             rows = self.rows[self.bounds[t] : self.bounds[t + 1]]
             for b in np.unique(part.block_ids[rows == self.gaps.size]).tolist():
-                block = tuple(part.outcomes[part.block_ids == b].tolist())
-                warnings.warn(f"dropping zero-probability block {block}", stacklevel=2)
+                block = part.outcomes[part.block_ids == b].tolist()
+                labels = ", ".join(repr(self._labels[k]) for k in block)
+                warnings.warn(
+                    f"dropping zero-probability block of outcome(s) {labels}",
+                    stacklevel=2,
+                )
         lo, hi = self.starts[t], self.starts[t + 1]
         expected = float(self.probabilities[lo:hi] @ self.gaps[lo:hi])
         if abs(expected - self._mean_gap) > GAP_IDENTITY_TOL * self._scale:
@@ -305,45 +262,25 @@ class GapStack:
             )
         return expected
 
-    def table(self, t: int) -> GapTable:
-        """Table t, checked, as a `GapTable` over the blocks it keeps."""
-        self.check(t)
-        part = self.partitions[t]
-        lo, hi = self.starts[t], self.starts[t + 1]
-        if self._dropped:
-            rows = self.rows[self.bounds[t] : self.bounds[t + 1]]
-            kept = rows < self.gaps.size
-            if not kept.all():
-                part = InformationPartition.from_ids(
-                    part.outcomes[kept], rows[kept] - lo, part.origin
-                )
-        return GapTable.from_arrays(part, self.probabilities[lo:hi], self.gaps[lo:hi])
 
-
-def conditional_gap(coupling: Coupling, partitions):
-    """E[V0 - V1 | block] and block probability for each block, for one or
-    more partitions of the coupling's factual support, in one pass.
-
-    Given a sequence of partitions (objects holding `outcomes` and
-    `block_ids` arrays, as `InformationPartition` does), returns their
-    `GapStack`.  Given one `InformationPartition`, returns its `GapTable`:
-    `conditional_gap(coupling, [partition]).table(0)`.  Blocks with zero
-    factual probability carry no conditional mean; they are dropped with
-    a warning, when their table is read, rather than reported as 0/0.
+def conditional_gap(coupling: Coupling, partitions: Sequence[Partition]) -> GapStack:
+    """E[V0 - V1 | block] and block probability for each block of one or
+    more partitions of the coupling's factual support, in one pass, as
+    their `GapStack`.  Blocks with zero factual probability carry no
+    conditional mean; they are dropped, with a warning when their table
+    is checked, rather than reported as 0/0.
     """
-    if isinstance(partitions, InformationPartition):
-        return GapStack(coupling, [partitions]).table(0)
     return GapStack(coupling, partitions)
 
 
-def cc_indemnity(gaps) -> np.ndarray:
-    """Clamp each row's conditional gap at zero; one payout per row of a
-    `GapTable` or `GapStack`."""
-    return np.maximum(0.0, gaps.gaps)
+def cc_indemnity(gaps: np.ndarray) -> np.ndarray:
+    """Clamp each block's conditional gap at zero."""
+    return np.maximum(0.0, gaps)
 
 
-def solve_lambda(gaps: GapTable, target: float) -> float:
-    """Root of sum_b p_b * max(0, gap_b - lambda) = target, for target > 0.
+def solve_lambda(probabilities: np.ndarray, gaps: np.ndarray, target: float) -> float:
+    """Root of sum_b p_b * max(0, gap_b - lambda) = target, for target > 0,
+    over a table's block probabilities and gaps.
 
     The left side is piecewise linear, continuous and non-increasing with
     breakpoints at the block gaps.  Sorting gaps in decreasing order, the
@@ -351,11 +288,6 @@ def solve_lambda(gaps: GapTable, target: float) -> float:
     S_k - P_k * lambda with S_k and P_k the partial mass-weighted sum and
     mass of the blocks above the segment, so the root is exact.
     """
-    return _shift(gaps.probabilities, gaps.gaps, target)
-
-
-def _shift(probabilities: np.ndarray, gaps: np.ndarray, target: float) -> float:
-    """solve_lambda on a table's probability and gap arrays."""
     if not (math.isfinite(target) and target > 0.0):
         raise ValueError(f"target payout must be positive, got {target!r}")
     order = (-gaps).argsort(kind="stable")
@@ -383,22 +315,17 @@ def _shift(probabilities: np.ndarray, gaps: np.ndarray, target: float) -> float:
     return max(0.0, lam)
 
 
-def fm_indemnity(gaps: GapTable) -> np.ndarray:
-    """Fair-mean payouts: clamped gaps shifted so their mean hits the mean gap.
+def fm_indemnity(probabilities: np.ndarray, gaps: np.ndarray, target: float) -> np.ndarray:
+    """Fair-mean payouts: a table's clamped gaps shifted so their mean hits
+    `target`, its expected gap.
 
     When the mean gap is not positive the whole schedule is zero.
     Otherwise the shift is solve_lambda's exact root, which is always
     non-negative, so fair-mean payouts never exceed the clamped ones.
     """
-    return _fair_mean(gaps.probabilities, gaps.gaps, gaps.expected_gap)
-
-
-def _fair_mean(probabilities: np.ndarray, gaps: np.ndarray, target: float) -> np.ndarray:
-    """fm_indemnity on a table's probability and gap arrays, whose expected
-    gap is `target`."""
     if target <= 0.0:
         return np.zeros(gaps.size)
-    return np.maximum(0.0, gaps - _shift(probabilities, gaps, target))
+    return np.maximum(0.0, gaps - solve_lambda(probabilities, gaps, target))
 
 
 @dataclass(frozen=True)
@@ -479,13 +406,6 @@ def _coupling_for(
     raise ConfigurationError(f"unknown connection policy {conn!r}")
 
 
-class _Partition(NamedTuple):
-    """A partition as the gap pass reads it: `_partition`'s arrays."""
-
-    outcomes: np.ndarray
-    block_ids: np.ndarray
-
-
 class _Connection:
     """What the combinations with one connection share, built at once: its
     coupling's notes, and the checked tables of every information policy
@@ -507,19 +427,17 @@ class _Connection:
         whether some fm-i combination uses its table."""
         coupling, notes = _coupling_for(model, conn, joint, least_divergence)
         groups = selective_groups(coupling)
-        partitions = [
-            _Partition(*_partition(info, support, groups, custom_blocks)) for info in infos
-        ]
+        partitions = [build_partition(info, support, groups, custom_blocks) for info in infos]
         self.notes = {info: notes + _tie_note(model, info, groups) for info in infos}
         gaps = conditional_gap(coupling, partitions)
         rows = gaps.gaps.size
         self.payouts = np.zeros(2 * rows + 2)
-        self.payouts[:rows] = cc_indemnity(gaps)
+        self.payouts[:rows] = cc_indemnity(gaps.gaps)
         for t, fair in enumerate(infos.values()):
             expected = gaps.check(t)
             if fair:
                 lo, hi = gaps.starts[t], gaps.starts[t + 1]
-                self.payouts[rows + 1 + lo : rows + 1 + hi] = _fair_mean(
+                self.payouts[rows + 1 + lo : rows + 1 + hi] = fm_indemnity(
                     gaps.probabilities[lo:hi], gaps.gaps[lo:hi], expected
                 )
         sizes = [p.outcomes.size for p in partitions]
@@ -659,7 +577,7 @@ def evaluate_policy(
 
 
 def schedule_risk(
-    coupling: Coupling, partition: InformationPartition, block_x: np.ndarray
+    coupling: Coupling, partition: Partition, block_x: np.ndarray
 ) -> float:
     """E[(V0 - V1 - X)^2] for a block-constant schedule, straight from the joint."""
     v = coupling.space.values_array
@@ -689,7 +607,7 @@ def _grid(axes: list) -> np.ndarray:
 
 def oracle_best_schedule(
     coupling: Coupling,
-    partition: InformationPartition,
+    partition: Partition,
     constrained: bool = False,
     target: Optional[float] = None,
     target_step: Optional[float] = None,

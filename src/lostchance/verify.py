@@ -5,7 +5,9 @@ couplings keep their marginals, the comonotone matching is transport
 optimal, the clamped conditional gap minimizes expected squared
 shortfall, the fair-mean schedule does so among mean-matching schedules,
 and the lost-choice factorization keeps the counterfactual choice
-uninformative about the factual result given the factual choice.
+uninformative about the factual result given the factual choice.  The
+two schedule suites take the engine's schedules from `evaluate_grid`,
+the path `lostchance evaluate` runs.
 
 The harness can inject a deliberate shift into the fair-mean root
 (lambda_offset) to demonstrate that the checks actually bite.
@@ -17,7 +19,7 @@ import multiprocessing
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -41,10 +43,12 @@ from .coupling import (
 from .outcome import CaseModel, DiscreteDistribution, IdentityMoneyMap, OutcomeSpace
 from .valuation import (
     STANDARD_AXES,
+    Partition,
     PolicyCombo,
     build_partition,
     cc_indemnity,
     conditional_gap,
+    evaluate_grid,
     fm_indemnity,
     oracle_best_schedule,
     schedule_risk,
@@ -198,13 +202,18 @@ def _rng_for(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(stream)])
 
 
-def _any_coupling(rng: np.random.Generator, model: CaseModel) -> Coupling:
+def _any_coupling(
+    rng: np.random.Generator, model: CaseModel
+) -> tuple[Coupling, str, Optional[np.ndarray]]:
+    """A coupling under a connection drawn at random: (coupling, connection
+    policy, the evidence joint e-c evaluates or None)."""
     pick = rng.integers(0, 3)
     if pick == 0:
-        return evidence_coupling(model, random_vertex_coupling(rng, model))
+        joint = random_vertex_coupling(rng, model)
+        return evidence_coupling(model, joint), "e-c", joint
     if pick == 1:
-        return least_divergence_coupling(model)
-    return independence_coupling(model)
+        return least_divergence_coupling(model), "ld-c", None
+    return independence_coupling(model), "i-c", None
 
 
 def _check_marginal_preservation(res: PropertyResult, rng, instances: range) -> None:
@@ -263,28 +272,55 @@ def _check_independence_covariance(res: PropertyResult, rng, instances: range) -
         res.ok(abs(cov) <= 1e-10, f"instance {i}: independent coupling cov {cov:g}")
 
 
-def _tables_for(coupling: Coupling, model: CaseModel):
-    """(info, partition, gap table) for l-fi, m-fi and h-fi, from one gap
-    pass; each table is checked as it is yielded."""
+def _partitions_for(coupling: Coupling, model: CaseModel) -> list[Partition]:
+    """The l-fi, m-fi and h-fi partitions of the case's factual support."""
     groups = selective_groups(coupling)
     support = model.factual.support()
-    infos = STANDARD_AXES[0]
-    partitions = [build_partition(info, support, groups) for info in infos]
+    return [build_partition(info, support, groups) for info in STANDARD_AXES[0]]
+
+
+def _tables_for(coupling: Coupling, model: CaseModel):
+    """(info, partition, block probabilities, block gaps, expected gap) for
+    l-fi, m-fi and h-fi, from one gap pass; each table is checked as it
+    is yielded."""
+    partitions = _partitions_for(coupling, model)
     gaps = conditional_gap(coupling, partitions)
-    for t, info in enumerate(infos):
-        yield info, partitions[t], gaps.table(t)
+    for t, info in enumerate(STANDARD_AXES[0]):
+        expected = gaps.check(t)
+        lo, hi = gaps.starts[t], gaps.starts[t + 1]
+        yield info, partitions[t], gaps.probabilities[lo:hi], gaps.gaps[lo:hi], expected
+
+
+def _evaluated(model: CaseModel, conn: str, joint, indemnity: str) -> list:
+    """What `lostchance evaluate` prints for l-fi, m-fi and h-fi under the
+    drawn connection and `indemnity`: their schedules, from one
+    `evaluate_grid` call."""
+    combos = [PolicyCombo(info, conn, indemnity) for info in STANDARD_AXES[0]]
+    return evaluate_grid(model, combos, joint)
+
+
+def _block_payouts(schedule, partition, model: CaseModel) -> np.ndarray:
+    """A schedule's payout in each block of `partition`: that of the
+    block's first outcome."""
+    paid = np.zeros(model.space.size)
+    paid[list(model.factual.support())] = schedule.values
+    return paid[[block[0] for block in partition.blocks]]
 
 
 def _check_unconstrained_optimal(res: PropertyResult, rng, instances: range) -> None:
     for i in instances:
         model = random_case(rng)
-        coupling = _any_coupling(rng, model)
+        coupling, conn, joint = _any_coupling(rng, model)
         v = model.space.values_array
         vrange = float(v.max() - v.min())
         step = max(0.005 * vrange, 1e-6)
         risk_tol = 1e-9 * max(1.0, vrange**2)
-        for info, partition, gaps in _tables_for(coupling, model):
-            x_cc = cc_indemnity(gaps)
+        for info, partition, schedule in zip(
+            STANDARD_AXES[0],
+            _partitions_for(coupling, model),
+            _evaluated(model, conn, joint, "cc-i"),
+        ):
+            x_cc = _block_payouts(schedule, partition, model)
             x_or, r_or = oracle_best_schedule(
                 coupling, partition, constrained=False, target_step=step
             )
@@ -309,14 +345,16 @@ def _check_constrained_optimal(
     positives = 0
     for i in instances:
         model = random_case(rng)
-        coupling = _any_coupling(rng, model)
+        coupling, conn, joint = _any_coupling(rng, model)
         v = model.space.values_array
         vrange = float(v.max() - v.min())
         risk_tol = 1e-9 * max(1.0, vrange**2)
-        for info, partition, gaps in _tables_for(coupling, model):
-            target = gaps.expected_gap
-            x_fm = fm_indemnity(gaps)
+        # The harness schedule is held to the evaluated one only when no
+        # shift is injected.
+        schedules = _evaluated(model, conn, joint, "fm-i") if lambda_offset == 0.0 else None
+        for t, (info, partition, p, g, target) in enumerate(_tables_for(coupling, model)):
             if target <= 0.0:
+                x_fm = fm_indemnity(p, g, target)
                 res.ok(
                     not np.any(x_fm),
                     f"instance {i} {info}: nonzero fair-mean schedule for "
@@ -324,15 +362,16 @@ def _check_constrained_optimal(
                 )
                 continue
             positives += 1
-            lam = solve_lambda(gaps, target) + lambda_offset
-            x = np.maximum(0.0, gaps.gaps - lam)
-            if lambda_offset == 0.0:
+            lam = solve_lambda(p, g, target) + lambda_offset
+            x = np.maximum(0.0, g - lam)
+            if schedules is not None:
+                x_fm = _block_payouts(schedules[t], partition, model)
                 res.ok(
                     bool(np.array_equal(x, x_fm)),
                     f"instance {i} {info}: harness schedule differs from "
-                    f"fm_indemnity",
+                    f"the evaluated fm-i schedule",
                 )
-            mean = float(gaps.probabilities @ x)
+            mean = float(p @ x)
             res.ok(
                 abs(mean - target) <= 1e-10,
                 f"instance {i} {info}: fair-mean payout {mean!r} misses "
@@ -362,10 +401,10 @@ def _check_constrained_optimal(
 def _check_cc_dominates_fm(res: PropertyResult, rng, instances: range) -> None:
     for i in instances:
         model = random_case(rng)
-        coupling = _any_coupling(rng, model)
-        for info, partition, gaps in _tables_for(coupling, model):
-            x_cc = cc_indemnity(gaps)
-            x_fm = fm_indemnity(gaps)
+        coupling = _any_coupling(rng, model)[0]
+        for info, _, p, g, target in _tables_for(coupling, model):
+            x_cc = cc_indemnity(g)
+            x_fm = fm_indemnity(p, g, target)
             res.ok(
                 bool(np.all(x_cc >= x_fm)),
                 f"instance {i} {info}: fair-mean payout exceeds clamped gap",
@@ -375,11 +414,12 @@ def _check_cc_dominates_fm(res: PropertyResult, rng, instances: range) -> None:
 def _check_shift_function_shape(res: PropertyResult, rng, instances: range) -> None:
     for i in instances:
         model = random_case(rng)
-        coupling = _any_coupling(rng, model)
+        coupling = _any_coupling(rng, model)[0]
         partition = build_partition(
             "h-fi", model.factual.support(), selective_groups(coupling)
         )
-        gaps = conditional_gap(coupling, partition)
+        gaps = conditional_gap(coupling, [partition])
+        gaps.check(0)
 
         def f(lam: float) -> float:
             return float(gaps.probabilities @ np.maximum(0.0, gaps.gaps - lam))
@@ -399,17 +439,17 @@ def _check_shift_function_shape(res: PropertyResult, rng, instances: range) -> N
 def _check_mfi_fmi_closed_form(res: PropertyResult, rng, instances: range) -> None:
     for i in instances:
         model = random_case(rng)
-        coupling = _any_coupling(rng, model)
+        coupling = _any_coupling(rng, model)[0]
         groups = selective_groups(coupling)
         partition = build_partition("m-fi", model.factual.support(), groups)
-        gaps = conditional_gap(coupling, partition)
-        target = gaps.expected_gap
+        gaps = conditional_gap(coupling, [partition])
+        target = gaps.check(0)
         # The closed form presumes a strictly non-compensable second block;
         # a tied outcome can leave it with a positive gap at tie-tolerance
         # scale, in which case the generic root is the right answer.
         if target <= 0.0 or not groups.plus or groups.ties:
             continue
-        x_fm = fm_indemnity(gaps)
+        x_fm = fm_indemnity(gaps.probabilities, gaps.gaps, target)
         # The compensable block always comes first in an m-fi partition.
         expected = target / float(gaps.probabilities[0])
         res.ok(
@@ -426,13 +466,13 @@ def _check_mfi_fmi_closed_form(res: PropertyResult, rng, instances: range) -> No
 def _check_gap_identity(res: PropertyResult, rng, instances: range) -> None:
     for i in instances:
         model = random_case(rng)
-        coupling = _any_coupling(rng, model)
+        coupling = _any_coupling(rng, model)[0]
         mean_gap = model.expected_gap()
-        for info, partition, gaps in _tables_for(coupling, model):
+        for info, *_, expected in _tables_for(coupling, model):
             res.ok(
-                abs(gaps.expected_gap - mean_gap) <= 1e-10,
+                abs(expected - mean_gap) <= 1e-10,
                 f"instance {i} {info}: block gaps aggregate to "
-                f"{gaps.expected_gap!r}, case mean gap is {mean_gap!r}",
+                f"{expected!r}, case mean gap is {mean_gap!r}",
             )
 
 

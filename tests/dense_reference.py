@@ -1,10 +1,12 @@
 """Dense reference for the valuation pipeline, kept for differential tests.
 
 A frozen copy of the engine's earlier column math, where every coupling
-was an n x n matrix and conditional means were taken column by column.
-The engine now stores couplings as their positive cells; tests compare
-the two on random cases.  The partition, indemnity and money steps are
-the engine's own, since they never touched the matrix.
+was an n x n matrix, and selective groups and block gaps were taken
+column by column and block by block.  The engine now stores couplings as
+their positive cells and takes every block's gap of a connection in one
+pass; tests compare the two on random cases.  The partition
+(`build_partition`), indemnity and money steps are the engine's own,
+since they never touched the matrix.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import numpy as np
 
 from lostchance.outcome import CaseModel, award_from_compensation
 from lostchance.valuation import (
-    GapTable,
-    InformationPartition,
     PolicyCombo,
     SelectiveGroups,
     build_partition,
@@ -119,7 +119,9 @@ def selective_groups(joint: np.ndarray, v: np.ndarray) -> SelectiveGroups:
     return SelectiveGroups(tuple(plus), tuple(minus), tuple(ties))
 
 
-def conditional_gap(joint: np.ndarray, v: np.ndarray, partition) -> GapTable:
+def conditional_gap(joint: np.ndarray, v: np.ndarray, partition):
+    """(blocks, probabilities, gaps) of the blocks of `partition` with
+    positive probability."""
     col_mass = joint.sum(axis=0)
     col_gap = joint.T @ v - col_mass * v
     blocks, probabilities, gaps = [], [], []
@@ -131,8 +133,7 @@ def conditional_gap(joint: np.ndarray, v: np.ndarray, partition) -> GapTable:
         blocks.append(tuple(block))
         probabilities.append(p)
         gaps.append(float(col_gap[idx].sum()) / p)
-    kept = InformationPartition(blocks, partition.origin)
-    return GapTable.from_arrays(kept, probabilities, gaps)
+    return blocks, np.array(probabilities), np.array(gaps)
 
 
 def evaluate(
@@ -143,9 +144,12 @@ def evaluate(
     groups = selective_groups(joint, v)
     support = model.factual.support()
     partition = build_partition(combo.info, support, groups, custom_blocks)
-    gaps = conditional_gap(joint, v, partition)
-    block_x = cc_indemnity(gaps) if combo.indemnity == "cc-i" else fm_indemnity(gaps)
-    x_of = {k: float(x) for b, x in zip(gaps.partition.blocks, block_x) for k in b}
+    blocks, p, g = conditional_gap(joint, v, partition)
+    if combo.indemnity == "cc-i":
+        block_x = cc_indemnity(g)
+    else:
+        block_x = fm_indemnity(p, g, float(p @ g))
+    x_of = {k: float(x) for b, x in zip(blocks, block_x) for k in b}
     outcomes = tuple(model.space.labels[k] for k in support)
     values = tuple(x_of.get(k, 0.0) for k in support)
     awards = tuple(

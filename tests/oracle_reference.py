@@ -22,7 +22,7 @@ import numpy as np
 
 from lostchance.coupling import Coupling, northwest_corner
 from lostchance.outcome import CaseModel
-from lostchance.valuation import InformationPartition, schedule_risk
+from lostchance.valuation import Partition, schedule_risk
 
 _ORACLE_MAX_OUTCOMES = 6
 
@@ -101,7 +101,7 @@ def _risk_batch(joint, v, col_block, candidates) -> np.ndarray:
 
 def oracle_best_schedule(
     coupling: Coupling,
-    partition: InformationPartition,
+    partition: Partition,
     constrained: bool = False,
     target: Optional[float] = None,
     target_step: Optional[float] = None,

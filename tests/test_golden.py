@@ -34,6 +34,7 @@ from lostchance import PolicyCombo, evaluate_grid, flatten_choice_case, load_cas
 from lostchance.choice import resolve_choice
 from lostchance.cli import main
 from lostchance.valuation import STANDARD_AXES
+from test_bench_spans import literal
 
 GOLDEN = Path(__file__).parent / "golden"
 CLI_GOLDEN = GOLDEN / "cli"
@@ -213,6 +214,46 @@ def test_all_policies_builds_each_coupling_once(run, monkeypatch, capsys):
     ]
     assert len(gaps) == len({id(c) for c, _ in gaps}) == 3
     assert [n for _, n in gaps] == [3, 3, 3]
+
+
+# The valuation stages `evaluate` runs, in the order it runs them.
+STAGES = [
+    "selective_groups",
+    "build_partition",
+    "conditional_gap",
+    "cc_indemnity",
+    "fm_indemnity",
+]
+
+
+def test_all_policies_runs_every_stage_the_bench_wraps(monkeypatch, capsys):
+    """The benchmark's tracer times a valuation stage by wrapping its
+    function where `valuation` binds it, so `evaluate` must call each
+    stage through that binding, or its span reads 0."""
+    wrapped = [attr for module, attr in literal("SPANS") if module == "valuation"]
+    assert set(STAGES) <= set(wrapped)
+    calls: list[str] = []
+    for name in STAGES:
+        original = getattr(valuation, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(valuation, name, counted)
+    case, flags = _case_and_presumption("paper-prize")
+    assert main(["evaluate", str(case), "--all-policies", "--csv", *flags]) == 0
+    assert capsys.readouterr().out
+    # Per connection: its groups, three partitions, one gap pass, the
+    # clamped payouts of every table, and each table's fair-mean payouts.
+    per_connection = [
+        "selective_groups",
+        *3 * ["build_partition"],
+        "conditional_gap",
+        "cc_indemnity",
+        *3 * ["fm_indemnity"],
+    ]
+    assert calls == 3 * per_connection
 
 
 SHIFTED = ["--p0", "0.6", "--p1", "0.3", "--v-red", "3", "--v-blue", "7"]

@@ -164,7 +164,7 @@ def test_best_schedule_matches_reference(constrained):
         step = max((0.001 if constrained else 0.005) * vrange, 1e-6)
         kwargs = {"constrained": constrained, "target_step": step}
         if constrained:
-            kwargs["target"] = conditional_gap(coupling, partition).expected_gap
+            kwargs["target"] = conditional_gap(coupling, [partition]).check(0)
         x, risk = oracle_best_schedule(coupling, partition, **kwargs)
         ref_x, ref_risk = ref.oracle_best_schedule(coupling, partition, **kwargs)
         scale = max(1.0, transport_cost(coupling))

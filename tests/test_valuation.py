@@ -18,8 +18,7 @@ from lostchance.outcome import (
 )
 from lostchance.valuation import (
     ConfigurationError,
-    GapTable,
-    InformationPartition,
+    Partition,
     PolicyCombo,
     build_partition,
     cc_indemnity,
@@ -34,11 +33,20 @@ from lostchance.valuation import (
 )
 
 
-def singleton_table(p, g) -> GapTable:
-    """A gap table with one outcome per block: block i has chance p[i]
-    and gap g[i]."""
-    partition = InformationPartition([(i,) for i in range(len(p))], "custom")
-    return GapTable.from_arrays(partition, p, g)
+def hand_partition(blocks) -> Partition:
+    """The partition with these blocks, built by hand: build_partition
+    refuses a block outside the factual support."""
+    return Partition(
+        np.array([i for b in blocks for i in b]),
+        np.repeat(np.arange(len(blocks)), [len(b) for b in blocks]),
+    )
+
+
+def table(coupling, partition):
+    """(block probabilities, block gaps, expected gap) of one partition,
+    checked."""
+    gaps = conditional_gap(coupling, [partition])
+    return gaps.probabilities, gaps.gaps, gaps.check(0)
 
 
 PRIZE_EVIDENCE = {
@@ -119,6 +127,9 @@ class TestPartitions:
     def test_l_fi_single_block(self):
         p = build_partition("l-fi", (0, 1, 3))
         assert p.blocks == ((0, 1, 3),)
+        assert p.block_count == 1
+        assert p.outcomes.tolist() == [0, 1, 3]
+        assert p.block_ids.tolist() == [0, 0, 0]
 
     def test_h_fi_singletons(self):
         p = build_partition("h-fi", (0, 2))
@@ -128,11 +139,13 @@ class TestPartitions:
         groups = selective_groups(prize_evidence_coupling())
         p = build_partition("m-fi", (0, 1, 2, 3), groups)
         assert p.blocks == ((0, 1, 3), (2,))
+        assert p.block_count == 2
         lone = selective_groups(independence_coupling(prize_model()))
         only_plus = build_partition(
             "m-fi", (0, 1, 2), type(lone)((0, 1, 2), ())
         )
         assert only_plus.blocks == ((0, 1, 2),)
+        assert only_plus.block_count == 1
 
     def test_m_fi_without_groups_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -154,94 +167,92 @@ class TestPartitions:
 class TestConditionalGap:
     def test_prize_h_fi_gaps(self):
         c = prize_evidence_coupling()
-        part = build_partition("h-fi", (0, 1, 2, 3))
-        table = conditional_gap(c, part)
-        assert np.allclose(table.probabilities, [0.2, 0.2, 0.4, 0.2])
-        assert np.allclose(table.gaps, [65.0, 5.0, -17.5, 40.0])
-        assert table.expected_gap == pytest.approx(15.0)
+        p, g, expected = table(c, build_partition("h-fi", (0, 1, 2, 3)))
+        assert np.allclose(p, [0.2, 0.2, 0.4, 0.2])
+        assert np.allclose(g, [65.0, 5.0, -17.5, 40.0])
+        assert expected == pytest.approx(15.0)
 
     def test_prize_m_fi_gaps(self):
         c = prize_evidence_coupling()
         groups = selective_groups(c)
-        part = build_partition("m-fi", (0, 1, 2, 3), groups)
-        table = conditional_gap(c, part)
-        assert np.allclose(table.probabilities, [0.6, 0.4])
-        assert table.gaps[0] == pytest.approx(110.0 / 3.0)
-        assert table.gaps[1] == pytest.approx(-17.5)
+        p, g, _ = table(c, build_partition("m-fi", (0, 1, 2, 3), groups))
+        assert np.allclose(p, [0.6, 0.4])
+        assert g[0] == pytest.approx(110.0 / 3.0)
+        assert g[1] == pytest.approx(-17.5)
 
     def test_aggregation_identity(self):
         model = prize_model()
         c = independence_coupling(model)
         for info in ("l-fi", "h-fi"):
-            part = build_partition(info, model.factual.support())
-            table = conditional_gap(c, part)
-            assert table.expected_gap == pytest.approx(model.expected_gap())
+            _, _, expected = table(c, build_partition(info, model.factual.support()))
+            assert expected == pytest.approx(model.expected_gap())
 
     def test_zero_probability_block_dropped_with_warning(self):
         c = prize_evidence_coupling()
         # build_partition would refuse a block outside the factual
         # support, so stretch the partition by hand: block (4,) covers
         # only a5, which has zero factual mass.
-        part = InformationPartition(((0, 1, 2, 3), (4,)), "custom")
-        with pytest.warns(UserWarning, match="zero-probability block"):
-            table = conditional_gap(c, part)
-        assert table.partition.blocks == ((0, 1, 2, 3),)
+        part = hand_partition(((0, 1, 2, 3), (4,)))
+        with pytest.warns(UserWarning, match=r"zero-probability block of outcome\(s\) 'a5'$"):
+            p, g, _ = table(c, part)
+        assert p.tolist() == pytest.approx([1.0])
+        gaps = conditional_gap(c, [part])
+        # a5 maps past the one kept row.
+        assert gaps.rows.tolist() == [0, 0, 0, 0, 1]
 
 
 class TestIndemnities:
     def prize_h_fi_table(self):
         c = prize_evidence_coupling()
-        return conditional_gap(c, build_partition("h-fi", (0, 1, 2, 3)))
+        return table(c, build_partition("h-fi", (0, 1, 2, 3)))
 
     def test_cc_clamps_at_zero(self):
-        x = cc_indemnity(self.prize_h_fi_table())
+        x = cc_indemnity(self.prize_h_fi_table()[1])
         assert np.allclose(x, [65.0, 5.0, 0.0, 40.0])
 
     def test_fm_shifts_to_fair_mean(self):
-        table = self.prize_h_fi_table()
-        lam = solve_lambda(table, table.expected_gap)
+        p, g, expected = self.prize_h_fi_table()
+        lam = solve_lambda(p, g, expected)
         assert lam == pytest.approx(15.0)
-        x = fm_indemnity(table)
+        x = fm_indemnity(p, g, expected)
         assert np.allclose(x, [50.0, 0.0, 0.0, 25.0])
-        assert float(table.probabilities @ x) == pytest.approx(15.0)
+        assert float(p @ x) == pytest.approx(15.0)
 
     def test_fm_independence_lambda(self):
         c = independence_coupling(prize_model())
-        table = conditional_gap(c, build_partition("h-fi", (0, 1, 2, 3)))
-        assert np.allclose(table.gaps, [45.0, 20.0, 15.0, -20.0])
-        assert solve_lambda(table, table.expected_gap) == pytest.approx(5.0)
-        assert np.allclose(fm_indemnity(table), [40.0, 15.0, 10.0, 0.0])
+        p, g, expected = table(c, build_partition("h-fi", (0, 1, 2, 3)))
+        assert np.allclose(g, [45.0, 20.0, 15.0, -20.0])
+        assert solve_lambda(p, g, expected) == pytest.approx(5.0)
+        assert np.allclose(fm_indemnity(p, g, expected), [40.0, 15.0, 10.0, 0.0])
 
     def test_fm_m_fi_lambda(self):
         c = prize_evidence_coupling()
         groups = selective_groups(c)
-        table = conditional_gap(c, build_partition("m-fi", (0, 1, 2, 3), groups))
-        assert solve_lambda(table, table.expected_gap) == pytest.approx(35.0 / 3.0)
-        assert np.allclose(fm_indemnity(table), [25.0, 0.0])
+        p, g, expected = table(c, build_partition("m-fi", (0, 1, 2, 3), groups))
+        assert solve_lambda(p, g, expected) == pytest.approx(35.0 / 3.0)
+        assert np.allclose(fm_indemnity(p, g, expected), [25.0, 0.0])
 
     def test_fm_zero_when_mean_gap_not_positive(self):
-        table = singleton_table([0.5, 0.5], [1.0, -3.0])
-        assert table.expected_gap == pytest.approx(-1.0)
-        assert np.array_equal(fm_indemnity(table), np.zeros(2))
+        p, g = np.array([0.5, 0.5]), np.array([1.0, -3.0])
+        assert float(p @ g) == pytest.approx(-1.0)
+        assert np.array_equal(fm_indemnity(p, g, float(p @ g)), np.zeros(2))
 
     def test_solve_lambda_rejects_bad_targets(self):
-        table = singleton_table([0.5, 0.5], [1.0, -1.0])
+        p, g = np.array([0.5, 0.5]), np.array([1.0, -1.0])
         with pytest.raises(ValueError, match="must be positive"):
-            solve_lambda(table, 0.0)
+            solve_lambda(p, g, 0.0)
         with pytest.raises(ValueError, match="exceeds the payout at zero shift"):
-            solve_lambda(table, 0.6)  # f(0) = 0.5
+            solve_lambda(p, g, 0.6)  # f(0) = 0.5
 
     def test_solve_lambda_root_on_a_shifted_breakpoint(self):
         # The root is the lower gap, which round-off moves just outside
         # both segments; the solver must still return it.
-        table = singleton_table(
-            [0.3859254525406075, 0.6140745474593926],
-            [3.204410060167252, 1.8079613122193004e-16],
-        )
-        lam = solve_lambda(table, 1.236663402595722)
+        p = np.array([0.3859254525406075, 0.6140745474593926])
+        g = np.array([3.204410060167252, 1.8079613122193004e-16])
+        lam = solve_lambda(p, g, 1.236663402595722)
         assert 0.0 <= lam <= 1.8079613122193004e-16
-        x = fm_indemnity(table)
-        assert float(table.probabilities @ x) == pytest.approx(table.expected_gap)
+        x = fm_indemnity(p, g, float(p @ g))
+        assert float(p @ x) == pytest.approx(float(p @ g))
 
     def test_cc_dominates_fm(self):
         rng = np.random.default_rng(3)
@@ -249,8 +260,7 @@ class TestIndemnities:
             n = int(rng.integers(1, 5))
             p = rng.dirichlet(np.ones(n))
             g = rng.uniform(-5.0, 5.0, size=n)
-            table = singleton_table(p, g)
-            assert np.all(cc_indemnity(table) >= fm_indemnity(table))
+            assert np.all(cc_indemnity(g) >= fm_indemnity(p, g, float(p @ g)))
 
 
 class TestEvaluatePolicy:
@@ -356,8 +366,7 @@ class TestOracleBestSchedule:
         part = build_partition("h-fi", (0, 1, 2, 3))
         x, risk = oracle_best_schedule(c, part)
         assert np.allclose(x, [65.0, 5.0, 0.0, 40.0], atol=0.02)
-        table = conditional_gap(c, part)
-        best = schedule_risk(c, part, cc_indemnity(table))
+        best = schedule_risk(c, part, cc_indemnity(table(c, part)[1]))
         # the grid can only approach the true optimum from above,
         # within curvature times step squared
         assert best - 1e-9 <= risk <= best + 1e-3
@@ -372,8 +381,7 @@ class TestOracleBestSchedule:
         c = prize_evidence_coupling()
         part = build_partition("l-fi", (0, 1, 2, 3))
         x, _ = oracle_best_schedule(c, part)
-        table = conditional_gap(c, part)
-        assert x[0] == pytest.approx(max(0.0, table.gaps[0]), abs=0.02)
+        assert x[0] == pytest.approx(max(0.0, table(c, part)[1][0]), abs=0.02)
 
     def test_refuses_many_blocks(self):
         model = CaseModel(
@@ -459,26 +467,31 @@ class TestStackedGaps:
         if zero:
             # A block outside the factual support: zero probability.
             (off,) = set(range(n)) - set(support)
-            parts.append(InformationPartition([*blocks, (off,)], "custom"))
+            parts.append(hand_partition([*blocks, (off,)]))
         with warnings.catch_warnings(record=True) as stacked_warnings:
             warnings.simplefilter("always")
             stack = conditional_gap(c, parts)
-            stacked = [stack.table(t) for t in range(len(parts))]
+            expected = [stack.check(t) for t in range(len(parts))]
         with warnings.catch_warnings(record=True) as alone_warnings:
             warnings.simplefilter("always")
-            alone = [conditional_gap(c, p) for p in parts]
+            alone = [conditional_gap(c, [p]) for p in parts]
+            assert [one.check(0) for one in alone] == expected
         assert [str(w.message) for w in stacked_warnings] == [
             str(w.message) for w in alone_warnings
         ]
         assert len(alone_warnings) == int(zero)
-        for got, want in zip(stacked, alone):
-            assert np.array_equal(got.probabilities, want.probabilities)
-            assert np.array_equal(got.gaps, want.gaps)
-            assert np.array_equal(got.partition.outcomes, want.partition.outcomes)
-            assert np.array_equal(got.partition.block_ids, want.partition.block_ids)
-            assert got.partition.origin == want.partition.origin
+        for t, one in enumerate(alone):
+            lo, hi = stack.starts[t], stack.starts[t + 1]
+            assert np.array_equal(stack.probabilities[lo:hi], one.probabilities)
+            assert np.array_equal(stack.gaps[lo:hi], one.gaps)
+            # A dropped block's outcomes map past the last row of each.
+            rows = stack.rows[stack.bounds[t] : stack.bounds[t + 1]]
+            kept = rows < stack.gaps.size
+            assert np.array_equal(np.where(kept, rows - lo, one.gaps.size), one.rows)
+            outcomes = stack.outcomes[stack.bounds[t] : stack.bounds[t + 1]]
+            assert np.array_equal(outcomes, one.outcomes)
         if zero:
-            assert stacked[-1].partition.blocks == tuple(map(tuple, blocks))
+            assert stack.starts[-1] - stack.starts[-2] == len(blocks)
 
 
 ALL_COMBOS = [
@@ -535,7 +548,7 @@ class TestEvaluateGrid:
         import lostchance.valuation as valuation
 
         calls = []
-        for name in ("least_divergence_coupling", "conditional_gap", "_fair_mean"):
+        for name in ("least_divergence_coupling", "conditional_gap", "fm_indemnity"):
             original = getattr(valuation, name)
 
             def counted(*args, _name=name, _original=original):
@@ -557,7 +570,7 @@ class TestEvaluateGrid:
         # One gap pass per connection, over its four information policies.
         assert calls.count(("conditional_gap", 4)) == 4
         # One fair-mean solve per table, though two combinations use each.
-        assert [c[0] for c in calls].count("_fair_mean") == 16
+        assert [c[0] for c in calls].count("fm_indemnity") == 16
         assert len(calls) == 21
         # Each of the 16 tables is checked exactly once.
         assert len({(id(stack), t) for stack, t in checks}) == len(checks) == 16
@@ -567,7 +580,7 @@ class TestEvaluateGrid:
         checks.clear()
         clamped = [c for c in ALL_COMBOS if c.indemnity == "cc-i"]
         evaluate_grid(prize_model(), clamped, PRIZE_EVIDENCE, PRIZE_BLOCKS)
-        assert "_fair_mean" not in [c[0] for c in calls]
+        assert "fm_indemnity" not in [c[0] for c in calls]
         assert len(checks) == 16
 
     @pytest.mark.parametrize(
@@ -624,8 +637,8 @@ class TestEvaluateGrid:
     @staticmethod
     def _dropping_model():
         """A case whose evidence gives "a" and "b" no factual mass, though
-        the case gives each 1e-17: h-fi/e-c drops the blocks (0,) and
-        (1,), and custom/e-c over DROPPING_BLOCKS drops (0, 1)."""
+        the case gives each 1e-17: h-fi/e-c drops the blocks of "a" and of
+        "b", and custom/e-c over DROPPING_BLOCKS drops that of both."""
         model = CaseModel(
             OutcomeSpace(("a", "b", "c", "d"), (0.0, 1.0, 2.0, 3.0)),
             DiscreteDistribution((0.0, 0.0, 0.0, 1.0)),
@@ -641,8 +654,8 @@ class TestEvaluateGrid:
     @pytest.mark.parametrize(
         "infos, match",
         [
-            (("custom", "h-fi"), r"zero-probability block \(0, 1\)"),
-            (("h-fi", "custom"), r"zero-probability block \(0,\)"),
+            (("custom", "h-fi"), r"zero-probability block of outcome\(s\) 'a', 'b'$"),
+            (("h-fi", "custom"), r"zero-probability block of outcome\(s\) 'a'$"),
         ],
     )
     def test_a_connection_s_first_information_policy_raises_first(self, infos, match):
@@ -668,8 +681,8 @@ class TestEvaluateGrid:
             warnings.simplefilter("always")
             grid = evaluate_grid(model, combos, joint, self.DROPPING_BLOCKS)
         assert [str(w.message) for w in caught] == [
-            "dropping zero-probability block (0,)",
-            "dropping zero-probability block (1,)",
-            "dropping zero-probability block (0, 1)",
+            "dropping zero-probability block of outcome(s) 'a'",
+            "dropping zero-probability block of outcome(s) 'b'",
+            "dropping zero-probability block of outcome(s) 'a', 'b'",
         ]
         assert [s.policy for s in grid] == combos

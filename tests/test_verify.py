@@ -46,6 +46,21 @@ class TestRunVerification:
         # The offset corrupts only the harness's own fair-mean root.
         assert bad == {"fair-mean-constrained-optimal"}
 
+    def test_the_schedule_suites_audit_what_evaluate_prints(self, monkeypatch):
+        # Shift the payouts only where the policy grid reads them: the
+        # harness keeps its own bindings, so only the schedules
+        # `evaluate_grid` returns move.
+        import lostchance.valuation as valuation
+
+        for name in ("cc_indemnity", "fm_indemnity"):
+            original = getattr(valuation, name)
+            monkeypatch.setattr(valuation, name, lambda *a, _f=original: _f(*a) + 0.5)
+        report = run_verification(seed=0, instances=20)
+        bad = {r.name for r in report.results if not r.passed}
+        assert bad == {"clamped-gap-risk-optimal", "fair-mean-constrained-optimal"}
+        fair_mean = {r.name: r for r in report.results}["fair-mean-constrained-optimal"]
+        assert "differs from the evaluated fm-i schedule" in fair_mean.failures[0]
+
     def test_render_is_deterministic(self):
         a = run_verification(seed=3, instances=30)
         b = run_verification(seed=3, instances=30)
