@@ -49,6 +49,7 @@ from .outcome import (
 from .valuation import (
     CompensationSchedule,
     ConfigurationError,
+    CouplingStack,
     GapStack,
     PolicyCombo,
     cc_indemnity,
@@ -110,6 +111,7 @@ __all__ = [
     "CompensationSchedule",
     "ConfigurationError",
     "Coupling",
+    "CouplingStack",
     "CurveMoneyMap",
     "DiscreteDistribution",
     "GapStack",

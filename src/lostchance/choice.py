@@ -275,15 +275,17 @@ def _with_presumed(model: ChoiceCaseModel, rule: str) -> ChoiceCaseModel:
         model.counterfactual_choice is not None
         and model.counterfactual_choice != point
     )
-    out = replace(model, counterfactual_choice=point)
-    out = out.with_note(
-        f"presumption({rule}): counterfactual choice presumed {best!r}"
-    )
+    added = [f"presumption({rule}): counterfactual choice presumed {best!r}"]
     if rule == "ii-cp" and overriding:
-        out = out.with_note(
-            "presumption(ii-cp) overrides supplied counterfactual choice evidence"
-        )
-    return out.with_note(_PRESUMPTION_RULE_NOTE)
+        added.append("presumption(ii-cp) overrides supplied counterfactual choice evidence")
+    added.append(_PRESUMPTION_RULE_NOTE)
+    # with_note's rules, in one copy: a note already present is skipped,
+    # and the rest keep their order.
+    notes = model.notes
+    for note in added:
+        if note not in notes:
+            notes += (note,)
+    return replace(model, counterfactual_choice=point, notes=notes)
 
 
 def presume_choice_it_cp(model: ChoiceCaseModel) -> ChoiceCaseModel:

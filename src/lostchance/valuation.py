@@ -29,6 +29,7 @@ import numpy as np
 
 from .coupling import (
     Coupling,
+    RankOneCells,
     coupling_from_map,
     evidence_coupling,
     independence_coupling,
@@ -85,37 +86,87 @@ class PolicyCombo:
 STANDARD_COMBOS = tuple(itertools.starmap(PolicyCombo, itertools.product(*STANDARD_AXES)))
 
 
-@dataclass(frozen=True)
+class CouplingStack:
+    """Couplings of one outcome space, row after row, and their column
+    moments as (coupling x outcome) arrays: `mass[i, k]` is P(O1 = k) and
+    `v0[i, k]` is E[V0 1{O1 = k}] under coupling i.  A lone coupling is a
+    one-row stack.
+
+    The explicit couplings' moments come from one `np.bincount` pair over
+    all their cells, each column index offset by its coupling's row.  A
+    bin adds only its own coupling's cells, in cell order, so every moment
+    is bit for bit `Coupling.column_moments`.  A rank-one (independence)
+    coupling keeps its closed form.
+    """
+
+    def __init__(self, couplings: Sequence[Coupling]) -> None:
+        self.couplings = couplings = tuple(couplings)
+        self.space = space = couplings[0].space
+        v = space.values_array
+        k, n = len(couplings), space.size
+        # Coupling i's column j is bin i * n + j.
+        explicit = [
+            (c.cells, i * n)
+            for i, c in enumerate(couplings)
+            if not isinstance(c.cells, RankOneCells)
+        ]
+        if len(explicit) == 1:
+            ((cells, at),) = explicit
+            cols, rows, mass = cells.cols + at, cells.rows, cells.mass
+        elif explicit:
+            cols, rows, mass = (
+                np.concatenate(arrays)
+                for arrays in zip(*[(c.cols + at, c.rows, c.mass) for c, at in explicit])
+            )
+        if explicit:
+            self.mass = np.bincount(cols, weights=mass, minlength=k * n).reshape(k, n)
+            self.v0 = np.bincount(cols, weights=mass * v[rows], minlength=k * n).reshape(k, n)
+        else:
+            self.mass, self.v0 = np.empty((k, n)), np.empty((k, n))
+        for i, c in enumerate(couplings):
+            if isinstance(c.cells, RankOneCells):
+                self.mass[i] = c.cells.sum(axis=0)
+                self.v0[i] = c.cells.column_sums(v)
+        self.scale = max(1.0, float(np.abs(v).max()))
+        # E[V0 - V1] under each coupling.
+        self.mean_gaps = [float(v0.sum() - mass @ v) for mass, v0 in zip(self.mass, self.v0)]
+
+
+@dataclass(frozen=True, eq=False)
 class SelectiveGroups:
-    """Split of the factual support by conditional counterfactual mean.
+    """Split of each coupling's factual support by conditional
+    counterfactual mean, as (coupling x outcome) masks.
 
     An outcome is compensable (plus group) when the mean counterfactual
     value given that outcome strictly exceeds the outcome's own value.
     Outcomes at or below their conditional mean form the minus group;
-    exact ties are recorded separately since they sit on the boundary.
+    exact ties are marked separately since they sit on the boundary.
     """
 
-    plus: tuple[int, ...]
-    minus: tuple[int, ...]
-    ties: tuple[int, ...] = ()
+    plus: np.ndarray
+    minus: np.ndarray
+    ties: np.ndarray
+
+    def indices(self, row: int = 0) -> tuple[tuple[int, ...], ...]:
+        """Coupling `row`'s plus, minus and tied outcomes, as increasing
+        index tuples."""
+        return tuple(
+            tuple(np.flatnonzero(mask[row]).tolist())
+            for mask in (self.plus, self.minus, self.ties)
+        )
 
 
-def selective_groups(coupling: Coupling) -> SelectiveGroups:
-    v = coupling.space.values_array
-    col_mass, col_v0 = coupling.column_moments
-    scale = max(1.0, float(np.abs(v).max()))
-    tol = 1e-9 * scale
-    support = (col_mass > 0.0).nonzero()[0]
-    # Conditional mean of V0 given each factual outcome, minus its value.
-    diff = col_v0[support] / col_mass[support] - v[support]
-    tied = np.abs(diff) <= tol
+def selective_groups(couplings: CouplingStack) -> SelectiveGroups:
+    """The selective groups of every coupling of a stack, at once."""
+    mass = couplings.mass
+    held = mass > 0.0
+    # Conditional mean of V0 given each factual outcome, minus its value;
+    # only held outcomes are read.
+    diff = couplings.v0 / np.where(held, mass, 1.0) - couplings.space.values_array
+    tol = 1e-9 * couplings.scale
     # Strictly above the tie band: not tied, and positive.
-    plus = diff > tol
-    return SelectiveGroups(
-        tuple(support[plus].tolist()),
-        tuple(support[~plus].tolist()),
-        tuple(support[tied].tolist()),
-    )
+    plus = held & (diff > tol)
+    return SelectiveGroups(plus, held & ~plus, held & (np.abs(diff) <= tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,31 +205,15 @@ def _from_blocks(blocks: Sequence[Sequence[int]]) -> Partition:
     return Partition(outcomes, np.repeat(np.arange(len(sizes)), sizes))
 
 
-def build_partition(
-    info: str,
-    support: Sequence[int] | np.ndarray,
-    groups: Optional[SelectiveGroups] = None,
-    custom_blocks: Optional[Sequence[Sequence[int]]] = None,
+def _shared_partition(
+    info: str, support: np.ndarray, custom_blocks: Optional[Sequence[Sequence[int]]]
 ) -> Partition:
-    """The partition an information policy allows on `support`, the
-    indices of the factual support in increasing order.
-
-    * l-fi: one block, the whole factual support;
-    * m-fi: the compensable/non-compensable split (empty side dropped);
-    * h-fi: singletons, full knowledge of the factual outcome;
-    * custom: caller-supplied blocks, which must tile the support exactly.
-    """
-    support = np.asarray(support, dtype=np.intp)
-    if not support.size:
-        raise ValueError("factual support is empty")
+    """The partition of an information policy that does not depend on the
+    coupling: l-fi, h-fi or custom."""
     if info == "l-fi":
         return Partition(support, np.zeros_like(support))
     if info == "h-fi":
         return Partition(support, np.arange(support.size))
-    if info == "m-fi":
-        if groups is None:
-            raise ConfigurationError("m-fi partition needs selective groups")
-        return _from_blocks(tuple(b for b in (groups.plus, groups.minus) if b))
     if info == "custom":
         if custom_blocks is None:
             raise ConfigurationError("custom partition needs explicit blocks")
@@ -194,37 +229,95 @@ def build_partition(
     raise ConfigurationError(f"unknown information policy {info!r}")
 
 
+def build_partition(
+    infos: Sequence[str],
+    support: Sequence[int] | np.ndarray,
+    groups: Optional[SelectiveGroups] = None,
+    custom_blocks: Optional[Sequence[Sequence[int]]] = None,
+    coupling_rows: Optional[Sequence[int]] = None,
+) -> list[Partition]:
+    """The partition each information policy in `infos` allows on
+    `support`, the indices of the factual support in increasing order:
+    table t's under the coupling in row `coupling_rows[t]` of the stack
+    that `groups` came from (row 0 when no rows are given).
+
+    * l-fi: one block, the whole factual support;
+    * m-fi: the coupling's compensable/non-compensable split (empty side
+      dropped);
+    * h-fi: singletons, full knowledge of the factual outcome;
+    * custom: caller-supplied blocks, which must tile the support exactly.
+
+    l-fi, h-fi and custom do not depend on the coupling: each is built,
+    and custom checked, once, and shared by every table that uses it.
+    The first table that cannot be built raises.
+    """
+    support = np.asarray(support, dtype=np.intp)
+    if not support.size:
+        raise ValueError("factual support is empty")
+    if coupling_rows is None:
+        coupling_rows = [0] * len(infos)
+    shared: dict[str, Partition] = {}
+    partitions = []
+    for info, row in zip(infos, coupling_rows):
+        if info == "m-fi":
+            if groups is None:
+                raise ConfigurationError("m-fi partition needs selective groups")
+            # The coupling's plus outcomes, then its minus outcomes.
+            side, outcomes = np.array((groups.plus[row], groups.minus[row])).nonzero()
+            # Block 0 is the plus side, or the minus side when no outcome
+            # is compensable.
+            partitions.append(Partition(outcomes, side - 1 if side.size and side[0] else side))
+        else:
+            if info not in shared:
+                shared[info] = _shared_partition(info, support, custom_blocks)
+            partitions.append(shared[info])
+    return partitions
+
+
 class GapStack:
-    """The gap tables of several partitions of one coupling's factual
-    support, from one pass; see `conditional_gap`.
+    """Gap tables, each of one partition of the factual support under one
+    coupling of a `CouplingStack`, every table of every coupling from one
+    pass; see `conditional_gap`.
 
     Rows are the blocks of nonzero probability, table after table:
     `probabilities` and `gaps` per row, and table t's rows are
     `starts[t]:starts[t + 1]`.  `outcomes` holds the partitions' outcomes
-    end to end, table t's at `bounds[t]:bounds[t + 1]`, and `rows` the row
-    of each, or the row count when its block was dropped.  Read a table
-    only after `check(t)`.
+    end to end, table t's at `bounds[t]:bounds[t + 1]`; `tables` gives
+    the table of each, and `rows` its row, or the row count when its
+    block was dropped.  Read a table only after `check(t)`.
     """
 
-    def __init__(self, coupling: Coupling, partitions: Sequence[Partition]) -> None:
-        v = coupling.space.values_array
-        col_mass, col_v0 = coupling.column_moments
-        # E[(V0 - V1) 1{O1 = k}] column by column.
-        col_gap = col_v0 - col_mass * v
+    def __init__(
+        self,
+        couplings: CouplingStack,
+        partitions: Sequence[Partition],
+        coupling_rows: Optional[Sequence[int]] = None,
+    ) -> None:
+        v = couplings.space.values_array
+        mass, v0 = couplings.mass, couplings.v0
         self.partitions = partitions
-        self._labels = coupling.space.labels
+        self._labels = couplings.space.labels
+        # The coupling row of each table.
+        self._rows = [0] * len(partitions) if coupling_rows is None else list(coupling_rows)
+        sizes = [p.outcomes.size for p in partitions]
+        self.bounds = [0, *itertools.accumulate(sizes)]
         # Table t's block b is block first[t] + b of the stack.
-        ids, first, self.bounds = [], [0], [0]
-        for p in partitions:
-            ids.append(p.block_ids + first[-1] if first[-1] else p.block_ids)
-            first.append(first[-1] + p.block_count)
-            self.bounds.append(self.bounds[-1] + p.outcomes.size)
-        self.outcomes = flat = np.concatenate([p.outcomes for p in partitions])
-        ids = np.concatenate(ids)
+        first = [0, *itertools.accumulate([p.block_count for p in partitions])]
+        # The table of each outcome of the stack.
+        self.tables = np.arange(len(partitions)).repeat(sizes)
+        self.outcomes = cells = np.concatenate([p.outcomes for p in partitions])
+        ids = np.concatenate([p.block_ids for p in partitions])
+        if len(partitions) > 1:
+            ids = ids + np.array(first[:-1])[self.tables]
+        # Table t's outcome k reads cell (rows[t], k) of the moments.
+        if any(self._rows):
+            cells = cells + (np.array(self._rows) * v.size)[self.tables]
+        # E[(V0 - V1) 1{O1 = k}], coupling by coupling and column by column.
+        col_gap = v0 - mass * v
         # bincount adds each bin's weights in input order, so a block's
         # sums are the ones a pass over its table alone would take.
-        block_p = np.bincount(ids, weights=col_mass[flat], minlength=first[-1])
-        block_gap = np.bincount(ids, weights=col_gap[flat], minlength=first[-1])
+        block_p = np.bincount(ids, weights=mass.ravel()[cells], minlength=first[-1])
+        block_gap = np.bincount(ids, weights=col_gap.ravel()[cells], minlength=first[-1])
         kept = block_p > 0.0
         self._dropped = not kept.all()
         self.rows, self.starts = ids, first
@@ -235,14 +328,13 @@ class GapStack:
             block_p, block_gap = block_p[kept], block_gap[kept]
         self.probabilities = read_only(block_p)
         self.gaps = read_only(block_gap / block_p)
-        self._mean_gap = float(col_v0.sum() - col_mass @ v)
-        self._scale = max(1.0, float(np.abs(v).max()))
+        self._couplings = couplings
 
     def check(self, t: int) -> float:
         """Warn of each block of table t dropped for zero probability, by
-        its outcomes' labels, then hold its rows to the gap identity:
-        sum_b p_b gap_b = E[V0 - V1].  Returns the left side, the table's
-        expected gap."""
+        its outcomes' labels, then hold its rows to its coupling's gap
+        identity: sum_b p_b gap_b = E[V0 - V1].  Returns the left side,
+        the table's expected gap."""
         if self._dropped:
             part = self.partitions[t]
             rows = self.rows[self.bounds[t] : self.bounds[t + 1]]
@@ -255,22 +347,37 @@ class GapStack:
                 )
         lo, hi = self.starts[t], self.starts[t + 1]
         expected = float(self.probabilities[lo:hi] @ self.gaps[lo:hi])
-        if abs(expected - self._mean_gap) > GAP_IDENTITY_TOL * self._scale:
+        mean_gap = self._couplings.mean_gaps[self._rows[t]]
+        if abs(expected - mean_gap) > GAP_IDENTITY_TOL * self._couplings.scale:
             raise AssertionError(
                 f"gap table inconsistent: blocks aggregate to {expected!r} "
-                f"but the coupling's mean gap is {self._mean_gap!r}"
+                f"but the coupling's mean gap is {mean_gap!r}"
             )
         return expected
 
 
-def conditional_gap(coupling: Coupling, partitions: Sequence[Partition]) -> GapStack:
-    """E[V0 - V1 | block] and block probability for each block of one or
-    more partitions of the coupling's factual support, in one pass, as
-    their `GapStack`.  Blocks with zero factual probability carry no
-    conditional mean; they are dropped, with a warning when their table
-    is checked, rather than reported as 0/0.
+def conditional_gap(
+    couplings: CouplingStack,
+    partitions: Sequence[Partition],
+    coupling_rows: Optional[Sequence[int]] = None,
+) -> GapStack:
+    """E[V0 - V1 | block] and block probability for each block of every
+    partition, as their `GapStack`.  Partition t is read under the
+    coupling in row `coupling_rows[t]` of the stack (row 0 when no rows
+    are given), so one call takes the tables of several partitions of
+    several couplings.
+
+    The partitions' outcomes are laid end to end, each table's block ids
+    offset past the blocks of the tables before it, and each outcome reads
+    its own coupling's cell of the (coupling x outcome) moments.  One
+    `np.bincount` pair then sums every block's mass and gap mass.
+    `np.bincount` adds each bin's weights in input order, so every
+    block's sums are bit for bit the ones a pass over its own table, under
+    its own coupling alone, takes.  Blocks with zero factual probability
+    carry no conditional mean; they are dropped, with a warning when
+    their table is checked, rather than reported as 0/0.
     """
-    return GapStack(coupling, partitions)
+    return GapStack(couplings, partitions, coupling_rows)
 
 
 def cc_indemnity(gaps: np.ndarray) -> np.ndarray:
@@ -406,54 +513,10 @@ def _coupling_for(
     raise ConfigurationError(f"unknown connection policy {conn!r}")
 
 
-class _Connection:
-    """What the combinations with one connection share, built at once: its
-    coupling's notes, and the checked tables of every information policy
-    they use, in order of first use, from one `conditional_gap` pass.
-
-    `payouts` holds every row's clamped payout, a 0, every row's fair-mean
-    payout and a 0; fair-mean payouts are solved only for the tables that
-    some fm-i combination uses.  The grid lays every connection's
-    `payouts` end to end, this one's from `base`, and
-    `slots[indemnity][info]` gives, for each factual support outcome,
-    where in them its payout is; an outcome no kept block holds is paid
-    a 0.
-    """
-
-    def __init__(
-        self, model, conn, infos, joint, least_divergence, support, custom_blocks, base
-    ):
-        """`infos` maps each information policy, in order of first use, to
-        whether some fm-i combination uses its table."""
-        coupling, notes = _coupling_for(model, conn, joint, least_divergence)
-        groups = selective_groups(coupling)
-        partitions = [build_partition(info, support, groups, custom_blocks) for info in infos]
-        self.notes = {info: notes + _tie_note(model, info, groups) for info in infos}
-        gaps = conditional_gap(coupling, partitions)
-        rows = gaps.gaps.size
-        self.payouts = np.zeros(2 * rows + 2)
-        self.payouts[:rows] = cc_indemnity(gaps.gaps)
-        for t, fair in enumerate(infos.values()):
-            expected = gaps.check(t)
-            if fair:
-                lo, hi = gaps.starts[t], gaps.starts[t + 1]
-                self.payouts[rows + 1 + lo : rows + 1 + hi] = fm_indemnity(
-                    gaps.probabilities[lo:hi], gaps.gaps[lo:hi], expected
-                )
-        sizes = [p.outcomes.size for p in partitions]
-        where = np.full((len(partitions), model.space.size), rows)
-        where[np.arange(len(partitions)).repeat(sizes), gaps.outcomes] = gaps.rows
-        clamped = where[:, support] + base
-        self.slots = {
-            "cc-i": dict(zip(infos, clamped)),
-            "fm-i": dict(zip(infos, clamped + (rows + 1))),
-        }
-
-
-def _tie_note(model: CaseModel, info: str, groups: SelectiveGroups) -> tuple[str, ...]:
-    if not (groups.ties and info == "m-fi"):
+def _tie_note(model: CaseModel, groups: SelectiveGroups, row: int) -> tuple[str, ...]:
+    if not groups.ties[row].any():
         return ()
-    tied = ", ".join(model.space.labels[i] for i in groups.ties)
+    tied = ", ".join(model.space.labels[i] for i in groups.indices(row)[2])
     return (
         f"note: outcome(s) {tied} sit exactly at their conditional mean "
         f"and are grouped as non-compensable",
@@ -472,18 +535,28 @@ def evaluate_grid(
     """One schedule per combination: coupling, partition, gaps, indemnity,
     money awards.
 
-    The grid is built first, then priced.  The coupling, its notes and
-    its selective groups depend only on the connection, so each is built
-    once per connection, in order of first use.  So are the partitions of
-    every information policy that the connection's combinations use, and
-    their gap tables, from one `conditional_gap` pass; each table is
-    checked once, its clamped payouts come from one `np.maximum`, and its
-    fair-mean payouts are solved when some fm-i combination uses it.  The
-    payouts of every combination then form one (combination x outcome)
-    matrix, gathered at once from the connections' payouts and priced by
-    one award call.  So an error in building any connection, in order of
-    first use, and within it in its first information policy, wins over
-    an award error; the award call names the first combination, and its
+    The grid is built first, then priced, one stage at a time over every
+    table of every connection.  A table is one (connection, information
+    policy) pair that some combination uses: connections in order of
+    first use, and within each its information policies in order of first
+    use.  The build runs:
+
+    * the couplings, one per connection, in that order, with the notes
+      they carry; ld-c and paper-table share one least-divergence
+      coupling;
+    * their column moments, as one `CouplingStack`, and their selective
+      groups, one `selective_groups` call;
+    * every table's partition, one `build_partition` call;
+    * every table's gaps, one `conditional_gap` pass, and every row's
+      clamped payout, one `cc_indemnity` call;
+    * table by table, its check, then its fair-mean payouts when some
+      fm-i combination uses it, one `fm_indemnity` call each.
+
+    The payouts of every combination then form one (combination x
+    outcome) matrix, gathered at once and priced by one award call.  So
+    the first stage that fails raises: a coupling error, in order of first
+    use, before any partition error, and so on; a build error wins over an
+    award error; and the award call names the first combination, and its
     first outcome, that cannot be priced.
 
     e-c evaluates `evidence_joint`; paper-table evaluates
@@ -495,36 +568,67 @@ def evaluate_grid(
         paper_table_joint = evidence_joint
     joints = {"e-c": evidence_joint, "paper-table": paper_table_joint}
     # model.factual.support(), as an array.
-    support = np.flatnonzero(model.factual.array > 0.0)
+    support = (model.factual.array > 0.0).nonzero()[0]
     # ld-c and paper-table's cost check share one least-divergence coupling.
-    least_divergence = functools.cache(lambda: least_divergence_coupling(model))
+    shared = []
+
+    def least_divergence() -> Coupling:
+        if not shared:
+            shared.append(least_divergence_coupling(model))
+        return shared[0]
+
     # The information policies of each connection, in order of first use,
     # and whether some fm-i combination uses each.
-    infos: dict[str, dict[str, bool]] = {}
+    uses: dict[str, dict[str, bool]] = {}
     for combo in combos:
-        fair = infos.setdefault(combo.connection, {})
+        fair = uses.setdefault(combo.connection, {})
         fair[combo.info] = fair.get(combo.info, False) or combo.indemnity == "fm-i"
-    connected: dict[str, _Connection] = {}
-    base = 0
-    for conn, conn_infos in infos.items():
-        connected[conn] = _Connection(
-            model,
-            conn,
-            conn_infos,
-            joints.get(conn),
-            least_divergence,
-            support,
-            custom_blocks,
-            base,
-        )
-        base += connected[conn].payouts.size
-    payouts = np.concatenate([conn.payouts for conn in connected.values()])
+    built = [_coupling_for(model, conn, joints.get(conn), least_divergence) for conn in uses]
+    couplings = CouplingStack([coupling for coupling, _ in built])
+    groups = selective_groups(couplings)
+    # The tables, each (connection, information policy) that some
+    # combination uses: its connection's row, its policy, and whether
+    # some fm-i combination uses it.
+    tables: dict[tuple[str, str], int] = {}
+    rows, infos, fairs = [], [], []
+    for row, (conn, conn_infos) in enumerate(uses.items()):
+        for info, fair in conn_infos.items():
+            tables[conn, info] = len(rows)
+            rows.append(row)
+            infos.append(info)
+            fairs.append(fair)
+    partitions = build_partition(infos, support, groups, custom_blocks, rows)
+    gaps = conditional_gap(couplings, partitions, rows)
+    # Every row's clamped payout, a 0, every row's fair-mean payout and a
+    # 0; fair-mean payouts are solved only for the tables that some fm-i
+    # combination uses.
+    count = gaps.gaps.size
+    payouts = np.zeros(2 * count + 2)
+    payouts[:count] = cc_indemnity(gaps.gaps)
+    for t, fair in enumerate(fairs):
+        expected = gaps.check(t)
+        if fair:
+            lo, hi = gaps.starts[t], gaps.starts[t + 1]
+            payouts[count + 1 + lo : count + 1 + hi] = fm_indemnity(
+                gaps.probabilities[lo:hi], gaps.gaps[lo:hi], expected
+            )
+    # slots[t, j] is where in `payouts` table t pays the j-th factual
+    # support outcome: the row of the block that holds it, or the 0 past
+    # the clamped payouts when no kept block does.  slots[t + len(rows)]
+    # is the same place among the fair-mean payouts.
+    where = np.full((len(rows), model.space.size), count)
+    where[gaps.tables, gaps.outcomes] = gaps.rows
+    slots = where[:, support]
+    slots = np.concatenate((slots, slots + (count + 1)))
+    picks = [tables[c.connection, c.info] for c in combos]
+    picked = [t + len(rows) if c.indemnity == "fm-i" else t for t, c in zip(picks, combos)]
     # The (combination x outcome) payout matrix, flattened row after row.
-    x = payouts[
-        np.concatenate([connected[c.connection].slots[c.indemnity][c.info] for c in combos])
+    x = payouts[slots[picked].ravel()]
+    notes = [
+        built[row][1] + _tie_note(model, groups, row) if info == "m-fi" else built[row][1]
+        for row, info in zip(rows, infos)
     ]
-    notes = [connected[c.connection].notes[c.info] for c in combos]
-    return _price(model, combos, support, x, notes, tuple(extra_notes))
+    return _price(model, combos, support, x, [notes[t] for t in picks], tuple(extra_notes))
 
 
 def _price(

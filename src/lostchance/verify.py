@@ -43,6 +43,7 @@ from .coupling import (
 from .outcome import CaseModel, DiscreteDistribution, IdentityMoneyMap, OutcomeSpace
 from .valuation import (
     STANDARD_AXES,
+    CouplingStack,
     Partition,
     PolicyCombo,
     build_partition,
@@ -272,19 +273,20 @@ def _check_independence_covariance(res: PropertyResult, rng, instances: range) -
         res.ok(abs(cov) <= 1e-10, f"instance {i}: independent coupling cov {cov:g}")
 
 
-def _partitions_for(coupling: Coupling, model: CaseModel) -> list[Partition]:
-    """The l-fi, m-fi and h-fi partitions of the case's factual support."""
-    groups = selective_groups(coupling)
-    support = model.factual.support()
-    return [build_partition(info, support, groups) for info in STANDARD_AXES[0]]
+def _partitions_for(couplings: CouplingStack, model: CaseModel) -> list[Partition]:
+    """The l-fi, m-fi and h-fi partitions of the case's factual support
+    under a one-coupling stack."""
+    groups = selective_groups(couplings)
+    return build_partition(STANDARD_AXES[0], model.factual.support(), groups)
 
 
 def _tables_for(coupling: Coupling, model: CaseModel):
     """(info, partition, block probabilities, block gaps, expected gap) for
     l-fi, m-fi and h-fi, from one gap pass; each table is checked as it
     is yielded."""
-    partitions = _partitions_for(coupling, model)
-    gaps = conditional_gap(coupling, partitions)
+    couplings = CouplingStack([coupling])
+    partitions = _partitions_for(couplings, model)
+    gaps = conditional_gap(couplings, partitions)
     for t, info in enumerate(STANDARD_AXES[0]):
         expected = gaps.check(t)
         lo, hi = gaps.starts[t], gaps.starts[t + 1]
@@ -317,7 +319,7 @@ def _check_unconstrained_optimal(res: PropertyResult, rng, instances: range) -> 
         risk_tol = 1e-9 * max(1.0, vrange**2)
         for info, partition, schedule in zip(
             STANDARD_AXES[0],
-            _partitions_for(coupling, model),
+            _partitions_for(CouplingStack([coupling]), model),
             _evaluated(model, conn, joint, "cc-i"),
         ):
             x_cc = _block_payouts(schedule, partition, model)
@@ -415,10 +417,8 @@ def _check_shift_function_shape(res: PropertyResult, rng, instances: range) -> N
     for i in instances:
         model = random_case(rng)
         coupling = _any_coupling(rng, model)[0]
-        partition = build_partition(
-            "h-fi", model.factual.support(), selective_groups(coupling)
-        )
-        gaps = conditional_gap(coupling, [partition])
+        partitions = build_partition(["h-fi"], model.factual.support())
+        gaps = conditional_gap(CouplingStack([coupling]), partitions)
         gaps.check(0)
 
         def f(lam: float) -> float:
@@ -440,14 +440,15 @@ def _check_mfi_fmi_closed_form(res: PropertyResult, rng, instances: range) -> No
     for i in instances:
         model = random_case(rng)
         coupling = _any_coupling(rng, model)[0]
-        groups = selective_groups(coupling)
-        partition = build_partition("m-fi", model.factual.support(), groups)
-        gaps = conditional_gap(coupling, [partition])
+        couplings = CouplingStack([coupling])
+        groups = selective_groups(couplings)
+        partitions = build_partition(["m-fi"], model.factual.support(), groups)
+        gaps = conditional_gap(couplings, partitions)
         target = gaps.check(0)
         # The closed form presumes a strictly non-compensable second block;
         # a tied outcome can leave it with a positive gap at tie-tolerance
         # scale, in which case the generic root is the right answer.
-        if target <= 0.0 or not groups.plus or groups.ties:
+        if target <= 0.0 or not groups.plus.any() or groups.ties.any():
             continue
         x_fm = fm_indemnity(gaps.probabilities, gaps.gaps, target)
         # The compensable block always comes first in an m-fi partition.

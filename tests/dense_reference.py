@@ -116,7 +116,10 @@ def selective_groups(joint: np.ndarray, v: np.ndarray) -> SelectiveGroups:
             plus.append(k)
         else:
             minus.append(k)
-    return SelectiveGroups(tuple(plus), tuple(minus), tuple(ties))
+    masks = np.zeros((3, 1, len(v)), dtype=bool)
+    for mask, indices in zip(masks, (plus, minus, ties)):
+        mask[0, indices] = True
+    return SelectiveGroups(*masks)
 
 
 def conditional_gap(joint: np.ndarray, v: np.ndarray, partition):
@@ -143,7 +146,7 @@ def evaluate(
     v = model.space.values_array
     groups = selective_groups(joint, v)
     support = model.factual.support()
-    partition = build_partition(combo.info, support, groups, custom_blocks)
+    (partition,) = build_partition([combo.info], support, groups, custom_blocks)
     blocks, p, g = conditional_gap(joint, v, partition)
     if combo.indemnity == "cc-i":
         block_x = cc_indemnity(g)

@@ -34,6 +34,7 @@ from lostchance.outcome import WEIGHT_SUM_TOL, CaseModel, MoneyMap
 from lostchance.valuation import (
     CompensationSchedule,
     ConfigurationError,
+    CouplingStack,
     _coupling_for,
     selective_groups,
 )
@@ -41,14 +42,14 @@ from lostchance.valuation import (
 # -- valuation ---------------------------------------------------------------
 
 
-def partition_blocks(info, support, groups, custom_blocks):
+def partition_blocks(info, support, plus, minus, custom_blocks):
     sup = tuple(int(i) for i in support)
     if info == "l-fi":
         return (sup,)
     if info == "h-fi":
         return tuple((i,) for i in sup)
     if info == "m-fi":
-        return tuple(b for b in (groups.plus, groups.minus) if b)
+        return tuple(b for b in (plus, minus) if b)
     if custom_blocks is None:
         raise ConfigurationError("custom partition needs explicit blocks")
     return tuple(tuple(int(i) for i in b) for b in custom_blocks)
@@ -131,14 +132,14 @@ def schedules(
         coupling, notes = _coupling_for(
             model, combo.connection, evidence_joint, least_divergence
         )
-        groups = selective_groups(coupling)
-        if groups.ties and combo.info == "m-fi":
-            tied = ", ".join(model.space.labels[i] for i in groups.ties)
+        plus, minus, ties = selective_groups(CouplingStack([coupling])).indices()
+        if ties and combo.info == "m-fi":
+            tied = ", ".join(model.space.labels[i] for i in ties)
             notes += (
                 f"note: outcome(s) {tied} sit exactly at their conditional mean "
                 f"and are grouped as non-compensable",
             )
-        blocks = partition_blocks(combo.info, support, groups, custom_blocks)
+        blocks = partition_blocks(combo.info, support, plus, minus, custom_blocks)
         rows = conditional_gap(coupling, blocks)
         block_x = indemnity(rows, combo.indemnity).tolist()
         x_of = {k: x for (block, _, _), x in zip(rows, block_x) for k in block}

@@ -37,7 +37,7 @@ from lostchance.tables import (
     reproduce_table_5,
     reproduce_table_6,
 )
-from lostchance.valuation import build_partition
+from lostchance.valuation import CouplingStack, build_partition
 from lostchance.verify import random_case, random_choice_case, random_vertex_coupling
 
 
@@ -51,16 +51,15 @@ def _check(criterion: int, slug: str, body) -> None:
 
 
 def _partitions(coupling, model):
-    groups = selective_groups(coupling)
-    support = model.factual.support()
-    for info in ("l-fi", "m-fi", "h-fi"):
-        yield info, build_partition(info, support, groups)
+    infos = ("l-fi", "m-fi", "h-fi")
+    groups = selective_groups(CouplingStack([coupling]))
+    return zip(infos, build_partition(infos, model.factual.support(), groups))
 
 
 def _table(coupling, partition):
     """(block probabilities, block gaps, expected gap) of one partition,
     checked."""
-    gaps = conditional_gap(coupling, [partition])
+    gaps = conditional_gap(CouplingStack([coupling]), [partition])
     return gaps.probabilities, gaps.gaps, gaps.check(0)
 
 
@@ -129,9 +128,7 @@ def test_criterion_2_prize_schedule_table():
         for outcome, want in (("a1", 0.0), ("a2", 0.0), ("a3", 17.5), ("a4", 40.0)):
             assert abs(sched.value_for(outcome) - want) <= 1e-9 * max(1.0, want)
         coupling = least_divergence_coupling(sc.model)
-        partition = build_partition(
-            "h-fi", sc.model.factual.support(), selective_groups(coupling)
-        )
+        (partition,) = build_partition(["h-fi"], sc.model.factual.support())
         x_cc = cc_indemnity(_table(coupling, partition)[1])
         _, r_or = oracle_best_schedule(
             coupling, partition, constrained=False, target_step=0.01

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lostchance.choice import (
+    _PRESUMPTION_RULE_NOTE,
     ChoiceCaseModel,
     best_dutiful_choice,
     counterfactual_choice_scores,
@@ -132,6 +135,26 @@ class TestPresumptions:
         out = presume_choice_ii_cp(model)
         assert out.counterfactual_choice.weights == (1.0, 0.0)
         assert any("overrides supplied" in n for n in out.notes)
+
+    def test_presumption_notes_in_order(self):
+        presumed = "presumption({}): counterfactual choice presumed 'operate'"
+        overrides = "presumption(ii-cp) overrides supplied counterfactual choice evidence"
+        rule = _PRESUMPTION_RULE_NOTE
+        missing = surgery_case()
+        assert presume_choice_it_cp(missing).notes == (presumed.format("it-cp"), rule)
+        supplied = surgery_case(counterfactual_choice=DiscreteDistribution((0.4, 0.6)))
+        assert presume_choice_ii_cp(supplied).notes == (
+            presumed.format("ii-cp"),
+            overrides,
+            rule,
+        )
+        # A note already present keeps its place and is not repeated, as
+        # with one `with_note` per note.
+        carried = missing.with_note("earlier").with_note(rule)
+        out = presume_choice_it_cp(carried)
+        assert out.notes == ("earlier", rule, presumed.format("it-cp"))
+        noted = replace(carried, counterfactual_choice=out.counterfactual_choice)
+        assert out == noted.with_note(presumed.format("it-cp")).with_note(rule)
 
     def test_presumptions_idempotent(self):
         model = surgery_case()

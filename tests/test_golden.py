@@ -173,13 +173,11 @@ def test_schedule_notes_keep_their_order(run):
     "run", ["paper-prize", "outcome-ties-matrix", "choice-evidence.none"]
 )
 def test_all_policies_builds_each_coupling_once(run, monkeypatch, capsys):
-    """One command: one coupling per connection, and one gap pass per
-    connection over its three information policies, not one per
-    (connection, info) pair."""
+    """One command: one coupling per connection, and one gap pass over
+    every connection's three information policies, not one per
+    connection or per (connection, info) pair."""
     builds: list[str] = []
-    # The couplings themselves: holding them keeps each alive, so no two
-    # can share an id.
-    gaps: list[tuple[object, int]] = []
+    gaps: list[tuple[object, int, list]] = []
 
     def counted(name):
         original = getattr(valuation, name)
@@ -199,9 +197,9 @@ def test_all_policies_builds_each_coupling_once(run, monkeypatch, capsys):
         counted(name)
     conditional_gap = valuation.conditional_gap
 
-    def counted_gap(coupling, partitions):
-        gaps.append((coupling, len(partitions)))
-        return conditional_gap(coupling, partitions)
+    def counted_gap(couplings, partitions, rows):
+        gaps.append((couplings, len(partitions), list(rows)))
+        return conditional_gap(couplings, partitions, rows)
 
     monkeypatch.setattr(valuation, "conditional_gap", counted_gap)
     case, flags = _case_and_presumption(run)
@@ -212,8 +210,11 @@ def test_all_policies_builds_each_coupling_once(run, monkeypatch, capsys):
         "independence_coupling",
         "least_divergence_coupling",
     ]
-    assert len(gaps) == len({id(c) for c, _ in gaps}) == 3
-    assert [n for _, n in gaps] == [3, 3, 3]
+    assert len(gaps) == 1
+    couplings, tables, rows = gaps[0]
+    assert len({id(c) for c in couplings.couplings}) == 3
+    assert tables == 9
+    assert rows == [0, 0, 0, 1, 1, 1, 2, 2, 2]
 
 
 # The valuation stages `evaluate` runs, in the order it runs them.
@@ -244,16 +245,16 @@ def test_all_policies_runs_every_stage_the_bench_wraps(monkeypatch, capsys):
     case, flags = _case_and_presumption("paper-prize")
     assert main(["evaluate", str(case), "--all-policies", "--csv", *flags]) == 0
     assert capsys.readouterr().out
-    # Per connection: its groups, three partitions, one gap pass, the
-    # clamped payouts of every table, and each table's fair-mean payouts.
-    per_connection = [
+    # Once per grid: the groups of every coupling, the partitions of every
+    # table, one gap pass and the clamped payouts of every row; then each
+    # table's fair-mean payouts.
+    assert calls == [
         "selective_groups",
-        *3 * ["build_partition"],
+        "build_partition",
         "conditional_gap",
         "cc_indemnity",
-        *3 * ["fm_indemnity"],
+        *9 * ["fm_indemnity"],
     ]
-    assert calls == 3 * per_connection
 
 
 SHIFTED = ["--p0", "0.6", "--p1", "0.3", "--v-red", "3", "--v-blue", "7"]

@@ -25,6 +25,7 @@ from lostchance.outcome import (
     OutcomeSpace,
 )
 from lostchance.valuation import (
+    CouplingStack,
     _grid,
     build_partition,
     conditional_gap,
@@ -149,10 +150,10 @@ def _schedule_pairs():
             coupling = least_divergence_coupling(model)
         else:
             coupling = independence_coupling(model)
-        groups = selective_groups(coupling)
+        groups = selective_groups(CouplingStack([coupling]))
         support = model.factual.support()
-        for info in ("l-fi", "m-fi", "h-fi"):
-            pairs.append((model, coupling, build_partition(info, support, groups)))
+        for partition in build_partition(("l-fi", "m-fi", "h-fi"), support, groups):
+            pairs.append((model, coupling, partition))
     return pairs
 
 
@@ -164,7 +165,7 @@ def test_best_schedule_matches_reference(constrained):
         step = max((0.001 if constrained else 0.005) * vrange, 1e-6)
         kwargs = {"constrained": constrained, "target_step": step}
         if constrained:
-            kwargs["target"] = conditional_gap(coupling, [partition]).check(0)
+            kwargs["target"] = conditional_gap(CouplingStack([coupling]), [partition]).check(0)
         x, risk = oracle_best_schedule(coupling, partition, **kwargs)
         ref_x, ref_risk = ref.oracle_best_schedule(coupling, partition, **kwargs)
         scale = max(1.0, transport_cost(coupling))

@@ -141,7 +141,7 @@ def test_outcome_cases_match_dense_reference(n, ties):
                     groups = dense[3]
                     notes = schedule.notes
                     tied = [note for note in notes if "conditional mean" in note]
-                    assert bool(tied) == bool(info == "m-fi" and groups.ties)
+                    assert bool(tied) == bool(info == "m-fi" and groups.ties.any())
                     if conn == "paper-table":
                         supplied = ref.transport_cost(joint, v)
                         own = ref.transport_cost(dense_ld, v)

@@ -18,8 +18,10 @@ from lostchance.outcome import (
 )
 from lostchance.valuation import (
     ConfigurationError,
+    CouplingStack,
     Partition,
     PolicyCombo,
+    SelectiveGroups,
     build_partition,
     cc_indemnity,
     conditional_gap,
@@ -31,6 +33,7 @@ from lostchance.valuation import (
     selective_groups,
     solve_lambda,
 )
+from lostchance.verify import random_vertex_coupling
 
 
 def hand_partition(blocks) -> Partition:
@@ -42,10 +45,20 @@ def hand_partition(blocks) -> Partition:
     )
 
 
+def groups_of(coupling) -> SelectiveGroups:
+    """The selective groups of a lone coupling: a one-row stack."""
+    return selective_groups(CouplingStack([coupling]))
+
+
+def one_partition(info, support, groups=None, custom_blocks=None) -> Partition:
+    """One information policy's partition: a one-table build."""
+    return build_partition([info], support, groups, custom_blocks)[0]
+
+
 def table(coupling, partition):
     """(block probabilities, block gaps, expected gap) of one partition,
     checked."""
-    gaps = conditional_gap(coupling, [partition])
+    gaps = conditional_gap(CouplingStack([coupling]), [partition])
     return gaps.probabilities, gaps.gaps, gaps.check(0)
 
 
@@ -97,17 +110,14 @@ class TestPolicyCombo:
 
 class TestSelectiveGroups:
     def test_prize_evidence_split(self):
-        groups = selective_groups(prize_evidence_coupling())
+        groups = groups_of(prize_evidence_coupling())
         # conditional mean minus own value: 65, 5, -17.5, 40 on a1..a4
-        assert groups.plus == (0, 1, 3)
-        assert groups.minus == (2,)
-        assert groups.ties == ()
+        assert groups.indices() == ((0, 1, 3), (2,), ())
 
     def test_prize_independence_split(self):
-        groups = selective_groups(independence_coupling(prize_model()))
+        groups = groups_of(independence_coupling(prize_model()))
         # E[V0] = 50 against values 5, 30, 35, 70
-        assert groups.plus == (0, 1, 2)
-        assert groups.minus == (3,)
+        assert groups.indices()[:2] == ((0, 1, 2), (3,))
 
     def test_tie_goes_to_minus_and_is_recorded(self):
         model = CaseModel(
@@ -117,65 +127,65 @@ class TestSelectiveGroups:
             money=IdentityMoneyMap(),
         )
         c = least_divergence_coupling(model)  # diagonal: gaps exactly zero
-        groups = selective_groups(c)
-        assert groups.plus == ()
-        assert groups.minus == (0, 1)
-        assert groups.ties == (0, 1)
+        groups = groups_of(c)
+        assert groups.indices() == ((), (0, 1), (0, 1))
 
 
 class TestPartitions:
     def test_l_fi_single_block(self):
-        p = build_partition("l-fi", (0, 1, 3))
+        p = one_partition("l-fi", (0, 1, 3))
         assert p.blocks == ((0, 1, 3),)
         assert p.block_count == 1
         assert p.outcomes.tolist() == [0, 1, 3]
         assert p.block_ids.tolist() == [0, 0, 0]
 
     def test_h_fi_singletons(self):
-        p = build_partition("h-fi", (0, 2))
+        p = one_partition("h-fi", (0, 2))
         assert p.blocks == ((0,), (2,))
 
     def test_m_fi_uses_groups_and_drops_empty(self):
-        groups = selective_groups(prize_evidence_coupling())
-        p = build_partition("m-fi", (0, 1, 2, 3), groups)
+        groups = groups_of(prize_evidence_coupling())
+        p = one_partition("m-fi", (0, 1, 2, 3), groups)
         assert p.blocks == ((0, 1, 3), (2,))
         assert p.block_count == 2
-        lone = selective_groups(independence_coupling(prize_model()))
-        only_plus = build_partition(
-            "m-fi", (0, 1, 2), type(lone)((0, 1, 2), ())
-        )
+        # Groups built by hand: every held outcome compensable.
+        plus = np.array([[True, True, True, False, False]])
+        none = np.zeros_like(plus)
+        only_plus = one_partition("m-fi", (0, 1, 2), SelectiveGroups(plus, none, none))
         assert only_plus.blocks == ((0, 1, 2),)
         assert only_plus.block_count == 1
 
     def test_m_fi_without_groups_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_partition("m-fi", (0, 1))
+            one_partition("m-fi", (0, 1))
+        with pytest.raises(ConfigurationError, match="unknown information policy"):
+            one_partition("x-fi", (0, 1))
 
     def test_custom_must_tile_support(self):
-        p = build_partition("custom", (0, 1, 2), custom_blocks=((0, 2), (1,)))
+        p = one_partition("custom", (0, 1, 2), custom_blocks=((0, 2), (1,)))
         assert p.blocks == ((0, 2), (1,))
         with pytest.raises(ValueError, match="cover indices"):
-            build_partition("custom", (0, 1, 2), custom_blocks=((0,), (1,)))
+            one_partition("custom", (0, 1, 2), custom_blocks=((0,), (1,)))
         with pytest.raises(ValueError, match="overlap"):
-            build_partition("custom", (0, 1), custom_blocks=((0, 1), (1,)))
+            one_partition("custom", (0, 1), custom_blocks=((0, 1), (1,)))
 
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            build_partition("l-fi", ())
+            one_partition("l-fi", ())
 
 
 class TestConditionalGap:
     def test_prize_h_fi_gaps(self):
         c = prize_evidence_coupling()
-        p, g, expected = table(c, build_partition("h-fi", (0, 1, 2, 3)))
+        p, g, expected = table(c, one_partition("h-fi", (0, 1, 2, 3)))
         assert np.allclose(p, [0.2, 0.2, 0.4, 0.2])
         assert np.allclose(g, [65.0, 5.0, -17.5, 40.0])
         assert expected == pytest.approx(15.0)
 
     def test_prize_m_fi_gaps(self):
         c = prize_evidence_coupling()
-        groups = selective_groups(c)
-        p, g, _ = table(c, build_partition("m-fi", (0, 1, 2, 3), groups))
+        groups = groups_of(c)
+        p, g, _ = table(c, one_partition("m-fi", (0, 1, 2, 3), groups))
         assert np.allclose(p, [0.6, 0.4])
         assert g[0] == pytest.approx(110.0 / 3.0)
         assert g[1] == pytest.approx(-17.5)
@@ -184,7 +194,7 @@ class TestConditionalGap:
         model = prize_model()
         c = independence_coupling(model)
         for info in ("l-fi", "h-fi"):
-            _, _, expected = table(c, build_partition(info, model.factual.support()))
+            _, _, expected = table(c, one_partition(info, model.factual.support()))
             assert expected == pytest.approx(model.expected_gap())
 
     def test_zero_probability_block_dropped_with_warning(self):
@@ -196,7 +206,7 @@ class TestConditionalGap:
         with pytest.warns(UserWarning, match=r"zero-probability block of outcome\(s\) 'a5'$"):
             p, g, _ = table(c, part)
         assert p.tolist() == pytest.approx([1.0])
-        gaps = conditional_gap(c, [part])
+        gaps = conditional_gap(CouplingStack([c]), [part])
         # a5 maps past the one kept row.
         assert gaps.rows.tolist() == [0, 0, 0, 0, 1]
 
@@ -204,7 +214,7 @@ class TestConditionalGap:
 class TestIndemnities:
     def prize_h_fi_table(self):
         c = prize_evidence_coupling()
-        return table(c, build_partition("h-fi", (0, 1, 2, 3)))
+        return table(c, one_partition("h-fi", (0, 1, 2, 3)))
 
     def test_cc_clamps_at_zero(self):
         x = cc_indemnity(self.prize_h_fi_table()[1])
@@ -220,15 +230,15 @@ class TestIndemnities:
 
     def test_fm_independence_lambda(self):
         c = independence_coupling(prize_model())
-        p, g, expected = table(c, build_partition("h-fi", (0, 1, 2, 3)))
+        p, g, expected = table(c, one_partition("h-fi", (0, 1, 2, 3)))
         assert np.allclose(g, [45.0, 20.0, 15.0, -20.0])
         assert solve_lambda(p, g, expected) == pytest.approx(5.0)
         assert np.allclose(fm_indemnity(p, g, expected), [40.0, 15.0, 10.0, 0.0])
 
     def test_fm_m_fi_lambda(self):
         c = prize_evidence_coupling()
-        groups = selective_groups(c)
-        p, g, expected = table(c, build_partition("m-fi", (0, 1, 2, 3), groups))
+        groups = groups_of(c)
+        p, g, expected = table(c, one_partition("m-fi", (0, 1, 2, 3), groups))
         assert solve_lambda(p, g, expected) == pytest.approx(35.0 / 3.0)
         assert np.allclose(fm_indemnity(p, g, expected), [25.0, 0.0])
 
@@ -363,7 +373,7 @@ class TestEvaluatePolicy:
 class TestOracleBestSchedule:
     def test_prize_unconstrained(self):
         c = prize_evidence_coupling()
-        part = build_partition("h-fi", (0, 1, 2, 3))
+        part = one_partition("h-fi", (0, 1, 2, 3))
         x, risk = oracle_best_schedule(c, part)
         assert np.allclose(x, [65.0, 5.0, 0.0, 40.0], atol=0.02)
         best = schedule_risk(c, part, cc_indemnity(table(c, part)[1]))
@@ -373,13 +383,13 @@ class TestOracleBestSchedule:
 
     def test_prize_constrained(self):
         c = prize_evidence_coupling()
-        part = build_partition("h-fi", (0, 1, 2, 3))
+        part = one_partition("h-fi", (0, 1, 2, 3))
         x, _ = oracle_best_schedule(c, part, constrained=True)
         assert np.allclose(x, [50.0, 0.0, 0.0, 25.0], atol=0.02)
 
     def test_single_block_degenerate(self):
         c = prize_evidence_coupling()
-        part = build_partition("l-fi", (0, 1, 2, 3))
+        part = one_partition("l-fi", (0, 1, 2, 3))
         x, _ = oracle_best_schedule(c, part)
         assert x[0] == pytest.approx(max(0.0, table(c, part)[1][0]), abs=0.02)
 
@@ -393,13 +403,13 @@ class TestOracleBestSchedule:
             money=IdentityMoneyMap(),
         )
         c = independence_coupling(model)
-        part = build_partition("h-fi", (0, 1, 2, 3, 4))
+        part = one_partition("h-fi", (0, 1, 2, 3, 4))
         with pytest.raises(ValueError, match="refuses 5 blocks"):
             oracle_best_schedule(c, part)
 
     def test_schedule_risk_matches_manual_sum(self):
         c = prize_evidence_coupling()
-        part = build_partition("h-fi", (0, 1, 2, 3))
+        part = one_partition("h-fi", (0, 1, 2, 3))
         x = np.array([1.0, 2.0, 3.0, 4.0])
         manual = 0.0
         v = c.space.values_array
@@ -456,25 +466,26 @@ class TestStackedGaps:
     ):
         rng, model = _seeded_model(seed, n, ties, zero, empty_side)
         c = connect(model)
-        groups = selective_groups(c)
+        couplings = CouplingStack([c])
+        groups = selective_groups(couplings)
         if empty_side and connect is independence_coupling:
-            assert not groups.plus
+            assert not groups.plus.any()
         support = model.factual.support()
-        parts = [build_partition(i, support, groups) for i in ("l-fi", "m-fi", "h-fi")]
+        parts = build_partition(("l-fi", "m-fi", "h-fi"), support, groups)
         cuts = np.sort(rng.choice(np.arange(1, len(support)), size=min(3, len(support) - 1), replace=False))
         blocks = [b.tolist() for b in np.split(rng.permutation(support), cuts)]
-        parts.append(build_partition("custom", support, custom_blocks=blocks))
+        parts.append(one_partition("custom", support, custom_blocks=blocks))
         if zero:
             # A block outside the factual support: zero probability.
             (off,) = set(range(n)) - set(support)
             parts.append(hand_partition([*blocks, (off,)]))
         with warnings.catch_warnings(record=True) as stacked_warnings:
             warnings.simplefilter("always")
-            stack = conditional_gap(c, parts)
+            stack = conditional_gap(couplings, parts)
             expected = [stack.check(t) for t in range(len(parts))]
         with warnings.catch_warnings(record=True) as alone_warnings:
             warnings.simplefilter("always")
-            alone = [conditional_gap(c, [p]) for p in parts]
+            alone = [conditional_gap(couplings, [p]) for p in parts]
             assert [one.check(0) for one in alone] == expected
         assert [str(w.message) for w in stacked_warnings] == [
             str(w.message) for w in alone_warnings
@@ -492,6 +503,50 @@ class TestStackedGaps:
             assert np.array_equal(outcomes, one.outcomes)
         if zero:
             assert stack.starts[-1] - stack.starts[-2] == len(blocks)
+
+    @pytest.mark.parametrize(
+        "seed, n, ties, zero",
+        [(0, 2, False, False), (1, 3, True, False), (3, 17, True, True), (5, 300, True, True)],
+    )
+    def test_a_stack_of_couplings_is_each_coupling_alone(self, seed, n, ties, zero):
+        rng, model = _seeded_model(seed, n, ties, zero, False)
+        evidence = evidence_coupling(model, random_vertex_coupling(rng, model))
+        couplings = [evidence, independence_coupling(model), least_divergence_coupling(model)]
+        stack = CouplingStack(couplings)
+        groups = selective_groups(stack)
+        infos = ("l-fi", "m-fi", "h-fi")
+        rows = [row for row in range(3) for _ in infos]
+        support = model.factual.support()
+        with warnings.catch_warnings(record=True) as stacked_warnings:
+            warnings.simplefilter("always")
+            parts = build_partition(infos * 3, support, groups, coupling_rows=rows)
+            gaps = conditional_gap(stack, parts, rows)
+            expected = [gaps.check(t) for t in range(len(parts))]
+        alone_warnings = []
+        for row, c in enumerate(couplings):
+            alone = CouplingStack([c])
+            # Each row's moments are bit for bit the coupling's own.
+            assert np.array_equal(stack.mass[row], c.column_moments[0])
+            assert np.array_equal(stack.v0[row], c.column_moments[1])
+            assert stack.mean_gaps[row] == alone.mean_gaps[0]
+            one_groups = selective_groups(alone)
+            assert groups.indices(row) == one_groups.indices()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                one = conditional_gap(alone, build_partition(infos, support, one_groups))
+                assert [one.check(t) for t in range(3)] == expected[3 * row : 3 * row + 3]
+            alone_warnings += caught
+            for t in range(3):
+                s = 3 * row + t
+                assert np.array_equal(parts[s].outcomes, one.partitions[t].outcomes)
+                assert np.array_equal(parts[s].block_ids, one.partitions[t].block_ids)
+                stacked = slice(gaps.starts[s], gaps.starts[s + 1])
+                own = slice(one.starts[t], one.starts[t + 1])
+                assert np.array_equal(gaps.probabilities[stacked], one.probabilities[own])
+                assert np.array_equal(gaps.gaps[stacked], one.gaps[own])
+        assert [str(w.message) for w in stacked_warnings] == [
+            str(w.message) for w in alone_warnings
+        ]
 
 
 ALL_COMBOS = [
@@ -567,11 +622,11 @@ class TestEvaluateGrid:
         evaluate_grid(prize_model(), ALL_COMBOS, PRIZE_EVIDENCE, PRIZE_BLOCKS)
         # ld-c and paper-table share the one least-divergence coupling.
         assert calls.count(("least_divergence_coupling",)) == 1
-        # One gap pass per connection, over its four information policies.
-        assert calls.count(("conditional_gap", 4)) == 4
+        # One gap pass over every connection's four information policies.
+        assert calls.count(("conditional_gap", 16)) == 1
         # One fair-mean solve per table, though two combinations use each.
         assert [c[0] for c in calls].count("fm_indemnity") == 16
-        assert len(calls) == 21
+        assert len(calls) == 18
         # Each of the 16 tables is checked exactly once.
         assert len({(id(stack), t) for stack, t in checks}) == len(checks) == 16
 
@@ -617,15 +672,30 @@ class TestEvaluateGrid:
     @pytest.mark.parametrize(
         "combos, match",
         [
-            # i-c is built before e-c, though e-c's first combination
-            # comes before i-c's failing one.
+            # Every coupling is built before any partition: e-c's coupling
+            # error wins over the custom table of i-c, used first.
             (
                 [("l-fi", "i-c", "cc-i"), ("l-fi", "e-c", "cc-i"), ("custom", "i-c", "cc-i")],
-                "custom partition needs explicit blocks",
+                "'e-c' needs an explicit coupling",
             ),
             (
                 [("l-fi", "e-c", "cc-i"), ("custom", "i-c", "cc-i"), ("h-fi", "ld-c", "cc-i")],
                 "'e-c' needs an explicit coupling",
+            ),
+            # Of two couplings that fail, the one used first raises.
+            (
+                [
+                    ("h-fi", "ld-c", "cc-i"),
+                    ("l-fi", "paper-table", "cc-i"),
+                    ("l-fi", "e-c", "cc-i"),
+                ],
+                "'paper-table' needs an explicit coupling",
+            ),
+            # The couplings all build, so the first table that cannot be
+            # built raises: m-fi/ld-c and m-fi/i-c build, custom/i-c does not.
+            (
+                [("m-fi", "ld-c", "cc-i"), ("m-fi", "i-c", "cc-i"), ("custom", "i-c", "cc-i")],
+                "custom partition needs explicit blocks",
             ),
         ],
     )
