@@ -99,6 +99,35 @@ def _csv_field(text: str) -> str:
     return text
 
 
+def _csv_column(column: list) -> list[str]:
+    """A column's CSV fields, each `_csv_field(_cell(x))`.  A column of
+    Python floats is given by repr, which is what `_cell` gives a float
+    and holds no character a field quotes; in any other column each
+    distinct text cell is formatted once.  Numbers are never memoized,
+    since -0.0 == 0.0 and the two print differently."""
+    if all(type(x) is float for x in column):
+        return list(map(repr, column))
+    fields: dict[str, str] = {}
+    out = []
+    for x in column:
+        if type(x) is str:
+            field = fields.get(x)
+            if field is None:
+                field = fields[x] = _csv_field(x)
+        else:
+            field = _csv_field(_cell(x))
+        out.append(field)
+    return out
+
+
+def _csv_columns(header: Sequence[str], columns: list[list]) -> str:
+    """A CSV table, written one column at a time: the header's fields,
+    then one line per row of the equal-length `columns`."""
+    lines = [",".join(map(_csv_field, header))]
+    lines.extend(map(",".join, zip(*map(_csv_column, columns))))
+    return "\n".join(lines) + "\n"
+
+
 def _schedules_csv(schedules: list[CompensationSchedule]) -> str:
     """Every schedule's rows as CSV, as one string.  A label is formatted
     once per outcome tuple; the floats are Python floats, so repr gives
@@ -271,8 +300,7 @@ def cmd_sweep(args) -> int:
             "award_i_c_fm_i",
             "rejected_formula_comparison",
         )
-    table = [header, *([_cell(r[h]) for h in header] for r in rows)]
-    text = "".join(",".join(map(_csv_field, row)) + "\n" for row in table)
+    text = _csv_columns(header, [[r[h] for r in rows] for h in header])
     path = _default_out(args.scenario, args.out)
     atomic_write_text(path, text)
     print(f"wrote {len(rows)} rows to {path}")

@@ -252,6 +252,10 @@ def matos_award(p: float, theta: float) -> float:
 
 
 MATOS_BAND_EDGES = (0.0, 125_000.0, 250_000.0, 375_000.0, 500_000.0)
+# Each half-open slab's caption, by its upper edge.
+_MATOS_BANDS = tuple(
+    (hi, f"({lo:g},{hi:g}]") for lo, hi in zip(MATOS_BAND_EDGES, MATOS_BAND_EDGES[1:])
+)
 
 
 def matos_band(award: float) -> str:
@@ -266,25 +270,50 @@ def matos_band(award: float) -> str:
     award = min(award, top)
     if award <= 0.0:
         return "zero"
-    for lo, hi in zip(MATOS_BAND_EDGES, MATOS_BAND_EDGES[1:]):
+    for hi, band in _MATOS_BANDS:
         if award <= hi:
-            return f"({lo:g},{hi:g}]"
+            return band
     raise AssertionError("unreachable")
+
+
+def _matos_chances(ps: Iterable[float]) -> tuple[list[float], Optional[Exception]]:
+    """The leading chances of `ps` that `_matos_chance` accepts, and its
+    error on the first one it refuses, or None."""
+    chances = []
+    for p in ps:
+        try:
+            chances.append(_matos_chance(p))
+        except (TypeError, ValueError) as exc:
+            return chances, exc
+    return chances, None
 
 
 def matos_sweep(
     thetas: Iterable[float], ps: Iterable[float]
 ) -> Iterator[dict[str, object]]:
-    """Award grid over risk aversion and success chance, banded for plotting."""
+    """Award grid over risk aversion and success chance, banded for plotting.
+
+    Each theta's curve is built once and prices its whole p axis in one
+    award call, bit for bit the `matos_award` of every point.  The rows,
+    and the error of the first point `matos_award` refuses, come in the
+    same order: a point with a bad p raises the p error even when its
+    theta is bad too, and a theta is never checked when p has no points.
+    """
     for theta in thetas:
-        for p in ps:
-            award = matos_award(p, theta)
-            yield {
-                "theta": float(theta),
-                "p": float(p),
-                "award": award,
-                "band": matos_band(award),
-            }
+        chances, error = _matos_chances(ps)
+        if chances:
+            curve, (v_low, v_refuse, v_top) = _matos_values(theta)
+            p_axis = np.array(chances)
+            # matos_award's max(0.0, ...), in its operation order.
+            gain = p_axis * v_top + (1.0 - p_axis) * v_low - v_refuse
+            x = np.where(gain > 0.0, gain, 0.0)
+            v1 = np.full(p_axis.size, v_refuse)
+            awards = award_from_compensation(CurveMoneyMap(curve), v1, x).tolist()
+            theta = float(theta)
+            for p, award in zip(chances, awards):
+                yield {"theta": theta, "p": p, "award": award, "band": matos_band(award)}
+        if error is not None:
+            raise error
 
 
 @dataclass(frozen=True)

@@ -90,18 +90,23 @@ def _reproduce(
         paper_table_joint=scenario.paper_table_joint,
     )
     schedule_of = dict(zip(combos, grid))
+    # Every schedule of one grid shares its outcome tuple, so each outcome
+    # has one position in all of them.
+    positions = [grid[0]._index(outcome) for outcome in outcomes]
     cells: list[TableCell] = []
     for label, printed_row in rows:
         members = _members(label)
+        descriptors = tuple(c.descriptor for c in members)
         schedules = [schedule_of[c] for c in members]
+        values = [s.values for s in schedules]
         flags = "; ".join(dict.fromkeys(n for s in schedules for n in s.flags))
-        for outcome, printed in zip(outcomes, printed_row, strict=True):
+        for outcome, k, printed in zip(outcomes, positions, printed_row, strict=True):
             tolerance = tol_for(printed)
-            devs = [abs(s.value_for(outcome) - printed) for s in schedules]
+            devs = [abs(v[k] - printed) for v in values]
             worst = max((0.0, *devs))
             if worst > tolerance:
                 status = "FAIL"
-                worst_combo = members[devs.index(worst)].descriptor
+                worst_combo = descriptors[devs.index(worst)]
                 note = f"worst member {worst_combo} deviates by {worst:.3g}"
             else:
                 status, note = ("FLAG", flags) if flags else ("PASS", "")
@@ -110,11 +115,11 @@ def _reproduce(
                     table=table,
                     row=label,
                     outcome=outcome,
-                    computed=schedules[0].value_for(outcome),
+                    computed=values[0][k],
                     printed=printed,
                     tolerance=tolerance,
                     status=status,
-                    combos=tuple(c.descriptor for c in members),
+                    combos=descriptors,
                     note=note,
                 )
             )

@@ -429,9 +429,13 @@ def fm_indemnity(probabilities: np.ndarray, gaps: np.ndarray, target: float) -> 
     When the mean gap is not positive the whole schedule is zero.
     Otherwise the shift is solve_lambda's exact root, which is always
     non-negative, so fair-mean payouts never exceed the clamped ones.
+    A one-block table whose target is exactly its p * g needs no solve:
+    the root's candidate (p * g - target) / p is then 0.
     """
     if target <= 0.0:
         return np.zeros(gaps.size)
+    if gaps.size == 1 and target == float(probabilities[0] * gaps[0]):
+        return np.maximum(0.0, gaps)
     return np.maximum(0.0, gaps - solve_lambda(probabilities, gaps, target))
 
 

@@ -8,6 +8,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,8 @@ from lostchance import (
     prize_case,
     save_case,
 )
-from lostchance.cli import _schedules_csv, main
+from lostchance.cli import _cell, _csv_columns, _csv_field, _schedules_csv, main
+from lostchance.scenarios import matos_award, matos_band
 from lostchance.valuation import CompensationSchedule, PolicyCombo
 
 
@@ -322,6 +324,40 @@ class TestSweep:
         assert err == "error: theta must lie in [0, 1], got 2.0\n"
         assert not out_path.exists()
 
+    def test_matos_csv_is_the_per_row_writer_on_matos_award(self, capsys, tmp_path):
+        out_path = tmp_path / "matos.csv"
+        argv = ["sweep", "matos", "--theta-steps", "101", "--p-steps", "201"]
+        code, out, _ = run(capsys, [*argv, "--out", str(out_path)])
+        assert code == 0 and out == f"wrote 20301 rows to {out_path}\n"
+        table = [("theta", "p", "award", "band")]
+        for theta in np.linspace(0.0, 1.0, 101):
+            for p in np.linspace(0.0, 1.0, 201):
+                award = matos_award(p, theta)
+                table.append((float(theta), float(p), award, matos_band(award)))
+        want = "".join(",".join(_csv_field(_cell(x)) for x in row) + "\n" for row in table)
+        assert out_path.read_text() == want
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--theta-steps", "0", "--p-min", "2", "--p-max", "2"],
+            ["--p-steps", "0", "--theta-min", "2", "--theta-max", "2", "--theta-steps", "1"],
+        ],
+    )
+    def test_matos_empty_axis_checks_nothing(self, capsys, tmp_path, extra):
+        out_path = tmp_path / "matos.csv"
+        code, out, err = run(capsys, ["sweep", "matos", *extra, "--out", str(out_path)])
+        assert (code, err) == (0, "")
+        assert out == f"wrote 0 rows to {out_path}\n"
+        assert out_path.read_text() == "theta,p,award,band\n"
+
+    def test_matos_bad_chance_wins_over_bad_theta(self, capsys, tmp_path):
+        argv = ["sweep", "matos", "--theta-min", "2", "--theta-max", "2",
+                "--theta-steps", "1", "--p-min", "2", "--p-max", "2", "--p-steps", "1"]
+        code, _, err = run(capsys, [*argv, "--out", str(tmp_path / "matos.csv")])
+        assert code == 2
+        assert err == "error: success chance must lie in [0, 1], got 2.0\n"
+
     def test_out_dir_env_sets_default_path(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("LOSTCHANCE_OUT_DIR", str(tmp_path))
         code, out, _ = run(
@@ -330,6 +366,26 @@ class TestSweep:
         assert code == 0
         assert (tmp_path / "matos_sweep.csv").exists()
         assert str(tmp_path / "matos_sweep.csv") in out
+
+
+class TestCsvColumns:
+    def test_float_column_keeps_negative_zero(self):
+        assert _csv_columns(["x"], [[-0.0, 0.0, -0.0]]) == "x\n-0.0\n0.0\n-0.0\n"
+
+    def test_numpy_floats_go_through_cell(self):
+        column = [np.float64(0.1), 1.5, np.float64(-0.0), np.float64(0.0), 3]
+        assert _csv_columns(["x"], [column]) == "x\n0.1\n1.5\n-0.0\n0.0\n3.0\n"
+
+    def test_text_fields_are_quoted_once_per_distinct_text(self):
+        bands = ["(0,125000]", "zero", "(0,125000]", 'say "hi"']
+        got = _csv_columns(["award", "band"], [[1.0, 0.0, 2.0, 3.0], bands])
+        assert got == (
+            'award,band\n1.0,"(0,125000]"\n0.0,zero\n2.0,"(0,125000]"\n'
+            '3.0,"say ""hi"""\n'
+        )
+
+    def test_no_rows_gives_the_header(self):
+        assert _csv_columns(["a", "b,c"], [[], []]) == 'a,"b,c"\n'
 
 
 class TestVerify:

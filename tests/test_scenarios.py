@@ -1,5 +1,7 @@
 """Tests for the built-in case families."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,48 @@ class TestSweeps:
         assert rows[0]["award"] == 0.0 and rows[0]["band"] == "zero"
         # At p=1 the award reaches the guaranteed payout.
         assert rows[2]["band"] == "(375000,500000]"
+
+    def test_matos_sweep_is_matos_award_bit_for_bit(self):
+        # 1 - 5e-10 takes the curve's logarithmic branch.
+        thetas = [0.0, 0.25, 0.5, 1.0 - 5e-10, 1.0]
+        ps = np.linspace(0.0, 1.0, 41)
+        rows = list(matos_sweep(thetas, ps))
+        assert len(rows) == len(thetas) * len(ps)
+        points = [(theta, p) for theta in thetas for p in ps]
+        for (theta, p), row in zip(points, rows):
+            assert type(row["award"]) is float
+            assert repr(row["theta"]) == repr(float(theta))
+            assert repr(row["p"]) == repr(float(p))
+            assert repr(row["award"]) == repr(matos_award(p, theta))
+            assert row["band"] == matos_band(row["award"])
+
+    def test_matos_sweep_checks_no_theta_without_points(self):
+        assert list(matos_sweep([], [2.0])) == []
+        assert list(matos_sweep([2.0], [])) == []
+
+    def test_matos_sweep_bad_chance_wins_at_the_first_point(self):
+        with pytest.raises(ValueError, match=r"success chance must lie in \[0, 1\], got 2.0"):
+            list(matos_sweep([2.0], [2.0]))
+        with pytest.raises(ValueError, match="theta must lie in"):
+            list(matos_sweep([2.0], [0.5, 2.0]))
+
+    def test_matos_sweep_yields_the_rows_before_a_bad_point(self):
+        rows = matos_sweep([0.5], [0.0, 0.5, 2.0, 0.7])
+        assert [next(rows)["p"], next(rows)["p"]] == [0.0, 0.5]
+        with pytest.raises(ValueError, match="got 2.0"):
+            next(rows)
+        rows = matos_sweep([0.5, -1.0], [0.2, 0.4])
+        assert [row["award"] for row in itertools.islice(rows, 2)] == [
+            matos_award(0.2, 0.5),
+            matos_award(0.4, 0.5),
+        ]
+        with pytest.raises(ValueError, match="theta must lie in"):
+            next(rows)
+
+    def test_matos_sweep_reads_a_one_shot_p_axis_once(self):
+        # As with a loop per point, only the first theta sees its points.
+        rows = list(matos_sweep([0.0, 0.5], iter([0.3, 0.9])))
+        assert [(row["theta"], row["p"]) for row in rows] == [(0.0, 0.3), (0.0, 0.9)]
 
     def test_medical_sweep_matches_direct_evaluation(self):
         rows = list(medical_sweep(0.95, 1e5, [0.90]))

@@ -193,6 +193,21 @@ class TestDispatch:
         with pytest.raises(ValueError, match="unknown table"):
             reproduce_table("3")
 
+    def test_a_failing_cell_names_its_worst_member(self):
+        # e-c matches the printed H-FI / E-C / CC-I row, i-c does not.
+        from lostchance.scenarios import prize_case
+        from lostchance.tables import _decimal_tol, _reproduce
+
+        rows = [("H-FI / E-C or I-C / CC-I", (65.0, 5.0, 0.0, 40.0))]
+        cells = _reproduce(prize_case(), "4", ("a1", "a2", "a3", "a4"), rows, _decimal_tol)
+        assert [c.status for c in cells] == ["FAIL"] * 4
+        assert [c.computed for c in cells] == pytest.approx([65.0, 5.0, 0.0, 40.0])
+        assert all(c.combos == ("h-fi/e-c/cc-i", "h-fi/i-c/cc-i") for c in cells)
+        assert [c.note for c in cells] == [
+            f"worst member h-fi/i-c/cc-i deviates by {dev:.3g}"
+            for dev in (abs(45.0 - 65.0), abs(20.0 - 5.0), 15.0, 40.0)
+        ]
+
     def test_cell_ok_property(self):
         cell = TableCell(
             table="2", row="r", outcome="bad", computed=1.0, printed=2.0,

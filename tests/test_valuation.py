@@ -264,6 +264,38 @@ class TestIndemnities:
         x = fm_indemnity(p, g, float(p @ g))
         assert float(p @ x) == pytest.approx(float(p @ g))
 
+    def test_one_block_fm_skips_the_solve_only_at_its_own_mean(self, monkeypatch):
+        # A one-block table whose target is exactly p * g pays its clamped
+        # gap without a root solve; a target one ulp off still solves.
+        # Either way the payout is bit for bit the solved one.
+        import lostchance.valuation as valuation
+
+        solves = []
+        solve = valuation.solve_lambda
+
+        def counted(p, g, target):
+            solves.append(target)
+            return solve(p, g, target)
+
+        monkeypatch.setattr(valuation, "solve_lambda", counted)
+        rng = np.random.default_rng(16)
+        for i in range(2000):
+            p = np.array([10.0 ** -rng.uniform(0.0, 17.0) if i % 2 else rng.uniform()])
+            g = np.array([rng.uniform(1e-300, 1e6) * 10.0 ** -rng.integers(0, 12)])
+            exact = float(p[0] * g[0])
+            if exact <= 0.0:
+                continue
+            for target, solved in (
+                (exact, False),
+                (np.nextafter(exact, np.inf), True),
+                (np.nextafter(exact, 0.0), True),
+            ):
+                solves.clear()
+                got = fm_indemnity(p, g, float(target))
+                want = np.maximum(0.0, g - solve(p, g, float(target)))
+                assert got.tobytes() == want.tobytes()
+                assert bool(solves) is solved
+
     def test_cc_dominates_fm(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
