@@ -178,7 +178,7 @@ def _positive(rows: np.ndarray, cols: np.ndarray, mass: np.ndarray, n: int) -> C
         negative = mass < -1e-15
         if negative.any():
             c = int(negative.argmax())
-            raise ValueError(f"negative mass {mass[c]!r} at ({rows[c]}, {cols[c]})")
+            raise ValueError(f"negative mass {float(mass[c])!r} at ({rows[c]}, {cols[c]})")
         rows, cols, mass = rows[positive], cols[positive], mass[positive]
     return Cells(read_only(rows), read_only(cols), read_only(mass), n)
 
@@ -269,14 +269,14 @@ def _check_marginals(model: CaseModel, joint) -> None:
         i = int(off.argmax())
         raise ValueError(
             f"counterfactual marginal mismatch at row {i} ({labels[i]!r}): "
-            f"coupling gives {rows[i]!r}, case says {cf[i]!r}"
+            f"coupling gives {float(rows[i])!r}, case says {float(cf[i])!r}"
         )
     off = np.abs(cols - f) > MARGINAL_TOL
     if off.any():
         k = int(off.argmax())
         raise ValueError(
             f"factual marginal mismatch at column {k} ({labels[k]!r}): "
-            f"coupling gives {cols[k]!r}, case says {f[k]!r}"
+            f"coupling gives {float(cols[k])!r}, case says {float(f[k])!r}"
         )
 
 

@@ -109,6 +109,9 @@ def medical_malpractice(p0: float, p1: float, delta_v: float) -> Scenario:
 def _urn(name: str, evidence: str, p0, p1, v_red, v_blue) -> Scenario:
     p0, p1 = _check_chances(p0, p1)
     v_red, v_blue = float(v_red), float(v_blue)
+    for param, v in (("v_red", v_red), ("v_blue", v_blue)):
+        if not math.isfinite(v):
+            raise ValueError(f"urn value {param} must be finite, got {v!r}")
     if not v_blue > v_red:
         raise ValueError("blue must out-value red")
     space = OutcomeSpace(("red", "blue"), (v_red, v_blue))

@@ -330,6 +330,11 @@ class GapStack:
         self.gaps = read_only(block_gap / block_p)
         self._couplings = couplings
 
+    def table(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Table t's rows: its kept blocks' probabilities and gaps."""
+        lo, hi = self.starts[t], self.starts[t + 1]
+        return self.probabilities[lo:hi], self.gaps[lo:hi]
+
     def check(self, t: int) -> float:
         """Warn of each block of table t dropped for zero probability, by
         its outcomes' labels, then hold its rows to its coupling's gap
@@ -345,8 +350,7 @@ class GapStack:
                     f"dropping zero-probability block of outcome(s) {labels}",
                     stacklevel=2,
                 )
-        lo, hi = self.starts[t], self.starts[t + 1]
-        expected = float(self.probabilities[lo:hi] @ self.gaps[lo:hi])
+        expected = float(np.dot(*self.table(t)))
         mean_gap = self._couplings.mean_gaps[self._rows[t]]
         if abs(expected - mean_gap) > GAP_IDENTITY_TOL * self._couplings.scale:
             raise AssertionError(
@@ -527,7 +531,25 @@ def _tie_note(model: CaseModel, groups: SelectiveGroups, row: int) -> tuple[str,
     )
 
 
-def evaluate_grid(
+@dataclass(frozen=True, eq=False)
+class GridBuild:
+    """A policy grid built and not yet priced.  Table t's partition is
+    `gaps.partitions[t]`, its rows `gaps.table(t)` and its checked expected
+    gap `expected[t]`; `couplings` are the rows of `groups`.  `payouts` is
+    the (combination x support outcome) matrix, flattened row after row."""
+
+    model: CaseModel
+    combos: tuple[PolicyCombo, ...]
+    couplings: tuple[Coupling, ...]
+    groups: SelectiveGroups
+    gaps: GapStack
+    expected: tuple[float, ...]
+    support: np.ndarray
+    payouts: np.ndarray
+    notes: tuple[tuple[str, ...], ...]
+
+
+def build_grid(
     model: CaseModel,
     combos: Sequence[PolicyCombo],
     evidence_joint=None,
@@ -535,15 +557,13 @@ def evaluate_grid(
     extra_notes: Sequence[str] = (),
     *,
     paper_table_joint=None,
-) -> list[CompensationSchedule]:
-    """One schedule per combination: coupling, partition, gaps, indemnity,
-    money awards.
+) -> GridBuild:
+    """Every stage of a policy grid up to its payouts, one stage at a time
+    over every table of every connection.
 
-    The grid is built first, then priced, one stage at a time over every
-    table of every connection.  A table is one (connection, information
-    policy) pair that some combination uses: connections in order of
-    first use, and within each its information policies in order of first
-    use.  The build runs:
+    A table is one (connection, information policy) pair that some
+    combination uses: connections in order of first use, and within each
+    its information policies in order of first use.  The build runs:
 
     * the couplings, one per connection, in that order, with the notes
       they carry; ld-c and paper-table share one least-divergence
@@ -554,20 +574,23 @@ def evaluate_grid(
     * every table's gaps, one `conditional_gap` pass, and every row's
       clamped payout, one `cc_indemnity` call;
     * table by table, its check, then its fair-mean payouts when some
-      fm-i combination uses it, one `fm_indemnity` call each.
+      fm-i combination uses it, one `fm_indemnity` call each;
+    * the (combination x outcome) payout matrix, in one gather.
 
-    The payouts of every combination then form one (combination x
-    outcome) matrix, gathered at once and priced by one award call.  So
-    the first stage that fails raises: a coupling error, in order of first
-    use, before any partition error, and so on; a build error wins over an
-    award error; and the award call names the first combination, and its
-    first outcome, that cannot be priced.
-
-    e-c evaluates `evidence_joint`; paper-table evaluates
-    `paper_table_joint`, or `evidence_joint` when that is not given.
+    So the first stage that fails raises: values that span more than a
+    float holds, then a coupling error, in order of first use, before any
+    partition error, and so on.  e-c evaluates `evidence_joint`;
+    paper-table evaluates `paper_table_joint`, or `evidence_joint`.
     """
     if not combos:
-        return []
+        raise ConfigurationError("a policy grid needs at least one combination")
+    v = model.space.values_array
+    # Python floats: a numpy subtraction would warn on overflow.
+    low, high = float(v.min()), float(v.max())
+    if not math.isfinite(high - low):
+        raise ValueError(
+            f"outcome values span {low!r} to {high!r}, a range wider than a float holds"
+        )
     if paper_table_joint is None:
         paper_table_joint = evidence_joint
     joints = {"e-c": evidence_joint, "paper-table": paper_table_joint}
@@ -609,13 +632,12 @@ def evaluate_grid(
     count = gaps.gaps.size
     payouts = np.zeros(2 * count + 2)
     payouts[:count] = cc_indemnity(gaps.gaps)
+    expected = []
     for t, fair in enumerate(fairs):
-        expected = gaps.check(t)
+        expected.append(gaps.check(t))
         if fair:
-            lo, hi = gaps.starts[t], gaps.starts[t + 1]
-            payouts[count + 1 + lo : count + 1 + hi] = fm_indemnity(
-                gaps.probabilities[lo:hi], gaps.gaps[lo:hi], expected
-            )
+            lo, hi = count + 1 + gaps.starts[t], count + 1 + gaps.starts[t + 1]
+            payouts[lo:hi] = fm_indemnity(*gaps.table(t), expected[t])
     # slots[t, j] is where in `payouts` table t pays the j-th factual
     # support outcome: the row of the block that holds it, or the 0 past
     # the clamped payouts when no kept block does.  slots[t + len(rows)]
@@ -626,33 +648,35 @@ def evaluate_grid(
     slots = np.concatenate((slots, slots + (count + 1)))
     picks = [tables[c.connection, c.info] for c in combos]
     picked = [t + len(rows) if c.indemnity == "fm-i" else t for t, c in zip(picks, combos)]
-    # The (combination x outcome) payout matrix, flattened row after row.
-    x = payouts[slots[picked].ravel()]
     notes = [
         built[row][1] + _tie_note(model, groups, row) if info == "m-fi" else built[row][1]
         for row, info in zip(rows, infos)
     ]
-    return _price(model, combos, support, x, [notes[t] for t in picks], tuple(extra_notes))
+    return GridBuild(
+        model=model,
+        combos=tuple(combos),
+        couplings=couplings.couplings,
+        groups=groups,
+        gaps=gaps,
+        expected=tuple(expected),
+        support=support,
+        payouts=payouts[slots[picked].ravel()],
+        notes=tuple(tuple(extra_notes) + notes[t] for t in picks),
+    )
 
 
-def _price(
-    model: CaseModel,
-    combos: Sequence[PolicyCombo],
-    support: np.ndarray,
-    x: np.ndarray,
-    notes: list[tuple[str, ...]],
-    extra_notes: tuple[str, ...],
-) -> list[CompensationSchedule]:
-    """The combinations' schedules, priced by one award call over `x`,
-    their (combination x outcome) payout matrix flattened row after row,
-    so the call raises the error of the first combination that fails."""
+def price(build: GridBuild) -> list[CompensationSchedule]:
+    """The grid's schedules, priced by one award call over its payout
+    matrix, so the call raises the error of the first combination that
+    fails."""
+    model, combos, support, x = build.model, build.combos, build.support, build.payouts
     labels = tuple(map(model.space.labels.__getitem__, support.tolist()))
     money = model.money
     n = len(labels)
     v = np.concatenate([model.space.values_array[support]] * len(combos))
     awards = award_from_compensation(money, v, x).tolist()
     values = x.tolist()
-    notes = [extra_notes + row_notes for row_notes in notes]
+    notes = list(build.notes)
     if money.top < math.inf:  # only a money table has a last point
         for i in np.flatnonzero(v + x > money.top).tolist():
             row, k = divmod(i, n)
@@ -671,6 +695,15 @@ def _price(
         )
         for row, (combo, row_notes) in enumerate(zip(combos, notes))
     ]
+
+
+def evaluate_grid(
+    model: CaseModel, combos: Sequence[PolicyCombo], *args, **kwargs
+) -> list[CompensationSchedule]:
+    """One schedule per combination: `price(build_grid(model, combos,
+    ...))`, with `build_grid`'s arguments, so a build error wins over an
+    award error.  An empty grid has no schedules."""
+    return price(build_grid(model, combos, *args, **kwargs)) if combos else []
 
 
 def evaluate_policy(

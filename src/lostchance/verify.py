@@ -6,8 +6,8 @@ optimal, the clamped conditional gap minimizes expected squared
 shortfall, the fair-mean schedule does so among mean-matching schedules,
 and the lost-choice factorization keeps the counterfactual choice
 uninformative about the factual result given the factual choice.  The
-two schedule suites take the engine's schedules from `evaluate_grid`,
-the path `lostchance evaluate` runs.
+suites read the engine's tables from one `build_grid` per instance, and
+the schedule suites price it, as `lostchance evaluate` does.
 
 The harness can inject a deliberate shift into the fair-mean root
 (lambda_offset) to demonstrate that the checks actually bite.
@@ -19,7 +19,7 @@ import multiprocessing
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .choice import (
     vk_factorize,
 )
 from .coupling import (
-    Coupling,
     evidence_coupling,
     independence_coupling,
     least_divergence_coupling,
@@ -43,17 +42,14 @@ from .coupling import (
 from .outcome import CaseModel, DiscreteDistribution, IdentityMoneyMap, OutcomeSpace
 from .valuation import (
     STANDARD_AXES,
-    CouplingStack,
-    Partition,
+    GridBuild,
     PolicyCombo,
-    build_partition,
+    build_grid,
     cc_indemnity,
-    conditional_gap,
-    evaluate_grid,
     fm_indemnity,
     oracle_best_schedule,
+    price,
     schedule_risk,
-    selective_groups,
     solve_lambda,
 )
 
@@ -203,18 +199,20 @@ def _rng_for(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(stream)])
 
 
-def _any_coupling(
-    rng: np.random.Generator, model: CaseModel
-) -> tuple[Coupling, str, Optional[np.ndarray]]:
-    """A coupling under a connection drawn at random: (coupling, connection
-    policy, the evidence joint e-c evaluates or None)."""
-    pick = rng.integers(0, 3)
-    if pick == 0:
-        joint = random_vertex_coupling(rng, model)
-        return evidence_coupling(model, joint), "e-c", joint
-    if pick == 1:
-        return least_divergence_coupling(model), "ld-c", None
-    return independence_coupling(model), "i-c", None
+def _drawn_build(rng, model: CaseModel, indemnity: str = "cc-i") -> GridBuild:
+    """The grid of l-fi, m-fi and h-fi (tables 0, 1 and 2) under
+    `indemnity` and a connection drawn at random; e-c evaluates a random
+    vertex mix."""
+    pick = int(rng.integers(0, 3))
+    joint = random_vertex_coupling(rng, model) if pick == 0 else None
+    combos = [PolicyCombo(info, STANDARD_AXES[1][pick], indemnity) for info in STANDARD_AXES[0]]
+    return build_grid(model, combos, joint)
+
+
+def _tables(build: GridBuild):
+    """Each table of a `_drawn_build`: (info, partition, p, gaps, expected gap)."""
+    for t, info in enumerate(STANDARD_AXES[0]):
+        yield (info, build.gaps.partitions[t], *build.gaps.table(t), build.expected[t])
 
 
 def _check_marginal_preservation(res: PropertyResult, rng, instances: range) -> None:
@@ -273,34 +271,6 @@ def _check_independence_covariance(res: PropertyResult, rng, instances: range) -
         res.ok(abs(cov) <= 1e-10, f"instance {i}: independent coupling cov {cov:g}")
 
 
-def _partitions_for(couplings: CouplingStack, model: CaseModel) -> list[Partition]:
-    """The l-fi, m-fi and h-fi partitions of the case's factual support
-    under a one-coupling stack."""
-    groups = selective_groups(couplings)
-    return build_partition(STANDARD_AXES[0], model.factual.support(), groups)
-
-
-def _tables_for(coupling: Coupling, model: CaseModel):
-    """(info, partition, block probabilities, block gaps, expected gap) for
-    l-fi, m-fi and h-fi, from one gap pass; each table is checked as it
-    is yielded."""
-    couplings = CouplingStack([coupling])
-    partitions = _partitions_for(couplings, model)
-    gaps = conditional_gap(couplings, partitions)
-    for t, info in enumerate(STANDARD_AXES[0]):
-        expected = gaps.check(t)
-        lo, hi = gaps.starts[t], gaps.starts[t + 1]
-        yield info, partitions[t], gaps.probabilities[lo:hi], gaps.gaps[lo:hi], expected
-
-
-def _evaluated(model: CaseModel, conn: str, joint, indemnity: str) -> list:
-    """What `lostchance evaluate` prints for l-fi, m-fi and h-fi under the
-    drawn connection and `indemnity`: their schedules, from one
-    `evaluate_grid` call."""
-    combos = [PolicyCombo(info, conn, indemnity) for info in STANDARD_AXES[0]]
-    return evaluate_grid(model, combos, joint)
-
-
 def _block_payouts(schedule, partition, model: CaseModel) -> np.ndarray:
     """A schedule's payout in each block of `partition`: that of the
     block's first outcome."""
@@ -312,16 +282,13 @@ def _block_payouts(schedule, partition, model: CaseModel) -> np.ndarray:
 def _check_unconstrained_optimal(res: PropertyResult, rng, instances: range) -> None:
     for i in instances:
         model = random_case(rng)
-        coupling, conn, joint = _any_coupling(rng, model)
+        build = _drawn_build(rng, model)
+        coupling = build.couplings[0]
         v = model.space.values_array
         vrange = float(v.max() - v.min())
         step = max(0.005 * vrange, 1e-6)
         risk_tol = 1e-9 * max(1.0, vrange**2)
-        for info, partition, schedule in zip(
-            STANDARD_AXES[0],
-            _partitions_for(CouplingStack([coupling]), model),
-            _evaluated(model, conn, joint, "cc-i"),
-        ):
+        for (info, partition, *_), schedule in zip(_tables(build), price(build)):
             x_cc = _block_payouts(schedule, partition, model)
             x_or, r_or = oracle_best_schedule(
                 coupling, partition, constrained=False, target_step=step
@@ -347,14 +314,15 @@ def _check_constrained_optimal(
     positives = 0
     for i in instances:
         model = random_case(rng)
-        coupling, conn, joint = _any_coupling(rng, model)
+        build = _drawn_build(rng, model, "fm-i")
+        coupling = build.couplings[0]
         v = model.space.values_array
         vrange = float(v.max() - v.min())
         risk_tol = 1e-9 * max(1.0, vrange**2)
         # The harness schedule is held to the evaluated one only when no
         # shift is injected.
-        schedules = _evaluated(model, conn, joint, "fm-i") if lambda_offset == 0.0 else None
-        for t, (info, partition, p, g, target) in enumerate(_tables_for(coupling, model)):
+        schedules = price(build) if lambda_offset == 0.0 else None
+        for t, (info, partition, p, g, target) in enumerate(_tables(build)):
             if target <= 0.0:
                 x_fm = fm_indemnity(p, g, target)
                 res.ok(
@@ -403,8 +371,7 @@ def _check_constrained_optimal(
 def _check_cc_dominates_fm(res: PropertyResult, rng, instances: range) -> None:
     for i in instances:
         model = random_case(rng)
-        coupling = _any_coupling(rng, model)[0]
-        for info, _, p, g, target in _tables_for(coupling, model):
+        for info, _, p, g, target in _tables(_drawn_build(rng, model)):
             x_cc = cc_indemnity(g)
             x_fm = fm_indemnity(p, g, target)
             res.ok(
@@ -416,16 +383,14 @@ def _check_cc_dominates_fm(res: PropertyResult, rng, instances: range) -> None:
 def _check_shift_function_shape(res: PropertyResult, rng, instances: range) -> None:
     for i in instances:
         model = random_case(rng)
-        coupling = _any_coupling(rng, model)[0]
-        partitions = build_partition(["h-fi"], model.factual.support())
-        gaps = conditional_gap(CouplingStack([coupling]), partitions)
-        gaps.check(0)
+        # The h-fi table.
+        p, g = _drawn_build(rng, model).gaps.table(2)
 
         def f(lam: float) -> float:
-            return float(gaps.probabilities @ np.maximum(0.0, gaps.gaps - lam))
+            return float(p @ np.maximum(0.0, g - lam))
 
-        lo = float(gaps.gaps.min()) - 1.0
-        hi = float(gaps.gaps.max()) + 1.0
+        lo = float(g.min()) - 1.0
+        hi = float(g.max()) + 1.0
         points = sorted(rng.uniform(lo, hi, size=6))
         for a, b in zip(points, points[1:]):
             fa, fb = f(a), f(b)
@@ -439,20 +404,18 @@ def _check_shift_function_shape(res: PropertyResult, rng, instances: range) -> N
 def _check_mfi_fmi_closed_form(res: PropertyResult, rng, instances: range) -> None:
     for i in instances:
         model = random_case(rng)
-        coupling = _any_coupling(rng, model)[0]
-        couplings = CouplingStack([coupling])
-        groups = selective_groups(couplings)
-        partitions = build_partition(["m-fi"], model.factual.support(), groups)
-        gaps = conditional_gap(couplings, partitions)
-        target = gaps.check(0)
+        build = _drawn_build(rng, model)
+        # The m-fi table.
+        p, g = build.gaps.table(1)
+        target = build.expected[1]
         # The closed form presumes a strictly non-compensable second block;
         # a tied outcome can leave it with a positive gap at tie-tolerance
         # scale, in which case the generic root is the right answer.
-        if target <= 0.0 or not groups.plus.any() or groups.ties.any():
+        if target <= 0.0 or not build.groups.plus.any() or build.groups.ties.any():
             continue
-        x_fm = fm_indemnity(gaps.probabilities, gaps.gaps, target)
+        x_fm = fm_indemnity(p, g, target)
         # The compensable block always comes first in an m-fi partition.
-        expected = target / float(gaps.probabilities[0])
+        expected = target / float(p[0])
         res.ok(
             abs(x_fm[0] - expected) <= 1e-9 * max(1.0, abs(expected)),
             f"instance {i}: compensable-block payout {x_fm[0]!r} differs "
@@ -467,9 +430,8 @@ def _check_mfi_fmi_closed_form(res: PropertyResult, rng, instances: range) -> No
 def _check_gap_identity(res: PropertyResult, rng, instances: range) -> None:
     for i in instances:
         model = random_case(rng)
-        coupling = _any_coupling(rng, model)[0]
         mean_gap = model.expected_gap()
-        for info, *_, expected in _tables_for(coupling, model):
+        for info, *_, expected in _tables(_drawn_build(rng, model)):
             res.ok(
                 abs(expected - mean_gap) <= 1e-10,
                 f"instance {i} {info}: block gaps aggregate to "

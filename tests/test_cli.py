@@ -82,6 +82,12 @@ def table_top_file(tmp_path):
     return path
 
 
+SPAN_ERROR = (
+    "error: outcome values span -1e+308 to 1e+308, a range wider than a "
+    "float holds\n"
+)
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -454,6 +460,21 @@ class TestParameterErrors:
             f"'{high}' is factually impossible, so its cells have no schedule\n"
         )
 
+    @pytest.mark.parametrize("table", ["5", "6"])
+    @pytest.mark.parametrize(
+        "flag, param, value",
+        [("--v-blue", "v_blue", "inf"), ("--v-red", "v_red", "nan"), ("--v-red", "v_red", "-inf")],
+    )
+    def test_non_finite_urn_value(self, capsys, table, flag, param, value):
+        # Named before the order check, which every comparison with nan fails.
+        code, out, err = run(capsys, ["table", table, f"{flag}={value}"])
+        assert (code, out) == (2, "")
+        assert err == f"error: urn value {param} must be finite, got {float(value)!r}\n"
+
+    def test_urn_values_wider_than_a_float(self, capsys):
+        code, out, err = run(capsys, ["table", "5", "--v-red=-1e308", "--v-blue=1e308"])
+        assert (code, out, err) == (2, "", SPAN_ERROR)
+
     def test_unknown_custom_block_label(self, capsys, medical_file):
         code, out, err = run(
             capsys,
@@ -606,6 +627,64 @@ class TestSchemaAndErrors:
         assert (code, out) == (2, "")
         assert reason in err
         assert "inf" not in err.replace("info", "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--all-policies"],
+            ["--connection", "ld-c"],
+            ["--info", "l-fi", "--connection", "i-c", "--indemnity", "fm-i", "--csv"],
+        ],
+    )
+    def test_values_wider_than_a_float(self, capsys, tmp_path, argv):
+        path = tmp_path / "wide.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "outcomes": [
+                        {"label": "bad", "value": -1e308},
+                        {"label": "good", "value": 1e308},
+                    ],
+                    "counterfactual": {"bad": 0.1, "good": 0.9},
+                    "factual": {"bad": 0.5, "good": 0.5},
+                    "money": {"kind": "identity"},
+                }
+            )
+        )
+        code, out, err = run(capsys, ["evaluate", str(path), *argv])
+        assert (code, out, err) == (2, "", SPAN_ERROR)
+
+    @pytest.mark.parametrize(
+        "matrix, problem",
+        [
+            (
+                [[0.6, 0.0], [0.0, 0.4]],
+                "counterfactual marginal mismatch at row 0 ('a'): coupling "
+                "gives 0.6, case says 0.5",
+            ),
+            (
+                [[0.4, 0.1], [0.0, 0.5]],
+                "factual marginal mismatch at column 0 ('a'): coupling gives "
+                "0.4, case says 0.5",
+            ),
+            ([[0.6, -0.1], [-0.1, 0.6]], "negative mass -0.1 at (0, 1)"),
+        ],
+    )
+    def test_bad_evidence_matrix_names_plain_floats(self, capsys, tmp_path, matrix, problem):
+        path = tmp_path / "evidence.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "outcomes": [{"label": "a", "value": 0}, {"label": "b", "value": 1}],
+                    "counterfactual": {"a": 0.5, "b": 0.5},
+                    "factual": {"a": 0.5, "b": 0.5},
+                    "money": {"kind": "identity"},
+                    "evidence_coupling": {"matrix": matrix},
+                }
+            )
+        )
+        code, out, err = run(capsys, ["evaluate", str(path)])
+        assert (code, out, err) == (2, "", f"error: {problem}\n")
 
     def test_unknown_policy_name(self, capsys, medical_file):
         code, _, err = run(

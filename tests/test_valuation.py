@@ -22,6 +22,7 @@ from lostchance.valuation import (
     Partition,
     PolicyCombo,
     SelectiveGroups,
+    build_grid,
     build_partition,
     cc_indemnity,
     conditional_gap,
@@ -29,6 +30,7 @@ from lostchance.valuation import (
     evaluate_policy,
     fm_indemnity,
     oracle_best_schedule,
+    price,
     schedule_risk,
     selective_groups,
     solve_lambda,
@@ -591,6 +593,58 @@ PRIZE_PUBLISHED = {"a1": "a1", "a2": "a2", "a3": "a3", "a4": "a4", "a5": "a3"}
 PRIZE_BLOCKS = [[0, 3], [1], [2]]
 
 
+def overflowing_model():
+    """Money is exp(value), so only a lift to 1000 (ld-c pays "mid" 600)
+    overflows; i-c lifts both outcomes to 500."""
+    return CaseModel(
+        OutcomeSpace(("lo", "mid", "hi"), (0.0, 400.0, 1000.0)),
+        DiscreteDistribution((0.5, 0.0, 0.5)),
+        DiscreteDistribution((0.5, 0.5, 0.0)),
+        CurveMoneyMap(UtilityCurve(1.0)),
+    )
+
+
+class TestBuildAndPrice:
+    def test_priced_build_is_the_evaluated_grid(self):
+        model = prize_model()
+        args = (model, ALL_COMBOS, prize_evidence_joint(), PRIZE_BLOCKS, ("extra",))
+        kwargs = {"paper_table_joint": PRIZE_PUBLISHED}
+        build = build_grid(*args, **kwargs)
+        assert len(ALL_COMBOS) == 32
+        assert price(build) == evaluate_grid(*args, **kwargs)
+        # Four connections, each with four information policies.
+        assert len(build.couplings) == 4
+        assert len(build.gaps.partitions) == len(build.expected) == 16
+        mean_gap = model.expected_gap()
+        assert all(abs(e - mean_gap) <= 1e-10 for e in build.expected)
+
+    def test_a_build_error_raises_from_the_build(self):
+        with pytest.raises(ConfigurationError, match="'e-c' needs an explicit coupling"):
+            build_grid(prize_model(), [PolicyCombo("h-fi", "e-c", "cc-i")])
+        with pytest.raises(ConfigurationError, match="at least one combination"):
+            build_grid(prize_model(), [])
+
+    def test_an_award_error_raises_only_from_the_price(self):
+        combos = [PolicyCombo("h-fi", "i-c", "cc-i"), PolicyCombo("h-fi", "ld-c", "cc-i")]
+        build = build_grid(overflowing_model(), combos)
+        with pytest.raises(ValueError, match="needs more money than a float holds"):
+            price(build)
+
+    def test_values_wider_than_a_float_are_refused(self):
+        model = CaseModel(
+            OutcomeSpace(("lo", "hi"), (-1e308, 1e308)),
+            DiscreteDistribution((0.5, 0.5)),
+            DiscreteDistribution((0.5, 0.5)),
+            IdentityMoneyMap(),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="span -1e\\+308 to 1e\\+308"):
+                build_grid(model, [PolicyCombo("l-fi", "ld-c", "cc-i")])
+        # An empty grid builds nothing, so it still has no schedules.
+        assert evaluate_grid(model, []) == []
+
+
 class TestEvaluateGrid:
     def test_grid_matches_one_combination_at_a_time(self):
         model = prize_model()
@@ -686,14 +740,7 @@ class TestEvaluateGrid:
         ],
     )
     def test_a_build_error_wins_over_an_earlier_award_error(self, combos, match):
-        # Money is exp(value), so only a lift to 1000 (ld-c pays "mid" 600)
-        # overflows; i-c lifts both outcomes to 500.
-        model = CaseModel(
-            OutcomeSpace(("lo", "mid", "hi"), (0.0, 400.0, 1000.0)),
-            DiscreteDistribution((0.5, 0.0, 0.5)),
-            DiscreteDistribution((0.5, 0.5, 0.0)),
-            CurveMoneyMap(UtilityCurve(1.0)),
-        )
+        model = overflowing_model()
         combos = [PolicyCombo(*c) for c in combos]
         with pytest.raises(ConfigurationError, match=match):
             evaluate_grid(model, combos)

@@ -98,6 +98,30 @@ class TestRunVerification:
         assert not report.passed
 
 
+@pytest.mark.parametrize(
+    "name", ["clamped-gap-risk-optimal", "fair-mean-constrained-optimal"]
+)
+def test_a_schedule_suite_instance_makes_one_pass_of_each_stage(monkeypatch, name):
+    # The suite prices the same build whose tables it audits, so one
+    # instance takes one groups pass and one gap pass.  Seed 1's first
+    # instance exercises both suites, so neither draws on.
+    import lostchance.valuation as valuation
+
+    passes = []
+    for stage in (valuation.SelectiveGroups, valuation.GapStack):
+        init = stage.__init__
+
+        def counted(obj, *args, _init=init, _stage=stage.__name__):
+            passes.append(_stage)
+            _init(obj, *args)
+
+        monkeypatch.setattr(stage, "__init__", counted)
+    (suite,) = [s for s in verify._suites(1, 0.0) if s[1] == name]
+    res = verify._run_suite(1, *suite)
+    assert res.passed
+    assert sorted(passes) == ["GapStack", "SelectiveGroups"]
+
+
 def _in_a_worker(monkeypatch, tmp_path, name, act):
     """Run the audit on two workers, with `act()` run first wherever suite
     `name` runs.
