@@ -301,14 +301,21 @@ def matos_sweep(
     and the error of the first point `matos_award` refuses, come in the
     same order: a point with a bad p raises the p error even when its
     theta is bad too, and a theta is never checked when p has no points.
+    A re-iterable p axis is read and checked once, at the first theta; a
+    one-shot iterator is read by each theta in turn, so only the first
+    sees its points.
     """
+    read = False
     for theta in thetas:
-        chances, error = _matos_chances(ps)
+        if not read or iter(ps) is ps:
+            chances, error = _matos_chances(ps)
+            p_axis = np.array(chances)
+            q_axis = 1.0 - p_axis
+            read = True
         if chances:
             curve, (v_low, v_refuse, v_top) = _matos_values(theta)
-            p_axis = np.array(chances)
             # matos_award's max(0.0, ...), in its operation order.
-            gain = p_axis * v_top + (1.0 - p_axis) * v_low - v_refuse
+            gain = p_axis * v_top + q_axis * v_low - v_refuse
             x = np.where(gain > 0.0, gain, 0.0)
             v1 = np.full(p_axis.size, v_refuse)
             awards = award_from_compensation(CurveMoneyMap(curve), v1, x).tolist()
@@ -360,20 +367,38 @@ def medical_sweep(
 
     Columns cover the distinct policy formulas plus the rejected
     relative-chance formula as a flagged comparison.
+
+    Each p1 gives its own case, built and validated on its own.  The
+    cases share one outcome space and one money map, so they form one
+    family, and one `evaluate_grid` call over it prices the whole p1 axis.
+    The cases are built first, in order: when a p1 is refused, the rows
+    before it are yielded, then its error is raised.  An error of the
+    grid is its first failing case's, and comes before any row.
     """
+    cases = []
+    error: Optional[Exception] = None
     for p1 in p1_values:
-        sc = medical_malpractice(p0, float(p1), delta_v)
-        row: dict[str, object] = {
-            "p0": float(p0),
-            "p1": float(p1),
-            "delta_v": float(delta_v),
-        }
+        try:
+            p1 = float(p1)
+            case = medical_malpractice(p0, p1, delta_v)
+        except (TypeError, ValueError, OverflowError) as exc:
+            error = exc  # raised once the rows before it are out
+            break
+        cases.append((p1, case))
+    if cases:
+        combos = list(_MEDICAL_COLUMNS.values())
         schedules = evaluate_grid(
-            sc.model, list(_MEDICAL_COLUMNS.values()), sc.evidence_joint
+            [sc.model for _, sc in cases], combos, [sc.evidence_joint for _, sc in cases]
         )
-        for col, schedule in zip(_MEDICAL_COLUMNS, schedules):
-            row[col] = schedule.award_for("bad")
-        row["rejected_formula_comparison"] = rejected_formula_comparison(
-            p0, p1, delta_v
-        ).value
-        yield row
+        p0, delta_v = float(p0), float(delta_v)
+        k = len(combos)
+        for i, (p1, _) in enumerate(cases):
+            row: dict[str, object] = {"p0": p0, "p1": p1, "delta_v": delta_v}
+            for col, schedule in zip(_MEDICAL_COLUMNS, schedules[i * k : (i + 1) * k]):
+                row[col] = schedule.award_for("bad")
+            row["rejected_formula_comparison"] = rejected_formula_comparison(
+                p0, p1, delta_v
+            ).value
+            yield row
+    if error is not None:
+        raise error

@@ -18,6 +18,7 @@ so scanning its breakpoints gives a closed-form root.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -231,15 +232,17 @@ def _shared_partition(
 
 def build_partition(
     infos: Sequence[str],
-    support: Sequence[int] | np.ndarray,
+    support: Sequence[int] | np.ndarray | list[np.ndarray],
     groups: Optional[SelectiveGroups] = None,
     custom_blocks: Optional[Sequence[Sequence[int]]] = None,
     coupling_rows: Optional[Sequence[int]] = None,
 ) -> list[Partition]:
-    """The partition each information policy in `infos` allows on
-    `support`, the indices of the factual support in increasing order:
-    table t's under the coupling in row `coupling_rows[t]` of the stack
-    that `groups` came from (row 0 when no rows are given).
+    """The partition each information policy in `infos` allows on the
+    factual support: table t's under the coupling in row
+    `coupling_rows[t]` of the stack that `groups` came from (row 0 when
+    no rows are given).  `support` is the indices of the factual support
+    in increasing order, shared by every row, or a list of such arrays,
+    one per row, for a stack whose rows come from different cases.
 
     * l-fi: one block, the whole factual support;
     * m-fi: the coupling's compensable/non-compensable split (empty side
@@ -248,15 +251,18 @@ def build_partition(
     * custom: caller-supplied blocks, which must tile the support exactly.
 
     l-fi, h-fi and custom do not depend on the coupling: each is built,
-    and custom checked, once, and shared by every table that uses it.
-    The first table that cannot be built raises.
+    and custom checked, once per support array, and shared by every
+    table whose row holds that array.  The first table that cannot be
+    built raises.
     """
-    support = np.asarray(support, dtype=np.intp)
-    if not support.size:
-        raise ValueError("factual support is empty")
+    per_row = isinstance(support, list) and bool(support) and isinstance(support[0], np.ndarray)
+    if not per_row:
+        support = np.asarray(support, dtype=np.intp)
+        if not support.size:
+            raise ValueError("factual support is empty")
     if coupling_rows is None:
         coupling_rows = [0] * len(infos)
-    shared: dict[str, Partition] = {}
+    shared: dict[tuple[str, int], Partition] = {}
     partitions = []
     for info, row in zip(infos, coupling_rows):
         if info == "m-fi":
@@ -267,10 +273,14 @@ def build_partition(
             # Block 0 is the plus side, or the minus side when no outcome
             # is compensable.
             partitions.append(Partition(outcomes, side - 1 if side.size and side[0] else side))
-        else:
-            if info not in shared:
-                shared[info] = _shared_partition(info, support, custom_blocks)
-            partitions.append(shared[info])
+            continue
+        own = support[row] if per_row else support
+        key = (info, id(own))
+        if key not in shared:
+            if not own.size:
+                raise ValueError("factual support is empty")
+            shared[key] = _shared_partition(info, own, custom_blocks)
+        partitions.append(shared[key])
     return partitions
 
 
@@ -521,6 +531,26 @@ def _coupling_for(
     raise ConfigurationError(f"unknown connection policy {conn!r}")
 
 
+def _case_couplings(
+    model: CaseModel, conns, evidence_joint, paper_table_joint
+) -> list[tuple[Coupling, tuple[str, ...]]]:
+    """One case's `_coupling_for` of each connection in `conns`: e-c
+    evaluates `evidence_joint`, paper-table `paper_table_joint` or else
+    `evidence_joint`, and ld-c and paper-table's cost check share one
+    least-divergence coupling."""
+    if paper_table_joint is None:
+        paper_table_joint = evidence_joint
+    joints = {"e-c": evidence_joint, "paper-table": paper_table_joint}
+    shared = []
+
+    def least_divergence() -> Coupling:
+        if not shared:
+            shared.append(least_divergence_coupling(model))
+        return shared[0]
+
+    return [_coupling_for(model, conn, joints.get(conn), least_divergence) for conn in conns]
+
+
 def _tie_note(model: CaseModel, groups: SelectiveGroups, row: int) -> tuple[str, ...]:
     if not groups.ties[row].any():
         return ()
@@ -533,24 +563,30 @@ def _tie_note(model: CaseModel, groups: SelectiveGroups, row: int) -> tuple[str,
 
 @dataclass(frozen=True, eq=False)
 class GridBuild:
-    """A policy grid built and not yet priced.  Table t's partition is
-    `gaps.partitions[t]`, its rows `gaps.table(t)` and its checked expected
-    gap `expected[t]`; `couplings` are the rows of `groups`.  `payouts` is
-    the (combination x support outcome) matrix, flattened row after row."""
+    """A policy grid built and not yet priced, over a family of cases
+    that share one outcome space and one money map; a lone case is a
+    one-case family.  Every case has the same tables in the same order,
+    and case c's tables and stack rows follow case c - 1's.  Table t's
+    partition is `gaps.partitions[t]`, its rows `gaps.table(t)` and its
+    checked expected gap `expected[t]`; `couplings` are the rows of
+    `groups`.  `supports` holds each case's factual support, `payouts`
+    the (case x combination x support outcome) payouts, flattened row
+    after row, and `notes` each (case, combination)'s notes, case after
+    case."""
 
-    model: CaseModel
+    models: tuple[CaseModel, ...]
     combos: tuple[PolicyCombo, ...]
     couplings: tuple[Coupling, ...]
     groups: SelectiveGroups
     gaps: GapStack
     expected: tuple[float, ...]
-    support: np.ndarray
+    supports: tuple[np.ndarray, ...]
     payouts: np.ndarray
     notes: tuple[tuple[str, ...], ...]
 
 
 def build_grid(
-    model: CaseModel,
+    model: CaseModel | Sequence[CaseModel],
     combos: Sequence[PolicyCombo],
     evidence_joint=None,
     custom_blocks: Optional[Sequence[Sequence[int]]] = None,
@@ -559,72 +595,107 @@ def build_grid(
     paper_table_joint=None,
 ) -> GridBuild:
     """Every stage of a policy grid up to its payouts, one stage at a time
-    over every table of every connection.
+    over every table of every connection of every case.
 
-    A table is one (connection, information policy) pair that some
-    combination uses: connections in order of first use, and within each
-    its information policies in order of first use.  The build runs:
+    `model` is one case, or a family of cases: a sequence of cases that
+    share one outcome space and one money map, and differ in their
+    marginals and evidence.  A family's `evidence_joint` and
+    `paper_table_joint` hold one joint, or None, per case; its
+    `custom_blocks` and `extra_notes` serve every case.  A lone case is a
+    one-case family, and takes the same path.  e-c evaluates a case's
+    `evidence_joint`; paper-table evaluates its `paper_table_joint`, or
+    its `evidence_joint`.
 
-    * the couplings, one per connection, in that order, with the notes
-      they carry; ld-c and paper-table share one least-divergence
-      coupling;
+    A case's tables are the (connection, information policy) pairs that
+    some combination uses: connections in order of first use, and within
+    each its information policies in order of first use.  Every case has
+    the same tables, and the build runs, case after case within a stage:
+
+    * the couplings, one per connection of each case, with the notes
+      they carry; within a case, ld-c and paper-table share one
+      least-divergence coupling;
     * their column moments, as one `CouplingStack`, and their selective
       groups, one `selective_groups` call;
-    * every table's partition, one `build_partition` call;
+    * every table's partition, one `build_partition` call, on its own
+      case's factual support;
     * every table's gaps, one `conditional_gap` pass, and every row's
       clamped payout, one `cc_indemnity` call;
     * table by table, its check, then its fair-mean payouts when some
       fm-i combination uses it, one `fm_indemnity` call each;
-    * the (combination x outcome) payout matrix, in one gather.
+    * the (case x combination x support outcome) payouts, in one gather.
 
-    So the first stage that fails raises: values that span more than a
-    float holds, then a coupling error, in order of first use, before any
-    partition error, and so on.  e-c evaluates `evidence_joint`;
-    paper-table evaluates `paper_table_joint`, or `evidence_joint`.
+    So the first stage that fails raises: a family whose cases differ in
+    outcome space or money map, then values that span more than a float
+    holds, then a coupling error, case by case and in order of first use,
+    before any partition error, and so on.
     """
     if not combos:
         raise ConfigurationError("a policy grid needs at least one combination")
-    v = model.space.values_array
+    if isinstance(model, CaseModel):
+        models, evidence, published = (model,), (evidence_joint,), (paper_table_joint,)
+    else:
+        models = tuple(model)
+        evidence = [None] * len(models) if evidence_joint is None else evidence_joint
+        published = [None] * len(models) if paper_table_joint is None else paper_table_joint
+        if not models:
+            raise ConfigurationError("a case family needs at least one case")
+        if not len(evidence) == len(published) == len(models):
+            raise ConfigurationError(
+                "a case family needs one evidence joint and one published "
+                "table, or None, per case"
+            )
+    space, money = models[0].space, models[0].money
+    for other in models[1:]:
+        if other.space != space or other.money != money:
+            raise ValueError("the cases of a family share one outcome space and one money map")
+    v = space.values_array
     # Python floats: a numpy subtraction would warn on overflow.
     low, high = float(v.min()), float(v.max())
     if not math.isfinite(high - low):
         raise ValueError(
             f"outcome values span {low!r} to {high!r}, a range wider than a float holds"
         )
-    if paper_table_joint is None:
-        paper_table_joint = evidence_joint
-    joints = {"e-c": evidence_joint, "paper-table": paper_table_joint}
-    # model.factual.support(), as an array.
-    support = (model.factual.array > 0.0).nonzero()[0]
-    # ld-c and paper-table's cost check share one least-divergence coupling.
-    shared = []
-
-    def least_divergence() -> Coupling:
-        if not shared:
-            shared.append(least_divergence_coupling(model))
-        return shared[0]
-
     # The information policies of each connection, in order of first use,
     # and whether some fm-i combination uses each.
     uses: dict[str, dict[str, bool]] = {}
     for combo in combos:
         fair = uses.setdefault(combo.connection, {})
         fair[combo.info] = fair.get(combo.info, False) or combo.indemnity == "fm-i"
-    built = [_coupling_for(model, conn, joints.get(conn), least_divergence) for conn in uses]
+    # Case c's connection j is row c * len(uses) + j of the stack.
+    built = []
+    for case, joint, table in zip(models, evidence, published):
+        built += _case_couplings(case, uses, joint, table)
     couplings = CouplingStack([coupling for coupling, _ in built])
     groups = selective_groups(couplings)
-    # The tables, each (connection, information policy) that some
-    # combination uses: its connection's row, its policy, and whether
-    # some fm-i combination uses it.
+    # A case's tables, each (connection, information policy) that some
+    # combination uses: its connection, its policy, and whether some fm-i
+    # combination uses it.
     tables: dict[tuple[str, str], int] = {}
-    rows, infos, fairs = [], [], []
-    for row, (conn, conn_infos) in enumerate(uses.items()):
+    conns, infos, fairs = [], [], []
+    for conn, (name, conn_infos) in enumerate(uses.items()):
         for info, fair in conn_infos.items():
-            tables[conn, info] = len(rows)
-            rows.append(row)
+            tables[name, info] = len(conns)
+            conns.append(conn)
             infos.append(info)
             fairs.append(fair)
-    partitions = build_partition(infos, support, groups, custom_blocks, rows)
+    cases, per_case = len(models), len(conns)
+    # Case c's table t is table c * per_case + t of the build, read under
+    # its case's row of the stack.
+    rows = [c * len(uses) + conn for c in range(cases) for conn in conns]
+    infos *= cases
+    # Each case's factual support; cases with equal supports share one
+    # array, and with it their l-fi, h-fi and custom partitions.
+    distinct: dict[bytes, np.ndarray] = {}
+    masks, supports = [], []
+    for case in models:
+        mask = case.factual.array > 0.0
+        key = mask.tobytes()
+        if key not in distinct:
+            distinct[key] = mask.nonzero()[0]
+        masks.append(mask)
+        supports.append(distinct[key])
+    row_supports = [s for s in supports for _ in uses]
+    partitions = build_partition(infos, row_supports, groups, custom_blocks, rows)
     gaps = conditional_gap(couplings, partitions, rows)
     # Every row's clamped payout, a 0, every row's fair-mean payout and a
     # 0; fair-mean payouts are solved only for the tables that some fm-i
@@ -633,76 +704,89 @@ def build_grid(
     payouts = np.zeros(2 * count + 2)
     payouts[:count] = cc_indemnity(gaps.gaps)
     expected = []
-    for t, fair in enumerate(fairs):
+    for t, fair in enumerate(fairs * cases):
         expected.append(gaps.check(t))
         if fair:
             lo, hi = count + 1 + gaps.starts[t], count + 1 + gaps.starts[t + 1]
             payouts[lo:hi] = fm_indemnity(*gaps.table(t), expected[t])
-    # slots[t, j] is where in `payouts` table t pays the j-th factual
-    # support outcome: the row of the block that holds it, or the 0 past
-    # the clamped payouts when no kept block does.  slots[t + len(rows)]
-    # is the same place among the fair-mean payouts.
-    where = np.full((len(rows), model.space.size), count)
+    # slots[t, k] is where in `payouts` table t pays outcome k: the row of
+    # the block that holds it, or the 0 past the clamped payouts when no
+    # kept block does.  slots[t + len(rows)] is the same place among the
+    # fair-mean payouts.
+    where = np.full((len(rows), space.size), count)
     where[gaps.tables, gaps.outcomes] = gaps.rows
-    slots = where[:, support]
-    slots = np.concatenate((slots, slots + (count + 1)))
+    slots = np.concatenate((where, where + (count + 1)))
     picks = [tables[c.connection, c.info] for c in combos]
     picked = [t + len(rows) if c.indemnity == "fm-i" else t for t, c in zip(picks, combos)]
+    # Case c's combination k pays from row c * per_case + picked[k] of
+    # `slots`, at the outcomes its case's support holds.
+    picked = [c * per_case + t for c in range(cases) for t in picked]
+    held = np.array(masks).repeat(len(combos), axis=0)
     notes = [
-        built[row][1] + _tie_note(model, groups, row) if info == "m-fi" else built[row][1]
+        built[row][1] + _tie_note(models[row // len(uses)], groups, row)
+        if info == "m-fi"
+        else built[row][1]
         for row, info in zip(rows, infos)
     ]
+    extra = tuple(extra_notes)
     return GridBuild(
-        model=model,
+        models=models,
         combos=tuple(combos),
         couplings=couplings.couplings,
         groups=groups,
         gaps=gaps,
         expected=tuple(expected),
-        support=support,
-        payouts=payouts[slots[picked].ravel()],
-        notes=tuple(tuple(extra_notes) + notes[t] for t in picks),
+        supports=tuple(supports),
+        payouts=payouts[slots[picked][held]],
+        notes=tuple([extra + notes[c * per_case + t] for c in range(cases) for t in picks]),
     )
 
 
 def price(build: GridBuild) -> list[CompensationSchedule]:
-    """The grid's schedules, priced by one award call over its payout
-    matrix, so the call raises the error of the first combination that
-    fails."""
-    model, combos, support, x = build.model, build.combos, build.support, build.payouts
-    labels = tuple(map(model.space.labels.__getitem__, support.tolist()))
-    money = model.money
-    n = len(labels)
-    v = np.concatenate([model.space.values_array[support]] * len(combos))
+    """The grid's schedules, case after case and within a case combination
+    after combination, each over its own case's factual support.  They
+    are priced by one award call over the payout matrix, so the call
+    raises the error of the first (case, combination) that fails."""
+    space, money = build.models[0].space, build.models[0].money
+    combos, supports, x = build.combos, build.supports, build.payouts
+    case_values = [space.values_array[s] for s in supports]
+    v = np.concatenate([a for a in case_values for _ in combos])
     awards = award_from_compensation(money, v, x).tolist()
     values = x.tolist()
+    # Each case's support labels, and where each schedule's outcomes start.
+    case_labels = [tuple(map(space.labels.__getitem__, s.tolist())) for s in supports]
+    starts = [0, *itertools.accumulate(len(labels) for labels in case_labels for _ in combos)]
     notes = list(build.notes)
     if money.top < math.inf:  # only a money table has a last point
         for i in np.flatnonzero(v + x > money.top).tolist():
-            row, k = divmod(i, n)
+            row = bisect.bisect_right(starts, i) - 1
+            label = case_labels[row // len(combos)][i - starts[row]]
             notes[row] += (
-                f"note: the award for outcome {labels[k]!r} extrapolates the "
-                f"money table past its last point {money.top:g}, along "
-                f"its end segment",
+                f"note: the award for outcome {label!r} "
+                f"extrapolates the money table past its last point "
+                f"{money.top:g}, along its end segment",
             )
     return [
         CompensationSchedule(
             policy=combo,
-            outcomes=labels,
-            values=tuple(values[row * n : (row + 1) * n]),
-            awards=tuple(awards[row * n : (row + 1) * n]),
+            outcomes=outcomes,
+            values=tuple(values[a:b]),
+            awards=tuple(awards[a:b]),
             notes=row_notes,
         )
-        for row, (combo, row_notes) in enumerate(zip(combos, notes))
+        for (outcomes, combo), a, b, row_notes in zip(
+            itertools.product(case_labels, combos), starts, starts[1:], notes
+        )
     ]
 
 
 def evaluate_grid(
-    model: CaseModel, combos: Sequence[PolicyCombo], *args, **kwargs
+    model: CaseModel | Sequence[CaseModel], combos: Sequence[PolicyCombo], *args, **kwargs
 ) -> list[CompensationSchedule]:
-    """One schedule per combination: `price(build_grid(model, combos,
-    ...))`, with `build_grid`'s arguments, so a build error wins over an
-    award error.  An empty grid has no schedules."""
+    """One schedule per combination, and for a family of cases per case
+    and combination: `price(build_grid(model, combos, ...))`, with
+    `build_grid`'s arguments, so a build error wins over an award error.
+    An empty grid has no schedules."""
     return price(build_grid(model, combos, *args, **kwargs)) if combos else []
 
 

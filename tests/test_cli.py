@@ -7,6 +7,7 @@ captured output are checked without spawning subprocesses.
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -653,6 +654,35 @@ class TestSchemaAndErrors:
         )
         code, out, err = run(capsys, ["evaluate", str(path), *argv])
         assert (code, out, err) == (2, "", SPAN_ERROR)
+
+    def test_transport_cost_past_a_float_is_flagged_without_a_warning(
+        self, capsys, tmp_path
+    ):
+        # The values span 1.6e308, which a float holds, but the swapped
+        # map's squared gap does not: its cost is inf.
+        path = tmp_path / "swapped.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "outcomes": [
+                        {"label": "lo", "value": -8e307},
+                        {"label": "hi", "value": 8e307},
+                    ],
+                    "counterfactual": {"lo": 0.5, "hi": 0.5},
+                    "factual": {"lo": 0.5, "hi": 0.5},
+                    "money": {"kind": "identity"},
+                    "evidence_coupling": {"map": {"lo": "hi", "hi": "lo"}},
+                }
+            )
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["evaluate", str(path), "--connection", "paper-table"])
+        assert (code, err) == (0, "")
+        assert out.endswith(
+            "# FLAG published least-divergence table is not cost-minimal: "
+            "cost inf vs optimal 0\n"
+        )
 
     @pytest.mark.parametrize(
         "matrix, problem",

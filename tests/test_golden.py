@@ -18,7 +18,10 @@ one string.
 `tests/golden/cli/` holds, under the same rule, what `table`, `sweep` and
 `verify` printed or wrote before the two-outcome scenarios shared one
 builder: each table's stdout at the defaults (and tables 5 and 6 at
-shifted parameters), both sweep CSVs, and three audit reports.
+shifted parameters), both sweep CSVs, and three audit reports.  The
+medical sweep's edge and one-step CSVs and the stderr of two refused
+medical sweeps were written by the engine that still priced that sweep
+one grid per p1.
 """
 
 import contextlib
@@ -288,6 +291,30 @@ def test_sweep_csv_is_byte_identical(scenario, tmp_path, capsys):
     assert out.read_bytes() == (CLI_GOLDEN / f"sweep-{scenario}.csv").read_bytes()
 
 
+# The medical sweep at the ends of its p1 axis: its CSV, or for a refused
+# sweep its stderr, by golden file.
+MEDICAL_EDGE_RUNS = {
+    # p1 = 0, whose factual support is the bad outcome alone, to p1 = p0.
+    "sweep-medical-edge.csv": (["--p1-min", "0", "--p1-max", "0.95", "--p1-steps", "20"], 0),
+    "sweep-medical-one-step.csv": (["--p1-steps", "1"], 0),
+    "sweep-medical-p1-above-p0.err": (["--p0", "0.5"], 2),
+    "sweep-medical-award-overflow.err": (["--delta-v", "1.7e308"], 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEDICAL_EDGE_RUNS))
+def test_medical_sweep_edges_are_byte_identical(name, tmp_path, capsys):
+    argv, status = MEDICAL_EDGE_RUNS[name]
+    out = tmp_path / "medical.csv"
+    assert main(["sweep", "medical", *argv, "--out", str(out)]) == status
+    captured = capsys.readouterr()
+    if status:
+        assert (captured.out, out.exists()) == ("", False)
+        assert captured.err.encode("utf-8") == (CLI_GOLDEN / name).read_bytes()
+    else:
+        assert out.read_bytes() == (CLI_GOLDEN / name).read_bytes()
+
+
 def test_every_cli_golden_is_checked():
-    checked = set(CLI_RUNS) | {"sweep-matos.csv", "sweep-medical.csv"}
+    checked = set(CLI_RUNS) | set(MEDICAL_EDGE_RUNS) | {"sweep-matos.csv", "sweep-medical.csv"}
     assert {p.name for p in CLI_GOLDEN.iterdir()} == checked

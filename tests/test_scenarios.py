@@ -8,6 +8,7 @@ import pytest
 from lostchance import (
     PolicyCombo,
     RejectedFormulaComparison,
+    evaluate_grid,
     evaluate_policy,
     medical_malpractice,
     medical_sweep,
@@ -16,13 +17,38 @@ from lostchance import (
     urn_independent,
     urn_painted,
 )
+from lostchance.cli import _grid, main
 from lostchance.scenarios import (
+    _MEDICAL_COLUMNS,
     MATOS_GUARANTEED,
     matos_award,
     matos_band,
     matos_case,
     matos_sweep,
 )
+
+
+def _medical_rows_one_grid_per_row(p0, delta_v, p1_values):
+    """`medical_sweep` as one `evaluate_grid` call per p1."""
+    for p1 in p1_values:
+        sc = medical_malpractice(p0, float(p1), delta_v)
+        row = {"p0": float(p0), "p1": float(p1), "delta_v": float(delta_v)}
+        schedules = evaluate_grid(sc.model, list(_MEDICAL_COLUMNS.values()), sc.evidence_joint)
+        for col, schedule in zip(_MEDICAL_COLUMNS, schedules):
+            row[col] = schedule.award_for("bad")
+        row["rejected_formula_comparison"] = rejected_formula_comparison(p0, p1, delta_v).value
+        yield row
+
+
+def _drain(rows):
+    """The repr of every row a sweep yields, and of the error it ends with."""
+    got = []
+    try:
+        for row in rows:
+            got.append(repr(row))
+    except ValueError as exc:
+        return got, repr(exc)
+    return got, None
 
 
 def marginals_ok(scenario, joint):
@@ -266,19 +292,56 @@ class TestSweeps:
             )
             assert row[col] == schedule.award_for("bad")
 
-    def test_medical_sweep_one_grid_per_scenario(self, monkeypatch):
-        import lostchance.scenarios as scenarios
+    @pytest.mark.parametrize("p0, delta_v", [(0.95, 1e5), (0.5, 1.0), (1.0, 3.7), (0.3, 2e-3)])
+    @pytest.mark.parametrize(
+        "lo, hi, steps",
+        [
+            (0.0, 0.9, 19),  # the default axis
+            (0.0, None, 20),  # p1 = 0 and p1 = p0
+            (0.0, 0.9, 181),
+            (0.25, 0.9, 1),
+            (0.0, 0.9, 0),
+        ],
+    )
+    def test_medical_sweep_rows_are_one_grid_per_row(self, p0, delta_v, lo, hi, steps):
+        """One grid over the whole p1 axis gives, by repr, the rows of one
+        `evaluate_grid` per p1, and the same error after the same rows: a
+        p1 past p0 is refused, and so is p1 = 1 at the end of the edge axis
+        when p0 = 1."""
+        p1s = _grid(lo, p0 if hi is None else hi, steps)
+        rows, error = _drain(medical_sweep(p0, delta_v, p1s))
+        assert (rows, error) == _drain(_medical_rows_one_grid_per_row(p0, delta_v, p1s))
+        assert len(rows) == steps or error is not None
 
-        grids = []
-        evaluate_grid = scenarios.evaluate_grid
+    def test_medical_sweep_yields_the_rows_before_a_refused_p1(self):
+        rows = medical_sweep(0.5, 1e5, [0.1, 0.2, 0.7, 0.3])
+        assert [next(rows)["p1"], next(rows)["p1"]] == [0.1, 0.2]
+        with pytest.raises(ValueError, match=r"need 0 <= p1 <= p0 <= 1; got p0=0.5, p1=0.7"):
+            next(rows)
+        assert _drain(medical_sweep(0.5, 1e5, [0.1, 0.2, 0.7, 0.3])) == _drain(
+            _medical_rows_one_grid_per_row(0.5, 1e5, [0.1, 0.2, 0.7, 0.3])
+        )
 
-        def counted(model, combos, *args, **kwargs):
-            grids.append(len(combos))
-            return evaluate_grid(model, combos, *args, **kwargs)
+    @pytest.mark.parametrize("steps", [1, 19, 181])
+    def test_sweep_medical_is_one_build_and_one_award_call(
+        self, monkeypatch, tmp_path, capsys, steps
+    ):
+        import lostchance.valuation as valuation
 
-        monkeypatch.setattr(scenarios, "evaluate_grid", counted)
-        assert len(list(medical_sweep(0.95, 1e5, [0.0, 0.5, 0.9]))) == 3
-        assert grids == [4, 4, 4]
+        calls = []
+        for name in ("build_grid", "award_from_compensation"):
+            original = getattr(valuation, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(valuation, name, counted)
+        out = tmp_path / "medical.csv"
+        argv = ["sweep", "medical", "--p1-steps", str(steps), "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith(f"wrote {steps} rows")
+        assert calls == ["build_grid", "award_from_compensation"]
 
     def test_medical_sweep_carries_the_rejected_formula(self):
         row = next(iter(medical_sweep(0.95, 1e5, [0.90])))

@@ -15,7 +15,9 @@ every schedule of the grid of every standard combination, plus custom
 blocks and paper-table, in a random order, must equal its one-combination grid bit for bit:
 the repr of its values and awards, and its notes.  The grid must warn of
 the same dropped blocks, in the same order, as its tables evaluated one
-by one.
+by one.  A family of such cases over one outcome space, with their own
+marginals, supports and evidence, must give each case's own grid, case
+after case, with the same warnings.
 """
 
 import warnings
@@ -60,9 +62,10 @@ def _matrix(rng, cf, n):
     return joint
 
 
-def random_grid_case(rng):
-    """(model, evidence, published table, custom blocks) of a random case."""
-    n = int(rng.integers(2, 13))
+def random_grid_case(rng, space=None):
+    """(model, evidence, published table, custom blocks) of a random case,
+    over `space` when one is given."""
+    n = int(rng.integers(2, 13)) if space is None else space.size
     labels = tuple(f"o{i}" for i in range(n))
     cf = rng.dirichlet(np.ones(n))
     kind = rng.choice(["matrix", "map", "none"])
@@ -86,7 +89,7 @@ def random_grid_case(rng):
         rare = rng.choice(empty, size=int(rng.integers(1, empty.size + 1)), replace=False)
         factual[rare] = 1e-17
     model = CaseModel(
-        OutcomeSpace(labels, tuple(_values(rng, n).tolist())),
+        space or OutcomeSpace(labels, tuple(_values(rng, n).tolist())),
         DiscreteDistribution(tuple(cf.tolist())),
         DiscreteDistribution(tuple(factual.tolist())),
         IdentityMoneyMap(),
@@ -160,3 +163,35 @@ def test_grid_equals_one_combination_at_a_time(seed):
         dropped += len(grid_warnings)
     # Blocks were dropped somewhere in the seed's cases.
     assert dropped
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_family_equals_its_cases_one_at_a_time(seed):
+    """A family of cases over one outcome space, with their own marginals,
+    factual supports and evidence, is one grid whose schedules, notes and
+    warnings are those of each case's own grid, case after case."""
+    rng = np.random.default_rng(1000 + seed)
+    supports = set()
+    for _ in range(4):
+        family = [random_grid_case(rng)]
+        space = family[0][0].space
+        family += [random_grid_case(rng, space) for _ in range(int(rng.integers(1, 6)))]
+        models, evidence, published, _ = zip(*family)
+        # Custom blocks tile one support, and e-c needs every case's evidence.
+        combos = [
+            c
+            for c in _combos(None if any(e is None for e in evidence) else evidence)
+            if c.info != "custom"
+        ]
+        combos = [combos[i] for i in rng.permutation(len(combos))]
+        grid, grid_warnings = _evaluate(list(models), combos, evidence, published, None)
+        one_by_one, case_warnings = [], []
+        for model, joint, table, _ in family:
+            schedules, caught = _evaluate(model, combos, joint, table, None)
+            one_by_one += schedules
+            case_warnings += caught
+        assert list(map(_bits, grid)) == list(map(_bits, one_by_one))
+        assert grid_warnings == case_warnings
+        supports.add(len({s.outcomes for s in grid}))
+    # Some family of the seed's has cases whose factual supports differ.
+    assert max(supports) > 1

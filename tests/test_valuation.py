@@ -630,6 +630,80 @@ class TestBuildAndPrice:
         with pytest.raises(ValueError, match="needs more money than a float holds"):
             price(build)
 
+    def test_a_lone_case_is_a_one_case_family(self):
+        model = prize_model()
+        args = (ALL_COMBOS, prize_evidence_joint(), PRIZE_BLOCKS, ("extra",))
+        alone = build_grid(model, *args, paper_table_joint=PRIZE_PUBLISHED)
+        family = build_grid(
+            [model],
+            ALL_COMBOS,
+            [prize_evidence_joint()],
+            PRIZE_BLOCKS,
+            ("extra",),
+            paper_table_joint=[PRIZE_PUBLISHED],
+        )
+        assert price(family) == price(alone)
+        assert family.expected == alone.expected
+        assert [s.tolist() for s in family.supports] == [[0, 1, 2, 3]]
+        assert [s.tolist() for s in alone.supports] == [[0, 1, 2, 3]]
+        assert repr(family.payouts) == repr(alone.payouts)
+
+    def test_a_family_prices_each_case_on_its_own_support(self):
+        """Two cases over one space, the second without factual mass on
+        a3 and with the published table as its evidence."""
+        first = prize_model()
+        second = CaseModel(
+            first.space,
+            first.counterfactual,
+            DiscreteDistribution((0.2, 0.4, 0.0, 0.2, 0.2)),
+            IdentityMoneyMap(),
+        )
+        combos = ALL_COMBOS[:24]  # no custom blocks: they tile one support
+        joints = [PRIZE_EVIDENCE, {"a1": "a1", "a2": "a2", "a3": "a2", "a4": "a4", "a5": "a5"}]
+        build = build_grid([first, second], combos, joints)
+        grid = price(build)
+        assert grid == evaluate_grid(first, combos, joints[0]) + evaluate_grid(
+            second, combos, joints[1]
+        )
+        assert {s.outcomes for s in grid[len(combos) :]} == {("a1", "a2", "a4", "a5")}
+        # Each case has the same 12 tables, the second's after the first's.
+        assert len(build.couplings) == 8 and len(build.expected) == 24
+        assert build.gaps.partitions[12].outcomes.tolist() == [0, 1, 3, 4]
+
+    def test_a_family_shares_one_outcome_space_and_one_money_map(self):
+        model = prize_model()
+        combos = [PolicyCombo("h-fi", "i-c", "cc-i")]
+        other_values = CaseModel(
+            OutcomeSpace(model.space.labels, (5.0, 30.0, 35.0, 70.0, 111.0)),
+            model.counterfactual,
+            model.factual,
+            model.money,
+        )
+        other_money = CaseModel(
+            model.space, model.counterfactual, model.factual, CurveMoneyMap(UtilityCurve(0.5))
+        )
+        for other in (other_values, other_money):
+            with pytest.raises(ValueError, match="share one outcome space and one money map"):
+                build_grid([model, other], combos)
+        # An equal space and money map built apart are the same family.
+        twin = CaseModel(
+            OutcomeSpace(model.space.labels, model.space.values),
+            model.counterfactual,
+            model.factual,
+            IdentityMoneyMap(),
+        )
+        assert price(build_grid([model, twin], combos)) == 2 * evaluate_grid(model, combos)
+
+    def test_a_family_needs_cases_and_one_joint_per_case(self):
+        combos = [PolicyCombo("h-fi", "e-c", "cc-i")]
+        with pytest.raises(ConfigurationError, match="at least one case"):
+            build_grid([], combos)
+        with pytest.raises(ConfigurationError, match="one evidence joint"):
+            build_grid([prize_model()] * 2, combos, [PRIZE_EVIDENCE])
+        # The first case's coupling error raises.
+        with pytest.raises(ConfigurationError, match="'e-c' needs an explicit coupling"):
+            build_grid([prize_model()] * 2, combos, [None, PRIZE_EVIDENCE])
+
     def test_values_wider_than_a_float_are_refused(self):
         model = CaseModel(
             OutcomeSpace(("lo", "hi"), (-1e308, 1e308)),
