@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import os
 import sys
@@ -39,6 +40,15 @@ from .valuation import (
 )
 
 OUT_DIR_ENV = "LOSTCHANCE_OUT_DIR"
+
+# The parameters a `table` may take; each table reads some of them, with
+# the defaults of its `reproduce_table_N`.
+TABLE_FLAGS = ("p0", "p1", "delta_v", "v_red", "v_blue")
+# The flags each `sweep` scenario reads, with their defaults.
+SWEEP_FLAGS = {
+    "matos": dict(theta_min=0.0, theta_max=1.0, theta_steps=11, p_min=0.0, p_max=1.0, p_steps=21),
+    "medical": dict(p0=0.95, delta_v=100_000.0, p1_min=0.0, p1_max=0.90, p1_steps=19),
+}
 
 
 def _fmt(x: float) -> str:
@@ -226,19 +236,26 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_table(args) -> int:
-    from .tables import reproduce_table
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
-    params = {}
-    if args.table in ("2",):
-        params = {"p0": args.p0, "p1": args.p1, "delta_v": args.delta_v}
-    elif args.table in ("5", "6"):
-        params = {
-            "p0": args.p0,
-            "p1": args.p1,
-            "v_red": args.v_red,
-            "v_blue": args.v_blue,
-        }
+
+def _given(args, command: str, names, read) -> dict:
+    """The flags among `names` given on the command line, by name; the
+    parser leaves a flag it was not given unset.  A given flag that
+    `command` does not `read` is an error, which names every such flag."""
+    given = {name: getattr(args, name) for name in names if hasattr(args, name)}
+    ignored = [_flag(name) for name in given if name not in read]
+    if ignored:
+        raise ConfigurationError(f"{command} does not read {', '.join(ignored)}")
+    return given
+
+
+def cmd_table(args) -> int:
+    from .tables import TABLES, reproduce_table
+
+    read = inspect.signature(TABLES[args.table]).parameters
+    params = _given(args, f"table {args.table}", TABLE_FLAGS, read)
     cells = reproduce_table(args.table, **params)
     failed = False
     flagged = False
@@ -282,14 +299,17 @@ def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
 def cmd_sweep(args) -> int:
     from .scenarios import matos_sweep, medical_sweep
 
+    read = SWEEP_FLAGS[args.scenario]
+    names = [name for flags in SWEEP_FLAGS.values() for name in flags]
+    params = {**read, **_given(args, f"sweep {args.scenario}", names, read)}
     if args.scenario == "matos":
-        thetas = _grid(args.theta_min, args.theta_max, args.theta_steps)
-        ps = _grid(args.p_min, args.p_max, args.p_steps)
+        thetas = _grid(params["theta_min"], params["theta_max"], params["theta_steps"])
+        ps = _grid(params["p_min"], params["p_max"], params["p_steps"])
         rows = list(matos_sweep(thetas, ps))
         header = ("theta", "p", "award", "band")
     else:
-        p1s = _grid(args.p1_min, args.p1_max, args.p1_steps)
-        rows = list(medical_sweep(args.p0, args.delta_v, p1s))
+        p1s = _grid(params["p1_min"], params["p1_max"], params["p1_steps"])
+        rows = list(medical_sweep(params["p0"], params["delta_v"], p1s))
         header = (
             "p0",
             "p1",
@@ -370,28 +390,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="reproduce a published table")
     p_table.add_argument("table", choices=["2", "4", "5", "6"])
-    p_table.add_argument("--p0", type=float, default=0.95)
-    p_table.add_argument("--p1", type=float, default=0.90)
-    p_table.add_argument("--delta-v", type=float, default=100_000.0)
-    p_table.add_argument("--v-red", type=float, default=0.0)
-    p_table.add_argument("--v-blue", type=float, default=100_000.0)
+    for name in TABLE_FLAGS:
+        p_table.add_argument(_flag(name), type=float, default=argparse.SUPPRESS)
     p_table.add_argument("--strict", action="store_true", help="exit 1 on flags")
     p_table.set_defaults(fn=cmd_table)
 
     p_sweep = sub.add_parser("sweep", help="write a scenario sweep CSV")
     p_sweep.add_argument("scenario", choices=["matos", "medical"])
     p_sweep.add_argument("--out", default=None, help="output CSV path")
-    p_sweep.add_argument("--theta-min", type=float, default=0.0)
-    p_sweep.add_argument("--theta-max", type=float, default=1.0)
-    p_sweep.add_argument("--theta-steps", type=int, default=11)
-    p_sweep.add_argument("--p-min", type=float, default=0.0)
-    p_sweep.add_argument("--p-max", type=float, default=1.0)
-    p_sweep.add_argument("--p-steps", type=int, default=21)
-    p_sweep.add_argument("--p0", type=float, default=0.95)
-    p_sweep.add_argument("--delta-v", type=float, default=100_000.0)
-    p_sweep.add_argument("--p1-min", type=float, default=0.0)
-    p_sweep.add_argument("--p1-max", type=float, default=0.90)
-    p_sweep.add_argument("--p1-steps", type=int, default=19)
+    for flags in SWEEP_FLAGS.values():
+        for name, default in flags.items():
+            p_sweep.add_argument(_flag(name), type=type(default), default=argparse.SUPPRESS)
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the randomized oracle audit")

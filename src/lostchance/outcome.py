@@ -38,6 +38,12 @@ class CaseValidationError(ValueError):
         self.violations = tuple(violations)
         super().__init__("; ".join(self.violations))
 
+    def __reduce__(self):
+        # Unpickling calls the class with the reduced arguments, and an
+        # exception's default arguments are its joined message, which
+        # would be split into characters.
+        return type(self), (self.violations,)
+
 
 def read_only(values) -> np.ndarray:
     """`values` as a read-only array."""

@@ -9,6 +9,10 @@ uninformative about the factual result given the factual choice.  The
 suites read the engine's tables from one `build_grid` per instance, and
 the schedule suites price it, as `lostchance evaluate` does.
 
+The suites run as tasks on a pool of forked workers, one per CPU; each
+draws from its own seeded stream, so the report is the same bytes on
+any number of CPUs.
+
 The harness can inject a deliberate shift into the fair-mean root
 (lambda_offset) to demonstrate that the checks actually bite.
 """
@@ -18,6 +22,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import sys
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -566,81 +572,45 @@ def _worker_count() -> int:
 def _run_suites(seed: int, suites: list) -> list[PropertyResult]:
     """Every suite's result, in stream order.
 
-    The suites run on one worker per CPU this process may use.  With one
-    CPU, or without `fork`, they all run here, in order; a suite that a
-    forked child took but never reported runs here too.
+    The suites run on a pool of one forked worker per CPU this process
+    may use, one task per suite, submitted heaviest first.  A suite that
+    raises cancels the suites not yet started, and the first such suite
+    in suite order raises here once every worker has exited.  With one
+    CPU, or without `fork`, every suite runs here, in order; so does a
+    suite left without a result by a worker that died.
     """
     outcomes: dict = {}  # stream -> PropertyResult
     workers = min(_worker_count(), len(suites))
     if workers > 1:
-        _run_forked(seed, suites, workers, outcomes)
+        # A child's copy of unflushed output would be written twice.
+        sys.stdout.flush()
+        sys.stderr.flush()
+        # Fork, not spawn: a spawned worker imports numpy afresh, and
+        # sees none of this module's globals as patched at run time.
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            futures = [pool.submit(_run_suite_in_worker, seed, *suite) for suite in suites]
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            pool.shutdown(cancel_futures=True)
+        for (stream, *_), future in zip(suites, futures):
+            if future.cancelled():
+                continue
+            error = future.exception()
+            if error is None:
+                outcomes[stream] = future.result()
+            elif not isinstance(error, BrokenProcessPool):
+                raise error
     for suite in suites:
         if suite[0] not in outcomes:
             outcomes[suite[0]] = _run_suite(seed, *suite)
     return [outcomes[stream] for stream in sorted(outcomes)]
 
 
-def _run_forked(seed: int, suites: list, workers: int, outcomes: dict) -> None:
-    """Run the suites on this process and `workers - 1` forked children.
-
-    Each worker takes the next suite from a shared counter until none is
-    left, so with the heaviest first the load balances itself; a child
-    sends each result back over a pipe.  A suite that raises stops the
-    handing out of suites, and once every child is joined, the first
-    such suite's exception is raised here.
-    """
-    ctx = multiprocessing.get_context("fork")
-    next_suite = ctx.Value("i", 0)
-
-    def stop() -> None:
-        with next_suite.get_lock():
-            next_suite.value = len(suites)
-
-    def work(deliver: Callable) -> None:
-        while True:
-            with next_suite.get_lock():
-                k = next_suite.value
-                next_suite.value = k + 1
-            if k >= len(suites):
-                return
-            try:
-                outcome = _run_suite(seed, *suites[k])
-            except Exception as exc:  # raised in the parent, below
-                outcome = exc
-                stop()
-            deliver(suites[k][0], outcome)
-
-    def child(send) -> None:
-        with send:
-            work(lambda stream, outcome: send.send((stream, outcome)))
-
-    # A child's copy of unflushed output would be written twice.
-    sys.stdout.flush()
-    sys.stderr.flush()
-    children = []
-    try:
-        for _ in range(workers - 1):
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=child, args=(send,))
-            children.append((proc, recv))
-            with send:  # the child holds its own end
-                proc.start()
-        work(outcomes.__setitem__)
-    finally:
-        stop()
-        for proc, recv in children:
-            with recv:
-                while True:
-                    try:
-                        stream, outcome = recv.recv()
-                    except EOFError:
-                        break
-                    outcomes[stream] = outcome
-            if proc.pid is not None:
-                proc.join()
-    for stream, *_ in suites:
-        if isinstance(outcomes.get(stream), Exception):
-            raise outcomes[stream]
+def _run_suite_in_worker(*args) -> PropertyResult:
+    """`_run_suite(*args)`, looked up when called: a pool sends a function
+    by name, and this one runs whatever `_run_suite` was at the fork."""
+    return _run_suite(*args)
 
 
 def run_verification(

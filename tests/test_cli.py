@@ -272,6 +272,21 @@ class TestTable:
         )
         assert code == 0 and "8/8 cells match" in out
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (
+                ["table", "4", "--p0", "0.5", "--delta-v", "3"],
+                "table 4 does not read --p0, --delta-v",
+            ),
+            (["table", "4", "--p0", "0.95"], "table 4 does not read --p0"),
+            (["table", "2", "--v-red", "7"], "table 2 does not read --v-red"),
+            (["table", "5", "--p0", "0.5", "--delta-v", "1"], "table 5 does not read --delta-v"),
+        ],
+    )
+    def test_a_flag_the_table_does_not_read_is_an_error(self, capsys, argv, error):
+        assert run(capsys, argv) == (2, "", f"error: {error}\n")
+
     def test_unknown_table_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["table", "3"])
@@ -373,6 +388,25 @@ class TestSweep:
         assert code == 0
         assert (tmp_path / "matos_sweep.csv").exists()
         assert str(tmp_path / "matos_sweep.csv") in out
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["matos", "--p0", "0.5"], "sweep matos does not read --p0"),
+            (
+                ["medical", "--p-min", "0.1", "--p1-steps", "2", "--theta-steps", "3"],
+                "sweep medical does not read --theta-steps, --p-min",
+            ),
+        ],
+    )
+    def test_a_flag_the_scenario_does_not_read_is_an_error(
+        self, capsys, tmp_path, argv, error
+    ):
+        out_path = tmp_path / "sweep.csv"
+        assert run(capsys, ["sweep", *argv, "--out", str(out_path)]) == (
+            2, "", f"error: {error}\n"
+        )
+        assert not out_path.exists()
 
 
 class TestCsvColumns:

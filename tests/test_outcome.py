@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -324,6 +325,14 @@ class TestValidateCase:
         assert "negative" in text
         assert "zero factual probability" in text
         assert len(exc.value.violations) >= 6
+
+    def test_the_error_survives_pickling(self):
+        # A worker process sends its exception back by pickle.
+        error = CaseValidationError(["a problem", "another"])
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is CaseValidationError
+        assert copy.violations == ("a problem", "another")
+        assert str(copy) == "a problem; another"
 
     def test_observed_index_range_checked(self):
         with pytest.raises(CaseValidationError) as exc:

@@ -122,29 +122,29 @@ def test_a_schedule_suite_instance_makes_one_pass_of_each_stage(monkeypatch, nam
     assert sorted(passes) == ["GapStack", "SelectiveGroups"]
 
 
-def _in_a_worker(monkeypatch, tmp_path, name, act):
-    """Run the audit on two workers, with `act()` run first wherever suite
-    `name` runs.
-
-    This process holds its first suite until the forked worker has
-    reached `name`, so the worker is the one that runs it.
-    """
+def _in_a_worker(monkeypatch, name, act):
+    """Run the audit on two workers, with `act()` run first wherever a
+    worker runs suite `name`."""
     parent = os.getpid()
-    reached = tmp_path / "reached"
     run_suite = verify._run_suite
 
     def run(seed, stream, suite, *rest):
-        if os.getpid() == parent:
-            deadline = time.monotonic() + 60.0
-            while not reached.exists() and time.monotonic() < deadline:
-                time.sleep(0.005)
-        elif suite == name:
-            reached.touch()
+        if os.getpid() != parent and suite == name:
             act()
         return run_suite(seed, stream, suite, *rest)
 
     monkeypatch.setattr(verify, "_run_suite", run)
     monkeypatch.setattr(verify, "_worker_count", lambda: 2)
+
+
+def _append_line(path, text):
+    """Append one line to `path` in one write, so lines from several
+    processes do not interleave."""
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    try:
+        os.write(fd, f"{text}\n".encode())
+    finally:
+        os.close(fd)
 
 
 # The suite handed out last, so the worker reaches it.
@@ -178,11 +178,7 @@ class TestParallelRunner:
         run_suite = verify._run_suite
 
         def run(seed, stream, *rest):
-            fd = os.open(ran, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
-            try:
-                os.write(fd, f"{stream}\n".encode())
-            finally:
-                os.close(fd)
+            _append_line(ran, str(stream))
             return run_suite(seed, stream, *rest)
 
         monkeypatch.setattr(verify, "_run_suite", run)
@@ -202,45 +198,67 @@ class TestParallelRunner:
         ]
         assert fair_mean.failures == ["no instance produced a positive mean gap"]
 
-    def test_a_suite_raising_in_a_worker_raises_here(self, monkeypatch, tmp_path):
+    def test_a_suite_raising_in_a_worker_raises_here(self, monkeypatch):
         def fail():
             raise ValueError(f"suite failed in process {os.getpid()}")
 
-        _in_a_worker(monkeypatch, tmp_path, LAST_SUITE, fail)
+        _in_a_worker(monkeypatch, LAST_SUITE, fail)
         with pytest.raises(ValueError, match="suite failed in process") as exc:
             run_verification(seed=0, instances=5)
         assert str(os.getpid()) not in str(exc.value)
         assert multiprocessing.active_children() == []
 
-    def test_cli_lists_a_worker_error_and_leaves_no_child(
-        self, monkeypatch, tmp_path, capsys
-    ):
+    def test_cli_lists_a_worker_error_and_leaves_no_child(self, monkeypatch, capsys):
         def fail():
             raise ValueError("suite failed")
 
-        _in_a_worker(monkeypatch, tmp_path, LAST_SUITE, fail)
+        _in_a_worker(monkeypatch, LAST_SUITE, fail)
         assert main(["verify", "--seed", "0", "--instances", "5"]) == 2
         assert capsys.readouterr().err == "error: suite failed\n"
         assert multiprocessing.active_children() == []
 
-    def test_a_suite_raising_here_joins_the_worker(self, monkeypatch):
-        parent = os.getpid()
+    def test_a_suite_raising_first_cancels_later_suites(self, monkeypatch, tmp_path):
+        # The heaviest suite raises at once; each other one takes long
+        # enough that the suites still queued are cancelled first.
+        ran = tmp_path / "ran"
+        first = verify._suites(5, 0.0)[0][1]
         run_suite = verify._run_suite
 
         def run(seed, stream, name, *rest):
-            if os.getpid() == parent:
-                raise ValueError("suite failed here")
+            _append_line(ran, name)
+            if name == first:
+                raise ValueError("the first suite failed")
+            time.sleep(0.05)
             return run_suite(seed, stream, name, *rest)
 
         monkeypatch.setattr(verify, "_run_suite", run)
         monkeypatch.setattr(verify, "_worker_count", lambda: 2)
-        with pytest.raises(ValueError, match="suite failed here"):
+        with pytest.raises(ValueError, match="the first suite failed"):
             run_verification(seed=0, instances=5)
+        assert first in ran.read_text().split()
+        assert len(ran.read_text().split()) < 13
         assert multiprocessing.active_children() == []
 
-    def test_suites_of_a_worker_that_dies_run_here(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_no_suite_runs_in_this_process(self, monkeypatch, tmp_path, workers):
+        ran = tmp_path / "ran"
+        run_suite = verify._run_suite
+
+        def run(*args):
+            _append_line(ran, str(os.getpid()))
+            return run_suite(*args)
+
+        monkeypatch.setattr(verify, "_run_suite", run)
+        monkeypatch.setattr(verify, "_worker_count", lambda: workers)
+        assert run_verification(seed=0, instances=2).passed
+        pids = ran.read_text().split()
+        assert len(pids) == 13
+        assert str(os.getpid()) not in pids
+        assert multiprocessing.active_children() == []
+
+    def test_suites_of_a_worker_that_dies_run_here(self, monkeypatch):
         monkeypatch.setattr(verify, "_worker_count", lambda: 1)
         serial = run_verification(seed=0, instances=5).render()
-        _in_a_worker(monkeypatch, tmp_path, LAST_SUITE, lambda: os._exit(3))
+        _in_a_worker(monkeypatch, LAST_SUITE, lambda: os._exit(3))
         assert run_verification(seed=0, instances=5).render() == serial
         assert multiprocessing.active_children() == []
