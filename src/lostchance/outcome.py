@@ -8,7 +8,8 @@ business of the coupling module.
 
 Money enters twice: outcome values may come from a risk-aversion curve
 applied to money, and computed compensation (in value units) is converted
-back to a monetary award through a strictly increasing money map.
+back to a monetary award through a strictly increasing money map.  A
+money map has one conversion, which takes a float or a whole array.
 """
 
 from __future__ import annotations
@@ -191,58 +192,61 @@ class UtilityCurve:
         eps = 1.0 - self.theta
         return math.expm1(eps * math.log(m)) / eps
 
-    def money(self, value: float) -> float:
-        """Inverse of value(); rejects values outside the curve's range,
-        and values whose money is beyond a float's range."""
-        v = float(value)
-        if not math.isfinite(v):
-            raise ValueError(f"value must be finite, got {value!r}")
-        if self._log_branch:
-            return self._exp(v, v)
-        if self.theta == 0.0:
-            if v + 1.0 <= 0.0:
+    def money(self, value):
+        """Inverse of value(), of a float or of each element of an array.
+
+        A float gives a float and an array an array.  exp and log1p are
+        math's, applied one element at a time, since numpy's differ from
+        them in the last bit on some values.  Rejects values that are not
+        finite, values outside the curve's range, and values whose money
+        is beyond a float's range, in that order of checks; an array's
+        error names its first element that fails the check.
+        """
+        v = np.asarray(value, dtype=float)
+        finite = np.isfinite(v)
+        if not finite.all():
+            got = value if v.ndim == 0 else _first(v, ~finite)
+            raise ValueError(f"value must be finite, got {got!r}")
+        eps = 1.0 - self.theta
+        log_branch = self._log_branch
+        if not log_branch:
+            scaled = v * eps
+            bad = 1.0 + scaled <= 0.0
+            if bad.any():
                 raise ValueError(
-                    f"value {v!r} lies outside the range of the theta=0.0 curve"
+                    f"value {_first(v, bad)!r} lies outside the range of the "
+                    f"theta={self.theta} curve"
                 )
-            return v + 1.0
-        eps = 1.0 - self.theta
-        base = 1.0 + v * eps
-        if base <= 0.0:
-            raise ValueError(
-                f"value {v!r} lies outside the range of the theta={self.theta} curve"
-            )
-        return self._exp(math.log1p(v * eps) / eps, v)
-
-    def _exp(self, power: float, value: float) -> float:
-        try:
-            return math.exp(power)
-        except OverflowError:
-            raise ValueError(
-                f"value {value!r} needs more money than a float holds under "
-                f"the theta={self.theta} curve"
-            ) from None
-
-    def money_array(self, values: np.ndarray) -> np.ndarray:
-        """money() of every element, with the same arithmetic: exp and
-        log1p stay math's, one element at a time, since numpy's differ
-        from them in the last bit on some values.  Raises a bare
-        ValueError, or math's OverflowError, if money() would refuse an
-        element."""
-        v = np.asarray(values, dtype=float)
-        n = v.size
-        if not np.isfinite(v).all():
-            raise ValueError
-        if self._log_branch:
-            return np.fromiter(map(math.exp, v.tolist()), float, n)
         if self.theta == 0.0:
-            if (v + 1.0 <= 0.0).any():
-                raise ValueError
-            return v + 1.0
-        eps = 1.0 - self.theta
-        if (1.0 + v * eps <= 0.0).any():
-            raise ValueError
-        power = np.fromiter(map(math.log1p, (v * eps).tolist()), float, n) / eps
-        return np.fromiter(map(math.exp, power.tolist()), float, n)
+            money = v + 1.0
+        else:
+            power = v if log_branch else _elementwise(math.log1p, scaled) / eps
+            try:
+                money = _elementwise(math.exp, power)
+            except OverflowError:
+                # Find the first value whose money overflows, to name it.
+                for p, x in zip(power.ravel().tolist(), v.ravel().tolist()):
+                    try:
+                        math.exp(p)
+                    except OverflowError:
+                        raise ValueError(
+                            f"value {x!r} needs more money than a float holds "
+                            f"under the theta={self.theta} curve"
+                        ) from None
+                raise
+        return float(money) if money.ndim == 0 else money
+
+
+def _first(values: np.ndarray, mask: np.ndarray) -> float:
+    """The first element of `values` where `mask` is set, as a float."""
+    return float(values.ravel()[mask.ravel().argmax()])
+
+
+def _elementwise(f, values: np.ndarray) -> np.ndarray:
+    """f of every element of an array of floats, in the array's shape."""
+    return np.fromiter(map(f, values.ravel().tolist()), float, values.size).reshape(
+        values.shape
+    )
 
 
 class MoneyMap:
@@ -251,13 +255,10 @@ class MoneyMap:
     # Highest value the map is given for; awards lifting past it extrapolate.
     top: float = math.inf
 
-    def to_money(self, value: float) -> float:
-        raise NotImplementedError
-
-    def to_money_array(self, values: np.ndarray) -> np.ndarray:
-        """to_money() of every element, bit for bit; raises a bare
-        ValueError, or math's OverflowError, if to_money() would refuse
-        an element."""
+    def to_money(self, value):
+        """Money for a float, or for each element of an array: a float
+        gives a float and an array an array.  A value the map refuses
+        raises a ValueError that names it, for an array its first."""
         raise NotImplementedError
 
     def spec(self) -> dict:
@@ -269,11 +270,8 @@ class MoneyMap:
 class IdentityMoneyMap(MoneyMap):
     """Value units are money units."""
 
-    def to_money(self, value: float) -> float:
-        return float(value)
-
-    def to_money_array(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values, dtype=float)
+    def to_money(self, value):
+        return float(value) if np.ndim(value) == 0 else np.asarray(value, dtype=float)
 
     def spec(self) -> dict:
         return {"kind": "identity"}
@@ -285,11 +283,8 @@ class CurveMoneyMap(MoneyMap):
 
     curve: UtilityCurve
 
-    def to_money(self, value: float) -> float:
+    def to_money(self, value):
         return self.curve.money(value)
-
-    def to_money_array(self, values: np.ndarray) -> np.ndarray:
-        return self.curve.money_array(values)
 
     def spec(self) -> dict:
         return {"kind": "crra", "theta": self.curve.theta}
@@ -335,19 +330,16 @@ class TabulatedMoneyMap(MoneyMap):
             np.array([p[1] for p in self.points]),
         )
 
-    def to_money(self, value: float) -> float:
-        v = float(value)
+    def to_money(self, value):
+        v = np.asarray(value, dtype=float)
         low, high = self.points[0][0], self.points[-1][0]
-        if v < low or v > high:
-            raise ValueError(f"value {v!r} outside tabulated domain [{low}, {high}]")
-        return float(np.interp(v, *self._knots))
-
-    def to_money_array(self, values: np.ndarray) -> np.ndarray:
-        v = np.asarray(values, dtype=float)
-        vs, ms = self._knots
-        if ((v < vs[0]) | (v > vs[-1])).any():
-            raise ValueError
-        return np.interp(v, vs, ms)
+        bad = (v < low) | (v > high)
+        if bad.any():
+            raise ValueError(
+                f"value {_first(v, bad)!r} outside tabulated domain [{low}, {high}]"
+            )
+        money = np.interp(v, *self._knots)
+        return float(money) if money.ndim == 0 else money
 
     @property
     def top(self) -> float:
@@ -382,8 +374,8 @@ def _award(money: MoneyMap, v1: float, x: float) -> float:
 
 
 def _awards(money: MoneyMap, v1: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """_award over arrays, with the same arithmetic; raises a bare
-    ValueError, or math's OverflowError, if it would refuse any outcome."""
+    """_award over arrays, with the same arithmetic; raises a ValueError
+    if it would refuse any outcome."""
     # An overflow shows as a non-finite award, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         lifted = v1 + x
@@ -392,11 +384,11 @@ def _awards(money: MoneyMap, v1: np.ndarray, x: np.ndarray) -> np.ndarray:
             up = np.where(
                 past,
                 money.extrapolate_top(lifted),
-                money.to_money_array(np.minimum(lifted, money.top)),
+                money.to_money(np.minimum(lifted, money.top)),
             )
         else:
-            up = money.to_money_array(lifted)
-        award = up - money.to_money_array(v1)
+            up = money.to_money(lifted)
+        award = up - money.to_money(v1)
     if not ((x >= 0.0).all() and np.isfinite(award).all()):
         raise ValueError
     return award
@@ -422,7 +414,7 @@ def award_from_compensation(money: MoneyMap, v1, x):
     x = np.asarray(x, dtype=float)
     try:
         return _awards(money, v1, x)
-    except (ValueError, OverflowError):
+    except ValueError:
         pass  # the calls below name the first failing outcome
     return np.array([_award(money, a, b) for a, b in zip(v1.tolist(), x.tolist())])
 

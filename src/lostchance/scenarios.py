@@ -5,6 +5,10 @@ whatever published couplings belong to it.  The prize scenario carries
 two: the evidence table, and a published least-divergence table that the
 engine's own comonotone matching beats on cost (the discrepancy is
 flagged wherever that table is used).
+
+The Matos award has a closed form; one function prices it, for one risk
+aversion over a whole axis of success chances, and serves both
+`matos_award` and `matos_sweep`.
 """
 
 from __future__ import annotations
@@ -249,9 +253,17 @@ def matos_award(p: float, theta: float) -> float:
     running the full lost-choice pipeline on the built-in Matos case.
     """
     p = _matos_chance(p)
+    return _matos_awards(theta, np.array([p]))[0]
+
+
+def _matos_awards(theta: float, p: np.ndarray) -> list[float]:
+    """The Matos award at risk aversion theta for each of the checked
+    chances `p`, at least one: one curve and one award call for the axis."""
     curve, (v_low, v_refuse, v_top) = _matos_values(theta)
-    x = max(0.0, p * v_top + (1.0 - p) * v_low - v_refuse)
-    return award_from_compensation(CurveMoneyMap(curve), v_refuse, x)
+    gain = p * v_top + (1.0 - p) * v_low - v_refuse
+    x = np.where(gain > 0.0, gain, 0.0)
+    v1 = np.full(p.size, v_refuse)
+    return award_from_compensation(CurveMoneyMap(curve), v1, x).tolist()
 
 
 MATOS_BAND_EDGES = (0.0, 125_000.0, 250_000.0, 375_000.0, 500_000.0)
@@ -296,29 +308,22 @@ def matos_sweep(
 ) -> Iterator[dict[str, object]]:
     """Award grid over risk aversion and success chance, banded for plotting.
 
-    Each theta's curve is built once and prices its whole p axis in one
-    award call, bit for bit the `matos_award` of every point.  The rows,
-    and the error of the first point `matos_award` refuses, come in the
-    same order: a point with a bad p raises the p error even when its
-    theta is bad too, and a theta is never checked when p has no points.
-    A re-iterable p axis is read and checked once, at the first theta; a
-    one-shot iterator is read by each theta in turn, so only the first
-    sees its points.
+    Each theta prices its whole p axis as `matos_award` prices one point,
+    in one award call.  The rows, and the error of the first point
+    `matos_award` refuses, come in the same order: a point with a bad p
+    raises the p error even when its theta is bad too, and a theta is
+    never checked when p has no points.  A re-iterable p axis is read and
+    checked once, at the first theta; a one-shot iterator is read by each
+    theta in turn, so only the first sees its points.
     """
     read = False
     for theta in thetas:
         if not read or iter(ps) is ps:
             chances, error = _matos_chances(ps)
             p_axis = np.array(chances)
-            q_axis = 1.0 - p_axis
             read = True
         if chances:
-            curve, (v_low, v_refuse, v_top) = _matos_values(theta)
-            # matos_award's max(0.0, ...), in its operation order.
-            gain = p_axis * v_top + q_axis * v_low - v_refuse
-            x = np.where(gain > 0.0, gain, 0.0)
-            v1 = np.full(p_axis.size, v_refuse)
-            awards = award_from_compensation(CurveMoneyMap(curve), v1, x).tolist()
+            awards = _matos_awards(theta, p_axis)
             theta = float(theta)
             for p, award in zip(chances, awards):
                 yield {"theta": theta, "p": p, "award": award, "band": matos_band(award)}

@@ -14,6 +14,10 @@ A policy combination picks three things:
 The fair-mean shift lambda solves E[max(0, gap_K - lambda)] = E[V0 - V1]
 exactly: the left side is piecewise linear and non-increasing in lambda,
 so scanning its breakpoints gives a closed-form root.
+
+Valuation reads a coupling only through its column moments
+(`Coupling.column_moments`); how a coupling stores its cells is the
+coupling module's business.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import numpy as np
 
 from .coupling import (
     Coupling,
-    RankOneCells,
     coupling_from_map,
     evidence_coupling,
     independence_coupling,
@@ -90,44 +93,17 @@ STANDARD_COMBOS = tuple(itertools.starmap(PolicyCombo, itertools.product(*STANDA
 class CouplingStack:
     """Couplings of one outcome space, row after row, and their column
     moments as (coupling x outcome) arrays: `mass[i, k]` is P(O1 = k) and
-    `v0[i, k]` is E[V0 1{O1 = k}] under coupling i.  A lone coupling is a
-    one-row stack.
-
-    The explicit couplings' moments come from one `np.bincount` pair over
-    all their cells, each column index offset by its coupling's row.  A
-    bin adds only its own coupling's cells, in cell order, so every moment
-    is bit for bit `Coupling.column_moments`.  A rank-one (independence)
-    coupling keeps its closed form.
+    `v0[i, k]` is E[V0 1{O1 = k}] under coupling i, row i being that
+    coupling's own `column_moments`.  A lone coupling is a one-row stack.
     """
 
     def __init__(self, couplings: Sequence[Coupling]) -> None:
         self.couplings = couplings = tuple(couplings)
         self.space = space = couplings[0].space
         v = space.values_array
-        k, n = len(couplings), space.size
-        # Coupling i's column j is bin i * n + j.
-        explicit = [
-            (c.cells, i * n)
-            for i, c in enumerate(couplings)
-            if not isinstance(c.cells, RankOneCells)
-        ]
-        if len(explicit) == 1:
-            ((cells, at),) = explicit
-            cols, rows, mass = cells.cols + at, cells.rows, cells.mass
-        elif explicit:
-            cols, rows, mass = (
-                np.concatenate(arrays)
-                for arrays in zip(*[(c.cols + at, c.rows, c.mass) for c, at in explicit])
-            )
-        if explicit:
-            self.mass = np.bincount(cols, weights=mass, minlength=k * n).reshape(k, n)
-            self.v0 = np.bincount(cols, weights=mass * v[rows], minlength=k * n).reshape(k, n)
-        else:
-            self.mass, self.v0 = np.empty((k, n)), np.empty((k, n))
-        for i, c in enumerate(couplings):
-            if isinstance(c.cells, RankOneCells):
-                self.mass[i] = c.cells.sum(axis=0)
-                self.v0[i] = c.cells.column_sums(v)
+        self.mass, self.v0 = (
+            np.array(moments) for moments in zip(*(c.column_moments for c in couplings))
+        )
         self.scale = max(1.0, float(np.abs(v).max()))
         # E[V0 - V1] under each coupling.
         self.mean_gaps = [float(v0.sum() - mass @ v) for mass, v0 in zip(self.mass, self.v0)]

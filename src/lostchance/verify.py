@@ -69,8 +69,6 @@ def random_case(
     rng: np.random.Generator,
     min_outcomes: int = 2,
     max_outcomes: int = 4,
-    allow_value_ties: bool = True,
-    allow_zero_factual: bool = True,
 ) -> CaseModel:
     """Random validated case with well-separated weights.
 
@@ -80,7 +78,7 @@ def random_case(
     """
     n = int(rng.integers(min_outcomes, max_outcomes + 1))
     values = rng.uniform(-10.0, 10.0, size=n)
-    if allow_value_ties and n >= 3 and rng.random() < 0.2:
+    if n >= 3 and rng.random() < 0.2:
         values[int(rng.integers(1, n))] = values[0]
     labels = tuple(f"o{i}" for i in range(n))
 
@@ -94,7 +92,7 @@ def random_case(
     return CaseModel(
         space=OutcomeSpace(labels, values),
         counterfactual=DiscreteDistribution(weights(False)),
-        factual=DiscreteDistribution(weights(allow_zero_factual)),
+        factual=DiscreteDistribution(weights(True)),
         money=IdentityMoneyMap(),
     )
 
@@ -624,6 +622,8 @@ def run_verification(
     """
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     report = VerificationReport(
         seed=int(seed), instances=int(instances), lambda_offset=float(lambda_offset)
     )

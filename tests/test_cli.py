@@ -446,6 +446,17 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == f"error: instances must be at least 1, got {count}\n"
 
+    def test_negative_seed_is_an_input_error_before_any_suite(self, capsys, monkeypatch):
+        from lostchance import verify
+
+        def no_suites(*args):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(verify, "_run_suites", no_suites)
+        code, out, err = run(capsys, ["verify", "--seed", "-1", "--instances", "5"])
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_one_instance_passes_when_no_check_fails(self, capsys):
         # Seed 0's one instance has no positive mean gap, so the fair-mean
         # suite draws on until an instance has one.

@@ -275,6 +275,59 @@ class TestAwardArrays:
             award_from_compensation(curve, arrays(1.0, 1e160), arrays(0.0, 0.0))
 
 
+class TestMoneyOnArrays:
+    """`to_money` of an array is the float call of each element, and the
+    formula of each map written out here with math's functions."""
+
+    CASES = [
+        (IdentityMoneyMap(), lambda v: v, (-50.0, 50.0)),
+        (CurveMoneyMap(UtilityCurve(0.0)), lambda v: v + 1.0, (-0.99, 50.0)),
+        (
+            CurveMoneyMap(UtilityCurve(0.5)),
+            lambda v: math.exp(math.log1p(v * 0.5) / 0.5),
+            (-1.99, 50.0),
+        ),
+        (CurveMoneyMap(UtilityCurve(1.0)), math.exp, (-50.0, 50.0)),
+    ]
+
+    @pytest.mark.parametrize(
+        "money,formula,span", CASES, ids=["identity", "theta0", "theta0.5", "theta1"]
+    )
+    def test_matches_the_float_calls_and_the_formula(self, money, formula, span):
+        values = np.random.default_rng(11).uniform(*span, size=3000)
+        self._check(money, formula, values)
+
+    def test_table_matches_the_float_calls_and_the_formula(self):
+        # Slope 2 up to value 1, then 1/2, on values a 1/8 apart: every
+        # step of the interpolation is exact, in any order of operations.
+        table = TabulatedMoneyMap(((0.0, 0.0), (1.0, 2.0), (3.0, 3.0)))
+        values = np.arange(25) / 8.0
+        self._check(table, lambda v: 2.0 * v if v <= 1.0 else 2.0 + (v - 1.0) / 2.0, values)
+
+    @staticmethod
+    def _check(money, formula, values):
+        got = money.to_money(values)
+        assert isinstance(got, np.ndarray) and got.shape == values.shape
+        floats = [money.to_money(v) for v in values.tolist()]
+        assert all(type(m) is float for m in floats)
+        assert got.tolist() == floats == [formula(v) for v in values.tolist()]
+
+    @pytest.mark.parametrize(
+        "money,values,message",
+        [
+            (CurveMoneyMap(UtilityCurve(0.5)), [1.0, -3.0, -4.0], "value -3.0 lies outside"),
+            (CurveMoneyMap(UtilityCurve(0.0)), [1.0, -1.0], "value -1.0 lies outside"),
+            (CurveMoneyMap(UtilityCurve(0.5)), [1.0, 2.0, np.inf], "got inf"),
+            (CurveMoneyMap(UtilityCurve(1.0)), [1.0, 800.0, 900.0], "value 800.0 needs more money"),
+            (TabulatedMoneyMap(((0.0, 0.0), (1.0, 10.0))), [0.5, 1.5], "value 1.5 outside"),
+        ],
+        ids=["range", "theta0-range", "finite", "overflow", "table"],
+    )
+    def test_a_refused_element_is_named(self, money, values, message):
+        with pytest.raises(ValueError, match=message):
+            money.to_money(np.array(values))
+
+
 class TestOutcomeSpace:
     def test_index_lookup(self):
         space = OutcomeSpace(("a", "b"), (1.0, 2.0))

@@ -17,7 +17,8 @@ the repr of its values and awards, and its notes.  The grid must warn of
 the same dropped blocks, in the same order, as its tables evaluated one
 by one.  A family of such cases over one outcome space, with their own
 marginals, supports and evidence, must give each case's own grid, case
-after case, with the same warnings.
+after case, with the same warnings.  A `CouplingStack`'s rows must be its
+couplings' own column moments, bit for bit.
 """
 
 import warnings
@@ -25,14 +26,19 @@ import warnings
 import numpy as np
 import pytest
 
-from lostchance.coupling import least_divergence_coupling
+from lostchance.coupling import (
+    coupling_from_map,
+    evidence_coupling,
+    independence_coupling,
+    least_divergence_coupling,
+)
 from lostchance.outcome import (
     CaseModel,
     DiscreteDistribution,
     IdentityMoneyMap,
     OutcomeSpace,
 )
-from lostchance.valuation import PolicyCombo, evaluate_grid
+from lostchance.valuation import CouplingStack, PolicyCombo, evaluate_grid
 
 INFOS = ("l-fi", "m-fi", "h-fi", "custom")
 CONNECTIONS = ("e-c", "ld-c", "i-c", "paper-table")
@@ -195,3 +201,40 @@ def test_family_equals_its_cases_one_at_a_time(seed):
         supports.add(len({s.outcomes for s in grid}))
     # Some family of the seed's has cases whose factual supports differ.
     assert max(supports) > 1
+
+
+def _couplings(model, evidence):
+    """The case's e-c (when it has evidence), ld-c and i-c couplings."""
+    out = []
+    if isinstance(evidence, dict):
+        out.append(coupling_from_map(model, evidence))
+    elif evidence is not None:
+        out.append(evidence_coupling(model, evidence))
+    return out + [least_divergence_coupling(model), independence_coupling(model)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stack_rows_are_each_couplings_column_moments(seed):
+    """Row i of a stack's `mass` and `v0` is coupling i's own
+    `column_moments`, bit for bit, in a stack that mixes explicit cells
+    and a rank-one (independence) coupling, and in a two-case family."""
+    rng = np.random.default_rng(2000 + seed)
+    kinds, evidence_kinds = set(), set()
+    for _ in range(8):
+        model, evidence, _, _ = random_grid_case(rng)
+        other, other_evidence, _, _ = random_grid_case(rng, model.space)
+        evidence_kinds |= {type(evidence).__name__, type(other_evidence).__name__}
+        for couplings in (
+            _couplings(model, evidence),
+            _couplings(model, evidence) + _couplings(other, other_evidence),
+        ):
+            stack = CouplingStack(couplings)
+            assert stack.mass.shape == stack.v0.shape == (len(couplings), model.space.size)
+            for i, coupling in enumerate(couplings):
+                mass, v0 = coupling.column_moments
+                assert stack.mass[i].tobytes() == mass.tobytes()
+                assert stack.v0[i].tobytes() == v0.tobytes()
+                kinds.add(type(coupling.cells).__name__)
+    assert kinds == {"Cells", "RankOneCells"}
+    # e-c from an evidence matrix and from an outcome map both occur.
+    assert {"ndarray", "dict"} <= evidence_kinds
