@@ -21,7 +21,6 @@ from .choice import (
     presume_choice_ii_cp,
     presume_choice_it_cp,
     validate_choice_case,
-    vk_factorize,
 )
 from .coupling import (
     Cells,
@@ -171,5 +170,4 @@ __all__ = [
     "urn_painted",
     "validate_case",
     "validate_choice_case",
-    "vk_factorize",
 ]

@@ -11,8 +11,9 @@ The joint law factorizes through two channels: a choice channel tying
 the counterfactual choice to the (known) factual one, and a result
 channel coupling results given each choice pair.  This makes the
 counterfactual choice conditionally independent of the factual result
-given the factual choice.  Flattening the pair space to ordinary
-outcomes lets the standard valuation pipeline run unchanged.
+given the factual choice.  `evaluate_choice_case` flattens the pair
+space to ordinary outcomes and prices a list of policy combinations on
+the standard pipeline as one policy grid.
 
 A mitigation offset handles the dual case where the victim later
 neglected a duty of their own: the tortfeasor's liability is reduced by
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,7 +42,7 @@ from .valuation import (
     CompensationSchedule,
     ConfigurationError,
     PolicyCombo,
-    evaluate_policy,
+    evaluate_grid,
 )
 
 _PRESUMPTION_RULE_NOTE = (
@@ -138,10 +140,14 @@ class ChoiceCaseModel:
     def outcome_label(self, choice: str, result: str) -> str:
         return f"{choice}|{result}"
 
-    def with_note(self, note: str) -> "ChoiceCaseModel":
-        if note in self.notes:
-            return self
-        return replace(self, notes=self.notes + (note,))
+    @cached_property
+    def space(self) -> OutcomeSpace:
+        """The flattened outcome space: pair (c, r) at index c*nr + r,
+        labelled 'choice|result' and valued values[c][r]."""
+        labels = itertools.starmap(
+            self.outcome_label, itertools.product(self.choices, self.results)
+        )
+        return OutcomeSpace(tuple(labels), self.value_matrix.ravel())
 
 
 def _result_coupling_sum_errors(
@@ -174,6 +180,15 @@ def validate_choice_case(model: ChoiceCaseModel) -> ChoiceCaseModel:
         errs.append("no results")
     if len(set(model.results)) != len(model.results):
         errs.append("duplicate result labels")
+    # Only a label holding '|' can make two pairs share a flattened label.
+    if any("|" in lab for lab in model.choices + model.results):
+        first: dict[str, tuple[str, str]] = {}
+        for pair in itertools.product(model.choices, model.results):
+            label = model.outcome_label(*pair)
+            if first.setdefault(label, pair) != pair:
+                errs.append(
+                    f"pairs {first[label]!r} and {pair!r} share the outcome label {label!r}"
+                )
     if not model.duty:
         errs.append("duty set is empty")
     for c in sorted(model.duty):
@@ -279,8 +294,7 @@ def _with_presumed(model: ChoiceCaseModel, rule: str) -> ChoiceCaseModel:
     if rule == "ii-cp" and overriding:
         added.append("presumption(ii-cp) overrides supplied counterfactual choice evidence")
     added.append(_PRESUMPTION_RULE_NOTE)
-    # with_note's rules, in one copy: a note already present is skipped,
-    # and the rest keep their order.
+    # A note already present is skipped, and the rest keep their order.
     notes = model.notes
     for note in added:
         if note not in notes:
@@ -303,7 +317,11 @@ def presume_choice_ii_cp(model: ChoiceCaseModel) -> ChoiceCaseModel:
 def _factorized_cells(model: ChoiceCaseModel) -> Cells:
     """Cells of the (C0, R0) x (C1, R1) joint, pair (c, r) at index c*nr + r.
 
-    The factual choice is known, so only its columns carry mass.
+    The factual choice is known, so only its columns carry mass.  Results
+    are coupled per counterfactual choice, by the supplied matrix when one
+    exists and comonotonically (in value order) otherwise, so the
+    counterfactual choice carries no information about the factual result
+    beyond the factual choice.
     """
     if model.counterfactual_choice is None:
         raise ConfigurationError(
@@ -345,19 +363,6 @@ def _factorized_cells(model: ChoiceCaseModel) -> Cells:
     )
 
 
-def vk_factorize(model: ChoiceCaseModel) -> np.ndarray:
-    """Joint law over (C0, R0, C1, R1) via separate choice and result channels.
-
-    The factual choice is known, so the choice channel is degenerate
-    there.  Results are coupled per counterfactual choice, by the
-    supplied matrix when one exists and comonotonically (in value order)
-    otherwise.  By construction the counterfactual choice carries no
-    information about the factual result beyond the factual choice.
-    """
-    nc, nr = model.n_choices, model.n_results
-    return np.asarray(_factorized_cells(model)).reshape(nc, nr, nc, nr)
-
-
 def flatten_choice_case(model: ChoiceCaseModel) -> tuple[CaseModel, Cells]:
     """Collapse (choice, result) pairs into a plain case plus its coupling.
 
@@ -365,22 +370,16 @@ def flatten_choice_case(model: ChoiceCaseModel) -> tuple[CaseModel, Cells]:
     cells, so every downstream policy runs unchanged.
     """
     cells = _factorized_cells(model)
-    nc, nr = model.n_choices, model.n_results
-    labels = itertools.starmap(
-        model.outcome_label, itertools.product(model.choices, model.results)
-    )
-    space = OutcomeSpace(tuple(labels), model.value_matrix.ravel())
+    nr = model.n_results
     fc = model.choice_index(model.factual_choice)
-    cf_weights = np.zeros(nc * nr)
-    for i in range(nc):
-        pc = model.counterfactual_choice.weights[i]
-        cf_weights[i * nr : (i + 1) * nr] = (
-            pc * model.result_given_choice_cf[i].array
-        )
-    f_weights = np.zeros(nc * nr)
+    cf_weights = np.concatenate([
+        pc * dist.array
+        for pc, dist in zip(model.counterfactual_choice.weights, model.result_given_choice_cf)
+    ])
+    f_weights = np.zeros(model.space.size)
     f_weights[fc * nr : (fc + 1) * nr] = model.result_given_choice_f[fc].array
     case = CaseModel(
-        space=space,
+        space=model.space,
         counterfactual=DiscreteDistribution(cf_weights),
         factual=DiscreteDistribution(f_weights),
         money=model.money,
@@ -408,20 +407,16 @@ def resolve_choice(
 
 def evaluate_choice_case(
     model: ChoiceCaseModel,
-    combo: PolicyCombo,
+    combos: Sequence[PolicyCombo],
     presumption: Optional[str] = "it-cp",
     custom_blocks: Optional[Sequence[Sequence[int]]] = None,
-) -> CompensationSchedule:
-    """Resolve the counterfactual choice, flatten, and run the policy."""
+) -> list[CompensationSchedule]:
+    """One schedule per combination, in order: resolve the counterfactual
+    choice, flatten, and price `combos` as one policy grid.  Custom
+    blocks hold indices into `model.space`."""
     resolved = resolve_choice(model, presumption)
     case, evidence = flatten_choice_case(resolved)
-    return evaluate_policy(
-        case,
-        combo,
-        evidence_joint=evidence,
-        custom_blocks=custom_blocks,
-        extra_notes=resolved.notes,
-    )
+    return evaluate_grid(case, combos, evidence, custom_blocks, resolved.notes)
 
 
 def mitigation_offset(
@@ -441,7 +436,7 @@ def mitigation_offset(
     if dual.factual_choice in dual.duty:
         dual_award = 0.0
     else:
-        schedule = evaluate_choice_case(dual, combo, presumption=presumption)
+        [schedule] = evaluate_choice_case(dual, [combo], presumption)
         label = dual.outcome_label(dual.factual_choice, dual.factual_result)
         dual_award = schedule.award_for(label)
     return max(0.0, float(main_award) - dual_award)

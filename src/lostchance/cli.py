@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .casefile import SCHEMA_TEXT, atomic_write_text, load_case
-from .choice import flatten_choice_case, resolve_choice
+from .choice import evaluate_choice_case
 from .outcome import CaseValidationError
 from .valuation import (
     STANDARD_AXES,
@@ -177,23 +177,16 @@ def _schedules_text(schedules: list[CompensationSchedule]) -> str:
 def _evaluate_all(
     loaded, combos: list[PolicyCombo], presumption: Optional[str], custom_blocks
 ) -> list[CompensationSchedule]:
-    """One schedule per combo, from one policy grid; a choice case is
-    resolved and flattened once."""
-    case, evidence, notes = loaded.case, loaded.evidence_joint, ()
-    if loaded.kind == "choice":
-        resolved = resolve_choice(loaded.case, presumption)
-        case, evidence = flatten_choice_case(resolved)
-        notes = resolved.notes
+    """One schedule per combo, from one policy grid."""
     blocks = None
     if custom_blocks is not None:
-        blocks = _labels_to_indices(case, custom_blocks)
-    return evaluate_grid(
-        case, combos, evidence_joint=evidence, custom_blocks=blocks, extra_notes=notes
-    )
+        blocks = _labels_to_indices(loaded.case.space, custom_blocks)
+    if loaded.kind == "choice":
+        return evaluate_choice_case(loaded.case, combos, presumption, blocks)
+    return evaluate_grid(loaded.case, combos, loaded.evidence_joint, blocks)
 
 
-def _labels_to_indices(case_model, blocks: list[list[str]]) -> list[list[int]]:
-    space = case_model.space
+def _labels_to_indices(space, blocks: list[list[str]]) -> list[list[int]]:
     try:
         return [[space.index(lab) for lab in block] for block in blocks]
     except KeyError as exc:

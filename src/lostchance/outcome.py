@@ -415,8 +415,19 @@ def award_from_compensation(money: MoneyMap, v1, x):
     try:
         return _awards(money, v1, x)
     except ValueError:
-        pass  # the calls below name the first failing outcome
-    return np.array([_award(money, a, b) for a, b in zip(v1.tolist(), x.tolist())])
+        pass
+    # A prefix fails exactly when one of its outcomes does: bisect for the
+    # shortest failing prefix, whose last outcome's own call names the error.
+    ok, bad = 0, v1.size
+    while bad - ok > 1:
+        mid = (ok + bad) // 2
+        try:
+            _awards(money, v1[:mid], x[:mid])
+            ok = mid
+        except ValueError:
+            bad = mid
+    _award(money, float(v1[ok]), float(x[ok]))
+    raise AssertionError(f"outcome {ok} fails as part of an array but not alone")
 
 
 @dataclass(frozen=True)

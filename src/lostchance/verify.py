@@ -32,10 +32,10 @@ import numpy as np
 from .choice import (
     ChoiceCaseModel,
     best_dutiful_choice,
+    flatten_choice_case,
     mitigation_offset,
     presume_choice_it_cp,
     presume_choice_ii_cp,
-    vk_factorize,
 )
 from .coupling import (
     evidence_coupling,
@@ -446,7 +446,9 @@ def _check_gap_identity(res: PropertyResult, rng, instances: range) -> None:
 def _check_choice_independence(res: PropertyResult, rng, instances: range) -> None:
     for i in instances:
         model = presume_choice_it_cp(random_choice_case(rng))
-        joint4 = vk_factorize(model)
+        # The joint `evaluate` prices, as (C0, R0, C1, R1).
+        nc, nr = model.n_choices, model.n_results
+        joint4 = np.asarray(flatten_choice_case(model)[1]).reshape(nc, nr, nc, nr)
         fc = model.choice_index(model.factual_choice)
         f_cond = model.result_given_choice_f[fc].array
         for c0 in range(model.n_choices):

@@ -14,6 +14,7 @@ from lostchance import (
     evaluate_choice_case,
     evaluate_policy,
     evidence_coupling,
+    flatten_choice_case,
     fm_indemnity,
     least_divergence_coupling,
     matos_award,
@@ -28,7 +29,6 @@ from lostchance import (
     schedule_risk,
     selective_groups,
     transport_cost,
-    vk_factorize,
 )
 from lostchance.choice import ChoiceCaseModel
 from lostchance.tables import (
@@ -187,23 +187,21 @@ def test_criterion_4_quiz_show_award():
 
         # Every info x connection x indemnity combination agrees, because
         # the factual position is degenerate.
+        combos = [
+            PolicyCombo(info, conn, indem)
+            for info in ("l-fi", "m-fi", "h-fi")
+            for conn in ("e-c", "ld-c", "i-c", "paper-table")
+            for indem in ("cc-i", "fm-i")
+        ]
+        assert len(combos) == 24
         for p, theta in ((0.7, 0.0), (0.95, 1.0), (0.8, 0.5), (0.3, 0.0)):
-            model = matos_case(p, theta)
-            label = "refuse|500000"
             base = matos_award(p, theta)
             tol = 1e-9 * max(1.0, abs(base))
-            n = 0
-            for info in ("l-fi", "m-fi", "h-fi"):
-                for conn in ("e-c", "ld-c", "i-c", "paper-table"):
-                    for indem in ("cc-i", "fm-i"):
-                        sched = evaluate_choice_case(
-                            model, PolicyCombo(info, conn, indem)
-                        )
-                        assert abs(sched.award_for(label) - base) <= tol, (
-                            p, theta, info, conn, indem,
-                        )
-                        n += 1
-            assert n == 24
+            grid = evaluate_choice_case(matos_case(p, theta), combos)
+            for sched in grid:
+                assert abs(sched.award_for("refuse|500000") - base) <= tol, (
+                    p, theta, sched.policy.descriptor,
+                )
 
     _check(4, "quiz-show-award", body)
 
@@ -285,7 +283,9 @@ def test_criterion_7_choice_layer_properties():
         for i in range(60):
             model = random_choice_case(rng)
             resolved = presume_choice_it_cp(model)
-            joint4 = vk_factorize(resolved)
+            nc, nr = resolved.n_choices, resolved.n_results
+            _, cells = flatten_choice_case(resolved)
+            joint4 = np.asarray(cells).reshape(nc, nr, nc, nr)
             fc = resolved.choice_index(resolved.factual_choice)
             f_cond = resolved.result_given_choice_f[fc].array
             for c0 in range(resolved.n_choices):

@@ -237,6 +237,50 @@ class TestChoiceForm:
         assert any("are not choices" in e for e in errs)
 
 
+def colliding_choice_data():
+    """Choice 'a|b' with result 'c', and choice 'a' with result 'b|c': both
+    pairs flatten to the outcome label 'a|b|c'."""
+    conditional = {"c": 0.5, "b|c": 0.5}
+    return {
+        "money": {"kind": "identity"},
+        "choice": {
+            "choices": ["a|b", "a"],
+            "duty": ["a"],
+            "results": ["c", "b|c"],
+            "values": [[0.0, 1.0], [2.0, 3.0]],
+            "counterfactual_choice": None,
+            "result_given_choice_counterfactual": {"a|b": conditional, "a": conditional},
+            "result_given_choice_factual": {"a|b": conditional, "a": conditional},
+            "factual_choice": "a|b",
+            "factual_result": "c",
+        },
+    }
+
+
+class TestPairLabelCollisions:
+    COLLISION = "pairs ('a|b', 'c') and ('a', 'b|c') share the outcome label 'a|b|c'"
+
+    def test_found_at_load(self, tmp_path):
+        path = tmp_path / "collide.json"
+        path.write_text(json.dumps(colliding_choice_data()))
+        with pytest.raises(CaseValidationError) as exc:
+            load_case(path)
+        assert exc.value.violations == (self.COLLISION,)
+
+    def test_listed_with_a_weight_sum_error(self, tmp_path, capsys):
+        data = colliding_choice_data()
+        data["choice"]["result_given_choice_factual"]["a"] = {"c": 0.5, "b|c": 0.25}
+        path = tmp_path / "collide.json"
+        path.write_text(json.dumps(data))
+        assert main(["evaluate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: case file is invalid\n"
+            f"  - {self.COLLISION}\n"
+            "  - factual results given 'a' marginal weights sum to 0.75, not 1 "
+            "(tolerance 1e-12)\n"
+        )
+
+
 class TestMoneySpecs:
     @pytest.mark.parametrize(
         "money",

@@ -13,8 +13,8 @@ from lostchance.choice import (
     mitigation_offset,
     presume_choice_ii_cp,
     presume_choice_it_cp,
+    resolve_choice,
     validate_choice_case,
-    vk_factorize,
 )
 from lostchance.outcome import (
     CaseValidationError,
@@ -22,7 +22,13 @@ from lostchance.outcome import (
     IdentityMoneyMap,
 )
 from lostchance.scenarios import matos_award, matos_case, matos_threshold
-from lostchance.valuation import ConfigurationError, PolicyCombo
+from lostchance.valuation import (
+    STANDARD_COMBOS,
+    ConfigurationError,
+    PolicyCombo,
+    evaluate_policy,
+)
+from lostchance.verify import random_choice_case
 
 
 def surgery_case(**overrides):
@@ -90,6 +96,32 @@ class TestValidation:
         with pytest.raises(CaseValidationError, match="duty set is empty"):
             validate_choice_case(surgery_case(duty=frozenset()))
 
+    def test_pair_label_collision_listed_with_other_problems(self):
+        # ('a|b', 'c') and ('a', 'b|c') would both flatten to 'a|b|c'.
+        model = surgery_case(
+            choices=("a|b", "a"),
+            duty=frozenset({"a"}),
+            results=("c", "b|c", "d"),
+            factual_choice="a",
+            factual_result="b|c",
+            result_given_choice_cf=(
+                DiscreteDistribution((0.1, 0.2, 0.6)),
+                DiscreteDistribution((0.3, 0.4, 0.3)),
+            ),
+        )
+        with pytest.raises(CaseValidationError) as exc:
+            validate_choice_case(model)
+        assert exc.value.violations == (
+            "pairs ('a|b', 'c') and ('a', 'b|c') share the outcome label 'a|b|c'",
+            "counterfactual results given 'a|b' marginal weights sum to 0.9, "
+            "not 1 (tolerance 1e-12)",
+        )
+
+    def test_labels_with_bars_need_not_collide(self):
+        model = surgery_case(choices=("op|now", "wait"), duty=frozenset({"op|now"}))
+        validate_choice_case(model)
+        assert model.space.labels[0] == "op|now|dead"
+
 
 class TestPresumptions:
     def test_scores(self):
@@ -148,13 +180,15 @@ class TestPresumptions:
             overrides,
             rule,
         )
-        # A note already present keeps its place and is not repeated, as
-        # with one `with_note` per note.
-        carried = missing.with_note("earlier").with_note(rule)
+        # A note already present keeps its place and is not repeated.
+        carried = replace(missing, notes=("earlier", rule))
         out = presume_choice_it_cp(carried)
         assert out.notes == ("earlier", rule, presumed.format("it-cp"))
-        noted = replace(carried, counterfactual_choice=out.counterfactual_choice)
-        assert out == noted.with_note(presumed.format("it-cp")).with_note(rule)
+        assert out == replace(
+            carried,
+            counterfactual_choice=out.counterfactual_choice,
+            notes=("earlier", rule, presumed.format("it-cp")),
+        )
 
     def test_presumptions_idempotent(self):
         model = surgery_case()
@@ -164,16 +198,22 @@ class TestPresumptions:
         assert twice == presume_choice_ii_cp(model)
 
 
+def joint4(model: ChoiceCaseModel) -> np.ndarray:
+    """The flattened evidence cells as the (C0, R0, C1, R1) joint."""
+    nc, nr = model.n_choices, model.n_results
+    return np.asarray(flatten_choice_case(model)[1]).reshape(nc, nr, nc, nr)
+
+
 class TestFactorization:
     def test_unresolved_choice_rejected(self):
         with pytest.raises(ConfigurationError, match="unresolved"):
-            vk_factorize(surgery_case())
+            flatten_choice_case(surgery_case())
 
     def test_conditional_independence(self):
         model = presume_choice_it_cp(
             surgery_case(counterfactual_choice=DiscreteDistribution((0.6, 0.4)))
         )
-        joint = vk_factorize(model)
+        joint = joint4(model)
         fc = model.choice_index(model.factual_choice)
         f_cond = model.result_given_choice_f[fc].array
         for c0 in range(model.n_choices):
@@ -185,7 +225,7 @@ class TestFactorization:
 
     def test_factual_choice_column_degenerate(self):
         model = presume_choice_it_cp(surgery_case())
-        joint = vk_factorize(model)
+        joint = joint4(model)
         fc = model.choice_index(model.factual_choice)
         for c1 in range(model.n_choices):
             if c1 != fc:
@@ -204,9 +244,18 @@ class TestFactorization:
             result_couplings=(("operate", anti),),
         )
         validate_choice_case(model)
-        joint = vk_factorize(model)
+        joint = joint4(model)
         fc = model.choice_index("wait")
         assert joint[0, 0, fc, 2] == pytest.approx(0.1)
+
+    def test_space_is_the_flattened_space(self):
+        model = presume_choice_it_cp(surgery_case())
+        case, _ = flatten_choice_case(model)
+        assert case.space is model.space
+        assert model.space == case.space
+        assert model.space.values == (0.0, 40.0, 100.0, 0.0, 35.0, 90.0)
+        # A presumption copies the case; the copy's space is equal.
+        assert surgery_case().space == model.space
 
     def test_flatten_marginals(self):
         model = presume_choice_it_cp(surgery_case())
@@ -229,11 +278,9 @@ class TestFactorization:
         assert np.allclose(evidence.sum(axis=0), case.factual.array)
 
     def test_evaluate_choice_matches_manual_flatten(self):
-        from lostchance.valuation import evaluate_policy
-
         model = surgery_case()
         combo = PolicyCombo("h-fi", "e-c", "cc-i")
-        via_choice = evaluate_choice_case(model, combo)
+        [via_choice] = evaluate_choice_case(model, [combo])
         resolved = presume_choice_it_cp(model)
         case, evidence = flatten_choice_case(resolved)
         direct = evaluate_policy(case, combo, evidence_joint=evidence)
@@ -243,14 +290,80 @@ class TestFactorization:
     def test_unknown_presumption_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown presumption"):
             evaluate_choice_case(
-                surgery_case(), PolicyCombo("h-fi", "e-c", "cc-i"), presumption="x-cp"
+                surgery_case(), [PolicyCombo("h-fi", "e-c", "cc-i")], presumption="x-cp"
             )
 
     def test_none_presumption_needs_evidence(self):
         with pytest.raises(ConfigurationError, match="unresolved"):
             evaluate_choice_case(
-                surgery_case(), PolicyCombo("h-fi", "e-c", "cc-i"), presumption=None
+                surgery_case(), [PolicyCombo("h-fi", "e-c", "cc-i")], presumption=None
             )
+
+
+CUSTOM = [
+    PolicyCombo("custom", conn, indem)
+    for conn in ("e-c", "ld-c", "i-c")
+    for indem in ("cc-i", "fm-i")
+]
+
+
+class TestOneChoicePath:
+    @pytest.mark.parametrize("presumption", ["it-cp", "ii-cp", None])
+    def test_grid_equals_the_calls_per_combination(self, presumption):
+        rng = np.random.default_rng(21)
+        priced = 0
+        for _ in range(12):
+            model = random_choice_case(rng)
+            resolved = resolve_choice(model, presumption)
+            if resolved.counterfactual_choice is None:
+                with pytest.raises(ConfigurationError, match="unresolved"):
+                    evaluate_choice_case(model, STANDARD_COMBOS, presumption)
+                continue
+            # Custom blocks tile the factual support, the factual choice's row.
+            nr = model.n_results
+            start = model.choice_index(model.factual_choice) * nr
+            cut = int(rng.integers(1, nr))
+            blocks = [list(range(start, start + cut)), list(range(start + cut, start + nr))]
+            combos = [*STANDARD_COMBOS, *CUSTOM]
+            grid = evaluate_choice_case(model, combos, presumption, blocks)
+            # One combination at a time, on the flattened case.
+            case, evidence = flatten_choice_case(resolved)
+            singles = [
+                evaluate_policy(case, combo, evidence, blocks, resolved.notes)
+                for combo in combos
+            ]
+            assert grid == singles
+            assert [s.notes for s in grid] == [s.notes for s in singles]
+            assert [s.policy for s in grid] == combos
+            priced += 1
+        assert priced >= 4
+
+    def test_one_flatten_and_one_award_call_per_grid(self, monkeypatch):
+        import lostchance.choice as choice
+        import lostchance.valuation as valuation
+
+        calls = []
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(choice, "flatten_choice_case")
+        counted(choice, "evaluate_grid")
+        counted(valuation, "award_from_compensation")
+        schedules = evaluate_choice_case(surgery_case(), STANDARD_COMBOS)
+        assert len(schedules) == len(STANDARD_COMBOS)
+        assert calls == ["flatten_choice_case", "evaluate_grid", "award_from_compensation"]
+
+    def test_empty_grid_still_resolves(self):
+        assert evaluate_choice_case(surgery_case(), []) == []
+        with pytest.raises(ConfigurationError, match="unresolved"):
+            evaluate_choice_case(surgery_case(), [], None)
 
 
 class TestMitigation:
@@ -315,34 +428,31 @@ class TestMatos:
     def test_closed_form_matches_pipeline(self):
         for p, theta in ((0.7, 0.0), (0.95, 1.0), (0.6, 0.5)):
             case = matos_case(p, theta)
-            sched = evaluate_choice_case(case, PolicyCombo("h-fi", "e-c", "cc-i"))
+            [sched] = evaluate_choice_case(case, [PolicyCombo("h-fi", "e-c", "cc-i")])
             award = sched.award_for("refuse|500000")
             assert award == pytest.approx(matos_award(p, theta), rel=1e-9, abs=1e-9)
 
     def test_it_cp_resolution_depends_on_chance(self):
         # above the threshold the presumption backs answering; below it,
         # refusing, which zeroes the award
-        high = evaluate_choice_case(
-            matos_case(0.7, 0.0), PolicyCombo("h-fi", "e-c", "cc-i")
+        [high] = evaluate_choice_case(
+            matos_case(0.7, 0.0), [PolicyCombo("h-fi", "e-c", "cc-i")]
         )
         assert any("presumed 'answer'" in n for n in high.notes)
         assert high.award_for("refuse|500000") > 0.0
-        low = evaluate_choice_case(
-            matos_case(0.4, 0.0), PolicyCombo("h-fi", "e-c", "cc-i")
+        [low] = evaluate_choice_case(
+            matos_case(0.4, 0.0), [PolicyCombo("h-fi", "e-c", "cc-i")]
         )
         assert any("presumed 'refuse'" in n for n in low.notes)
         assert low.award_for("refuse|500000") == 0.0
 
     def test_award_identical_across_policy_grid(self):
-        case = matos_case(0.95, 1.0)
-        baseline = None
-        for info in ("l-fi", "m-fi", "h-fi"):
-            for conn in ("e-c", "ld-c", "i-c"):
-                for indem in ("cc-i", "fm-i"):
-                    sched = evaluate_choice_case(
-                        case, PolicyCombo(info, conn, indem)
-                    )
-                    award = sched.award_for("refuse|500000")
-                    if baseline is None:
-                        baseline = award
-                    assert award == pytest.approx(baseline, rel=1e-9)
+        combos = [
+            PolicyCombo(info, conn, indem)
+            for info in ("l-fi", "m-fi", "h-fi")
+            for conn in ("e-c", "ld-c", "i-c")
+            for indem in ("cc-i", "fm-i")
+        ]
+        grid = evaluate_choice_case(matos_case(0.95, 1.0), combos)
+        awards = [sched.award_for("refuse|500000") for sched in grid]
+        assert awards == pytest.approx([awards[0]] * len(combos), rel=1e-9)

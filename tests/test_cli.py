@@ -192,6 +192,22 @@ class TestEvaluate:
         assert code == 2
         assert "counterfactual choice is unresolved" in err
 
+    def test_choice_case_custom_label_checked_before_the_choice(self, capsys, matos_file):
+        # Custom-block labels are resolved on the case's own outcome space
+        # before the counterfactual choice is resolved, so an unknown label
+        # is reported even when the choice would stay unresolved.
+        code, out, err = run(
+            capsys,
+            ["evaluate", str(matos_file), "--presumption", "none", "--info", "custom",
+             "--custom-blocks", '[["nope"]]'],
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: unknown outcome label 'nope'; 'a,b|c' splits labels at ',' "
+            "and '|', so name labels that hold them in the JSON form, for example "
+            "--custom-blocks '[[\"answer|300\"]]'\n"
+        )
+
     def test_choice_case_override_presumption(self, capsys, matos_file):
         code, _, _ = run(
             capsys, ["evaluate", str(matos_file), "--presumption", "ii-cp"]

@@ -33,8 +33,7 @@ from pathlib import Path
 import pytest
 
 import lostchance.valuation as valuation
-from lostchance import PolicyCombo, evaluate_grid, flatten_choice_case, load_case
-from lostchance.choice import resolve_choice
+from lostchance import PolicyCombo, evaluate_choice_case, evaluate_grid, load_case
 from lostchance.cli import main
 from lostchance.valuation import STANDARD_AXES
 from test_bench_spans import literal
@@ -158,16 +157,13 @@ def test_all_policies_builds_no_policy_combination(monkeypatch, capsys):
 def test_schedule_notes_keep_their_order(run):
     case, flags = _case_and_presumption(run)
     loaded = load_case(case)
-    combos, evidence, notes = GRID, loaded.evidence_joint, ()
     if loaded.kind == "choice":
-        resolved = resolve_choice(loaded.case, None if flags[1] == "none" else flags[1])
-        model, evidence = flatten_choice_case(resolved)
-        notes = resolved.notes
+        presumption = None if flags[1] == "none" else flags[1]
+        schedules = evaluate_choice_case(loaded.case, GRID, presumption)
     else:
-        model = loaded.case
-        if evidence is None:
-            combos = [c for c in GRID if c.connection != "e-c"]
-    schedules = evaluate_grid(model, combos, evidence, extra_notes=notes)
+        evidence = loaded.evidence_joint
+        combos = GRID if evidence is not None else [c for c in GRID if c.connection != "e-c"]
+        schedules = evaluate_grid(loaded.case, combos, evidence)
     expected = json.loads((GOLDEN / "schedule_notes.json").read_text())[run]
     assert [[s.policy.descriptor, list(s.notes)] for s in schedules] == expected
 

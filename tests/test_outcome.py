@@ -274,6 +274,26 @@ class TestAwardArrays:
         with pytest.raises(ValueError, match="more money than a float holds"):
             award_from_compensation(curve, arrays(1.0, 1e160), arrays(0.0, 0.0))
 
+    @pytest.mark.parametrize("bad_at", [0, 1, 1500, 2998, 2999])
+    def test_a_long_failing_array_replays_one_outcome(self, monkeypatch, bad_at):
+        import lostchance.outcome as outcome
+
+        replayed = []
+        award = outcome._award
+
+        def counted(*args):
+            replayed.append(args[1:])
+            return award(*args)
+
+        monkeypatch.setattr(outcome, "_award", counted)
+        curve = CurveMoneyMap(UtilityCurve(0.5))
+        # Every outcome from `bad_at` on is refused; the first names the error.
+        v1 = np.full(3000, 1.0)
+        v1[bad_at:] = -3.0 - np.arange(3000 - bad_at)
+        with pytest.raises(ValueError, match=r"value -2\.5 lies outside"):
+            award_from_compensation(curve, v1, np.full(3000, 0.5))
+        assert replayed == [(-3.0, 0.5)]
+
 
 class TestMoneyOnArrays:
     """`to_money` of an array is the float call of each element, and the

@@ -220,18 +220,20 @@ def test_choice_cases_match_dense_reference(nc, nr, evidence, couplings, presump
     joint = ref.choice_joint(resolved)
     assert np.array_equal(np.asarray(cells), joint)
     tol = tolerance(case)
-    for conn in ("e-c", "ld-c", "i-c"):
-        dense_joint = {
-            "e-c": joint,
-            "ld-c": ref.least_divergence_joint(case),
-            "i-c": ref.independence_joint(case),
-        }[conn]
-        for info in ("l-fi", "m-fi", "h-fi"):
-            for indemnity in INDEMNITY_POLICIES:
-                combo = PolicyCombo(info, conn, indemnity)
-                schedule = evaluate_choice_case(model, combo, presumption)
-                dense = ref.evaluate(case, combo, dense_joint)
-                assert_same_schedule(schedule, dense, tol)
+    dense_joints = {
+        "e-c": joint,
+        "ld-c": ref.least_divergence_joint(case),
+        "i-c": ref.independence_joint(case),
+    }
+    combos = [
+        PolicyCombo(info, conn, indemnity)
+        for conn in dense_joints
+        for info in ("l-fi", "m-fi", "h-fi")
+        for indemnity in INDEMNITY_POLICIES
+    ]
+    for combo, schedule in zip(combos, evaluate_choice_case(model, combos, presumption)):
+        dense = ref.evaluate(case, combo, dense_joints[combo.connection])
+        assert_same_schedule(schedule, dense, tol)
 
 
 def test_evidence_coupling_accepts_cells_and_matrix_alike():
