@@ -299,7 +299,11 @@ def _with_presumed(model: ChoiceCaseModel, rule: str) -> ChoiceCaseModel:
     for note in added:
         if note not in notes:
             notes += (note,)
-    return replace(model, counterfactual_choice=point, notes=notes)
+    presumed = replace(model, counterfactual_choice=point, notes=notes)
+    # The pair space depends only on the labels and values the copy keeps.
+    if "space" in vars(model):
+        vars(presumed)["space"] = model.space
+    return presumed
 
 
 def presume_choice_it_cp(model: ChoiceCaseModel) -> ChoiceCaseModel:

@@ -356,26 +356,13 @@ class TabulatedMoneyMap(MoneyMap):
         return {"kind": "tabulated", "points": [list(p) for p in self.points]}
 
 
-def _award(money: MoneyMap, v1: float, x: float) -> float:
-    """award_from_compensation for one outcome."""
-    if not (math.isfinite(x) and x >= 0.0):
-        raise ValueError(f"compensation must be finite and >= 0, got {x!r}")
-    v1 = float(v1)
-    if v1 + x > money.top:
-        award = money.extrapolate_top(v1 + x) - money.to_money(v1)
-    else:
-        award = money.to_money(v1 + x) - money.to_money(v1)
-    if not math.isfinite(award):
-        raise ValueError(
-            f"the award lifting value {v1!r} by {x!r} is not a finite amount "
-            f"of money"
-        )
-    return award
-
-
 def _awards(money: MoneyMap, v1: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """_award over arrays, with the same arithmetic; raises a ValueError
-    if it would refuse any outcome."""
+    """award_from_compensation on arrays of one shape.  Each check, in
+    order, names the first outcome that fails it, so a one-outcome call
+    raises that outcome's own error."""
+    good = np.isfinite(x) & (x >= 0.0)
+    if not good.all():
+        raise ValueError(f"compensation must be finite and >= 0, got {_first(x, ~good)!r}")
     # An overflow shows as a non-finite award, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         lifted = v1 + x
@@ -389,8 +376,12 @@ def _awards(money: MoneyMap, v1: np.ndarray, x: np.ndarray) -> np.ndarray:
         else:
             up = money.to_money(lifted)
         award = up - money.to_money(v1)
-    if not ((x >= 0.0).all() and np.isfinite(award).all()):
-        raise ValueError
+    finite = np.isfinite(award)
+    if not finite.all():
+        raise ValueError(
+            f"the award lifting value {_first(v1, ~finite)!r} by "
+            f"{_first(x, ~finite)!r} is not a finite amount of money"
+        )
     return award
 
 
@@ -403,21 +394,25 @@ def award_from_compensation(money: MoneyMap, v1, x):
     its last point; a lifted value past it is priced along the table's
     end segment.
 
-    v1 and x are floats, giving a float, or equal-length arrays, giving
-    the whole schedule's awards as an array in one call, bit for bit as
-    the calls per outcome would; such a call raises the error of the
-    first outcome whose own call would fail.
+    v1 and x are arrays, giving the whole schedule's awards as an array
+    in one call, or floats: a float pair gives a float, and a float
+    against an array stands for every outcome.  A refused call raises
+    the error of its first refused outcome, as that outcome alone would.
     """
-    if np.ndim(v1) == 0 and np.ndim(x) == 0:
-        return _award(money, v1, x)
-    v1 = np.asarray(v1, dtype=float)
-    x = np.asarray(x, dtype=float)
+    v1, x = np.asarray(v1, dtype=float), np.asarray(x, dtype=float)
+    pair = v1.ndim == x.ndim == 0
+    if pair:
+        v1, x = v1.reshape(1), x.reshape(1)
+    elif v1.shape != x.shape:
+        v1, x = np.broadcast_arrays(v1, x)
     try:
-        return _awards(money, v1, x)
+        award = _awards(money, v1, x)
+        return float(award[0]) if pair else award
     except ValueError:
         pass
     # A prefix fails exactly when one of its outcomes does: bisect for the
-    # shortest failing prefix, whose last outcome's own call names the error.
+    # shortest failing prefix, whose last outcome alone names the error.
+    v1, x = v1.ravel(), x.ravel()
     ok, bad = 0, v1.size
     while bad - ok > 1:
         mid = (ok + bad) // 2
@@ -426,7 +421,7 @@ def award_from_compensation(money: MoneyMap, v1, x):
             ok = mid
         except ValueError:
             bad = mid
-    _award(money, float(v1[ok]), float(x[ok]))
+    _awards(money, v1[ok : ok + 1], x[ok : ok + 1])
     raise AssertionError(f"outcome {ok} fails as part of an array but not alone")
 
 

@@ -262,8 +262,7 @@ def _matos_awards(theta: float, p: np.ndarray) -> list[float]:
     curve, (v_low, v_refuse, v_top) = _matos_values(theta)
     gain = p * v_top + (1.0 - p) * v_low - v_refuse
     x = np.where(gain > 0.0, gain, 0.0)
-    v1 = np.full(p.size, v_refuse)
-    return award_from_compensation(CurveMoneyMap(curve), v1, x).tolist()
+    return award_from_compensation(CurveMoneyMap(curve), v_refuse, x).tolist()
 
 
 MATOS_BAND_EDGES = (0.0, 125_000.0, 250_000.0, 375_000.0, 500_000.0)
@@ -312,16 +311,15 @@ def matos_sweep(
     in one award call.  The rows, and the error of the first point
     `matos_award` refuses, come in the same order: a point with a bad p
     raises the p error even when its theta is bad too, and a theta is
-    never checked when p has no points.  A re-iterable p axis is read and
-    checked once, at the first theta; a one-shot iterator is read by each
-    theta in turn, so only the first sees its points.
+    never checked when p has no points.  The p axis, whatever the
+    iterable, is read and checked once, at the first theta, and every
+    theta gets its points.
     """
-    read = False
+    chances = None
     for theta in thetas:
-        if not read or iter(ps) is ps:
+        if chances is None:
             chances, error = _matos_chances(ps)
             p_axis = np.array(chances)
-            read = True
         if chances:
             awards = _matos_awards(theta, p_axis)
             theta = float(theta)

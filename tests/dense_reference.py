@@ -5,15 +5,17 @@ was an n x n matrix, and selective groups and block gaps were taken
 column by column and block by block.  The engine now stores couplings as
 their positive cells and takes every block's gap of a connection in one
 pass; tests compare the two on random cases.  The partition
-(`build_partition`), indemnity and money steps are the engine's own,
-since they never touched the matrix.
+(`build_partition`) and indemnity steps are the engine's own, since
+they never touched the matrix; awards are priced one outcome at a time
+by `scalar_reference.award`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from lostchance.outcome import CaseModel, award_from_compensation
+import scalar_reference
+from lostchance.outcome import CaseModel
 from lostchance.valuation import (
     PolicyCombo,
     SelectiveGroups,
@@ -156,7 +158,7 @@ def evaluate(
     outcomes = tuple(model.space.labels[k] for k in support)
     values = tuple(x_of.get(k, 0.0) for k in support)
     awards = tuple(
-        award_from_compensation(model.money, float(v[k]), x)
+        scalar_reference.award(model.money, float(v[k]), x)
         for k, x in zip(support, values)
     )
     return outcomes, values, awards, groups

@@ -8,8 +8,8 @@ per-outcome data as arrays:
 * `conditional_gap` building one (outcomes, probability, gap) row per
   block;
 * `solve_lambda` scanning its breakpoints in a loop;
-* one `award_from_compensation` call per outcome, with the extrapolation
-  note added outcome by outcome;
+* one award per outcome, priced and refused one outcome at a time
+  (`award`), with the extrapolation note added outcome by outcome;
 * `evaluate --csv` written row by row;
 * the case loader's and `validate_case`'s checks, item by item.
 
@@ -109,13 +109,21 @@ def indemnity(rows, rule: str) -> np.ndarray:
 
 
 def award(money: MoneyMap, v1: float, x: float) -> float:
-    """The award for one outcome, as the engine priced it one call at a time."""
+    """The award for one outcome, as the engine priced it one call at a
+    time, with the error it raised for a refused outcome."""
     if not (math.isfinite(x) and x >= 0.0):
         raise ValueError(f"compensation must be finite and >= 0, got {x!r}")
     v1 = float(v1)
     if v1 + x > money.top:
-        return money.extrapolate_top(v1 + x) - money.to_money(v1)
-    return money.to_money(v1 + x) - money.to_money(v1)
+        award = money.extrapolate_top(v1 + x) - money.to_money(v1)
+    else:
+        award = money.to_money(v1 + x) - money.to_money(v1)
+    if not math.isfinite(award):
+        raise ValueError(
+            f"the award lifting value {v1!r} by {x!r} is not a finite amount "
+            f"of money"
+        )
+    return award
 
 
 def schedules(

@@ -22,6 +22,7 @@ from lostchance import (
     save_case,
 )
 from lostchance.cli import _cell, _csv_columns, _csv_field, _schedules_csv, main
+from lostchance.outcome import OutcomeSpace
 from lostchance.scenarios import matos_award, matos_band
 from lostchance.valuation import CompensationSchedule, PolicyCombo
 
@@ -207,6 +208,25 @@ class TestEvaluate:
             "and '|', so name labels that hold them in the JSON form, for example "
             "--custom-blocks '[[\"answer|300\"]]'\n"
         )
+
+    @pytest.mark.parametrize("presumption", ["it-cp", "ii-cp"])
+    def test_choice_case_presumption_keeps_the_pair_space(
+        self, capsys, monkeypatch, matos_file, presumption
+    ):
+        # The blocks' labels are looked up on the pair space before the
+        # choice is presumed; the presumed copy must not build it again.
+        built = []
+        post_init = OutcomeSpace.__post_init__
+
+        def counted(space):
+            built.append(space)
+            post_init(space)
+
+        monkeypatch.setattr(OutcomeSpace, "__post_init__", counted)
+        argv = ["evaluate", str(matos_file), "--presumption", presumption,
+                "--info", "custom", "--custom-blocks", '[["refuse|500000"]]']
+        assert run(capsys, argv)[0] == 0
+        assert len(built) == 1
 
     def test_choice_case_override_presumption(self, capsys, matos_file):
         code, _, _ = run(

@@ -15,7 +15,12 @@ twelve least-divergence and independence combinations:
   their terms in another order, so the two grids are compared label by
   label within the gap identity's tolerance, never bit for bit.
   Least-divergence matching breaks value ties by label order, so under
-  ld-c the values are distinct.
+  ld-c the values are distinct;
+- splitting an outcome whose value no other outcome shares into two
+  outcomes with that value and half its weight in each world leaves
+  every other outcome's h-fi/cc-i compensation under ld-c and i-c where
+  it was, up to round-off: both connections give an outcome's column
+  the same counterfactual mean whichever half of the split it meets.
 
 The outcome goes at the end so that every reduction meets the other
 outcomes in the same order: an outcome inserted before them moves the
@@ -38,7 +43,12 @@ from lostchance.outcome import (
     IdentityMoneyMap,
     OutcomeSpace,
 )
-from lostchance.valuation import GAP_IDENTITY_TOL, STANDARD_COMBOS, evaluate_grid
+from lostchance.valuation import (
+    GAP_IDENTITY_TOL,
+    STANDARD_COMBOS,
+    PolicyCombo,
+    evaluate_grid,
+)
 
 COMBOS = [c for c in STANDARD_COMBOS if c.connection != "e-c"]
 SIZES = (3, 4, 30, 300, 3000)
@@ -180,3 +190,36 @@ def test_a_permuted_outcome_list_moves_schedules_by_round_off_only(n, seed):
             by_label = dict(zip(new.outcomes, got))
             moved = np.subtract([by_label[k] for k in old.outcomes], want)
             assert np.abs(moved).max() <= tol, new.policy
+
+
+SPLIT_COMBOS = [PolicyCombo("h-fi", c, "cc-i") for c in ("ld-c", "i-c")]
+
+
+@pytest.mark.parametrize(
+    "n, seed", [(n, seed) for n in (2, 3, 30, 300) for seed in (0, 2, 4)] + [(3000, 2)]
+)
+def test_a_split_outcome_leaves_every_other_compensation(n, seed):
+    # Even seeds draw distinct values.
+    values, counterfactual, factual = _seeded(seed, n)
+    assert np.unique(values).size == n
+    k = int(np.random.default_rng([seed, n, 2]).integers(0, n))
+    halves = counterfactual.copy(), factual.copy()
+    for w in halves:
+        w[k] /= 2.0
+    base = evaluate_grid(_model(values, counterfactual, factual), SPLIT_COMBOS)
+    split = evaluate_grid(
+        _model(
+            np.append(values, values[k]),
+            *(np.append(w, w[k]) for w in halves),
+        ),
+        SPLIT_COMBOS,
+    )
+    tol = GAP_IDENTITY_TOL * max(1.0, float(np.abs(values).max()))
+    others = [f"o{i}" for i in range(n) if i != k]
+    for old, new in zip(base, split, strict=True):
+        assert new.policy == old.policy
+        was = dict(zip(old.outcomes, old.values))
+        now = dict(zip(new.outcomes, new.values))
+        assert [o for o in others if o in now] == [o for o in others if o in was]
+        moved = [now[o] - was[o] for o in others if o in was]
+        assert np.abs(moved, dtype=float).max(initial=0.0) <= tol, new.policy

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_reference as ref
 from lostchance.outcome import (
     CaseModel,
     CaseValidationError,
@@ -247,10 +248,7 @@ class TestAwardArrays:
             v1 = rng.uniform(-1.0, 6.0, size=size)
             x = np.where(rng.random(size) < 0.2, 0.0, rng.uniform(0.0, 4.0, size=size))
             got = award_from_compensation(money, v1, x)
-            want = [
-                award_from_compensation(money, a, b)
-                for a, b in zip(v1.tolist(), x.tolist())
-            ]
+            want = [ref.award(money, a, b) for a, b in zip(v1.tolist(), x.tolist())]
             assert got.tolist() == want, size
 
     @pytest.mark.parametrize("size", [3, 31, 40])
@@ -278,21 +276,136 @@ class TestAwardArrays:
     def test_a_long_failing_array_replays_one_outcome(self, monkeypatch, bad_at):
         import lostchance.outcome as outcome
 
-        replayed = []
-        award = outcome._award
+        calls = []
+        awards = outcome._awards
 
-        def counted(*args):
-            replayed.append(args[1:])
-            return award(*args)
+        def counted(money, v1, x):
+            calls.append((float(v1[0]), v1.size))
+            return awards(money, v1, x)
 
-        monkeypatch.setattr(outcome, "_award", counted)
+        monkeypatch.setattr(outcome, "_awards", counted)
         curve = CurveMoneyMap(UtilityCurve(0.5))
         # Every outcome from `bad_at` on is refused; the first names the error.
         v1 = np.full(3000, 1.0)
         v1[bad_at:] = -3.0 - np.arange(3000 - bad_at)
         with pytest.raises(ValueError, match=r"value -2\.5 lies outside"):
             award_from_compensation(curve, v1, np.full(3000, 0.5))
-        assert replayed == [(-3.0, 0.5)]
+        # The whole array, then a bisect over prefixes of distinct lengths,
+        # then the first refused outcome alone, once.
+        *prefixes, last = calls
+        assert prefixes[0] == (v1[0], 3000)
+        assert {first for first, _ in prefixes} == {v1[0]}
+        assert len({size for _, size in prefixes}) == len(prefixes) <= 13
+        assert last == (-3.0, 1)
+
+
+# Refused outcomes (v1, x) of each money kind, each with a fragment of the
+# message it gets: compensation, then the lifted value, then the factual
+# value, then the award.
+NAN, INF = math.nan, math.inf
+BAD_COMPENSATION = [
+    (0.0, -1.0, "got -1.0"),
+    (0.0, NAN, "got nan"),
+    (0.0, INF, "got inf"),
+]
+REFUSALS = {
+    "identity": (
+        IdentityMoneyMap(),
+        [
+            (1e308, 1e308, "lifting value 1e+308 by 1e+308 is not a finite"),
+            (INF, 0.0, "lifting value inf by 0.0 is not a finite"),
+            (NAN, 0.0, "lifting value nan by 0.0 is not a finite"),
+        ],
+    ),
+    "theta0": (
+        CurveMoneyMap(UtilityCurve(0.0)),
+        [
+            (-3.0, 0.5, "value -2.5 lies outside"),
+            (-1.5, 1.0, "value -1.5 lies outside"),
+            (1e308, 1e308, "value must be finite, got inf"),
+            (NAN, 0.0, "value must be finite, got nan"),
+        ],
+    ),
+    "theta0.37": (
+        CurveMoneyMap(UtilityCurve(0.37)),
+        [
+            (-3.0, 0.5, "value -2.5 lies outside"),
+            (-2.0, 1.0, "value -2.0 lies outside"),
+            (1.0, 1e200, "value 1e+200 needs more money than a float"),
+            (1e308, 1e308, "value must be finite, got inf"),
+        ],
+    ),
+    "theta1": (
+        CurveMoneyMap(UtilityCurve(1.0)),
+        [
+            (0.0, 710.0, "value 710.0 needs more money than a float"),
+            (1e308, 1e308, "value must be finite, got inf"),
+            (NAN, 0.0, "value must be finite, got nan"),
+        ],
+    ),
+    # The end segment is steep enough to extrapolate past a float's range.
+    "table": (
+        TabulatedMoneyMap(((-1.0, 2.0), (3.0, 7.5), (6.0, 1e300))),
+        [
+            (-3.0, 1.0, "value -2.0 outside tabulated domain"),
+            (-1.5, 1.0, "value -1.5 outside tabulated domain"),
+            (7.0, 1.0, "value 7.0 outside tabulated domain"),
+            (1e308, 1e308, "value 1e+308 outside tabulated domain"),
+            (1.0, 1e10, "lifting value 1.0 by 10000000000.0 is not"),
+            (NAN, 0.0, "lifting value nan by 0.0 is not a finite"),
+        ],
+    ),
+}
+
+
+class TestAwardRefusals:
+    """A refused outcome gets the per-outcome reference's message, alone
+    or anywhere in an array, whatever a later outcome fails."""
+
+    NEGATIVE = r"^compensation must be finite and >= 0, got -1\.0$"
+
+    @pytest.mark.parametrize("kind", REFUSALS)
+    def test_every_check_names_the_refused_outcome(self, kind):
+        money, refusals = REFUSALS[kind]
+        for a, b, fragment in BAD_COMPENSATION + refusals:
+            with pytest.raises(ValueError) as want:
+                ref.award(money, a, b)
+            assert fragment in str(want.value)
+            with pytest.raises(ValueError) as got:
+                award_from_compensation(money, a, b)
+            assert str(got.value) == str(want.value)
+            for size in (1, 2, 31, 3000):
+                for at in sorted({0, size // 2, size - 1}):
+                    v1, x = np.full(size, 0.5), np.full(size, 0.25)
+                    v1[at], x[at] = a, b
+                    if at < size - 1:
+                        x[-1] = -7.0  # refused too, by the first check
+                    with pytest.raises(ValueError) as got:
+                        award_from_compensation(money, v1, x)
+                    assert str(got.value) == str(want.value), (a, b, size, at)
+
+    def test_a_float_stands_for_every_outcome(self):
+        m = IdentityMoneyMap()
+        with pytest.raises(ValueError, match=self.NEGATIVE):
+            award_from_compensation(m, 1.0, np.array([0.0, -1.0]))
+        got = award_from_compensation(m, 1.0, np.array([0.0, 2.0]))
+        assert got.tolist() == [0.0, 2.0]
+        got = award_from_compensation(m, np.array([1.0, 2.0]), 0.5)
+        assert got.tolist() == [0.5, 0.5]
+
+    def test_arrays_of_two_lengths_are_refused_by_numpy(self):
+        v1, x = np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            award_from_compensation(IdentityMoneyMap(), v1, x)
+
+    def test_a_refused_compensation_is_named_as_a_float(self):
+        for bad in (np.float64(-1.0), -1, -1.0):
+            with pytest.raises(ValueError, match=self.NEGATIVE):
+                award_from_compensation(IdentityMoneyMap(), 1.0, bad)
+
+    def test_a_float_pair_gives_a_float(self):
+        got = award_from_compensation(CurveMoneyMap(UtilityCurve(0.5)), 1.0, 0.5)
+        assert type(got) is float
 
 
 class TestMoneyOnArrays:

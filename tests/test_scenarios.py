@@ -267,9 +267,16 @@ class TestSweeps:
             next(rows)
 
     def test_matos_sweep_reads_a_one_shot_p_axis_once(self):
-        # As with a loop per point, only the first theta sees its points.
-        rows = list(matos_sweep([0.0, 0.5], iter([0.3, 0.9])))
-        assert [(row["theta"], row["p"]) for row in rows] == [(0.0, 0.3), (0.0, 0.9)]
+        # Every theta gets the points, as from a list.
+        one_shot = list(matos_sweep([0.0, 0.5, 1.0], (p for p in [0.1, 0.9])))
+        assert one_shot == list(matos_sweep([0.0, 0.5, 1.0], [0.1, 0.9]))
+        assert [(row["theta"], row["p"]) for row in one_shot] == [
+            (theta, p) for theta in (0.0, 0.5, 1.0) for p in (0.1, 0.9)
+        ]
+        # An empty theta axis reads no point.
+        points = iter([0.1, 0.9])
+        assert list(matos_sweep([], points)) == []
+        assert next(points) == 0.1
 
     def test_medical_sweep_matches_direct_evaluation(self):
         rows = list(medical_sweep(0.95, 1e5, [0.90]))
