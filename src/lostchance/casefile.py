@@ -42,15 +42,14 @@ from .outcome import (
     validate_case,
 )
 
-_TOP_KEYS_OUTCOME = {
-    "outcomes",
-    "counterfactual",
-    "factual",
-    "observed",
-    "money",
-    "evidence_coupling",
-}
-_TOP_KEYS_CHOICE = {"choice", "money"}
+# Each form's required top-level keys, then its optional ones.
+_TOP_KEYS_OUTCOME = (
+    {"outcomes", "counterfactual", "factual", "money"},
+    {"observed", "evidence_coupling"},
+)
+_TOP_KEYS_CHOICE = ({"choice", "money"}, set())
+# Keys that would carry policies, which are chosen per run, not per file.
+_POLICY_KEYS = ("policy", "policies", "policy_list")
 _CHOICE_KEYS = {
     "choices",
     "duty",
@@ -253,13 +252,24 @@ def _weights_from_dict(
     return DiscreteDistribution(weights)
 
 
-def _reject_policy_keys(data: dict, errs: list[str]) -> None:
-    for key in ("policy", "policies", "policy_list"):
+def _check_top_keys(data: dict, keys: tuple[set, set], errs: list[str]) -> None:
+    """List the policy keys, unknown keys and missing required keys of a
+    case file's top level, given the form's (required, optional) keys;
+    raise once a required key is missing."""
+    for key in _POLICY_KEYS:
         if key in data:
             errs.append(
                 f"case files do not carry policies ({key!r} found); select "
                 f"them with the --info/--connection/--indemnity flags"
             )
+    required, optional = keys
+    extra = set(data) - required - optional - set(_POLICY_KEYS)
+    if extra:
+        errs.append(f"unknown top-level keys: {sorted(extra)}")
+    missing = required - set(data)
+    if missing:
+        errs.append(f"missing required keys: {sorted(missing)}")
+        raise CaseValidationError(errs)
 
 
 _LABEL = operator.itemgetter("label")
@@ -305,15 +315,7 @@ def _outcome_columns(entries: list, errs: list[str]) -> tuple:
 
 def _load_outcome_form(data: dict) -> LoadedCase:
     errs: list[str] = []
-    _reject_policy_keys(data, errs)
-    extra = set(data) - _TOP_KEYS_OUTCOME
-    extra -= {"policy", "policies", "policy_list"}
-    if extra:
-        errs.append(f"unknown top-level keys: {sorted(extra)}")
-    missing = {"outcomes", "counterfactual", "factual", "money"} - set(data)
-    if missing:
-        errs.append(f"missing required keys: {sorted(missing)}")
-        raise CaseValidationError(errs)
+    _check_top_keys(data, _TOP_KEYS_OUTCOME, errs)
     if not isinstance(data["outcomes"], list) or not data["outcomes"]:
         errs.append("outcomes must be a non-empty list")
         raise CaseValidationError(errs)
@@ -393,13 +395,7 @@ def _label_list(data, name: str, errs: list[str]) -> Optional[tuple[str, ...]]:
 
 def _load_choice_form(data: dict) -> LoadedCase:
     errs: list[str] = []
-    _reject_policy_keys(data, errs)
-    extra = set(data) - _TOP_KEYS_CHOICE - {"policy", "policies", "policy_list"}
-    if extra:
-        errs.append(f"unknown top-level keys: {sorted(extra)}")
-    if "money" not in data:
-        errs.append("missing required keys: ['money']")
-        raise CaseValidationError(errs)
+    _check_top_keys(data, _TOP_KEYS_CHOICE, errs)
     block = data["choice"]
     if not isinstance(block, dict):
         raise CaseValidationError(errs + ["choice must be an object"])

@@ -282,15 +282,16 @@ def _default_out(name: str, out: Optional[str]) -> Path:
 def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
     if steps < 0:
         raise ConfigurationError(f"steps must be >= 0, got {steps}")
-    if steps == 0:
-        return np.empty(0)
-    if steps == 1:
-        return np.array([lo])
-    return np.linspace(lo, hi, steps)
+    # linspace works out hi - lo even for no point or one, which warns
+    # when the span overflows, and makes the one point nan for an infinite
+    # span and 0.0 for lo = -0.0; the one point is lo.
+    return np.linspace(lo, hi, steps) if steps > 1 else np.full(steps, lo)
 
 
 def cmd_sweep(args) -> int:
-    from .scenarios import matos_sweep, medical_sweep
+    """Write a sweep's rows as CSV, under the column names its scenario
+    exports, in their order."""
+    from .scenarios import MATOS_COLUMNS, MEDICAL_COLUMNS, matos_sweep, medical_sweep
 
     read = SWEEP_FLAGS[args.scenario]
     names = [name for flags in SWEEP_FLAGS.values() for name in flags]
@@ -299,20 +300,11 @@ def cmd_sweep(args) -> int:
         thetas = _grid(params["theta_min"], params["theta_max"], params["theta_steps"])
         ps = _grid(params["p_min"], params["p_max"], params["p_steps"])
         rows = list(matos_sweep(thetas, ps))
-        header = ("theta", "p", "award", "band")
+        header = MATOS_COLUMNS
     else:
         p1s = _grid(params["p1_min"], params["p1_max"], params["p1_steps"])
         rows = list(medical_sweep(params["p0"], params["delta_v"], p1s))
-        header = (
-            "p0",
-            "p1",
-            "delta_v",
-            "award_l_fi",
-            "award_e_c",
-            "award_i_c_cc_i",
-            "award_i_c_fm_i",
-            "rejected_formula_comparison",
-        )
+        header = MEDICAL_COLUMNS
     text = _csv_columns(header, [[r[h] for r in rows] for h in header])
     path = _default_out(args.scenario, args.out)
     atomic_write_text(path, text)

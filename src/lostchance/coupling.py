@@ -189,7 +189,9 @@ class Coupling:
 
     `cells` is `Cells` or `RankOneCells`; validation stores it as
     positive `Cells` sorted by (row, col), or keeps a valid rank-one law
-    as its factors.  A dense matrix enters through `evidence_coupling`.
+    as its factors; either kind's total mass must be 1 within
+    `MASS_SUM_TOL`.  A dense matrix or an outcome map enters through
+    `evidence_coupling`.
     """
 
     space: OutcomeSpace
@@ -209,19 +211,16 @@ class Coupling:
                 a.min() >= 0.0 and b.min() >= 0.0
             ):
                 cells = RankOneCells(read_only(a), read_only(b))
-                total = cells.sum()
-                if abs(total - 1.0) > MASS_SUM_TOL:
-                    raise ValueError(f"joint mass sums to {total!r}, not 1")
-                object.__setattr__(self, "cells", cells)
-                return
-            # Report bad factors cell by cell, as for any other joint.
-            cells = Cells.from_dense(np.outer(a, b))
+            else:
+                # Report bad factors cell by cell, as for any other joint.
+                cells = Cells.from_dense(np.outer(a, b))
         elif not isinstance(cells, Cells):
             raise TypeError(
                 f"coupling cells must be Cells or RankOneCells, "
                 f"not {type(cells).__name__}"
             )
-        cells = _positive(*_sorted_unique(cells, n), n)
+        if isinstance(cells, Cells):
+            cells = _positive(*_sorted_unique(cells, n), n)
         total = cells.sum()
         if abs(total - 1.0) > MASS_SUM_TOL:
             raise ValueError(f"joint mass sums to {total!r}, not 1")
@@ -316,19 +315,13 @@ def coupling_from_map(model: CaseModel, mapping: dict[str, str]) -> Coupling:
     """Expand a deterministic counterfactual-to-factual outcome map.
 
     Each counterfactual outcome sends its whole mass to one factual
-    outcome.  Every counterfactual outcome with positive mass must be
-    mapped.
+    outcome.  The map's cells then enter through `evidence_coupling`,
+    as a file's map does, so a map that leaves out a weighted
+    counterfactual outcome is refused by the marginal check, which names
+    that outcome.
     """
-    cf = model.counterfactual.array
-    cells = map_cells(model.space, cf, mapping)
-    for i in model.counterfactual.support():
-        if model.space.labels[i] not in mapping:
-            raise ValueError(
-                f"deterministic map misses counterfactual outcome "
-                f"{model.space.labels[i]!r} (mass {cf[i]!r})"
-            )
-    _check_marginals(model, cells)
-    return Coupling(model.space, cells)
+    cells = map_cells(model.space, model.counterfactual.array, mapping)
+    return evidence_coupling(model, cells)
 
 
 def independence_coupling(model: CaseModel) -> Coupling:

@@ -205,8 +205,7 @@ class UtilityCurve:
         v = np.asarray(value, dtype=float)
         finite = np.isfinite(v)
         if not finite.all():
-            got = value if v.ndim == 0 else _first(v, ~finite)
-            raise ValueError(f"value must be finite, got {got!r}")
+            raise ValueError(f"value must be finite, got {_first(v, ~finite)!r}")
         eps = 1.0 - self.theta
         log_branch = self._log_branch
         if not log_branch:

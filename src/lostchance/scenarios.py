@@ -302,6 +302,9 @@ def _matos_chances(ps: Iterable[float]) -> tuple[list[float], Optional[Exception
     return chances, None
 
 
+MATOS_COLUMNS = ("theta", "p", "award", "band")  # a `matos_sweep` row's keys, in order
+
+
 def matos_sweep(
     thetas: Iterable[float], ps: Iterable[float]
 ) -> Iterator[dict[str, object]]:
@@ -361,6 +364,8 @@ _MEDICAL_COLUMNS = {
     "award_i_c_cc_i": PolicyCombo("h-fi", "i-c", "cc-i"),
     "award_i_c_fm_i": PolicyCombo("h-fi", "i-c", "fm-i"),
 }
+# A `medical_sweep` row's keys, in order.
+MEDICAL_COLUMNS = ("p0", "p1", "delta_v", *_MEDICAL_COLUMNS, "rejected_formula_comparison")
 
 
 def medical_sweep(

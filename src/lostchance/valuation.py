@@ -169,19 +169,6 @@ class Partition:
         return tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:]) if b > a)
 
 
-def _from_blocks(blocks: Sequence[Sequence[int]]) -> Partition:
-    """The partition given as blocks of indices, which must be disjoint
-    and non-empty."""
-    sizes = [len(b) for b in blocks]
-    outcomes = np.fromiter(itertools.chain.from_iterable(blocks), np.intp, sum(sizes))
-    ordered = np.sort(outcomes)
-    if (ordered[1:] == ordered[:-1]).any():
-        raise ValueError("partition blocks overlap")
-    if 0 in sizes:
-        raise ValueError("partition contains an empty block")
-    return Partition(outcomes, np.repeat(np.arange(len(sizes)), sizes))
-
-
 def _shared_partition(
     info: str, support: np.ndarray, custom_blocks: Optional[Sequence[Sequence[int]]]
 ) -> Partition:
@@ -191,19 +178,31 @@ def _shared_partition(
         return Partition(support, np.zeros_like(support))
     if info == "h-fi":
         return Partition(support, np.arange(support.size))
-    if info == "custom":
-        if custom_blocks is None:
-            raise ConfigurationError("custom partition needs explicit blocks")
-        blocks = tuple(tuple(int(i) for i in b) for b in custom_blocks)
-        partition = _from_blocks(blocks)
-        covered = sorted(i for b in blocks for i in b)
-        if covered != sorted(support.tolist()):
-            raise ValueError(
-                f"custom blocks cover indices {covered}, expected exactly the "
-                f"factual support {sorted(support.tolist())}"
-            )
-        return partition
-    raise ConfigurationError(f"unknown information policy {info!r}")
+    if info != "custom":
+        raise ConfigurationError(f"unknown information policy {info!r}")
+    if custom_blocks is None:
+        raise ConfigurationError("custom partition needs explicit blocks")
+    sizes = [len(b) for b in custom_blocks]
+    if 0 in sizes:
+        raise ValueError("partition contains an empty block")
+    outcomes = np.fromiter(itertools.chain.from_iterable(custom_blocks), np.intp, sum(sizes))
+    ordered = np.sort(outcomes)
+    if not np.array_equal(ordered, support):
+        wrong = {
+            "repeated outcomes": np.unique(ordered[1:][ordered[1:] == ordered[:-1]]),
+            "support outcomes left out": np.setdiff1d(support, ordered),
+            "outcomes outside the support": np.setdiff1d(ordered, support),
+        }
+        # Each kind by its count and at most its first 10 indices.
+        problems = [
+            f"{what}: {i.size} [{', '.join(map(str, i[:10].tolist()))}{', ...' * (i.size > 10)}]"
+            for what, i in wrong.items()
+            if i.size
+        ]
+        raise ValueError(
+            "custom blocks do not tile the factual support: " + "; ".join(problems)
+        )
+    return Partition(outcomes, np.repeat(np.arange(len(sizes)), sizes))
 
 
 def build_partition(
@@ -224,7 +223,10 @@ def build_partition(
     * m-fi: the coupling's compensable/non-compensable split (empty side
       dropped);
     * h-fi: singletons, full knowledge of the factual outcome;
-    * custom: caller-supplied blocks, which must tile the support exactly.
+    * custom: caller-supplied blocks, which must be non-empty and tile
+      the support exactly.  A refusal names, by count and first 10
+      indices, the repeated outcomes, the support outcomes left out and
+      the outcomes outside the support.
 
     l-fi, h-fi and custom do not depend on the coupling: each is built,
     and custom checked, once per support array, and shared by every

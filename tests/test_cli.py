@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from lostchance import (
     SCHEMA_TEXT,
+    load_case,
     matos_case,
     medical_malpractice,
     prize_case,
@@ -409,6 +410,25 @@ class TestSweep:
         assert out == f"wrote 0 rows to {out_path}\n"
         assert out_path.read_text() == "theta,p,award,band\n"
 
+    @pytest.mark.parametrize(
+        "argv, first",
+        [
+            # The one point of a one-step axis is its low end, as given.
+            (["matos", "--theta-min", "-0.0", "--theta-steps", "1", "--p-steps", "1"],
+             "-0.0,0.0,"),
+            (["medical", "--p1-max", "inf", "--p1-steps", "1"], "0.95,0.0,100000.0,"),
+            # No point is read from a span past a float's range.
+            (["matos", "--theta-min=1e308", "--theta-max=-1e308", "--theta-steps", "0"],
+             None),
+        ],
+    )
+    def test_an_axis_of_no_point_or_one_reads_no_span(self, capsys, tmp_path, argv, first):
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, ["sweep", *argv, "--out", str(out_path)])
+        assert (code, err) == (0, "")
+        rows = out_path.read_text().splitlines()[1:]
+        assert [row[: len(first or "")] for row in rows] == ([first] if first else [])
+
     def test_matos_bad_chance_wins_over_bad_theta(self, capsys, tmp_path):
         argv = ["sweep", "matos", "--theta-min", "2", "--theta-max", "2",
                 "--theta-steps", "1", "--p-min", "2", "--p-max", "2", "--p-steps", "1"]
@@ -583,6 +603,41 @@ class TestParameterErrors:
             "error: unknown outcome label 'refuse'; 'a,b|c' splits labels at ',' "
             "and '|', so name labels that hold them in the JSON form, for example "
             "--custom-blocks '[[\"answer|300\"]]'\n"
+        )
+
+    def test_custom_blocks_off_the_support_are_named_briefly(self, capsys, tmp_path):
+        # 3 choices x 400 results; the factual choice gives every fifth
+        # result no weight, so its support is 320 of the 1200 pairs.
+        choices = ["choice-a", "choice-b", "choice-c"]
+        results = [f"result-{j}" for j in range(400)]
+        uniform = {r: 1 / 400 for r in results}
+        gapped = {r: 0.0 if j % 5 == 0 else 1 / 320 for j, r in enumerate(results)}
+        case = tmp_path / "choice.json"
+        case.write_text(json.dumps({
+            "money": {"kind": "identity"},
+            "choice": {
+                "choices": choices,
+                "duty": ["choice-a"],
+                "results": results,
+                "values": [[float(j) for j in range(400)]] * 3,
+                "counterfactual_choice": None,
+                "result_given_choice_counterfactual": {c: uniform for c in choices},
+                "result_given_choice_factual": {c: gapped for c in choices},
+                "factual_choice": "choice-b",
+                "factual_result": "result-1",
+            },
+        }))
+        pairs = [f"{c}|{r}" for c in choices for r in results]
+        blocks = json.dumps([pairs[:600], pairs[600:]])
+        code, out, err = run(
+            capsys,
+            ["evaluate", str(case), "--info", "custom", "--custom-blocks", blocks],
+        )
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 400
+        assert err == (
+            "error: custom blocks do not tile the factual support: "
+            "outcomes outside the support: 880 [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...]\n"
         )
 
     def test_json_custom_blocks_keep_the_plain_meaning(self, capsys, medical_file):
@@ -803,6 +858,59 @@ class TestSchemaAndErrors:
         )
         assert code == 2
         assert "error:" in err
+
+
+# Each weight table sums to 1 within the 1e-12 that `load_case` allows,
+# but a product of two such sums does not, and the engine checks it again.
+_NEAR_ONE = 0.5000000000009
+_TOLERANCE_CASES = {
+    "outcome": (
+        {
+            "outcomes": [{"label": "a", "value": 0}, {"label": "b", "value": 10}],
+            "counterfactual": {"a": _NEAR_ONE, "b": 0.5},
+            "factual": {"a": _NEAR_ONE, "b": 0.5},
+            "money": {"kind": "identity"},
+        },
+        [["--connection", "i-c"], ["--all-policies"]],
+    ),
+    "choice": (
+        {
+            "money": {"kind": "identity"},
+            "choice": {
+                "choices": ["a", "b"],
+                "duty": ["a"],
+                "results": ["x", "y"],
+                "values": [[0, 10], [0, 5]],
+                "counterfactual_choice": {"a": _NEAR_ONE, "b": 0.5},
+                "result_given_choice_counterfactual": {
+                    "a": {"x": _NEAR_ONE, "y": 0.5}, "b": {"x": _NEAR_ONE, "y": 0.5}
+                },
+                "result_given_choice_factual": {
+                    "a": {"x": 0.5, "y": 0.5}, "b": {"x": 0.5, "y": 0.5}
+                },
+                "factual_choice": "b",
+                "factual_result": "x",
+            },
+        },
+        [["--presumption", "none"]],
+    ),
+}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="load and evaluate check the same 1e-12 mass tolerance, the "
+    "engine on a product of two sums that each pass it",
+)
+@pytest.mark.parametrize("form", sorted(_TOLERANCE_CASES))
+def test_a_case_that_loads_is_evaluated(capsys, tmp_path, form):
+    data, argvs = _TOLERANCE_CASES[form]
+    path = tmp_path / f"{form}.json"
+    path.write_text(json.dumps(data))
+    load_case(path)
+    for argv in argvs:
+        assert run(capsys, ["evaluate", str(path), *argv])[0] == 0
 
 
 class TestParserReuse:

@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
+from lostchance.casefile import dump_case
+from lostchance.cli import main
 from lostchance.coupling import (
     Cells,
     Coupling,
@@ -152,10 +156,24 @@ class TestEvidenceCoupling:
 
     def test_map_must_cover_support(self):
         model = prize_model()
-        with pytest.raises(ValueError, match="misses counterfactual outcome 'a4'"):
+        with pytest.raises(
+            ValueError,
+            match=r"counterfactual marginal mismatch at row 3 \('a4'\): "
+            r"coupling gives 0.0, case says 0.2$",
+        ):
             coupling_from_map(
                 model, {"a1": "a1", "a2": "a2", "a3": "a3", "a5": "a4"}
             )
+
+    def test_a_dict_map_and_a_file_map_are_refused_alike(self, tmp_path, capsys):
+        model = prize_model()
+        mapping = {"a1": "a1", "a2": "a2", "a3": "a3", "a5": "a4"}
+        with pytest.raises(ValueError) as from_dict:
+            coupling_from_map(model, mapping)
+        case = tmp_path / "map.json"
+        case.write_text(json.dumps({**dump_case(model), "evidence_coupling": {"map": mapping}}))
+        assert main(["evaluate", str(case), "--connection", "e-c"]) == 2
+        assert capsys.readouterr().err == f"error: {from_dict.value}\n"
 
 
 class TestIndependence:

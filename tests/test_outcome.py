@@ -51,6 +51,10 @@ class TestUtilityCurve:
         assert curve.value(10_000.0) == pytest.approx(198.0, rel=1e-12)
         assert curve.money(198.0) == pytest.approx(10_000.0, rel=1e-12)
 
+    def test_a_refused_numpy_scalar_is_named_as_a_float(self):
+        with pytest.raises(ValueError, match=r"^value must be finite, got inf$"):
+            UtilityCurve(0.5).money(np.float64("inf"))
+
     def test_value_at_one_is_zero_for_every_theta(self):
         for theta in np.linspace(0.0, 1.0, 21):
             assert UtilityCurve(float(theta)).value(1.0) == 0.0

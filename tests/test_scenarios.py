@@ -229,6 +229,19 @@ class TestSweeps:
         # At p=1 the award reaches the guaranteed payout.
         assert rows[2]["band"] == "(375000,500000]"
 
+    def test_every_row_has_the_columns_the_cli_writes_in_order(self, tmp_path, capsys):
+        rows = {
+            "matos": list(matos_sweep(np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 5))),
+            "medical": list(medical_sweep(0.95, 1e5, np.linspace(0.0, 0.9, 4))),
+        }
+        assert [len(r) for r in rows.values()] == [15, 4]
+        for scenario, sweep in rows.items():
+            out = tmp_path / f"{scenario}.csv"
+            assert main(["sweep", scenario, "--out", str(out)]) == 0
+            header = tuple(out.read_text().splitlines()[0].split(","))
+            assert all(tuple(row) == header for row in sweep), scenario
+        capsys.readouterr()
+
     def test_matos_sweep_is_matos_award_bit_for_bit(self):
         # 1 - 5e-10 takes the curve's logarithmic branch.
         thetas = [0.0, 0.25, 0.5, 1.0 - 5e-10, 1.0]

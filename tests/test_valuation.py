@@ -166,10 +166,27 @@ class TestPartitions:
     def test_custom_must_tile_support(self):
         p = one_partition("custom", (0, 1, 2), custom_blocks=((0, 2), (1,)))
         assert p.blocks == ((0, 2), (1,))
-        with pytest.raises(ValueError, match="cover indices"):
+        prefix = "custom blocks do not tile the factual support: "
+        with pytest.raises(ValueError) as left_out:
             one_partition("custom", (0, 1, 2), custom_blocks=((0,), (1,)))
-        with pytest.raises(ValueError, match="overlap"):
+        assert str(left_out.value) == prefix + "support outcomes left out: 1 [2]"
+        with pytest.raises(ValueError) as repeated:
             one_partition("custom", (0, 1), custom_blocks=((0, 1), (1,)))
+        assert str(repeated.value) == prefix + "repeated outcomes: 1 [1]"
+        with pytest.raises(ValueError, match="empty block"):
+            one_partition("custom", (0, 1), custom_blocks=((0, 1), ()))
+
+    def test_a_custom_refusal_names_each_kind_by_count_and_first_ten(self):
+        support = np.arange(0, 60, 2)
+        blocks = [list(range(1, 40, 2)) + [0, 0, 2], list(range(4, 30, 2)) + [2]]
+        with pytest.raises(ValueError) as refused:
+            one_partition("custom", support, custom_blocks=blocks)
+        assert str(refused.value) == (
+            "custom blocks do not tile the factual support: "
+            "repeated outcomes: 2 [0, 2]; "
+            "support outcomes left out: 15 [30, 32, 34, 36, 38, 40, 42, 44, 46, 48, ...]; "
+            "outcomes outside the support: 20 [1, 3, 5, 7, 9, 11, 13, 15, 17, 19, ...]"
+        )
 
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -889,7 +906,7 @@ class TestEvaluateGrid:
             with pytest.raises(UserWarning, match=match):
                 evaluate_grid(model, combos, joint, self.DROPPING_BLOCKS)
             # Every partition is built before any table is checked.
-            with pytest.raises(ValueError, match="custom blocks cover"):
+            with pytest.raises(ValueError, match="support outcomes left out: 1 \\[3\\]$"):
                 evaluate_grid(model, combos, joint, [[0, 1, 2]])
 
     def test_each_dropped_block_warns_once(self):
