@@ -19,6 +19,7 @@ import json
 import math
 import operator
 import os
+import stat
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -594,9 +595,20 @@ def dump_case(
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a
-    half-written file.  Newlines are always LF."""
-    target = Path(path)
+    """Write via a temp file beside the file that `path` names, after
+    following any symlink, and rename, so readers never see a half-written
+    file and a link stays a link.  A target that exists and is not a
+    regular file, such as a FIFO or a device, is written in place.
+    Newlines are always LF."""
+    try:
+        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        in_place = False
+    if in_place:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        return
+    target = Path(os.path.realpath(path))
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
     try:

@@ -207,20 +207,22 @@ class Coupling:
                 raise ValueError(
                     f"joint has shape {(a.size, b.size)}, expected {(n, n)}"
                 )
-            if np.isfinite(a).all() and np.isfinite(b).all() and (
-                a.min() >= 0.0 and b.min() >= 0.0
-            ):
-                cells = RankOneCells(read_only(a), read_only(b))
-            else:
-                # Report bad factors cell by cell, as for any other joint.
-                cells = Cells.from_dense(np.outer(a, b))
-        elif not isinstance(cells, Cells):
+            for name, w in (("row_weights", a), ("col_weights", b)):
+                bad = ~(np.isfinite(w) & (w >= 0.0))
+                if bad.any():
+                    i = int(bad.argmax())
+                    raise ValueError(
+                        f"rank-one {name}[{i}] is {float(w[i])!r}, "
+                        f"not a finite non-negative weight"
+                    )
+            cells = RankOneCells(read_only(a), read_only(b))
+        elif isinstance(cells, Cells):
+            cells = _positive(*_sorted_unique(cells, n), n)
+        else:
             raise TypeError(
                 f"coupling cells must be Cells or RankOneCells, "
                 f"not {type(cells).__name__}"
             )
-        if isinstance(cells, Cells):
-            cells = _positive(*_sorted_unique(cells, n), n)
         total = cells.sum()
         if abs(total - 1.0) > MASS_SUM_TOL:
             raise ValueError(f"joint mass sums to {total!r}, not 1")

@@ -793,42 +793,31 @@ def schedule_risk(
     return float(np.einsum("ij,ij->", coupling.joint, d * d))
 
 
-@functools.lru_cache(maxsize=None)
-def _grid_lattice(dims: int) -> np.ndarray:
-    """Flat positions, in a (dims, 11) array of axes, of every point of their
-    11-point grid: one row per point, in meshgrid "ij" order."""
-    lattice = np.indices((11,) * dims).reshape(dims, -1).T + 11 * np.arange(dims)
-    lattice = np.ascontiguousarray(lattice)
-    lattice.setflags(write=False)
-    return lattice
-
-
-def _grid(axes: list) -> np.ndarray:
-    """Every point of the product of 11-point axes, one row per point."""
-    return np.array(axes).ravel()[_grid_lattice(len(axes))]
-
-
 def oracle_best_schedule(
     coupling: Coupling,
     partition: Partition,
     constrained: bool = False,
     target: Optional[float] = None,
-    target_step: Optional[float] = None,
 ) -> tuple[np.ndarray, float]:
-    """Grid-search reference for the best block-constant schedule.
+    """Exact reference for the best block-constant schedule.
 
-    Minimizes the expected squared shortfall over 11-point grids,
-    refining around the incumbent until the spacing falls below
-    target_step.  Every candidate batch is scored from three sums of the
-    joint per block, taken once per call.  With constrained=True only
-    schedules whose expected payout equals `target` (default: the
-    coupling's mean gap) are considered, plus the all-zero schedule.  Kept deliberately
-    independent of the closed-form rules so it can audit them; refuses
-    partitions with more than 4 blocks.
+    Minimizes the expected squared shortfall over schedules that pay no
+    block less than zero.  With constrained=True only schedules whose
+    expected payout equals `target` (default: the coupling's mean gap)
+    are considered, plus the all-zero schedule.  The risk is a separable
+    convex quadratic, so its minimiser is the optimum of its first-order
+    conditions on its own set of paying blocks: every such set is solved
+    from three sums of the joint per block, taken once per call, and the
+    nonnegative solution of least risk wins, the first in enumeration
+    order on a tie.  Kept deliberately independent of the closed-form
+    rules so it can audit them; refuses partitions with more than 4
+    blocks.
     """
     nb = partition.block_count
     if nb > 4:
-        raise ValueError(f"oracle refuses {nb} blocks; grids are exhaustive up to 4")
+        raise ValueError(
+            f"oracle refuses {nb} blocks; it enumerates paying block sets up to 4"
+        )
     v = coupling.space.values_array
     joint = coupling.joint
     col_mass = coupling.factual_marginal
@@ -848,134 +837,33 @@ def oracle_best_schedule(
     block_p = np.array(
         [float(col_mass[list(block)].sum()) for block in partition.blocks]
     )
-    vrange = float(v.max() - v.min())
-    if vrange <= 0.0:
-        zero = np.zeros(nb)
-        return zero, schedule_risk(coupling, partition, zero)
-    if target_step is None:
-        target_step = min(0.01, 0.005 * vrange)
-
-    def eval_cands(c: np.ndarray) -> tuple[np.ndarray, float]:
-        risks = mom_c - 2.0 * (c @ mom_b) + (c * c) @ mom_a
-        i = int(np.argmin(risks))
-        return c[i].copy(), float(risks[i])
-
-    if constrained:
-        t = float(coupling.joint.sum(axis=1) @ v - col_mass @ v) if target is None else float(target)
-        best_x = np.zeros(nb)
-        best_r = schedule_risk(coupling, partition, best_x)
-        if t > 0.0:
-            # One block is always solved from the mean constraint instead of
-            # being gridded, so every candidate meets the constraint exactly.
-            def caps_for(free: list) -> np.ndarray:
-                # q_b * x_b can never exceed the payout target, so each axis
-                # is capped hard; the level-0 grid then resolves the whole
-                # feasible box even when it is much thinner than the range.
-                return np.array(
-                    [
-                        min(vrange, t / block_p[b]) if block_p[b] > 0 else vrange
-                        for b in free
-                    ]
-                )
-
-            def assemble(det: int, free: list, free_vals: np.ndarray) -> np.ndarray:
-                m = free_vals.shape[0]
-                c = np.zeros((m, nb))
-                for j, b in enumerate(free):
-                    c[:, b] = free_vals[:, j]
-                rem = (t - free_vals @ block_p[free]) / block_p[det]
-                c[:, det] = rem
-                c = c[rem >= -1e-9]
-                c[:, det] = np.maximum(c[:, det], 0.0)
-                return c
-
-            det0 = int(np.argmax(block_p))
-            free0 = [b for b in range(nb) if b != det0]
-            if not free0:
-                cands = assemble(det0, free0, np.zeros((1, 0)))
-                if len(cands):
-                    x, r = eval_cands(cands)
-                    if r < best_r:
-                        best_x, best_r = x, r
-            else:
-                caps = caps_for(free0)
-                centre = caps / 2.0
-                halfw = caps / 2.0
-                while True:
-                    axes = [
-                        np.linspace(max(0.0, c - h), min(cap, c + h), 11)
-                        for c, h, cap in zip(centre, halfw, caps)
-                    ]
-                    cands = assemble(det0, free0, _grid(axes))
-                    if len(cands):
-                        x, r = eval_cands(cands)
-                        if r < best_r:
-                            best_x, best_r = x, r
-                    spacing = halfw / 5.0
-                    if float(np.max(spacing)) <= target_step:
-                        break
-                    centre = best_x[free0]
-                    halfw = 2.0 * spacing
-                # Window refinement can stall along the correlated valley the
-                # constraint carves, and single-axis moves cannot walk a facet
-                # where the solved-for block pays zero.  Per-axis line sweeps
-                # at the final resolution, rotating which block is solved for,
-                # cover both: a point no sweep improves sits within a couple
-                # of steps of the true constrained minimizer.
-                step = float(target_step)
-                for _round in range(8):
-                    r_before = best_r
-                    for det in range(nb):
-                        if block_p[det] <= 0.0:
-                            continue
-                        free = [b for b in range(nb) if b != det]
-                        dcaps = caps_for(free)
-                        x_free = best_x[free].copy()
-                        for _ in range(80):
-                            improved = False
-                            for j, b in enumerate(free):
-                                others = float(
-                                    block_p[free] @ x_free
-                                    - block_p[b] * x_free[j]
-                                )
-                                if block_p[b] > 0:
-                                    hi = min(dcaps[j], (t - others) / block_p[b])
-                                else:
-                                    hi = dcaps[j]
-                                hi = max(0.0, hi)
-                                line = np.clip(
-                                    np.arange(0.0, hi + step, step), 0.0, hi
-                                )
-                                line = np.append(line, x_free[j])
-                                fv = np.tile(x_free, (line.size, 1))
-                                fv[:, j] = line
-                                cands = assemble(det, free, fv)
-                                if not len(cands):
-                                    continue
-                                x, r = eval_cands(cands)
-                                if r < best_r:
-                                    best_x, best_r = x, r
-                                    x_free = x[free].copy()
-                                    improved = True
-                            if not improved:
-                                break
-                    if not best_r < r_before:
-                        break
-        return best_x, best_r
-
-    centre = np.full(nb, vrange / 2.0)
-    halfw = vrange / 2.0
     best_x = np.zeros(nb)
     best_r = schedule_risk(coupling, partition, best_x)
-    while True:
-        axes = [np.linspace(c - halfw, c + halfw, 11) for c in centre]
-        grid = np.clip(_grid(axes), 0.0, None)
-        x, r = eval_cands(grid)
-        if r < best_r:
-            best_x, best_r = x, r
-        step = halfw / 5.0
-        if step <= target_step:
-            break
-        centre = best_x
-        halfw = 2.0 * step
+    if float(v.max() - v.min()) <= 0.0:
+        return best_x, best_r
+    if constrained:
+        t = float(joint.sum(axis=1) @ v - col_mass @ v) if target is None else float(target)
+        if t <= 0.0:
+            return best_x, best_r
+    # One row per set of paying blocks; a block of no mass never pays.
+    paying = np.array(list(itertools.product((False, True), repeat=nb)))
+    paying = paying[~(paying & (mom_a <= 0.0)).any(axis=1)]
+    a = np.where(mom_a > 0.0, mom_a, 1.0)
+    if constrained:
+        # Stationarity on the paying set, x_b = (B_b - nu p_b) / A_b, with
+        # the multiplier nu fixed by the mean constraint p.x = t.
+        w = block_p / a
+        den = paying @ (block_p * w)
+        paying, den = paying[den > 0.0], den[den > 0.0]
+        nu = (paying @ (w * mom_b) - t) / den
+        x = (mom_b - nu[:, None] * block_p) / a
+    else:
+        x = mom_b / a
+    cands = np.where(paying, x, 0.0)
+    cands = cands[(cands >= 0.0).all(axis=1)]
+    if len(cands):
+        risks = mom_c - 2.0 * (cands @ mom_b) + (cands * cands) @ mom_a
+        i = int(np.argmin(risks))
+        if risks[i] < best_r:
+            best_x, best_r = cands[i], float(risks[i])
     return best_x, best_r

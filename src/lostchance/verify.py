@@ -290,13 +290,10 @@ def _check_unconstrained_optimal(res: PropertyResult, rng, instances: range) -> 
         coupling = build.couplings[0]
         v = model.space.values_array
         vrange = float(v.max() - v.min())
-        step = max(0.005 * vrange, 1e-6)
         risk_tol = 1e-9 * max(1.0, vrange**2)
         for (info, partition, *_), schedule in zip(_tables(build), price(build)):
             x_cc = _block_payouts(schedule, partition, model)
-            x_or, r_or = oracle_best_schedule(
-                coupling, partition, constrained=False, target_step=step
-            )
+            x_or, r_or = oracle_best_schedule(coupling, partition)
             r_cc = schedule_risk(coupling, partition, x_cc)
             res.ok(
                 r_cc <= r_or + risk_tol,
@@ -352,11 +349,7 @@ def _check_constrained_optimal(
                 f"target {target!r}",
             )
             x_or, r_or = oracle_best_schedule(
-                coupling,
-                partition,
-                constrained=True,
-                target=target,
-                target_step=max(0.001 * vrange, 1e-6),
+                coupling, partition, constrained=True, target=target
             )
             r_x = schedule_risk(coupling, partition, x)
             res.ok(

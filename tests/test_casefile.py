@@ -1,6 +1,9 @@
 """Tests for strict JSON case-file loading and saving."""
 
 import json
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -349,6 +352,20 @@ class TestFileLevel:
         assert [p.name for p in target.parent.iterdir()] == ["out.txt"]
         atomic_write_text(target, "gamma\n")
         assert target.read_text() == "gamma\n"
+
+    def test_atomic_write_writes_a_fifo_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(
+            target=lambda: got.append(fifo.read_text()), daemon=True
+        )
+        reader.start()
+        atomic_write_text(fifo, "alpha\n")
+        reader.join(timeout=10)
+        assert not reader.is_alive() and got == ["alpha\n"]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
     def test_schema_text_mentions_flag_only_policies(self):
         assert "not part of the" in SCHEMA_TEXT

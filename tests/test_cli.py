@@ -7,6 +7,7 @@ captured output are checked without spawning subprocesses.
 import csv
 import io
 import json
+import os
 import warnings
 
 import numpy as np
@@ -364,6 +365,24 @@ class TestSweep:
         ]
         assert len(rows) == 3
         assert float(rows[1][1]) == 0.0 and float(rows[2][1]) == 0.5
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["target", "dangling"])
+    def test_out_through_a_symlink_keeps_the_link(self, capsys, tmp_path, existing):
+        argv = ["sweep", "medical", "--p1-steps", "2"]
+        direct = tmp_path / "direct.csv"
+        assert run(capsys, [*argv, "--out", str(direct)])[0] == 0
+        real = tmp_path / "real" / "med.csv"
+        if existing:
+            real.parent.mkdir()
+            real.write_text("stale\n")
+        link = tmp_path / "links" / "med.csv"
+        link.parent.mkdir()
+        link.symlink_to(real)
+        code, out, _ = run(capsys, [*argv, "--out", str(link)])
+        assert code == 0 and f"wrote 2 rows to {link}" in out
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_bytes() == direct.read_bytes()
+        assert [p.name for p in real.parent.iterdir()] == ["med.csv"]
 
     def test_empty_grid_writes_header_only(self, capsys, tmp_path):
         out_path = tmp_path / "empty.csv"

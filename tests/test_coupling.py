@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from lostchance.cli import main
 from lostchance.coupling import (
     Cells,
     Coupling,
+    RankOneCells,
     comonotone_cells,
     coupling_from_map,
     evidence_coupling,
@@ -69,6 +71,39 @@ class TestCouplingContainer:
                 OutcomeSpace(("a", "b"), (0.0, 1.0)),
                 Cells.from_dense(np.array([[0.5, 0.0], [0.0, 0.4]])),
             )
+
+    @pytest.mark.parametrize(
+        "bad_row, bad_col, match",
+        [
+            ({1: -0.1}, {}, r"row_weights\[1\] is -0\.1,"),
+            ({0: np.inf}, {2: np.nan}, r"row_weights\[0\] is inf,"),
+            ({}, {2: np.nan, 3: -1.0}, r"col_weights\[2\] is nan,"),
+        ],
+        ids=["negative-row", "row-before-column", "first-bad-column"],
+    )
+    def test_rank_one_names_its_first_bad_factor(self, bad_row, bad_col, match):
+        a, b = np.full(4, 0.25), np.full(4, 0.25)
+        for w, bad in ((a, bad_row), (b, bad_col)):
+            for i, x in bad.items():
+                w[i] = x
+        space = OutcomeSpace(tuple("abcd"), (0.0, 1.0, 2.0, 3.0))
+        with pytest.raises(ValueError, match=match):
+            Coupling(space, RankOneCells(a, b))
+
+    def test_rank_one_refusal_builds_no_matrix(self):
+        n = 1000
+        space = OutcomeSpace(tuple(f"o{i}" for i in range(n)), tuple(map(float, range(n))))
+        a, b = np.full(n, 1.0 / n), np.full(n, 1.0 / n)
+        b[-1] = -b[-1]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"col_weights\[{n - 1}\]"):
+                Coupling(space, RankOneCells(a, b))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # An n x n float matrix alone would take 8 MB.
+        assert peak < 1 << 20
 
     def test_rejects_a_dense_matrix(self):
         with pytest.raises(TypeError, match="Cells or RankOneCells"):
