@@ -498,6 +498,10 @@ def parse_case(data: dict) -> LoadedCase:
     return _load_outcome_form(data)
 
 
+# Why JSON that takes Python's parser past the recursion limit is refused.
+NESTED_TOO_DEEP = "nested deeper than the parser allows"
+
+
 def _strict_json(text: str) -> tuple[object, list[str]]:
     """Parse JSON, listing what strict JSON forbids but Python's parser
     accepts: a key repeated in one object (the last value would win) and
@@ -525,6 +529,8 @@ def _strict_json(text: str) -> tuple[object, list[str]]:
     except ValueError as exc:
         # A JSONDecodeError, or an integer too long to convert at all.
         raise CaseValidationError([f"invalid JSON: {exc}"]) from exc
+    except RecursionError:
+        raise CaseValidationError([f"invalid JSON: {NESTED_TOO_DEEP}"]) from None
     return data, problems
 
 

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .casefile import SCHEMA_TEXT, atomic_write_text, load_case
+from .casefile import NESTED_TOO_DEEP, SCHEMA_TEXT, atomic_write_text, load_case
 from .choice import evaluate_choice_case
 from .outcome import CaseValidationError
 from .valuation import (
@@ -78,6 +78,8 @@ def _json_blocks(spec: str) -> list[list[str]]:
         blocks = json.loads(spec)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"custom blocks {spec!r} are not JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigurationError(f"custom blocks are not JSON: {NESTED_TOO_DEEP}") from None
     if not isinstance(blocks, list) or not blocks:
         problems = ["expected a non-empty list of blocks"]
     else:

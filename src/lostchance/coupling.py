@@ -287,10 +287,16 @@ def _check_marginals(model: CaseModel, joint) -> None:
 def evidence_coupling(model: CaseModel, joint) -> Coupling:
     """Wrap an explicitly supplied joint, checking it against the case.
 
-    The joint is `Cells` or a dense matrix; this is where a matrix
-    becomes a coupling's cells.
+    The joint is `Cells`, a dense matrix or a deterministic
+    counterfactual-to-factual outcome map, a dict of labels; this is
+    where a matrix or a map becomes a coupling's cells.  A map's cells
+    are checked as any joint's, so a map that leaves out a weighted
+    counterfactual outcome is refused by the marginal check, which names
+    that outcome.
     """
-    if not isinstance(joint, Cells):
+    if isinstance(joint, dict):
+        joint = map_cells(model.space, model.counterfactual.array, joint)
+    elif not isinstance(joint, Cells):
         joint = np.asarray(joint, dtype=float)
     n = model.space.size
     if joint.shape != (n, n):
@@ -314,16 +320,10 @@ def map_cells(space: OutcomeSpace, weights, mapping: dict[str, str]) -> Cells:
 
 
 def coupling_from_map(model: CaseModel, mapping: dict[str, str]) -> Coupling:
-    """Expand a deterministic counterfactual-to-factual outcome map.
-
-    Each counterfactual outcome sends its whole mass to one factual
-    outcome.  The map's cells then enter through `evidence_coupling`,
-    as a file's map does, so a map that leaves out a weighted
-    counterfactual outcome is refused by the marginal check, which names
-    that outcome.
-    """
-    cells = map_cells(model.space, model.counterfactual.array, mapping)
-    return evidence_coupling(model, cells)
+    """Expand a deterministic counterfactual-to-factual outcome map, in
+    which each counterfactual outcome sends its whole mass to one factual
+    outcome: `evidence_coupling(model, mapping)`."""
+    return evidence_coupling(model, mapping)
 
 
 def independence_coupling(model: CaseModel) -> Coupling:

@@ -34,7 +34,6 @@ import numpy as np
 
 from .coupling import (
     Coupling,
-    coupling_from_map,
     evidence_coupling,
     independence_coupling,
     least_divergence_coupling,
@@ -124,7 +123,7 @@ class SelectiveGroups:
     minus: np.ndarray
     ties: np.ndarray
 
-    def indices(self, row: int = 0) -> tuple[tuple[int, ...], ...]:
+    def indices(self, row: int) -> tuple[tuple[int, ...], ...]:
         """Coupling `row`'s plus, minus and tied outcomes, as increasing
         index tuples."""
         return tuple(
@@ -207,17 +206,18 @@ def _shared_partition(
 
 def build_partition(
     infos: Sequence[str],
-    support: Sequence[int] | np.ndarray | list[np.ndarray],
-    groups: Optional[SelectiveGroups] = None,
+    supports: Sequence[np.ndarray],
+    groups: SelectiveGroups,
     custom_blocks: Optional[Sequence[Sequence[int]]] = None,
-    coupling_rows: Optional[Sequence[int]] = None,
+    *,
+    coupling_rows: Sequence[int],
 ) -> list[Partition]:
     """The partition each information policy in `infos` allows on the
     factual support: table t's under the coupling in row
-    `coupling_rows[t]` of the stack that `groups` came from (row 0 when
-    no rows are given).  `support` is the indices of the factual support
-    in increasing order, shared by every row, or a list of such arrays,
-    one per row, for a stack whose rows come from different cases.
+    `coupling_rows[t]` of the stack that `groups` came from.
+    `supports[row]` is the indices of row `row`'s factual support in
+    increasing order; rows of cases with equal supports may share one
+    array.
 
     * l-fi: one block, the whole factual support;
     * m-fi: the coupling's compensable/non-compensable split (empty side
@@ -233,31 +233,22 @@ def build_partition(
     table whose row holds that array.  The first table that cannot be
     built raises.
     """
-    per_row = isinstance(support, list) and bool(support) and isinstance(support[0], np.ndarray)
-    if not per_row:
-        support = np.asarray(support, dtype=np.intp)
-        if not support.size:
-            raise ValueError("factual support is empty")
-    if coupling_rows is None:
-        coupling_rows = [0] * len(infos)
     shared: dict[tuple[str, int], Partition] = {}
     partitions = []
     for info, row in zip(infos, coupling_rows):
         if info == "m-fi":
-            if groups is None:
-                raise ConfigurationError("m-fi partition needs selective groups")
             # The coupling's plus outcomes, then its minus outcomes.
             side, outcomes = np.array((groups.plus[row], groups.minus[row])).nonzero()
             # Block 0 is the plus side, or the minus side when no outcome
             # is compensable.
             partitions.append(Partition(outcomes, side - 1 if side.size and side[0] else side))
             continue
-        own = support[row] if per_row else support
-        key = (info, id(own))
+        support = supports[row]
+        key = (info, id(support))
         if key not in shared:
-            if not own.size:
+            if not support.size:
                 raise ValueError("factual support is empty")
-            shared[key] = _shared_partition(info, own, custom_blocks)
+            shared[key] = _shared_partition(info, support, custom_blocks)
         partitions.append(shared[key])
     return partitions
 
@@ -272,21 +263,19 @@ class GapStack:
     `starts[t]:starts[t + 1]`.  `outcomes` holds the partitions' outcomes
     end to end, table t's at `bounds[t]:bounds[t + 1]`; `tables` gives
     the table of each, and `rows` its row, or the row count when its
-    block was dropped.  Read a table only after `check(t)`.
+    block was dropped.  Every table is checked when the stack is built,
+    and `expected[t]` is table t's expected gap.
     """
 
     def __init__(
         self,
         couplings: CouplingStack,
         partitions: Sequence[Partition],
-        coupling_rows: Optional[Sequence[int]] = None,
+        coupling_rows: Sequence[int],
     ) -> None:
         v = couplings.space.values_array
         mass, v0 = couplings.mass, couplings.v0
         self.partitions = partitions
-        self._labels = couplings.space.labels
-        # The coupling row of each table.
-        self._rows = [0] * len(partitions) if coupling_rows is None else list(coupling_rows)
         sizes = [p.outcomes.size for p in partitions]
         self.bounds = [0, *itertools.accumulate(sizes)]
         # Table t's block b is block first[t] + b of the stack.
@@ -297,9 +286,9 @@ class GapStack:
         ids = np.concatenate([p.block_ids for p in partitions])
         if len(partitions) > 1:
             ids = ids + np.array(first[:-1])[self.tables]
-        # Table t's outcome k reads cell (rows[t], k) of the moments.
-        if any(self._rows):
-            cells = cells + (np.array(self._rows) * v.size)[self.tables]
+        # Table t's outcome k reads cell (coupling_rows[t], k) of the moments.
+        if any(coupling_rows):
+            cells = cells + (np.array(coupling_rows) * v.size)[self.tables]
         # E[(V0 - V1) 1{O1 = k}], coupling by coupling and column by column.
         col_gap = v0 - mass * v
         # bincount adds each bin's weights in input order, so a block's
@@ -307,57 +296,58 @@ class GapStack:
         block_p = np.bincount(ids, weights=mass.ravel()[cells], minlength=first[-1])
         block_gap = np.bincount(ids, weights=col_gap.ravel()[cells], minlength=first[-1])
         kept = block_p > 0.0
-        self._dropped = not kept.all()
+        dropped = not kept.all()
         self.rows, self.starts = ids, first
-        if self._dropped:
+        if dropped:
             kept_before = np.concatenate(([0], np.cumsum(kept)))
             self.rows = np.where(kept[ids], kept_before[ids], kept_before[-1])
             self.starts = kept_before[first].tolist()
             block_p, block_gap = block_p[kept], block_gap[kept]
         self.probabilities = read_only(block_p)
         self.gaps = read_only(block_gap / block_p)
-        self._couplings = couplings
+        # Table by table: warn of each block dropped for zero probability,
+        # by its outcomes' labels, then hold the table's rows to its
+        # coupling's gap identity, sum_b p_b gap_b = E[V0 - V1].  The left
+        # side is the table's expected gap.
+        labels = couplings.space.labels
+        expected = []
+        for t, (part, row) in enumerate(zip(partitions, coupling_rows)):
+            if dropped:
+                gone = self.rows[self.bounds[t] : self.bounds[t + 1]] == self.gaps.size
+                for b in np.unique(part.block_ids[gone]).tolist():
+                    block = part.outcomes[part.block_ids == b].tolist()
+                    names = ", ".join(repr(labels[k]) for k in block)
+                    # Past `conditional_gap`, to the line that called it.
+                    warnings.warn(
+                        f"dropping zero-probability block of outcome(s) {names}",
+                        stacklevel=3,
+                    )
+            expected.append(float(np.dot(*self.table(t))))
+            mean_gap = couplings.mean_gaps[row]
+            if abs(expected[t] - mean_gap) > GAP_IDENTITY_TOL * couplings.scale:
+                raise AssertionError(
+                    f"gap table inconsistent: blocks aggregate to {expected[t]!r} "
+                    f"but the coupling's mean gap is {mean_gap!r}"
+                )
+        self.expected = tuple(expected)
 
     def table(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Table t's rows: its kept blocks' probabilities and gaps."""
         lo, hi = self.starts[t], self.starts[t + 1]
         return self.probabilities[lo:hi], self.gaps[lo:hi]
 
-    def check(self, t: int) -> float:
-        """Warn of each block of table t dropped for zero probability, by
-        its outcomes' labels, then hold its rows to its coupling's gap
-        identity: sum_b p_b gap_b = E[V0 - V1].  Returns the left side,
-        the table's expected gap."""
-        if self._dropped:
-            part = self.partitions[t]
-            rows = self.rows[self.bounds[t] : self.bounds[t + 1]]
-            for b in np.unique(part.block_ids[rows == self.gaps.size]).tolist():
-                block = part.outcomes[part.block_ids == b].tolist()
-                labels = ", ".join(repr(self._labels[k]) for k in block)
-                warnings.warn(
-                    f"dropping zero-probability block of outcome(s) {labels}",
-                    stacklevel=2,
-                )
-        expected = float(np.dot(*self.table(t)))
-        mean_gap = self._couplings.mean_gaps[self._rows[t]]
-        if abs(expected - mean_gap) > GAP_IDENTITY_TOL * self._couplings.scale:
-            raise AssertionError(
-                f"gap table inconsistent: blocks aggregate to {expected!r} "
-                f"but the coupling's mean gap is {mean_gap!r}"
-            )
-        return expected
-
 
 def conditional_gap(
     couplings: CouplingStack,
     partitions: Sequence[Partition],
-    coupling_rows: Optional[Sequence[int]] = None,
+    coupling_rows: Sequence[int],
 ) -> GapStack:
     """E[V0 - V1 | block] and block probability for each block of every
-    partition, as their `GapStack`.  Partition t is read under the
-    coupling in row `coupling_rows[t]` of the stack (row 0 when no rows
-    are given), so one call takes the tables of several partitions of
-    several couplings.
+    partition, as their checked `GapStack`.  Partition t is read under
+    the coupling in row `coupling_rows[t]` of the stack, so one call
+    takes the tables of several partitions of several couplings; a lone
+    coupling's tables are `conditional_gap(CouplingStack([c]), parts,
+    [0] * len(parts))`.
 
     The partitions' outcomes are laid end to end, each table's block ids
     offset past the blocks of the tables before it, and each outcome reads
@@ -367,7 +357,8 @@ def conditional_gap(
     block's sums are bit for bit the ones a pass over its own table, under
     its own coupling alone, takes.  Blocks with zero factual probability
     carry no conditional mean; they are dropped, with a warning when
-    their table is checked, rather than reported as 0/0.
+    their table is checked, rather than reported as 0/0.  Tables are
+    checked in order, and the first that fails its gap identity raises.
     """
     return GapStack(couplings, partitions, coupling_rows)
 
@@ -471,8 +462,8 @@ def _coupling_for(
 ) -> tuple[Coupling, tuple[str, ...]]:
     """The coupling a connection policy uses, and the notes it carries.
 
-    `joint` is what e-c or paper-table evaluates: a matrix, `Cells` or an
-    outcome map.  `least_divergence()` gives the engine's own
+    `joint` is what e-c or paper-table evaluates, in any form
+    `evidence_coupling` takes.  `least_divergence()` gives the engine's own
     least-divergence coupling, which paper-table is costed against.
     """
     if conn in ("e-c", "paper-table"):
@@ -481,10 +472,7 @@ def _coupling_for(
                 f"connection policy {conn!r} needs an explicit coupling and "
                 f"none was supplied"
             )
-        if isinstance(joint, dict):
-            c = coupling_from_map(model, joint)
-        else:
-            c = evidence_coupling(model, joint)
+        c = evidence_coupling(model, joint)
         if conn == "paper-table":
             own = least_divergence()
             supplied_cost = transport_cost(c)
@@ -546,7 +534,7 @@ class GridBuild:
     one-case family.  Every case has the same tables in the same order,
     and case c's tables and stack rows follow case c - 1's.  Table t's
     partition is `gaps.partitions[t]`, its rows `gaps.table(t)` and its
-    checked expected gap `expected[t]`; `couplings` are the rows of
+    checked expected gap `gaps.expected[t]`; `couplings` are the rows of
     `groups`.  `supports` holds each case's factual support, `payouts`
     the (case x combination x support outcome) payouts, flattened row
     after row, and `notes` each (case, combination)'s notes, case after
@@ -557,7 +545,6 @@ class GridBuild:
     couplings: tuple[Coupling, ...]
     groups: SelectiveGroups
     gaps: GapStack
-    expected: tuple[float, ...]
     supports: tuple[np.ndarray, ...]
     payouts: np.ndarray
     notes: tuple[tuple[str, ...], ...]
@@ -596,10 +583,11 @@ def build_grid(
       groups, one `selective_groups` call;
     * every table's partition, one `build_partition` call, on its own
       case's factual support;
-    * every table's gaps, one `conditional_gap` pass, and every row's
-      clamped payout, one `cc_indemnity` call;
-    * table by table, its check, then its fair-mean payouts when some
-      fm-i combination uses it, one `fm_indemnity` call each;
+    * every table's gaps, one `conditional_gap` pass that checks each
+      table in turn, and every row's clamped payout, one `cc_indemnity`
+      call;
+    * table by table, its fair-mean payouts when some fm-i combination
+      uses it, one `fm_indemnity` call each;
     * the (case x combination x support outcome) payouts, in one gather.
 
     So the first stage that fails raises: a family whose cases differ in
@@ -673,7 +661,7 @@ def build_grid(
         masks.append(mask)
         supports.append(distinct[key])
     row_supports = [s for s in supports for _ in uses]
-    partitions = build_partition(infos, row_supports, groups, custom_blocks, rows)
+    partitions = build_partition(infos, row_supports, groups, custom_blocks, coupling_rows=rows)
     gaps = conditional_gap(couplings, partitions, rows)
     # Every row's clamped payout, a 0, every row's fair-mean payout and a
     # 0; fair-mean payouts are solved only for the tables that some fm-i
@@ -681,12 +669,10 @@ def build_grid(
     count = gaps.gaps.size
     payouts = np.zeros(2 * count + 2)
     payouts[:count] = cc_indemnity(gaps.gaps)
-    expected = []
     for t, fair in enumerate(fairs * cases):
-        expected.append(gaps.check(t))
         if fair:
             lo, hi = count + 1 + gaps.starts[t], count + 1 + gaps.starts[t + 1]
-            payouts[lo:hi] = fm_indemnity(*gaps.table(t), expected[t])
+            payouts[lo:hi] = fm_indemnity(*gaps.table(t), gaps.expected[t])
     # slots[t, k] is where in `payouts` table t pays outcome k: the row of
     # the block that holds it, or the 0 past the clamped payouts when no
     # kept block does.  slots[t + len(rows)] is the same place among the
@@ -713,7 +699,6 @@ def build_grid(
         couplings=couplings.couplings,
         groups=groups,
         gaps=gaps,
-        expected=tuple(expected),
         supports=tuple(supports),
         payouts=payouts[slots[picked][held]],
         notes=tuple([extra + notes[c * per_case + t] for c in range(cases) for t in picks]),
@@ -784,11 +769,8 @@ def schedule_risk(
 ) -> float:
     """E[(V0 - V1 - X)^2] for a block-constant schedule, straight from the joint."""
     v = coupling.space.values_array
-    n = coupling.space.size
-    x_col = np.zeros(n)
-    for block, x in zip(partition.blocks, block_x):
-        for k in block:
-            x_col[k] = x
+    x_col = np.zeros(coupling.space.size)
+    x_col[partition.outcomes] = np.asarray(block_x)[partition.block_ids]
     d = v[:, None] - v[None, :] - x_col[None, :]
     return float(np.einsum("ij,ij->", coupling.joint, d * d))
 
@@ -796,15 +778,14 @@ def schedule_risk(
 def oracle_best_schedule(
     coupling: Coupling,
     partition: Partition,
-    constrained: bool = False,
     target: Optional[float] = None,
 ) -> tuple[np.ndarray, float]:
     """Exact reference for the best block-constant schedule.
 
     Minimizes the expected squared shortfall over schedules that pay no
-    block less than zero.  With constrained=True only schedules whose
-    expected payout equals `target` (default: the coupling's mean gap)
-    are considered, plus the all-zero schedule.  The risk is a separable
+    block less than zero.  Given a `target`, only schedules whose
+    expected payout equals it are considered, plus the all-zero
+    schedule.  The risk is a separable
     convex quadratic, so its minimiser is the optimum of its first-order
     conditions on its own set of paying blocks: every such set is solved
     from three sums of the joint per block, taken once per call, and the
@@ -824,9 +805,7 @@ def oracle_best_schedule(
     n = coupling.space.size
     # Columns outside every block share block 0's payout.
     col_block = np.zeros(n, dtype=int)
-    for bi, block in enumerate(partition.blocks):
-        for k in block:
-            col_block[k] = bi
+    col_block[partition.outcomes] = partition.block_ids
     # With d = V0 - V1, the risk of paying x_b in block b is
     # sum_ij J_ij (d_ij - x_b(j))^2 = C - 2 x.B + x^2.A for the sums below.
     d = v[:, None] - v[None, :]
@@ -834,22 +813,22 @@ def oracle_best_schedule(
     mom_a = np.bincount(col_block, weights=joint.sum(axis=0), minlength=nb)
     mom_b = np.bincount(col_block, weights=jd.sum(axis=0), minlength=nb)
     mom_c = float((jd * d).sum())
-    block_p = np.array(
-        [float(col_mass[list(block)].sum()) for block in partition.blocks]
+    block_p = np.bincount(
+        partition.block_ids, weights=col_mass[partition.outcomes], minlength=nb
     )
     best_x = np.zeros(nb)
     best_r = schedule_risk(coupling, partition, best_x)
     if float(v.max() - v.min()) <= 0.0:
         return best_x, best_r
-    if constrained:
-        t = float(joint.sum(axis=1) @ v - col_mass @ v) if target is None else float(target)
+    if target is not None:
+        t = float(target)
         if t <= 0.0:
             return best_x, best_r
     # One row per set of paying blocks; a block of no mass never pays.
     paying = np.array(list(itertools.product((False, True), repeat=nb)))
     paying = paying[~(paying & (mom_a <= 0.0)).any(axis=1)]
     a = np.where(mom_a > 0.0, mom_a, 1.0)
-    if constrained:
+    if target is not None:
         # Stationarity on the paying set, x_b = (B_b - nu p_b) / A_b, with
         # the multiplier nu fixed by the mean constraint p.x = t.
         w = block_p / a

@@ -216,7 +216,7 @@ def _drawn_build(rng, model: CaseModel, indemnity: str = "cc-i") -> GridBuild:
 def _tables(build: GridBuild):
     """Each table of a `_drawn_build`: (info, partition, p, gaps, expected gap)."""
     for t, info in enumerate(STANDARD_AXES[0]):
-        yield (info, build.gaps.partitions[t], *build.gaps.table(t), build.expected[t])
+        yield (info, build.gaps.partitions[t], *build.gaps.table(t), build.gaps.expected[t])
 
 
 def _check_marginal_preservation(res: PropertyResult, rng, instances: range) -> None:
@@ -280,7 +280,8 @@ def _block_payouts(schedule, partition, model: CaseModel) -> np.ndarray:
     block's first outcome."""
     paid = np.zeros(model.space.size)
     paid[list(model.factual.support())] = schedule.values
-    return paid[[block[0] for block in partition.blocks]]
+    first = np.unique(partition.block_ids, return_index=True)[1]
+    return paid[partition.outcomes[first]]
 
 
 def _check_unconstrained_optimal(res: PropertyResult, rng, instances: range) -> None:
@@ -348,9 +349,7 @@ def _check_constrained_optimal(
                 f"instance {i} {info}: fair-mean payout {mean!r} misses "
                 f"target {target!r}",
             )
-            x_or, r_or = oracle_best_schedule(
-                coupling, partition, constrained=True, target=target
-            )
+            x_or, r_or = oracle_best_schedule(coupling, partition, target)
             r_x = schedule_risk(coupling, partition, x)
             res.ok(
                 r_x <= r_or + risk_tol,
@@ -404,7 +403,7 @@ def _check_mfi_fmi_closed_form(res: PropertyResult, rng, instances: range) -> No
         build = _drawn_build(rng, model)
         # The m-fi table.
         p, g = build.gaps.table(1)
-        target = build.expected[1]
+        target = build.gaps.expected[1]
         # The closed form presumes a strictly non-compensable second block;
         # a tied outcome can leave it with a positive gap at tie-tolerance
         # scale, in which case the generic root is the right answer.

@@ -148,7 +148,10 @@ def evaluate(
     v = model.space.values_array
     groups = selective_groups(joint, v)
     support = model.factual.support()
-    (partition,) = build_partition([combo.info], support, groups, custom_blocks)
+    supports = [np.array(support)]
+    (partition,) = build_partition(
+        [combo.info], supports, groups, custom_blocks, coupling_rows=[0]
+    )
     blocks, p, g = conditional_gap(joint, v, partition)
     if combo.indemnity == "cc-i":
         block_x = cc_indemnity(g)

@@ -140,7 +140,7 @@ def schedules(
         coupling, notes = _coupling_for(
             model, combo.connection, evidence_joint, least_divergence
         )
-        plus, minus, ties = selective_groups(CouplingStack([coupling])).indices()
+        plus, minus, ties = selective_groups(CouplingStack([coupling])).indices(0)
         if ties and combo.info == "m-fi":
             tied = ", ".join(model.space.labels[i] for i in ties)
             notes += (

@@ -53,14 +53,15 @@ def _check(criterion: int, slug: str, body) -> None:
 def _partitions(coupling, model):
     infos = ("l-fi", "m-fi", "h-fi")
     groups = selective_groups(CouplingStack([coupling]))
-    return zip(infos, build_partition(infos, model.factual.support(), groups))
+    supports = [np.array(model.factual.support())]
+    return zip(infos, build_partition(infos, supports, groups, coupling_rows=[0] * 3))
 
 
 def _table(coupling, partition):
     """(block probabilities, block gaps, expected gap) of one partition,
     checked."""
-    gaps = conditional_gap(CouplingStack([coupling]), [partition])
-    return gaps.probabilities, gaps.gaps, gaps.check(0)
+    gaps = conditional_gap(CouplingStack([coupling]), [partition], [0])
+    return gaps.probabilities, gaps.gaps, gaps.expected[0]
 
 
 def _combo_view(cells):
@@ -128,7 +129,9 @@ def test_criterion_2_prize_schedule_table():
         for outcome, want in (("a1", 0.0), ("a2", 0.0), ("a3", 17.5), ("a4", 40.0)):
             assert abs(sched.value_for(outcome) - want) <= 1e-9 * max(1.0, want)
         coupling = least_divergence_coupling(sc.model)
-        (partition,) = build_partition(["h-fi"], sc.model.factual.support())
+        supports = [np.array(sc.model.factual.support())]
+        groups = selective_groups(CouplingStack([coupling]))
+        (partition,) = build_partition(["h-fi"], supports, groups, coupling_rows=[0])
         x_cc = cc_indemnity(_table(coupling, partition)[1])
         _, r_or = oracle_best_schedule(coupling, partition)
         assert schedule_risk(coupling, partition, x_cc) <= r_or + 1e-5
@@ -235,9 +238,7 @@ def test_criterion_5_schedule_optimality():
                 assert float(np.max(np.abs(x_cc - x_or))) <= resolution, (i, info)
                 if target > 0.0:
                     positives += 1
-                    x_oc, r_oc = oracle_best_schedule(
-                        coupling, partition, constrained=True, target=target
-                    )
+                    x_oc, r_oc = oracle_best_schedule(coupling, partition, target)
                     assert (
                         schedule_risk(coupling, partition, x_fm) <= r_oc + risk_tol
                     ), (i, info)

@@ -701,6 +701,13 @@ class TestParameterErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: custom blocks '[[\"bad\"' are not JSON: ")
 
+    def test_custom_blocks_nested_past_the_parser_are_refused(self, capsys, medical_file):
+        argv = ["evaluate", str(medical_file), "--info", "custom",
+                "--custom-blocks", "[" * 50_000]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: custom blocks are not JSON: nested deeper than the parser allows\n"
+
 
 class TestSchemaAndErrors:
     def test_schema_prints_grammar(self, capsys):
@@ -726,6 +733,16 @@ class TestSchemaAndErrors:
         assert code == 2
         assert "case file is invalid" in err
         assert "invalid JSON" in err
+
+    def test_json_nested_past_the_parser_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, ["evaluate", str(path)])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: case file is invalid\n"
+            "  - invalid JSON: nested deeper than the parser allows\n"
+        )
 
     def test_invalid_case_lists_violations(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

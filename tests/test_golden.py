@@ -189,7 +189,6 @@ def test_all_policies_builds_each_coupling_once(run, monkeypatch, capsys):
 
     for name in (
         "evidence_coupling",
-        "coupling_from_map",
         "least_divergence_coupling",
         "independence_coupling",
     ):
@@ -236,9 +235,9 @@ def test_all_policies_runs_every_stage_the_bench_wraps(monkeypatch, capsys):
     for name in STAGES:
         original = getattr(valuation, name)
 
-        def counted(*args, _name=name, _original=original):
+        def counted(*args, _name=name, _original=original, **kwargs):
             calls.append(_name)
-            return _original(*args)
+            return _original(*args, **kwargs)
 
         monkeypatch.setattr(valuation, name, counted)
     case, flags = _case_and_presumption("paper-prize")

@@ -22,6 +22,19 @@ twelve least-divergence and independence combinations:
   it was, up to round-off: both connections give an outcome's column
   the same counterfactual mean whichever half of the split it meets.
 
+Three more relations each answer one of the paper's questions:
+
+- information: custom blocks that are the factual support's singletons,
+  in support order, give the h-fi schedule, and one block holding the
+  whole support gives the l-fi schedule, bit for bit;
+- indemnity: under identity money, with max |v| >= 1, doubling or (with
+  max |v| >= 2) halving every value scales every compensation and award
+  by the same factor, bit for bit, since a power of two scales exactly
+  and the tie band scales with max(1, max |v|);
+- presumption: when the counterfactual-choice evidence already is the
+  point mass on the best dutiful choice, ii-cp prices the case as it-cp
+  does, bit for bit, and adds only its two presumption notes.
+
 The outcome goes at the end so that every reduction meets the other
 outcomes in the same order: an outcome inserted before them moves the
 engine's sums as a permutation of the list does, by a few units in the
@@ -34,9 +47,12 @@ move their i-c schedules by an ulp, which
 expected failure.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from lostchance.choice import best_dutiful_choice, evaluate_choice_case
 from lostchance.outcome import (
     CaseModel,
     DiscreteDistribution,
@@ -49,6 +65,7 @@ from lostchance.valuation import (
     PolicyCombo,
     evaluate_grid,
 )
+from lostchance.verify import random_choice_case
 
 COMBOS = [c for c in STANDARD_COMBOS if c.connection != "e-c"]
 SIZES = (3, 4, 30, 300, 3000)
@@ -223,3 +240,63 @@ def test_a_split_outcome_leaves_every_other_compensation(n, seed):
         assert [o for o in others if o in now] == [o for o in others if o in was]
         moved = [now[o] - was[o] for o in others if o in was]
         assert np.abs(moved, dtype=float).max(initial=0.0) <= tol, new.policy
+
+
+def _same_schedules(got, want) -> None:
+    """Equal outcomes and notes, and bit-for-bit equal values and awards."""
+    for new, old in zip(got, want, strict=True):
+        assert new.outcomes == old.outcomes
+        assert new.notes == old.notes
+        assert _bits(new.values) == _bits(old.values), new.policy
+        assert _bits(new.awards) == _bits(old.awards), new.policy
+
+
+INFO_PAIRS = [("ld-c", "cc-i"), ("ld-c", "fm-i"), ("i-c", "cc-i"), ("i-c", "fm-i")]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", (2, 3, 30, 300, 3000))
+def test_singleton_and_whole_support_blocks_are_h_fi_and_l_fi(n, seed):
+    model = _model(*_seeded(seed, n))
+    support = list(model.factual.support())
+    for info, blocks in (("h-fi", [[k] for k in support]), ("l-fi", [support])):
+        own = evaluate_grid(model, [PolicyCombo(info, c, i) for c, i in INFO_PAIRS])
+        custom = evaluate_grid(
+            model, [PolicyCombo("custom", c, i) for c, i in INFO_PAIRS], None, blocks
+        )
+        _same_schedules(custom, own)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n", (2, 3, 30, 300, 3000))
+def test_doubled_or_halved_values_scale_every_indemnity_exactly(n, seed):
+    values, counterfactual, factual = _seeded(seed, n)
+    # Each scaled case keeps max |v| >= 1.
+    top = float(np.abs(values).max())
+    factors = [f for f in (2.0, 0.5) if top * min(f, 1.0) >= 1.0]
+    assert factors
+    base = evaluate_grid(_model(values, counterfactual, factual), COMBOS)
+    for factor in factors:
+        scaled = evaluate_grid(_model(values * factor, counterfactual, factual), COMBOS)
+        for old, new in zip(base, scaled, strict=True):
+            assert (new.policy, new.outcomes, new.notes) == (old.policy, old.outcomes, old.notes)
+            assert _bits(new.values) == _bits(np.multiply(old.values, factor)), new.policy
+            assert _bits(new.awards) == _bits(np.multiply(old.awards, factor)), new.policy
+
+
+def test_ii_cp_on_evidence_that_is_already_its_presumption_is_it_cp():
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        drawn = random_choice_case(rng)
+        point = np.zeros(drawn.n_choices)
+        point[drawn.choice_index(best_dutiful_choice(drawn))] = 1.0
+        model = replace(drawn, counterfactual_choice=DiscreteDistribution(point))
+        it_cp = evaluate_choice_case(model, STANDARD_COMBOS, "it-cp")
+        ii_cp = evaluate_choice_case(model, STANDARD_COMBOS, "ii-cp")
+        for old, new in zip(it_cp, ii_cp, strict=True):
+            assert new.outcomes == old.outcomes
+            assert _bits(new.values) == _bits(old.values), new.policy
+            assert _bits(new.awards) == _bits(old.awards), new.policy
+            added = [note for note in new.notes if note not in old.notes]
+            assert [note for note in new.notes if note in old.notes] == list(old.notes)
+            assert len(added) == 2 and added[0].startswith("presumption(ii-cp): ")

@@ -143,8 +143,9 @@ def _schedule_pairs():
         else:
             coupling = independence_coupling(model)
         groups = selective_groups(CouplingStack([coupling]))
-        support = model.factual.support()
-        for partition in build_partition(("l-fi", "m-fi", "h-fi"), support, groups):
+        supports = [np.array(model.factual.support())]
+        infos = ("l-fi", "m-fi", "h-fi")
+        for partition in build_partition(infos, supports, groups, coupling_rows=[0] * 3):
             pairs.append((model, coupling, partition))
     return pairs
 
@@ -157,12 +158,12 @@ def test_best_schedule_matches_reference(constrained):
         v = model.space.values_array
         vrange = float(v.max() - v.min())
         step = max((0.001 if constrained else 0.005) * vrange, 1e-6)
-        kwargs = {"constrained": constrained}
+        target = None
         if constrained:
-            kwargs["target"] = conditional_gap(CouplingStack([coupling]), [partition]).check(0)
-        x, risk = oracle_best_schedule(coupling, partition, **kwargs)
+            target = conditional_gap(CouplingStack([coupling]), [partition], [0]).expected[0]
+        x, risk = oracle_best_schedule(coupling, partition, target)
         ref_x, ref_risk = ref.oracle_best_schedule(
-            coupling, partition, target_step=step, **kwargs
+            coupling, partition, constrained, target, target_step=step
         )
         scale = max(1.0, transport_cost(coupling))
         assert risk <= ref_risk + 1e-12 * scale, i
@@ -176,13 +177,13 @@ def test_best_schedule_is_the_closed_form(constrained):
     shift (fm-i).  Both to round-off, in risk and in schedule."""
     checked = 0
     for i, (model, coupling, partition) in enumerate(_schedule_pairs()):
-        gaps = conditional_gap(CouplingStack([coupling]), [partition])
-        target = gaps.check(0)
+        gaps = conditional_gap(CouplingStack([coupling]), [partition], [0])
+        target = gaps.expected[0]
         if constrained:
             if target <= 0.0:
                 continue
             want = fm_indemnity(gaps.probabilities, gaps.gaps, target)
-            x, risk = oracle_best_schedule(coupling, partition, True, target)
+            x, risk = oracle_best_schedule(coupling, partition, target)
         else:
             want = cc_indemnity(gaps.gaps)
             x, risk = oracle_best_schedule(coupling, partition)

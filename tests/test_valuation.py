@@ -53,15 +53,17 @@ def groups_of(coupling) -> SelectiveGroups:
 
 
 def one_partition(info, support, groups=None, custom_blocks=None) -> Partition:
-    """One information policy's partition: a one-table build."""
-    return build_partition([info], support, groups, custom_blocks)[0]
+    """One information policy's partition: a one-table build on stack row
+    0, whose support is `support`.  Only m-fi reads `groups`."""
+    supports = [np.asarray(support, dtype=np.intp)]
+    return build_partition([info], supports, groups, custom_blocks, coupling_rows=[0])[0]
 
 
 def table(coupling, partition):
     """(block probabilities, block gaps, expected gap) of one partition,
     checked."""
-    gaps = conditional_gap(CouplingStack([coupling]), [partition])
-    return gaps.probabilities, gaps.gaps, gaps.check(0)
+    gaps = conditional_gap(CouplingStack([coupling]), [partition], [0])
+    return gaps.probabilities, gaps.gaps, gaps.expected[0]
 
 
 PRIZE_EVIDENCE = {
@@ -114,12 +116,12 @@ class TestSelectiveGroups:
     def test_prize_evidence_split(self):
         groups = groups_of(prize_evidence_coupling())
         # conditional mean minus own value: 65, 5, -17.5, 40 on a1..a4
-        assert groups.indices() == ((0, 1, 3), (2,), ())
+        assert groups.indices(0) == ((0, 1, 3), (2,), ())
 
     def test_prize_independence_split(self):
         groups = groups_of(independence_coupling(prize_model()))
         # E[V0] = 50 against values 5, 30, 35, 70
-        assert groups.indices()[:2] == ((0, 1, 2), (3,))
+        assert groups.indices(0)[:2] == ((0, 1, 2), (3,))
 
     def test_tie_goes_to_minus_and_is_recorded(self):
         model = CaseModel(
@@ -130,7 +132,7 @@ class TestSelectiveGroups:
         )
         c = least_divergence_coupling(model)  # diagonal: gaps exactly zero
         groups = groups_of(c)
-        assert groups.indices() == ((), (0, 1), (0, 1))
+        assert groups.indices(0) == ((), (0, 1), (0, 1))
 
 
 class TestPartitions:
@@ -157,9 +159,7 @@ class TestPartitions:
         assert only_plus.blocks == ((0, 1, 2),)
         assert only_plus.block_count == 1
 
-    def test_m_fi_without_groups_rejected(self):
-        with pytest.raises(ConfigurationError):
-            one_partition("m-fi", (0, 1))
+    def test_unknown_information_policy_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown information policy"):
             one_partition("x-fi", (0, 1))
 
@@ -222,10 +222,10 @@ class TestConditionalGap:
         # support, so stretch the partition by hand: block (4,) covers
         # only a5, which has zero factual mass.
         part = hand_partition(((0, 1, 2, 3), (4,)))
+        # The stack warns as it checks its table, when it is built.
         with pytest.warns(UserWarning, match=r"zero-probability block of outcome\(s\) 'a5'$"):
-            p, g, _ = table(c, part)
-        assert p.tolist() == pytest.approx([1.0])
-        gaps = conditional_gap(CouplingStack([c]), [part])
+            gaps = conditional_gap(CouplingStack([c]), [part], [0])
+        assert gaps.probabilities.tolist() == pytest.approx([1.0])
         # a5 maps past the one kept row.
         assert gaps.rows.tolist() == [0, 0, 0, 0, 1]
 
@@ -435,7 +435,8 @@ class TestOracleBestSchedule:
     def test_prize_constrained(self):
         c = prize_evidence_coupling()
         part = one_partition("h-fi", (0, 1, 2, 3))
-        x, _ = oracle_best_schedule(c, part, constrained=True)
+        # The mean constraint is the table's expected gap, E[V0 - V1].
+        x, _ = oracle_best_schedule(c, part, table(c, part)[2])
         assert np.allclose(x, [50.0, 0.0, 0.0, 25.0], atol=0.02)
 
     def test_single_block_degenerate(self):
@@ -522,7 +523,8 @@ class TestStackedGaps:
         if empty_side and connect is independence_coupling:
             assert not groups.plus.any()
         support = model.factual.support()
-        parts = build_partition(("l-fi", "m-fi", "h-fi"), support, groups)
+        supports = [np.array(support)]
+        parts = build_partition(("l-fi", "m-fi", "h-fi"), supports, groups, coupling_rows=[0] * 3)
         cuts = np.sort(rng.choice(np.arange(1, len(support)), size=min(3, len(support) - 1), replace=False))
         blocks = [b.tolist() for b in np.split(rng.permutation(support), cuts)]
         parts.append(one_partition("custom", support, custom_blocks=blocks))
@@ -532,12 +534,11 @@ class TestStackedGaps:
             parts.append(hand_partition([*blocks, (off,)]))
         with warnings.catch_warnings(record=True) as stacked_warnings:
             warnings.simplefilter("always")
-            stack = conditional_gap(couplings, parts)
-            expected = [stack.check(t) for t in range(len(parts))]
+            stack = conditional_gap(couplings, parts, [0] * len(parts))
         with warnings.catch_warnings(record=True) as alone_warnings:
             warnings.simplefilter("always")
-            alone = [conditional_gap(couplings, [p]) for p in parts]
-            assert [one.check(0) for one in alone] == expected
+            alone = [conditional_gap(couplings, [p], [0]) for p in parts]
+        assert [one.expected[0] for one in alone] == list(stack.expected)
         assert [str(w.message) for w in stacked_warnings] == [
             str(w.message) for w in alone_warnings
         ]
@@ -567,12 +568,11 @@ class TestStackedGaps:
         groups = selective_groups(stack)
         infos = ("l-fi", "m-fi", "h-fi")
         rows = [row for row in range(3) for _ in infos]
-        support = model.factual.support()
+        support = np.array(model.factual.support())
         with warnings.catch_warnings(record=True) as stacked_warnings:
             warnings.simplefilter("always")
-            parts = build_partition(infos * 3, support, groups, coupling_rows=rows)
+            parts = build_partition(infos * 3, [support] * 3, groups, coupling_rows=rows)
             gaps = conditional_gap(stack, parts, rows)
-            expected = [gaps.check(t) for t in range(len(parts))]
         alone_warnings = []
         for row, c in enumerate(couplings):
             alone = CouplingStack([c])
@@ -581,11 +581,12 @@ class TestStackedGaps:
             assert np.array_equal(stack.v0[row], c.column_moments[1])
             assert stack.mean_gaps[row] == alone.mean_gaps[0]
             one_groups = selective_groups(alone)
-            assert groups.indices(row) == one_groups.indices()
+            assert groups.indices(row) == one_groups.indices(0)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                one = conditional_gap(alone, build_partition(infos, support, one_groups))
-                assert [one.check(t) for t in range(3)] == expected[3 * row : 3 * row + 3]
+                one_parts = build_partition(infos, [support], one_groups, coupling_rows=[0] * 3)
+                one = conditional_gap(alone, one_parts, [0] * 3)
+            assert one.expected == gaps.expected[3 * row : 3 * row + 3]
             alone_warnings += caught
             for t in range(3):
                 s = 3 * row + t
@@ -631,9 +632,9 @@ class TestBuildAndPrice:
         assert price(build) == evaluate_grid(*args, **kwargs)
         # Four connections, each with four information policies.
         assert len(build.couplings) == 4
-        assert len(build.gaps.partitions) == len(build.expected) == 16
+        assert len(build.gaps.partitions) == len(build.gaps.expected) == 16
         mean_gap = model.expected_gap()
-        assert all(abs(e - mean_gap) <= 1e-10 for e in build.expected)
+        assert all(abs(e - mean_gap) <= 1e-10 for e in build.gaps.expected)
 
     def test_a_build_error_raises_from_the_build(self):
         with pytest.raises(ConfigurationError, match="'e-c' needs an explicit coupling"):
@@ -660,7 +661,7 @@ class TestBuildAndPrice:
             paper_table_joint=[PRIZE_PUBLISHED],
         )
         assert price(family) == price(alone)
-        assert family.expected == alone.expected
+        assert family.gaps.expected == alone.gaps.expected
         assert [s.tolist() for s in family.supports] == [[0, 1, 2, 3]]
         assert [s.tolist() for s in alone.supports] == [[0, 1, 2, 3]]
         assert repr(family.payouts) == repr(alone.payouts)
@@ -684,7 +685,7 @@ class TestBuildAndPrice:
         )
         assert {s.outcomes for s in grid[len(combos) :]} == {("a1", "a2", "a4", "a5")}
         # Each case has the same 12 tables, the second's after the first's.
-        assert len(build.couplings) == 8 and len(build.expected) == 24
+        assert len(build.couplings) == 8 and len(build.gaps.expected) == 24
         assert build.gaps.partitions[12].outcomes.tolist() == [0, 1, 3, 4]
 
     def test_a_family_shares_one_outcome_space_and_one_money_map(self):
@@ -780,22 +781,18 @@ class TestEvaluateGrid:
         import lostchance.valuation as valuation
 
         calls = []
+        stacks = []
         for name in ("least_divergence_coupling", "conditional_gap", "fm_indemnity"):
             original = getattr(valuation, name)
 
             def counted(*args, _name=name, _original=original):
                 calls.append((_name, *(len(a) for a in args[1:2])))
-                return _original(*args)
+                out = _original(*args)
+                if _name == "conditional_gap":
+                    stacks.append(out)
+                return out
 
             monkeypatch.setattr(valuation, name, counted)
-        checks = []
-        check = valuation.GapStack.check
-
-        def counted_check(stack, t):
-            checks.append((stack, t))
-            return check(stack, t)
-
-        monkeypatch.setattr(valuation.GapStack, "check", counted_check)
         evaluate_grid(prize_model(), ALL_COMBOS, PRIZE_EVIDENCE, PRIZE_BLOCKS)
         # ld-c and paper-table share the one least-divergence coupling.
         assert calls.count(("least_divergence_coupling",)) == 1
@@ -804,16 +801,18 @@ class TestEvaluateGrid:
         # One fair-mean solve per table, though two combinations use each.
         assert [c[0] for c in calls].count("fm_indemnity") == 16
         assert len(calls) == 18
-        # Each of the 16 tables is checked exactly once.
-        assert len({(id(stack), t) for stack, t in checks}) == len(checks) == 16
+        # The one gap stack checks each of its 16 tables as it is built.
+        (stack,) = stacks
+        assert len(stack.expected) == 16
 
         # A grid of clamped combinations solves no fair-mean shift.
         calls.clear()
-        checks.clear()
+        stacks.clear()
         clamped = [c for c in ALL_COMBOS if c.indemnity == "cc-i"]
         evaluate_grid(prize_model(), clamped, PRIZE_EVIDENCE, PRIZE_BLOCKS)
         assert "fm_indemnity" not in [c[0] for c in calls]
-        assert len(checks) == 16
+        (stack,) = stacks
+        assert len(stack.expected) == 16
 
     @pytest.mark.parametrize(
         "combos, match",
@@ -908,6 +907,20 @@ class TestEvaluateGrid:
             # Every partition is built before any table is checked.
             with pytest.raises(ValueError, match="support outcomes left out: 1 \\[3\\]$"):
                 evaluate_grid(model, combos, joint, [[0, 1, 2]])
+
+    def test_a_dropped_block_warning_points_into_build_grid(self):
+        import inspect
+
+        import lostchance.valuation as valuation
+
+        model, joint = self._dropping_model()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evaluate_grid(model, [PolicyCombo("h-fi", "e-c", "cc-i")], joint)
+        lines, first = inspect.getsourcelines(valuation.build_grid)
+        assert len(caught) == 2
+        assert {w.filename for w in caught} == {valuation.__file__}
+        assert all(first <= w.lineno < first + len(lines) for w in caught)
 
     def test_each_dropped_block_warns_once(self):
         model, joint = self._dropping_model()
