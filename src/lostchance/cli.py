@@ -58,7 +58,9 @@ def _fmt(x: float) -> str:
 def _parse_custom_blocks(spec: Optional[str]) -> Optional[list[list[str]]]:
     """Blocks of outcome labels, from 'a,b|c' or, when the spec starts
     with '[', from a JSON list of lists of labels, which can name any
-    label, a choice case's 'choice|result' among them."""
+    label, a choice case's 'choice|result' among them.  A refusal never
+    echoes the spec: bad JSON gets the decoder's line and column, and bad
+    blocks are named by their count and at most their first 10 indices."""
     if spec is None:
         return None
     if spec.lstrip().startswith("["):
@@ -69,7 +71,7 @@ def _parse_custom_blocks(spec: Optional[str]) -> Optional[list[list[str]]]:
     ]
     blocks = [b for b in blocks if b]
     if not blocks:
-        raise ConfigurationError(f"could not parse custom blocks from {spec!r}")
+        raise ConfigurationError("could not parse custom blocks: no block names a label")
     return blocks
 
 
@@ -77,21 +79,23 @@ def _json_blocks(spec: str) -> list[list[str]]:
     try:
         blocks = json.loads(spec)
     except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"custom blocks {spec!r} are not JSON: {exc}") from None
+        raise ConfigurationError(f"custom blocks are not JSON: {exc}") from None
     except RecursionError:
         raise ConfigurationError(f"custom blocks are not JSON: {NESTED_TOO_DEEP}") from None
+    problem = ""
     if not isinstance(blocks, list) or not blocks:
-        problems = ["expected a non-empty list of blocks"]
+        problem = "expected a non-empty list of blocks"
     else:
-        problems = [
-            f"block {i} is {json.dumps(b)}, not a non-empty list of labels"
+        bad = [
+            i
             for i, b in enumerate(blocks)
             if not (isinstance(b, list) and b and all(isinstance(x, str) for x in b))
         ]
-    if problems:
-        raise ConfigurationError(
-            f"could not parse custom blocks from {spec!r}: " + "; ".join(problems)
-        )
+        if bad:
+            shown = ", ".join(map(str, bad[:10])) + ", ..." * (len(bad) > 10)
+            problem = f"blocks that are not non-empty lists of labels: {len(bad)} [{shown}]"
+    if problem:
+        raise ConfigurationError(f"could not parse custom blocks: {problem}")
     return blocks
 
 
@@ -294,6 +298,7 @@ def cmd_sweep(args) -> int:
     """Write a sweep's rows as CSV, under the column names its scenario
     exports, in their order."""
     from .scenarios import MATOS_COLUMNS, MEDICAL_COLUMNS, matos_sweep, medical_sweep
+    from .scenarios import RejectedFormulaComparison
 
     read = SWEEP_FLAGS[args.scenario]
     names = [name for flags in SWEEP_FLAGS.values() for name in flags]
@@ -312,10 +317,7 @@ def cmd_sweep(args) -> int:
     atomic_write_text(path, text)
     print(f"wrote {len(rows)} rows to {path}")
     if args.scenario == "medical":
-        print(
-            "# rejected_formula_comparison: comparison only; no policy "
-            "combination produces this value"
-        )
+        print(f"# rejected_formula_comparison: {RejectedFormulaComparison.flag}")
     return 0
 
 

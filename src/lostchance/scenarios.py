@@ -36,13 +36,12 @@ from .valuation import PolicyCombo, evaluate_grid
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A case model plus its published couplings and provenance notes."""
+    """A case model plus its published couplings."""
 
     name: str
     model: CaseModel
     evidence_joint: Optional[Union[np.ndarray, Cells]] = None
     paper_table_joint: Optional[Union[np.ndarray, Cells]] = None
-    notes: tuple[str, ...] = ()
     params: tuple[tuple[str, float], ...] = ()
 
 
@@ -169,10 +168,6 @@ def prize_case() -> Scenario:
         model=model,
         evidence_joint=map_cells(space, cf.weights, _PRIZE_EVIDENCE_MAP),
         paper_table_joint=map_cells(space, cf.weights, _PRIZE_PUBLISHED_LD_MAP),
-        notes=(
-            "published least-divergence table costs 1125; the comonotone "
-            "matching costs 565 and is the engine default",
-        ),
     )
 
 
@@ -344,7 +339,7 @@ class RejectedFormulaComparison:
     p1: float
     delta_v: float
     value: float
-    flag: str = "comparison only: no policy combination produces this value"
+    flag: str = "comparison only; no policy combination produces this value"
 
 
 def rejected_formula_comparison(

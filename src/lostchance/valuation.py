@@ -23,10 +23,8 @@ coupling module's business.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -160,13 +158,6 @@ class Partition:
     def block_count(self) -> int:
         return int(self.block_ids[-1]) + 1 if self.block_ids.size else 0
 
-    @functools.cached_property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """The partition as a tuple of index tuples, built when first read."""
-        flat = self.outcomes.tolist()
-        ends = [0, *(np.flatnonzero(np.diff(self.block_ids)) + 1).tolist(), len(flat)]
-        return tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:]) if b > a)
-
 
 def _shared_partition(
     info: str, support: np.ndarray, custom_blocks: Optional[Sequence[Sequence[int]]]
@@ -263,8 +254,9 @@ class GapStack:
     `starts[t]:starts[t + 1]`.  `outcomes` holds the partitions' outcomes
     end to end, table t's at `bounds[t]:bounds[t + 1]`; `tables` gives
     the table of each, and `rows` its row, or the row count when its
-    block was dropped.  Every table is checked when the stack is built,
-    and `expected[t]` is table t's expected gap.
+    block was dropped.  Every table is checked when the stack is built;
+    `expected[t]` is table t's expected gap, and `notes[t]` notes each of
+    its blocks dropped for zero probability, by its outcomes' labels.
     """
 
     def __init__(
@@ -305,23 +297,20 @@ class GapStack:
             block_p, block_gap = block_p[kept], block_gap[kept]
         self.probabilities = read_only(block_p)
         self.gaps = read_only(block_gap / block_p)
-        # Table by table: warn of each block dropped for zero probability,
-        # by its outcomes' labels, then hold the table's rows to its
+        # Table by table: note each block dropped for zero probability, by
+        # its outcomes' labels, then hold the table's rows to its
         # coupling's gap identity, sum_b p_b gap_b = E[V0 - V1].  The left
         # side is the table's expected gap.
         labels = couplings.space.labels
-        expected = []
+        notes, expected = [], []
         for t, (part, row) in enumerate(zip(partitions, coupling_rows)):
+            notes.append(())
             if dropped:
                 gone = self.rows[self.bounds[t] : self.bounds[t + 1]] == self.gaps.size
                 for b in np.unique(part.block_ids[gone]).tolist():
                     block = part.outcomes[part.block_ids == b].tolist()
                     names = ", ".join(repr(labels[k]) for k in block)
-                    # Past `conditional_gap`, to the line that called it.
-                    warnings.warn(
-                        f"dropping zero-probability block of outcome(s) {names}",
-                        stacklevel=3,
-                    )
+                    notes[t] += (f"note: dropped zero-probability block of outcome(s) {names}",)
             expected.append(float(np.dot(*self.table(t))))
             mean_gap = couplings.mean_gaps[row]
             if abs(expected[t] - mean_gap) > GAP_IDENTITY_TOL * couplings.scale:
@@ -329,6 +318,7 @@ class GapStack:
                     f"gap table inconsistent: blocks aggregate to {expected[t]!r} "
                     f"but the coupling's mean gap is {mean_gap!r}"
                 )
+        self.notes = tuple(notes)
         self.expected = tuple(expected)
 
     def table(self, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -356,9 +346,9 @@ def conditional_gap(
     `np.bincount` adds each bin's weights in input order, so every
     block's sums are bit for bit the ones a pass over its own table, under
     its own coupling alone, takes.  Blocks with zero factual probability
-    carry no conditional mean; they are dropped, with a warning when
-    their table is checked, rather than reported as 0/0.  Tables are
-    checked in order, and the first that fails its gap identity raises.
+    carry no conditional mean; they are dropped, each with a note of its
+    table, rather than reported as 0/0.  Tables are checked in order, and
+    the first that fails its gap identity raises.
     """
     return GapStack(couplings, partitions, coupling_rows)
 
@@ -584,8 +574,8 @@ def build_grid(
     * every table's partition, one `build_partition` call, on its own
       case's factual support;
     * every table's gaps, one `conditional_gap` pass that checks each
-      table in turn, and every row's clamped payout, one `cc_indemnity`
-      call;
+      table in turn and notes its dropped blocks on each of its
+      schedules, and every row's clamped payout, one `cc_indemnity` call;
     * table by table, its fair-mean payouts when some fm-i combination
       uses it, one `fm_indemnity` call each;
     * the (case x combination x support outcome) payouts, in one gather.
@@ -687,10 +677,10 @@ def build_grid(
     picked = [c * per_case + t for c in range(cases) for t in picked]
     held = np.array(masks).repeat(len(combos), axis=0)
     notes = [
-        built[row][1] + _tie_note(models[row // len(uses)], groups, row)
-        if info == "m-fi"
-        else built[row][1]
-        for row, info in zip(rows, infos)
+        built[row][1]
+        + gaps.notes[t]
+        + (_tie_note(models[row // len(uses)], groups, row) if info == "m-fi" else ())
+        for t, (row, info) in enumerate(zip(rows, infos))
     ]
     extra = tuple(extra_notes)
     return GridBuild(

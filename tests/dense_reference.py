@@ -130,7 +130,7 @@ def conditional_gap(joint: np.ndarray, v: np.ndarray, partition):
     col_mass = joint.sum(axis=0)
     col_gap = joint.T @ v - col_mass * v
     blocks, probabilities, gaps = [], [], []
-    for block in partition.blocks:
+    for block in scalar_reference.blocks_of(partition):
         idx = list(block)
         p = float(col_mass[idx].sum())
         if p <= 0.0:

@@ -23,6 +23,7 @@ import numpy as np
 from lostchance.coupling import Coupling, northwest_corner
 from lostchance.outcome import CaseModel
 from lostchance.valuation import Partition, schedule_risk
+from scalar_reference import blocks_of
 
 _ORACLE_MAX_OUTCOMES = 6
 
@@ -124,12 +125,11 @@ def oracle_best_schedule(
     col_mass = coupling.factual_marginal
     n = coupling.space.size
     col_block = np.zeros(n, dtype=int)
-    for bi, block in enumerate(partition.blocks):
+    blocks = blocks_of(partition)
+    for bi, block in enumerate(blocks):
         for k in block:
             col_block[k] = bi
-    block_p = np.array(
-        [float(col_mass[list(block)].sum()) for block in partition.blocks]
-    )
+    block_p = np.array([float(col_mass[list(block)].sum()) for block in blocks])
     vrange = float(v.max() - v.min())
     if vrange <= 0.0:
         zero = np.zeros(nb)

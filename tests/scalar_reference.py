@@ -6,7 +6,7 @@ per-outcome data as arrays:
 * the information partition as a tuple of index tuples, h-fi as one
   singleton per outcome;
 * `conditional_gap` building one (outcomes, probability, gap) row per
-  block;
+  block, and one note per block it drops;
 * `solve_lambda` scanning its breakpoints in a loop;
 * one award per outcome, priced and refused one outcome at a time
   (`award`), with the extrapolation note added outcome by outcome;
@@ -24,7 +24,6 @@ import csv
 import functools
 import io
 import math
-import warnings
 
 import numpy as np
 
@@ -42,6 +41,15 @@ from lostchance.valuation import (
 # -- valuation ---------------------------------------------------------------
 
 
+def blocks_of(partition) -> tuple[tuple[int, ...], ...]:
+    """A `Partition`'s blocks as index tuples, from its aligned
+    `outcomes` and `block_ids`."""
+    blocks = [[] for _ in range(partition.block_count)]
+    for k, b in zip(partition.outcomes.tolist(), partition.block_ids.tolist()):
+        blocks[b].append(k)
+    return tuple(map(tuple, blocks))
+
+
 def partition_blocks(info, support, plus, minus, custom_blocks):
     sup = tuple(int(i) for i in support)
     if info == "l-fi":
@@ -55,8 +63,11 @@ def partition_blocks(info, support, plus, minus, custom_blocks):
     return tuple(tuple(int(i) for i in b) for b in custom_blocks)
 
 
-def conditional_gap(coupling: Coupling, blocks) -> list[tuple[tuple, float, float]]:
-    """(outcomes, probability, gap) per block with positive probability."""
+def conditional_gap(
+    coupling: Coupling, blocks
+) -> tuple[list[tuple[tuple, float, float]], tuple[str, ...]]:
+    """(outcomes, probability, gap) per block with positive probability,
+    and a note per block dropped for zero probability."""
     v = coupling.space.values_array
     col_mass, col_v0 = coupling.column_moments
     col_gap = col_v0 - col_mass * v
@@ -65,13 +76,15 @@ def conditional_gap(coupling: Coupling, blocks) -> list[tuple[tuple, float, floa
     block_id = np.repeat(np.arange(len(sizes)), sizes)
     block_p = np.bincount(block_id, weights=col_mass[flat], minlength=len(sizes))
     block_gap = np.bincount(block_id, weights=col_gap[flat], minlength=len(sizes))
-    rows = []
+    labels = coupling.space.labels
+    rows, notes = [], ()
     for block, p, g in zip(blocks, block_p.tolist(), block_gap.tolist()):
         if p <= 0.0:
-            warnings.warn(f"dropping zero-probability block {tuple(block)}")
+            names = ", ".join(repr(labels[k]) for k in block)
+            notes += (f"note: dropped zero-probability block of outcome(s) {names}",)
             continue
         rows.append((tuple(block), p, g / p))
-    return rows
+    return rows, notes
 
 
 def solve_lambda(probabilities: np.ndarray, gaps: np.ndarray, target: float) -> float:
@@ -141,14 +154,15 @@ def schedules(
             model, combo.connection, evidence_joint, least_divergence
         )
         plus, minus, ties = selective_groups(CouplingStack([coupling])).indices(0)
+        blocks = partition_blocks(combo.info, support, plus, minus, custom_blocks)
+        rows, dropped = conditional_gap(coupling, blocks)
+        notes += dropped
         if ties and combo.info == "m-fi":
             tied = ", ".join(model.space.labels[i] for i in ties)
             notes += (
                 f"note: outcome(s) {tied} sit exactly at their conditional mean "
                 f"and are grouped as non-compensable",
             )
-        blocks = partition_blocks(combo.info, support, plus, minus, custom_blocks)
-        rows = conditional_gap(coupling, blocks)
         block_x = indemnity(rows, combo.indemnity).tolist()
         x_of = {k: x for (block, _, _), x in zip(rows, block_x) for k in block}
         xs = [x_of.get(k, 0.0) for k in support]

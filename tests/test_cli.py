@@ -9,6 +9,7 @@ import io
 import json
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from lostchance import (
 )
 from lostchance.cli import _cell, _csv_columns, _csv_field, _schedules_csv, main
 from lostchance.outcome import OutcomeSpace
-from lostchance.scenarios import matos_award, matos_band
+from lostchance.scenarios import RejectedFormulaComparison, matos_award, matos_band
 from lostchance.valuation import CompensationSchedule, PolicyCombo
 
 
@@ -86,6 +87,20 @@ def table_top_file(tmp_path):
     return path
 
 
+# Outcomes "a" and "b" carry factual weight 1e-17 that the evidence gives
+# no mass, so h-fi/e-c drops their blocks.
+DROPPED_BLOCK_CASE = {
+    "outcomes": [{"label": k, "value": float(i)} for i, k in enumerate("abcd")],
+    "counterfactual": {"a": 0.0, "b": 0.0, "c": 0.0, "d": 1.0},
+    "factual": {"a": 1e-17, "b": 1e-17, "c": 0.5, "d": 0.5},
+    "money": {"kind": "identity"},
+    "evidence_coupling": {
+        "matrix": [[0.0] * 4, [0.0] * 4, [0.0] * 4, [0.0, 0.0, 0.5, 0.5]]
+    },
+}
+
+GOLDEN = Path(__file__).parent / "golden"
+
 SPAN_ERROR = (
     "error: outcome values span -1e+308 to 1e+308, a range wider than a "
     "float holds\n"
@@ -99,6 +114,24 @@ def run(capsys, argv):
 
 
 class TestEvaluate:
+    @pytest.mark.filterwarnings("error")
+    def test_a_dropped_block_is_noted_on_stdout(self, capsys, tmp_path):
+        path = tmp_path / "dropped.json"
+        path.write_text(json.dumps(DROPPED_BLOCK_CASE), encoding="utf-8")
+        argv = ["evaluate", str(path), "--info", "h-fi", "--connection", "e-c"]
+        # Every call notes both blocks, whatever ran before it.
+        for _ in range(3):
+            code, out, err = run(capsys, argv)
+            assert (code, err) == (0, "")
+            lines = out.splitlines()
+            assert [line.split()[1:3] for line in lines[:2]] == [
+                ["a", "compensation=0"], ["b", "compensation=0"]
+            ]
+            assert lines[-2:] == [
+                "# note: dropped zero-probability block of outcome(s) 'a'",
+                "# note: dropped zero-probability block of outcome(s) 'b'",
+            ]
+
     def test_default_policy(self, capsys, medical_file):
         code, out, err = run(capsys, ["evaluate", str(medical_file)])
         assert code == 0 and err == ""
@@ -357,7 +390,10 @@ class TestSweep:
              "--out", str(out_path)],
         )
         assert code == 0
-        assert "# rejected_formula_comparison: comparison only" in out
+        # The comparison's own flag, printed once.
+        assert out.splitlines()[1:] == [
+            f"# rejected_formula_comparison: {RejectedFormulaComparison.flag}"
+        ]
         rows = list(csv.reader(io.StringIO(out_path.read_text())))
         assert rows[0] == [
             "p0", "p1", "delta_v", "award_l_fi", "award_e_c",
@@ -669,16 +705,44 @@ class TestParameterErrors:
         "spec, problem",
         [
             ("[]", "expected a non-empty list of blocks"),
-            ('[["bad"], []]', "block 1 is [], not a non-empty list of labels"),
-            ('[["bad", 2]]', 'block 0 is ["bad", 2], not a non-empty list of labels'),
-            ('["bad", ["good"]]', 'block 0 is "bad", not a non-empty list of labels'),
+            ('[["bad"], []]', "blocks that are not non-empty lists of labels: 1 [1]"),
+            ('[["bad", 2]]', "blocks that are not non-empty lists of labels: 1 [0]"),
+            ('["bad", ["good"]]', "blocks that are not non-empty lists of labels: 1 [0]"),
         ],
     )
     def test_malformed_json_custom_blocks(self, capsys, medical_file, spec, problem):
         argv = ["evaluate", str(medical_file), "--info", "custom", "--custom-blocks", spec]
         assert run(capsys, argv) == (
-            2, "", f"error: could not parse custom blocks from {spec!r}: {problem}\n"
+            2, "", f"error: could not parse custom blocks: {problem}\n"
         )
+
+    @pytest.mark.parametrize(
+        "spec, error",
+        [
+            (
+                "[" * 900 + "x",
+                "custom blocks are not JSON: Expecting value: line 1 column 901 (char 900)",
+            ),
+            ("|," * 500, "could not parse custom blocks: no block names a label"),
+            (
+                json.dumps([["a1"]] + [5] * 300),
+                "could not parse custom blocks: blocks that are not non-empty lists "
+                "of labels: 300 [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ...]",
+            ),
+            (
+                json.dumps([["a1", 1] * 200]),
+                "could not parse custom blocks: blocks that are not non-empty lists "
+                "of labels: 1 [0]",
+            ),
+        ],
+        ids=["deep", "empty", "numbers", "mixed"],
+    )
+    def test_a_custom_blocks_refusal_does_not_echo_the_spec(self, capsys, spec, error):
+        argv = ["evaluate", str(GOLDEN / "paper-prize.json"), "--info", "custom",
+                "--custom-blocks", spec]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+        assert len(err.encode()) <= 300
 
     @pytest.mark.parametrize(
         "argv",
@@ -697,9 +761,10 @@ class TestParameterErrors:
     def test_custom_blocks_that_are_not_json(self, capsys, medical_file):
         argv = ["evaluate", str(medical_file), "--info", "custom",
                 "--custom-blocks", '[["bad"']
-        code, out, err = run(capsys, argv)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: custom blocks '[[\"bad\"' are not JSON: ")
+        assert run(capsys, argv) == (
+            2, "", "error: custom blocks are not JSON: Expecting ',' delimiter: "
+            "line 1 column 8 (char 7)\n"
+        )
 
     def test_custom_blocks_nested_past_the_parser_are_refused(self, capsys, medical_file):
         argv = ["evaluate", str(medical_file), "--info", "custom",

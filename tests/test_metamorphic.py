@@ -33,7 +33,14 @@ Three more relations each answer one of the paper's questions:
   and the tie band scales with max(1, max |v|);
 - presumption: when the counterfactual-choice evidence already is the
   point mass on the best dutiful choice, ii-cp prices the case as it-cp
-  does, bit for bit, and adds only its two presumption notes.
+  does, bit for bit, and adds only its two presumption notes;
+- connection: when the factual law is a point mass, every coupling is
+  the product of the two marginals, so ld-c and i-c give the same
+  schedules, up to round-off (8 eps at the scale max(1, max |v|));
+- money: a two-point money table on the identity line, from min v to
+  max v + (max v - min v), past every lifted value, prices as identity
+  money: the same compensations bit for bit, and awards equal up to
+  round-off.
 
 The outcome goes at the end so that every reduction meets the other
 outcomes in the same order: an outcome inserted before them moves the
@@ -58,6 +65,7 @@ from lostchance.outcome import (
     DiscreteDistribution,
     IdentityMoneyMap,
     OutcomeSpace,
+    TabulatedMoneyMap,
 )
 from lostchance.valuation import (
     GAP_IDENTITY_TOL,
@@ -65,7 +73,7 @@ from lostchance.valuation import (
     PolicyCombo,
     evaluate_grid,
 )
-from lostchance.verify import random_choice_case
+from lostchance.verify import random_case, random_choice_case
 
 COMBOS = [c for c in STANDARD_COMBOS if c.connection != "e-c"]
 SIZES = (3, 4, 30, 300, 3000)
@@ -300,3 +308,44 @@ def test_ii_cp_on_evidence_that_is_already_its_presumption_is_it_cp():
             added = [note for note in new.notes if note not in old.notes]
             assert [note for note in new.notes if note in old.notes] == list(old.notes)
             assert len(added) == 2 and added[0].startswith("presumption(ii-cp): ")
+
+
+def _within_round_off(got, want, scale) -> None:
+    """Equal policies and outcomes, and values and awards within 8 eps at
+    `scale`."""
+    tol = 8.0 * np.finfo(float).eps * scale
+    for new, old in zip(got, want, strict=True):
+        assert new.outcomes == old.outcomes
+        assert np.abs(np.subtract(new.values, old.values)).max() <= tol, new.policy
+        assert np.abs(np.subtract(new.awards, old.awards)).max() <= tol, new.policy
+
+
+def test_a_point_mass_factual_law_makes_ld_c_and_i_c_agree():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        model = random_case(rng, 2, 30)
+        point = np.zeros(model.space.size)
+        point[int(rng.integers(model.space.size))] = 1.0
+        model = replace(model, factual=DiscreteDistribution(point))
+        scale = max(1.0, float(np.abs(model.space.values_array).max()))
+        ld_c, i_c = (
+            evaluate_grid(model, [c for c in COMBOS if c.connection == conn])
+            for conn in ("ld-c", "i-c")
+        )
+        _within_round_off(ld_c, i_c, scale)
+
+
+def test_a_money_table_on_the_identity_line_prices_as_identity_money():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        model = random_case(rng, 2, 30)
+        v = model.space.values_array
+        lo, hi = float(v.min()), float(v.max())
+        top = hi + (hi - lo)
+        table = replace(model, money=TabulatedMoneyMap(((lo, lo), (top, top))))
+        scale = max(1.0, float(np.abs(v).max()))
+        identity, tabulated = evaluate_grid(model, COMBOS), evaluate_grid(table, COMBOS)
+        _within_round_off(tabulated, identity, scale)
+        for new, old in zip(tabulated, identity, strict=True):
+            assert new.notes == old.notes
+            assert _bits(new.values) == _bits(old.values), new.policy

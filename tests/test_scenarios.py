@@ -151,8 +151,13 @@ class TestPrize:
         assert marginals_ok(sc, sc.paper_table_joint)
 
     def test_cost_discrepancy_note_present(self):
+        # The published table's cost is flagged on every schedule priced from it.
         sc = prize_case()
-        assert any("1125" in n and "565" in n for n in sc.notes)
+        combos = [PolicyCombo(info, "paper-table", "cc-i") for info in ("l-fi", "m-fi", "h-fi")]
+        grid = evaluate_grid(sc.model, combos, paper_table_joint=sc.paper_table_joint)
+        for sched in grid:
+            flags = [n for n in sched.notes if n.startswith("FLAG")]
+            assert any("cost 1125 vs optimal 565" in n for n in flags)
 
 
 class TestMatosCase:

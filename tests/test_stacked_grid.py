@@ -13,15 +13,13 @@ of the other connections' cells.  On seeded random cases, with
 
 every schedule of the grid of every standard combination, plus custom
 blocks and paper-table, in a random order, must equal its one-combination grid bit for bit:
-the repr of its values and awards, and its notes.  The grid must warn of
+the repr of its values and awards, and its notes.  The grid must note
 the same dropped blocks, in the same order, as its tables evaluated one
 by one.  A family of such cases over one outcome space, with their own
 marginals, supports and evidence, must give each case's own grid, case
-after case, with the same warnings.  A `CouplingStack`'s rows must be its
+after case, with the same notes.  A `CouplingStack`'s rows must be its
 couplings' own column moments, bit for bit.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -38,7 +36,7 @@ from lostchance.outcome import (
     IdentityMoneyMap,
     OutcomeSpace,
 )
-from lostchance.valuation import CouplingStack, PolicyCombo, evaluate_grid
+from lostchance.valuation import CouplingStack, PolicyCombo, build_grid, price
 
 INFOS = ("l-fi", "m-fi", "h-fi", "custom")
 CONNECTIONS = ("e-c", "ld-c", "i-c", "paper-table")
@@ -127,13 +125,9 @@ def _bits(schedule):
 
 
 def _evaluate(model, combos, evidence, published, blocks):
-    """The grid's schedules and the messages of its warnings."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        grid = evaluate_grid(
-            model, combos, evidence, blocks, ("extra",), paper_table_joint=published
-        )
-    return grid, [str(w.message) for w in caught]
+    """The grid's schedules and its dropped-block notes, in table order."""
+    build = build_grid(model, combos, evidence, blocks, ("extra",), paper_table_joint=published)
+    return price(build), [note for notes in build.gaps.notes for note in notes]
 
 
 def _tables(combos):
@@ -155,7 +149,7 @@ def test_grid_equals_one_combination_at_a_time(seed):
         combos = _combos(evidence)
         order = rng.permutation(len(combos))
         combos = [combos[i] for i in order]
-        grid, grid_warnings = _evaluate(model, combos, evidence, published, blocks)
+        grid, grid_dropped = _evaluate(model, combos, evidence, published, blocks)
         assert [s.policy for s in grid] == combos
         for combo, schedule in zip(combos, grid):
             (alone,), _ = _evaluate(model, [combo], evidence, published, blocks)
@@ -165,8 +159,8 @@ def test_grid_equals_one_combination_at_a_time(seed):
             one_by_one += _evaluate(
                 model, [PolicyCombo(info, conn, "cc-i")], evidence, published, blocks
             )[1]
-        assert grid_warnings == one_by_one
-        dropped += len(grid_warnings)
+        assert grid_dropped == one_by_one
+        dropped += len(grid_dropped)
     # Blocks were dropped somewhere in the seed's cases.
     assert dropped
 
@@ -175,7 +169,7 @@ def test_grid_equals_one_combination_at_a_time(seed):
 def test_family_equals_its_cases_one_at_a_time(seed):
     """A family of cases over one outcome space, with their own marginals,
     factual supports and evidence, is one grid whose schedules, notes and
-    warnings are those of each case's own grid, case after case."""
+    dropped-block notes are those of each case's own grid, case after case."""
     rng = np.random.default_rng(1000 + seed)
     supports = set()
     for _ in range(4):
@@ -190,14 +184,14 @@ def test_family_equals_its_cases_one_at_a_time(seed):
             if c.info != "custom"
         ]
         combos = [combos[i] for i in rng.permutation(len(combos))]
-        grid, grid_warnings = _evaluate(list(models), combos, evidence, published, None)
-        one_by_one, case_warnings = [], []
+        grid, grid_dropped = _evaluate(list(models), combos, evidence, published, None)
+        one_by_one, case_dropped = [], []
         for model, joint, table, _ in family:
-            schedules, caught = _evaluate(model, combos, joint, table, None)
+            schedules, dropped = _evaluate(model, combos, joint, table, None)
             one_by_one += schedules
-            case_warnings += caught
+            case_dropped += dropped
         assert list(map(_bits, grid)) == list(map(_bits, one_by_one))
-        assert grid_warnings == case_warnings
+        assert grid_dropped == case_dropped
         supports.add(len({s.outcomes for s in grid}))
     # Some family of the seed's has cases whose factual supports differ.
     assert max(supports) > 1

@@ -36,6 +36,7 @@ from lostchance.valuation import (
     solve_lambda,
 )
 from lostchance.verify import random_vertex_coupling
+from scalar_reference import blocks_of
 
 
 def hand_partition(blocks) -> Partition:
@@ -138,25 +139,25 @@ class TestSelectiveGroups:
 class TestPartitions:
     def test_l_fi_single_block(self):
         p = one_partition("l-fi", (0, 1, 3))
-        assert p.blocks == ((0, 1, 3),)
+        assert blocks_of(p) == ((0, 1, 3),)
         assert p.block_count == 1
         assert p.outcomes.tolist() == [0, 1, 3]
         assert p.block_ids.tolist() == [0, 0, 0]
 
     def test_h_fi_singletons(self):
         p = one_partition("h-fi", (0, 2))
-        assert p.blocks == ((0,), (2,))
+        assert blocks_of(p) == ((0,), (2,))
 
     def test_m_fi_uses_groups_and_drops_empty(self):
         groups = groups_of(prize_evidence_coupling())
         p = one_partition("m-fi", (0, 1, 2, 3), groups)
-        assert p.blocks == ((0, 1, 3), (2,))
+        assert blocks_of(p) == ((0, 1, 3), (2,))
         assert p.block_count == 2
         # Groups built by hand: every held outcome compensable.
         plus = np.array([[True, True, True, False, False]])
         none = np.zeros_like(plus)
         only_plus = one_partition("m-fi", (0, 1, 2), SelectiveGroups(plus, none, none))
-        assert only_plus.blocks == ((0, 1, 2),)
+        assert blocks_of(only_plus) == ((0, 1, 2),)
         assert only_plus.block_count == 1
 
     def test_unknown_information_policy_rejected(self):
@@ -165,7 +166,7 @@ class TestPartitions:
 
     def test_custom_must_tile_support(self):
         p = one_partition("custom", (0, 1, 2), custom_blocks=((0, 2), (1,)))
-        assert p.blocks == ((0, 2), (1,))
+        assert blocks_of(p) == ((0, 2), (1,))
         prefix = "custom blocks do not tile the factual support: "
         with pytest.raises(ValueError) as left_out:
             one_partition("custom", (0, 1, 2), custom_blocks=((0,), (1,)))
@@ -216,15 +217,14 @@ class TestConditionalGap:
             _, _, expected = table(c, one_partition(info, model.factual.support()))
             assert expected == pytest.approx(model.expected_gap())
 
-    def test_zero_probability_block_dropped_with_warning(self):
+    def test_zero_probability_block_dropped_with_a_note(self):
         c = prize_evidence_coupling()
         # build_partition would refuse a block outside the factual
         # support, so stretch the partition by hand: block (4,) covers
         # only a5, which has zero factual mass.
         part = hand_partition(((0, 1, 2, 3), (4,)))
-        # The stack warns as it checks its table, when it is built.
-        with pytest.warns(UserWarning, match=r"zero-probability block of outcome\(s\) 'a5'$"):
-            gaps = conditional_gap(CouplingStack([c]), [part], [0])
+        gaps = conditional_gap(CouplingStack([c]), [part], [0])
+        assert gaps.notes == (("note: dropped zero-probability block of outcome(s) 'a5'",),)
         assert gaps.probabilities.tolist() == pytest.approx([1.0])
         # a5 maps past the one kept row.
         assert gaps.rows.tolist() == [0, 0, 0, 0, 1]
@@ -532,17 +532,11 @@ class TestStackedGaps:
             # A block outside the factual support: zero probability.
             (off,) = set(range(n)) - set(support)
             parts.append(hand_partition([*blocks, (off,)]))
-        with warnings.catch_warnings(record=True) as stacked_warnings:
-            warnings.simplefilter("always")
-            stack = conditional_gap(couplings, parts, [0] * len(parts))
-        with warnings.catch_warnings(record=True) as alone_warnings:
-            warnings.simplefilter("always")
-            alone = [conditional_gap(couplings, [p], [0]) for p in parts]
+        stack = conditional_gap(couplings, parts, [0] * len(parts))
+        alone = [conditional_gap(couplings, [p], [0]) for p in parts]
         assert [one.expected[0] for one in alone] == list(stack.expected)
-        assert [str(w.message) for w in stacked_warnings] == [
-            str(w.message) for w in alone_warnings
-        ]
-        assert len(alone_warnings) == int(zero)
+        assert [one.notes[0] for one in alone] == list(stack.notes)
+        assert sum(map(len, stack.notes)) == int(zero)
         for t, one in enumerate(alone):
             lo, hi = stack.starts[t], stack.starts[t + 1]
             assert np.array_equal(stack.probabilities[lo:hi], one.probabilities)
@@ -569,11 +563,8 @@ class TestStackedGaps:
         infos = ("l-fi", "m-fi", "h-fi")
         rows = [row for row in range(3) for _ in infos]
         support = np.array(model.factual.support())
-        with warnings.catch_warnings(record=True) as stacked_warnings:
-            warnings.simplefilter("always")
-            parts = build_partition(infos * 3, [support] * 3, groups, coupling_rows=rows)
-            gaps = conditional_gap(stack, parts, rows)
-        alone_warnings = []
+        parts = build_partition(infos * 3, [support] * 3, groups, coupling_rows=rows)
+        gaps = conditional_gap(stack, parts, rows)
         for row, c in enumerate(couplings):
             alone = CouplingStack([c])
             # Each row's moments are bit for bit the coupling's own.
@@ -582,12 +573,10 @@ class TestStackedGaps:
             assert stack.mean_gaps[row] == alone.mean_gaps[0]
             one_groups = selective_groups(alone)
             assert groups.indices(row) == one_groups.indices(0)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                one_parts = build_partition(infos, [support], one_groups, coupling_rows=[0] * 3)
-                one = conditional_gap(alone, one_parts, [0] * 3)
+            one_parts = build_partition(infos, [support], one_groups, coupling_rows=[0] * 3)
+            one = conditional_gap(alone, one_parts, [0] * 3)
             assert one.expected == gaps.expected[3 * row : 3 * row + 3]
-            alone_warnings += caught
+            assert one.notes == gaps.notes[3 * row : 3 * row + 3]
             for t in range(3):
                 s = 3 * row + t
                 assert np.array_equal(parts[s].outcomes, one.partitions[t].outcomes)
@@ -596,9 +585,6 @@ class TestStackedGaps:
                 own = slice(one.starts[t], one.starts[t + 1])
                 assert np.array_equal(gaps.probabilities[stacked], one.probabilities[own])
                 assert np.array_equal(gaps.gaps[stacked], one.gaps[own])
-        assert [str(w.message) for w in stacked_warnings] == [
-            str(w.message) for w in alone_warnings
-        ]
 
 
 ALL_COMBOS = [
@@ -891,38 +877,25 @@ class TestEvaluateGrid:
     DROPPING_BLOCKS = [[0, 1], [2], [3]]
 
     @pytest.mark.parametrize(
-        "infos, match",
+        "infos, dropped",
         [
-            (("custom", "h-fi"), r"zero-probability block of outcome\(s\) 'a', 'b'$"),
-            (("h-fi", "custom"), r"zero-probability block of outcome\(s\) 'a'$"),
+            (("custom", "h-fi"), [["'a', 'b'"], ["'a'", "'b'"]]),
+            (("h-fi", "custom"), [["'a'", "'b'"], ["'a', 'b'"]]),
         ],
     )
-    def test_a_connection_s_first_information_policy_raises_first(self, infos, match):
+    def test_a_connection_s_tables_are_noted_in_order(self, infos, dropped):
         model, joint = self._dropping_model()
         combos = [PolicyCombo(info, "e-c", "cc-i") for info in infos]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(UserWarning, match=match):
-                evaluate_grid(model, combos, joint, self.DROPPING_BLOCKS)
-            # Every partition is built before any table is checked.
-            with pytest.raises(ValueError, match="support outcomes left out: 1 \\[3\\]$"):
-                evaluate_grid(model, combos, joint, [[0, 1, 2]])
+        build = build_grid(model, combos, joint, self.DROPPING_BLOCKS)
+        drop = "note: dropped zero-probability block of outcome(s) "
+        assert build.gaps.notes == tuple(tuple(drop + n for n in t) for t in dropped)
+        # Each schedule carries its own table's notes.
+        assert build.notes == build.gaps.notes
+        # A partition that cannot be built still raises.
+        with pytest.raises(ValueError, match="support outcomes left out: 1 \\[3\\]$"):
+            evaluate_grid(model, combos, joint, [[0, 1, 2]])
 
-    def test_a_dropped_block_warning_points_into_build_grid(self):
-        import inspect
-
-        import lostchance.valuation as valuation
-
-        model, joint = self._dropping_model()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            evaluate_grid(model, [PolicyCombo("h-fi", "e-c", "cc-i")], joint)
-        lines, first = inspect.getsourcelines(valuation.build_grid)
-        assert len(caught) == 2
-        assert {w.filename for w in caught} == {valuation.__file__}
-        assert all(first <= w.lineno < first + len(lines) for w in caught)
-
-    def test_each_dropped_block_warns_once(self):
+    def test_each_dropped_block_is_noted_once_per_table(self):
         model, joint = self._dropping_model()
         combos = [
             PolicyCombo(info, conn, indemnity)
@@ -930,12 +903,15 @@ class TestEvaluateGrid:
             for conn in ("e-c", "i-c")
             for indemnity in ("cc-i", "fm-i")
         ]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            grid = evaluate_grid(model, combos, joint, self.DROPPING_BLOCKS)
-        assert [str(w.message) for w in caught] == [
-            "dropping zero-probability block of outcome(s) 'a'",
-            "dropping zero-probability block of outcome(s) 'b'",
-            "dropping zero-probability block of outcome(s) 'a', 'b'",
-        ]
+        build = build_grid(model, combos, joint, self.DROPPING_BLOCKS)
+        drop = "note: dropped zero-probability block of outcome(s) "
+        h_fi = (drop + "'a'", drop + "'b'")
+        custom = (drop + "'a', 'b'",)
+        # e-c's tables, then i-c's, which gives "a" and "b" mass.
+        assert build.gaps.notes == (h_fi, (), custom, (), (), ())
+        grid = price(build)
         assert [s.policy for s in grid] == combos
+        noted = {("h-fi", "e-c"): h_fi, ("custom", "e-c"): custom}
+        assert [s.notes for s in grid] == [
+            noted.get((c.info, c.connection), ()) for c in combos
+        ]

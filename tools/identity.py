@@ -72,7 +72,7 @@ SHIFTED = {
 }
 
 # Outcomes "a" and "b" carry factual weight 1e-17 that the evidence gives
-# no mass, so h-fi/e-c drops their blocks with a warning.
+# no mass, so h-fi/e-c drops their blocks with a note.
 DROPPED_BLOCK_CASE = {
     "outcomes": [{"label": k, "value": float(i)} for i, k in enumerate("abcd")],
     "counterfactual": {"a": 0.0, "b": 0.0, "c": 0.0, "d": 1.0},
