@@ -192,17 +192,32 @@ def _evaluate_all(
     return evaluate_grid(loaded.case, combos, loaded.evidence_joint, blocks)
 
 
+def _cut(label: str) -> tuple[str, str]:
+    """A label's first 40 characters, and what a refusal prints after
+    them: nothing, or the label's length when it is longer."""
+    if len(label) <= 40:
+        return label, ""
+    return label[:40], f"... ({len(label)} characters)"
+
+
 def _labels_to_indices(space, blocks: list[list[str]]) -> list[list[int]]:
-    try:
-        return [[space.index(lab) for lab in block] for block in blocks]
-    except KeyError as exc:
-        if not any("," in lab or "|" in lab for lab in space.labels):
-            raise
-        raise KeyError(
-            f"{exc.args[0]}; 'a,b|c' splits labels at ',' and '|', so name "
-            f"labels that hold them in the JSON form, for example "
-            f"--custom-blocks '{json.dumps([[space.labels[0]]])}'"
-        ) from None
+    """Block labels as outcome indices.  An unknown label is refused by
+    its first 40 characters and its length, so the refusal does not grow
+    with the label, nor does its hint with the space's first label."""
+    at = space.positions
+    unknown = next((lab for block in blocks for lab in block if lab not in at), None)
+    if unknown is None:
+        return [[at[lab] for lab in block] for block in blocks]
+    head, tail = _cut(unknown)
+    message = f"unknown outcome label {head!r}{tail}"
+    if any("," in lab or "|" in lab for lab in space.labels):
+        head, tail = _cut(space.labels[0])
+        message += (
+            f"; 'a,b|c' splits labels at ',' and '|', so name labels that "
+            f"hold them in the JSON form, for example "
+            f"--custom-blocks '{json.dumps([[head]])}'{tail}"
+        )
+    raise KeyError(message)
 
 
 def cmd_evaluate(args) -> int:

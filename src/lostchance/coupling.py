@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,6 +39,9 @@ from .outcome import CaseModel, OutcomeSpace, read_only
 MASS_SUM_TOL = 1e-12
 # Row/column sums must match the case marginals within this tolerance.
 MARGINAL_TOL = 1e-10
+# Twice the unit roundoff: two sums of the same m non-negative terms, in
+# any order, differ by less than m * _EPS times their value.
+_EPS = float(np.finfo(float).eps)
 
 _ORACLE_MAX_OUTCOMES = 6
 # Ordering pairs swept at once by the oracle: a 6x6 support has 720 x 720
@@ -405,6 +409,257 @@ def least_divergence_coupling(model: CaseModel) -> Coupling:
     v = model.space.values_array
     cells = comonotone_cells(model.counterfactual.array, model.factual.array, v, v)
     return Coupling(model.space, cells)
+
+
+class CouplingStack:
+    """Couplings of one outcome space, row after row, and their column
+    moments as (coupling x outcome) arrays: `mass[i, k]` is P(O1 = k) and
+    `v0[i, k]` is E[V0 1{O1 = k}] under coupling i, row i being that
+    coupling's own `column_moments`.  A lone coupling is a one-row stack;
+    `stack_couplings` builds a whole grid's couplings as one.
+    """
+
+    def __init__(self, couplings: Sequence[Coupling]) -> None:
+        couplings = tuple(couplings)
+        mass, v0 = (np.array(m) for m in zip(*(c.column_moments for c in couplings)))
+        self._fill(couplings, mass, v0)
+
+    def _fill(self, couplings: tuple[Coupling, ...], mass: np.ndarray, v0: np.ndarray) -> None:
+        self.couplings = couplings
+        self.space = space = couplings[0].space
+        v = space.values_array
+        self.mass, self.v0 = mass, v0
+        self.scale = max(1.0, float(np.abs(v).max()))
+        # E[V0 - V1] under each coupling; each row takes its own dot
+        # product, whose grouping a matrix product does not keep.
+        self.mean_gaps = [float(s - m @ v) for s, m in zip(v0.sum(axis=1).tolist(), mass)]
+
+
+def stack_couplings(rows: Sequence[tuple[CaseModel, object]]) -> CouplingStack:
+    """The couplings of `rows`, row after row, as one `CouplingStack`.
+
+    Each row is a case and what to build on it: `what(model)` when `what`
+    is a builder, such as `independence_coupling` or
+    `least_divergence_coupling`, and otherwise `evidence_coupling(model,
+    what)`.  The cases share one outcome space.
+
+    The rows' cells are laid end to end, keyed by (stack row, row, col),
+    and each check runs once over the whole stack: shape, index range,
+    finiteness and sign, order and repeats, both marginals of every
+    evidence joint, and total mass.  A rank-one row keeps its factors.
+    One `np.bincount` pair gives every row's column sums, which are both
+    its factual-marginal check and its `column_moments`.  `np.bincount`
+    adds each bin's weights in input order, so every row's cells and
+    moments are bit for bit the ones its own constructor gives, and its
+    coupling is made without running `Coupling`'s checks again.
+
+    The stacked sums only decide.  A row whose total lies within rounding
+    of `MASS_SUM_TOL` takes the pairwise sum `Coupling` takes.  When some
+    row fails a check, or a marginal lies within rounding of
+    `MARGINAL_TOL`, every row is built on its own, in order, so the first
+    refusal is raised with its constructor's message.
+    """
+    stack = _stacked(rows)
+    if stack is None:
+        stack = CouplingStack(
+            [
+                what(model) if callable(what) else evidence_coupling(model, what)
+                for model, what in rows
+            ]
+        )
+    return stack
+
+
+def _raw_cells(model: CaseModel, what) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The unchecked (rows, cols, mass) of a least-divergence row or an
+    evidence joint, as index and float arrays, or None when the stacked
+    pass cannot read them as their constructor does: a joint of the wrong
+    shape, arrays that do not cast safely, or indices out of range."""
+    space = model.space
+    n, v = space.size, space.values_array
+    cf = model.counterfactual.array
+    if isinstance(what, Cells):
+        # The only cells not built in range here.
+        rows, cols = np.asarray(what.rows), np.asarray(what.cols)
+        if not (
+            operator.index(what.n) == n
+            and rows.shape == cols.shape == np.shape(what.mass) == (rows.size,)
+            and np.can_cast(rows.dtype, np.intp)
+            and np.can_cast(cols.dtype, np.intp)
+        ):
+            return None
+        rows, cols = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
+        # Viewed as unsigned, a negative index is huge.
+        if rows.size and not max(rows.view(np.uintp).max(), cols.view(np.uintp).max()) < n:
+            return None
+        cells = what
+    else:
+        if what is least_divergence_coupling:
+            cells = comonotone_cells(cf, model.factual.array, v, v)
+        elif isinstance(what, dict):
+            cells = map_cells(space, cf, what)
+        else:
+            joint = np.asarray(what, dtype=float)
+            if joint.shape != (n, n):
+                return None
+            cells = Cells.from_dense(joint)
+        rows, cols = cells.rows, cells.cols
+    mass = np.asarray(cells.mass)
+    if not np.can_cast(mass.dtype, float) or not mass.size:
+        return None
+    return rows, cols, mass
+
+
+def _gathered(rows: Sequence[tuple[CaseModel, object]], n: int):
+    """Each cell row's unchecked (rows, cols, mass), its rows moved to the
+    stacked joint, in which row i of stack row r is row r n + i; the stack
+    rows that are rank-one; and the stack rows that are evidence.  None
+    when some row is not one the stacked pass reads."""
+    parts, rank_one, evidence = [], [], []
+    try:
+        for r, (model, what) in enumerate(rows):
+            if model.counterfactual.array.shape != (n,) or model.factual.array.shape != (n,):
+                return None
+            if what is independence_coupling:
+                rank_one.append(r)
+                continue
+            if callable(what) and what is not least_divergence_coupling:
+                return None
+            cells = _raw_cells(model, what)
+            if cells is None:
+                return None
+            parts.append((cells[0] + r * n if r else cells[0], *cells[1:]))
+            if what is not least_divergence_coupling:
+                evidence.append(r)
+    except Exception:
+        # Built one by one, in order, the rows raise it again, after any
+        # refusal of an earlier row.
+        return None
+    return parts, rank_one, evidence
+
+
+def _stacked_cells(parts: list, k: int, n: int, v: np.ndarray):
+    """The cell rows' cells laid end to end, sorted by (stacked row,
+    col), repeats added up and zeros dropped: their stacked rows, own
+    rows, columns and mass; the most terms a line sums (n, or more when
+    cells repeat); and their row sums, column sums and column value sums
+    as (stack row x outcome) arrays.  None when a cell is negative or
+    NaN."""
+    sr, cc = (np.concatenate([p[i] for p in parts]).astype(np.intp, copy=False) for i in (0, 1))
+    mass = np.concatenate([p[2] for p in parts]).astype(float, copy=False)
+    # Copied: let the raw cells go, which lowers the peak.
+    del parts[:]
+    # A negative cell, even one that `Coupling` drops, moves the sums; an
+    # infinite one fails the total.
+    low = mass.min()
+    if not low >= 0.0:
+        return None
+    lines = n
+    key = sr * n
+    key += cc
+    if (key[1:] <= key[:-1]).any():
+        # Rows own disjoint key ranges, so one stable sort orders each as
+        # a sort of its own cells does.
+        order = np.argsort(key, kind="stable")
+        key, mass = key[order], mass[order]
+        del order
+        if (key[1:] == key[:-1]).any():
+            lines = max(n, mass.size)
+            key, first = np.unique(key, return_index=True)
+            mass = np.add.reduceat(mass, first)
+        sr, cc = np.divmod(key, n)
+    del key
+    if low == 0.0:
+        keep = mass > 0.0
+        sr, cc, mass = sr[keep], cc[keep], mass[keep]
+    # Each cell's row of its own joint, and its column of the (stack row
+    # x outcome) arrays.
+    rr = sr if k == 1 else sr % n
+    col = cc if k == 1 else sr - rr + cc
+    sums = [
+        np.bincount(at, weights=w, minlength=k * n).reshape(k, n)
+        for at, w in ((sr, mass), (col, mass), (col, mass * v[rr]))
+    ]
+    return sr, rr, cc, mass, lines, *sums
+
+
+def _stacked(rows: Sequence[tuple[CaseModel, object]]) -> Optional[CouplingStack]:
+    """`stack_couplings` in one pass over the stack, or None when some row
+    fails a check or lies within rounding of a tolerance."""
+    space = rows[0][0].space
+    n, v, k = space.size, space.values_array, len(rows)
+    gathered = _gathered(rows, n)
+    if gathered is None:
+        return None
+    parts, rank_one, evidence = gathered
+    # Two sums of the same m terms in [0, 2], in any order, differ by less
+    # than 4 m _EPS; a total or a line sum past 2 fails by far either way.
+    slack = 0.0
+    has_cells = bool(parts)
+    if has_cells:
+        cells = _stacked_cells(parts, k, n, v)
+        if cells is None:
+            return None
+        sr, rr, cc, mass, lines, row_mass, col_mass, col_v0 = cells
+        total = row_mass.sum(axis=1)
+        slack = 4 * _EPS * mass.size
+        # Stack row r's cells are at bounds[r]:bounds[r + 1].
+        bounds = [0, mass.size]
+        if k > 1:
+            bounds = np.searchsorted(sr, np.arange(0, (k + 1) * n, n)).tolist()
+    if rank_one:
+        factors = np.array(
+            [rows[r][0].counterfactual.array for r in rank_one]
+            + [rows[r][0].factual.array for r in rank_one]
+        )
+        if not (factors.min() >= 0.0 and factors.max() < math.inf):
+            return None
+        a, b = factors[: len(rank_one)], factors[len(rank_one) :]
+        a_sum = a.sum(axis=1)
+        # One dot product per row, as `RankOneCells.column_sums` takes it.
+        a_v = np.array([float(w @ v) for w in a])
+        ranked = (a_sum * b.sum(axis=1), b * a_sum[:, None], b * a_v[:, None])
+        if has_cells:
+            total[rank_one], col_mass[rank_one], col_v0[rank_one] = ranked
+        else:
+            total, col_mass, col_v0 = ranked
+    rank_one = frozenset(rank_one)
+    off = np.abs(total - 1.0)
+    if not off.max() <= MASS_SUM_TOL - slack:
+        # A cell row near MASS_SUM_TOL, or past it, takes the pairwise sum
+        # `Coupling` takes.
+        for r in np.flatnonzero(~(off <= MASS_SUM_TOL - slack)).tolist():
+            if r not in rank_one:
+                off[r] = abs(float(mass[bounds[r] : bounds[r + 1]].sum()) - 1.0)
+        if not off.max() <= MASS_SUM_TOL:
+            return None
+    if evidence:
+        pick = slice(None) if len(evidence) == k else evidence
+        target = np.array(
+            [rows[r][0].counterfactual.array for r in evidence]
+            + [rows[r][0].factual.array for r in evidence]
+        )
+        target -= np.concatenate((row_mass[pick], col_mass[pick]))
+        # `evidence_coupling` sums each line in another order.
+        if not np.abs(target).max() <= MARGINAL_TOL - 4 * _EPS * lines:
+            return None
+    col_mass, col_v0 = read_only(col_mass), read_only(col_v0)
+    if has_cells:
+        rr, cc, mass = read_only(rr), read_only(cc), read_only(mass)
+    couplings = []
+    for r, (model, _) in enumerate(rows):
+        if r in rank_one:
+            cells = RankOneCells(model.counterfactual.array, model.factual.array)
+        else:
+            lo, hi = bounds[r], bounds[r + 1]
+            cells = Cells(rr[lo:hi], cc[lo:hi], mass[lo:hi], n)
+        # Checked above: `Coupling.__post_init__` does not run again.
+        coupling = object.__new__(Coupling)
+        coupling.__dict__.update(space=space, cells=cells, column_moments=(col_mass[r], col_v0[r]))
+        couplings.append(coupling)
+    stack = object.__new__(CouplingStack)
+    stack._fill(tuple(couplings), col_mass, col_v0)
+    return stack
 
 
 def _nw_costs(

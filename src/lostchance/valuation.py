@@ -32,9 +32,10 @@ import numpy as np
 
 from .coupling import (
     Coupling,
-    evidence_coupling,
+    CouplingStack,
     independence_coupling,
     least_divergence_coupling,
+    stack_couplings,
     transport_cost,
 )
 from .outcome import CaseModel, award_from_compensation, read_only
@@ -85,25 +86,6 @@ class PolicyCombo:
 # Every combination of the standard policies, in product order; built
 # once, as `evaluate --all-policies` evaluates them on every call.
 STANDARD_COMBOS = tuple(itertools.starmap(PolicyCombo, itertools.product(*STANDARD_AXES)))
-
-
-class CouplingStack:
-    """Couplings of one outcome space, row after row, and their column
-    moments as (coupling x outcome) arrays: `mass[i, k]` is P(O1 = k) and
-    `v0[i, k]` is E[V0 1{O1 = k}] under coupling i, row i being that
-    coupling's own `column_moments`.  A lone coupling is a one-row stack.
-    """
-
-    def __init__(self, couplings: Sequence[Coupling]) -> None:
-        self.couplings = couplings = tuple(couplings)
-        self.space = space = couplings[0].space
-        v = space.values_array
-        self.mass, self.v0 = (
-            np.array(moments) for moments in zip(*(c.column_moments for c in couplings))
-        )
-        self.scale = max(1.0, float(np.abs(v).max()))
-        # E[V0 - V1] under each coupling.
-        self.mean_gaps = [float(v0.sum() - mass @ v) for mass, v0 in zip(self.mass, self.v0)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,70 +429,74 @@ class CompensationSchedule:
         return tuple(n for n in self.notes if n.startswith("FLAG"))
 
 
-def _coupling_for(
-    model: CaseModel, conn: str, joint, least_divergence
-) -> tuple[Coupling, tuple[str, ...]]:
-    """The coupling a connection policy uses, and the notes it carries.
+def _missing_joint(conn: str):
+    """A builder that refuses: connection `conn` was given no joint."""
 
-    `joint` is what e-c or paper-table evaluates, in any form
-    `evidence_coupling` takes.  `least_divergence()` gives the engine's own
-    least-divergence coupling, which paper-table is costed against.
-    """
-    if conn in ("e-c", "paper-table"):
-        if joint is None:
-            raise ConfigurationError(
-                f"connection policy {conn!r} needs an explicit coupling and "
-                f"none was supplied"
-            )
-        c = evidence_coupling(model, joint)
-        if conn == "paper-table":
-            own = least_divergence()
-            supplied_cost = transport_cost(c)
-            own_cost = transport_cost(own)
-            if supplied_cost > own_cost + 1e-9:
-                return c, (
-                    "FLAG published least-divergence table is not cost-minimal: "
-                    f"cost {supplied_cost:.6g} vs optimal {own_cost:.6g}",
-                )
-        return c, ()
-    if conn == "ld-c":
-        vals = model.space.values
-        notes = ()
-        if len(set(vals)) < len(vals):
-            notes = (
-                "note: value ties present; least-divergence matching breaks "
-                "them by label order and the schedule may depend on that order",
-            )
-        return least_divergence(), notes
-    if conn == "i-c":
-        return independence_coupling(model), ()
-    raise ConfigurationError(f"unknown connection policy {conn!r}")
+    def refuse(model: CaseModel) -> Coupling:
+        raise ConfigurationError(
+            f"connection policy {conn!r} needs an explicit coupling and "
+            f"none was supplied"
+        )
+
+    return refuse
 
 
-def _case_couplings(
-    model: CaseModel, conns, evidence_joint, paper_table_joint
-) -> list[tuple[Coupling, tuple[str, ...]]]:
-    """One case's `_coupling_for` of each connection in `conns`: e-c
-    evaluates `evidence_joint`, paper-table `paper_table_joint` or else
-    `evidence_joint`, and ld-c and paper-table's cost check share one
-    least-divergence coupling."""
+def _case_rows(
+    model: CaseModel, conns, evidence_joint, paper_table_joint, rows: list
+) -> dict[str, int]:
+    """Append one case's couplings to the `stack_couplings` rows `rows`,
+    in the order they are built, and return the row of each connection in
+    `conns`.  e-c evaluates `evidence_joint`, paper-table
+    `paper_table_joint` or else `evidence_joint`; paper-table is costed
+    against the least-divergence coupling, built right after it unless
+    ld-c came first, and ld-c and paper-table share that coupling."""
     if paper_table_joint is None:
         paper_table_joint = evidence_joint
     joints = {"e-c": evidence_joint, "paper-table": paper_table_joint}
-    shared = []
+    at: dict[str, int] = {}
 
-    def least_divergence() -> Coupling:
-        if not shared:
-            shared.append(least_divergence_coupling(model))
-        return shared[0]
+    def add(conn: str, what) -> None:
+        at[conn] = len(rows)
+        rows.append((model, what))
 
-    return [_coupling_for(model, conn, joints.get(conn), least_divergence) for conn in conns]
+    for conn in conns:
+        if conn in joints:
+            joint = joints[conn]
+            add(conn, _missing_joint(conn) if joint is None else joint)
+        elif conn == "i-c":
+            add(conn, independence_coupling)
+        if conn in ("ld-c", "paper-table") and "ld-c" not in at:
+            add("ld-c", least_divergence_coupling)
+    return at
 
 
-def _tie_note(model: CaseModel, groups: SelectiveGroups, row: int) -> tuple[str, ...]:
+def _coupling_notes(
+    space, couplings: Sequence[Coupling], at: dict[str, int]
+) -> dict[int, tuple[str, ...]]:
+    """The notes each of one case's couplings carries, by stack row: a
+    published least-divergence table that is not cost-minimal is
+    flagged, and ld-c notes value ties."""
+    notes = {}
+    if "paper-table" in at:
+        supplied_cost = transport_cost(couplings[at["paper-table"]])
+        own_cost = transport_cost(couplings[at["ld-c"]])
+        if supplied_cost > own_cost + 1e-9:
+            notes[at["paper-table"]] = (
+                "FLAG published least-divergence table is not cost-minimal: "
+                f"cost {supplied_cost:.6g} vs optimal {own_cost:.6g}",
+            )
+    if "ld-c" in at and len(set(space.values)) < space.size:
+        notes[at["ld-c"]] = (
+            "note: value ties present; least-divergence matching breaks "
+            "them by label order and the schedule may depend on that order",
+        )
+    return notes
+
+
+def _tie_note(space, groups: SelectiveGroups, row: int) -> tuple[str, ...]:
     if not groups.ties[row].any():
         return ()
-    tied = ", ".join(model.space.labels[i] for i in groups.indices(row)[2])
+    tied = ", ".join(space.labels[i] for i in groups.indices(row)[2])
     return (
         f"note: outcome(s) {tied} sit exactly at their conditional mean "
         f"and are grouped as non-compensable",
@@ -525,10 +511,10 @@ class GridBuild:
     and case c's tables and stack rows follow case c - 1's.  Table t's
     partition is `gaps.partitions[t]`, its rows `gaps.table(t)` and its
     checked expected gap `gaps.expected[t]`; `couplings` are the rows of
-    `groups`.  `supports` holds each case's factual support, `payouts`
-    the (case x combination x support outcome) payouts, flattened row
-    after row, and `notes` each (case, combination)'s notes, case after
-    case."""
+    `groups`, each case's in the order they are built.  `supports` holds
+    each case's factual support, `payouts` the (case x combination x
+    support outcome) payouts, flattened row after row, and `notes` each
+    (case, combination)'s notes, case after case."""
 
     models: tuple[CaseModel, ...]
     combos: tuple[PolicyCombo, ...]
@@ -566,11 +552,12 @@ def build_grid(
     each its information policies in order of first use.  Every case has
     the same tables, and the build runs, case after case within a stage:
 
-    * the couplings, one per connection of each case, with the notes
-      they carry; within a case, ld-c and paper-table share one
-      least-divergence coupling;
-    * their column moments, as one `CouplingStack`, and their selective
-      groups, one `selective_groups` call;
+    * every case's couplings and their column moments, as the one
+      `CouplingStack` of one `stack_couplings` call: a row per connection
+      of each case, and after paper-table's the least-divergence
+      coupling it is costed against, unless ld-c came first (the two
+      share it); then the notes each coupling carries;
+    * their selective groups, one `selective_groups` call;
     * every table's partition, one `build_partition` call, on its own
       case's factual support;
     * every table's gaps, one `conditional_gap` pass that checks each
@@ -583,7 +570,8 @@ def build_grid(
     So the first stage that fails raises: a family whose cases differ in
     outcome space or money map, then values that span more than a float
     holds, then a coupling error, case by case and in order of first use,
-    before any partition error, and so on.
+    with its own constructor's message, before any partition error, and
+    so on.
     """
     if not combos:
         raise ConfigurationError("a policy grid needs at least one combination")
@@ -617,27 +605,34 @@ def build_grid(
     for combo in combos:
         fair = uses.setdefault(combo.connection, {})
         fair[combo.info] = fair.get(combo.info, False) or combo.indemnity == "fm-i"
-    # Case c's connection j is row c * len(uses) + j of the stack.
-    built = []
-    for case, joint, table in zip(models, evidence, published):
-        built += _case_couplings(case, uses, joint, table)
-    couplings = CouplingStack([coupling for coupling, _ in built])
+    # Each case's couplings, case after case, are rows of one stack:
+    # at[c][conn] is the row of case c's connection conn, and owners[i]
+    # the case of row i.
+    specs: list = []
+    at, owners = [], []
+    for c, (case, joint, table) in enumerate(zip(models, evidence, published)):
+        at.append(_case_rows(case, uses, joint, table, specs))
+        owners += [c] * (len(specs) - len(owners))
+    couplings = stack_couplings(specs)
+    coupling_notes: dict[int, tuple[str, ...]] = {}
+    for case_rows in at:
+        coupling_notes.update(_coupling_notes(space, couplings.couplings, case_rows))
     groups = selective_groups(couplings)
     # A case's tables, each (connection, information policy) that some
     # combination uses: its connection, its policy, and whether some fm-i
     # combination uses it.
     tables: dict[tuple[str, str], int] = {}
     conns, infos, fairs = [], [], []
-    for conn, (name, conn_infos) in enumerate(uses.items()):
+    for conn, conn_infos in uses.items():
         for info, fair in conn_infos.items():
-            tables[name, info] = len(conns)
+            tables[conn, info] = len(conns)
             conns.append(conn)
             infos.append(info)
             fairs.append(fair)
     cases, per_case = len(models), len(conns)
     # Case c's table t is table c * per_case + t of the build, read under
-    # its case's row of the stack.
-    rows = [c * len(uses) + conn for c in range(cases) for conn in conns]
+    # its case's row of the stack for its connection.
+    rows = [case_rows[conn] for case_rows in at for conn in conns]
     infos *= cases
     # Each case's factual support; cases with equal supports share one
     # array, and with it their l-fi, h-fi and custom partitions.
@@ -650,7 +645,7 @@ def build_grid(
             distinct[key] = mask.nonzero()[0]
         masks.append(mask)
         supports.append(distinct[key])
-    row_supports = [s for s in supports for _ in uses]
+    row_supports = [supports[c] for c in owners]
     partitions = build_partition(infos, row_supports, groups, custom_blocks, coupling_rows=rows)
     gaps = conditional_gap(couplings, partitions, rows)
     # Every row's clamped payout, a 0, every row's fair-mean payout and a
@@ -677,9 +672,9 @@ def build_grid(
     picked = [c * per_case + t for c in range(cases) for t in picked]
     held = np.array(masks).repeat(len(combos), axis=0)
     notes = [
-        built[row][1]
+        coupling_notes.get(row, ())
         + gaps.notes[t]
-        + (_tie_note(models[row // len(uses)], groups, row) if info == "m-fi" else ())
+        + (_tie_note(space, groups, row) if info == "m-fi" else ())
         for t, (row, info) in enumerate(zip(rows, infos))
     ]
     extra = tuple(extra_notes)

@@ -28,13 +28,18 @@ import math
 import numpy as np
 
 from lostchance.casefile import _not_a_number, _number
-from lostchance.coupling import Coupling, least_divergence_coupling
+from lostchance.coupling import (
+    Coupling,
+    evidence_coupling,
+    independence_coupling,
+    least_divergence_coupling,
+    transport_cost,
+)
 from lostchance.outcome import WEIGHT_SUM_TOL, CaseModel, MoneyMap
 from lostchance.valuation import (
     CompensationSchedule,
     ConfigurationError,
     CouplingStack,
-    _coupling_for,
     selective_groups,
 )
 
@@ -139,6 +144,38 @@ def award(money: MoneyMap, v1: float, x: float) -> float:
     return award
 
 
+def coupling_for(model: CaseModel, conn: str, joint, least_divergence):
+    """The coupling a connection uses, from its public constructor, and
+    the notes it carries: paper-table is flagged when it costs more than
+    `least_divergence()`, and ld-c notes value ties."""
+    if conn in ("e-c", "paper-table"):
+        if joint is None:
+            raise ConfigurationError(
+                f"connection policy {conn!r} needs an explicit coupling and "
+                f"none was supplied"
+            )
+        c = evidence_coupling(model, joint)
+        if conn == "paper-table":
+            supplied_cost = transport_cost(c)
+            own_cost = transport_cost(least_divergence())
+            if supplied_cost > own_cost + 1e-9:
+                return c, (
+                    "FLAG published least-divergence table is not cost-minimal: "
+                    f"cost {supplied_cost:.6g} vs optimal {own_cost:.6g}",
+                )
+        return c, ()
+    if conn == "ld-c":
+        vals = model.space.values
+        notes = ()
+        if len(set(vals)) < len(vals):
+            notes = (
+                "note: value ties present; least-divergence matching breaks "
+                "them by label order and the schedule may depend on that order",
+            )
+        return least_divergence(), notes
+    return independence_coupling(model), ()
+
+
 def schedules(
     model: CaseModel, combos, evidence_joint=None, custom_blocks=None, extra_notes=()
 ) -> list[CompensationSchedule]:
@@ -150,7 +187,7 @@ def schedules(
     least_divergence = functools.cache(lambda: least_divergence_coupling(model))
     out = []
     for combo in combos:
-        coupling, notes = _coupling_for(
+        coupling, notes = coupling_for(
             model, combo.connection, evidence_joint, least_divergence
         )
         plus, minus, ties = selective_groups(CouplingStack([coupling])).indices(0)

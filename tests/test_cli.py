@@ -745,6 +745,35 @@ class TestParameterErrors:
         assert len(err.encode()) <= 300
 
     @pytest.mark.parametrize(
+        "spec, label",
+        [("x" * 3000, "x" * 3000), (json.dumps([["y" * 3000]]), "y" * 3000)],
+        ids=["plain", "json"],
+    )
+    def test_an_unknown_label_is_named_briefly(self, capsys, spec, label):
+        argv = ["evaluate", str(GOLDEN / "paper-prize.json"), "--info", "custom",
+                "--custom-blocks", spec]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown outcome label {label[:40]!r}... (3000 characters)\n"
+        assert len(err.encode()) <= 300
+
+    def test_the_json_form_hint_names_a_long_label_briefly(self, capsys, tmp_path):
+        # The hint's example is the space's first label, a choice|result
+        # pair; here its choice is 3000 characters long.
+        long = "c" * 3000
+        case = tmp_path / "long-choice.json"
+        case.write_text((GOLDEN / "choice-presumed.json").read_text().replace("choice-a", long))
+        argv = ["evaluate", str(case), "--info", "custom", "--custom-blocks", "nope"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: unknown outcome label 'nope'; 'a,b|c' splits labels at ',' "
+            "and '|', so name labels that hold them in the JSON form, for example "
+            f"--custom-blocks '[[\"{long[:40]}\"]]'... (3009 characters)\n"
+        )
+        assert len(err.encode()) <= 300
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["--connection", "ld-c"],

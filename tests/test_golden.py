@@ -32,6 +32,7 @@ from pathlib import Path
 
 import pytest
 
+import lostchance.coupling as coupling
 import lostchance.valuation as valuation
 from lostchance import PolicyCombo, evaluate_choice_case, evaluate_grid, load_case
 from lostchance.cli import main
@@ -172,27 +173,18 @@ def test_schedule_notes_keep_their_order(run):
     "run", ["paper-prize", "outcome-ties-matrix", "choice-evidence.none"]
 )
 def test_all_policies_builds_each_coupling_once(run, monkeypatch, capsys):
-    """One command: one coupling per connection, and one gap pass over
-    every connection's three information policies, not one per
-    connection or per (connection, info) pair."""
-    builds: list[str] = []
+    """One command: one stacked build with one coupling per connection,
+    and one gap pass over every connection's three information policies,
+    not one per connection or per (connection, info) pair."""
+    stacks: list[list] = []
     gaps: list[tuple[object, int, list]] = []
+    stack_couplings = valuation.stack_couplings
 
-    def counted(name):
-        original = getattr(valuation, name)
+    def counted_stack(rows):
+        stacks.append(list(rows))
+        return stack_couplings(rows)
 
-        def build(*args, **kwargs):
-            builds.append(name)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(valuation, name, build)
-
-    for name in (
-        "evidence_coupling",
-        "least_divergence_coupling",
-        "independence_coupling",
-    ):
-        counted(name)
+    monkeypatch.setattr(valuation, "stack_couplings", counted_stack)
     conditional_gap = valuation.conditional_gap
 
     def counted_gap(couplings, partitions, rows):
@@ -203,11 +195,11 @@ def test_all_policies_builds_each_coupling_once(run, monkeypatch, capsys):
     case, flags = _case_and_presumption(run)
     assert main(["evaluate", str(case), "--all-policies", "--csv", *flags]) == 0
     assert len(capsys.readouterr().out.splitlines()) > 18
-    assert sorted(builds) == [
-        "evidence_coupling",
-        "independence_coupling",
-        "least_divergence_coupling",
-    ]
+    # e-c's joint, then the ld-c and i-c builders, each once.
+    (built,) = stacks
+    whats = [what for _, what in built]
+    assert len(whats) == 3 and not callable(whats[0])
+    assert whats[1:] == [coupling.least_divergence_coupling, coupling.independence_coupling]
     assert len(gaps) == 1
     couplings, tables, rows = gaps[0]
     assert len({id(c) for c in couplings.couplings}) == 3

@@ -19,16 +19,30 @@ by one.  A family of such cases over one outcome space, with their own
 marginals, supports and evidence, must give each case's own grid, case
 after case, with the same notes.  A `CouplingStack`'s rows must be its
 couplings' own column moments, bit for bit.
+
+`stack_couplings` builds a whole grid's couplings in one pass.  On random
+families whose rows mix every joint form, each row's cells and moments
+must be its own constructor's, bit for bit, with no `Coupling` validated
+one at a time; a malformed joint at any case of a family must raise its
+constructor's error, byte for byte, before a partition error; and a
+3000-outcome grid must build without an n x n array.
 """
+
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lostchance.coupling import (
+    Cells,
+    Coupling,
+    RankOneCells,
     coupling_from_map,
     evidence_coupling,
     independence_coupling,
     least_divergence_coupling,
+    stack_couplings,
 )
 from lostchance.outcome import (
     CaseModel,
@@ -37,6 +51,7 @@ from lostchance.outcome import (
     OutcomeSpace,
 )
 from lostchance.valuation import CouplingStack, PolicyCombo, build_grid, price
+from lostchance.verify import random_case, random_vertex_coupling
 
 INFOS = ("l-fi", "m-fi", "h-fi", "custom")
 CONNECTIONS = ("e-c", "ld-c", "i-c", "paper-table")
@@ -232,3 +247,263 @@ def test_stack_rows_are_each_couplings_column_moments(seed):
     assert kinds == {"Cells", "RankOneCells"}
     # e-c from an evidence matrix and from an outcome map both occur.
     assert {"ndarray", "dict"} <= evidence_kinds
+
+
+# -- one stacked build against each coupling's own constructor ---------------
+
+
+def _family(rng, cases):
+    """`cases` random cases, of at most 30 outcomes, over one space."""
+    first = random_case(rng, 2, 30)
+    n = first.space.size
+    return [first] + [
+        dataclasses.replace(random_case(rng, n, n), space=first.space) for _ in range(cases - 1)
+    ]
+
+
+def _split_cells(rng, joint):
+    """The joint's cells out of order, some of them split into two
+    repeated cells."""
+    rows, cols = np.nonzero(joint)
+    mass = joint[rows, cols]
+    split = np.flatnonzero(rng.random(mass.size) < 0.4)
+    part = mass[split] * rng.random(split.size)
+    mass[split] -= part
+    rows, cols, mass = np.r_[rows, rows[split]], np.r_[cols, cols[split]], np.r_[mass, part]
+    order = rng.permutation(rows.size)
+    return Cells(rows[order], cols[order], mass[order], joint.shape[0])
+
+
+def _random_row(rng, model, form):
+    """(model, what) for one stack row of the given joint form; a map row
+    gets the factual law its map pushes the counterfactual one to."""
+    if form == "ld-c":
+        return model, least_divergence_coupling
+    if form == "i-c":
+        return model, independence_coupling
+    if form == "map":
+        n = model.space.size
+        targets = rng.integers(0, n, size=n)
+        factual = np.bincount(targets, weights=model.counterfactual.array, minlength=n)
+        model = dataclasses.replace(model, factual=DiscreteDistribution(tuple(factual.tolist())))
+        labels = model.space.labels
+        return model, {labels[i]: labels[int(t)] for i, t in enumerate(targets)}
+    joint = random_vertex_coupling(rng, model)
+    return model, joint if form == "dense" else _split_cells(rng, joint)
+
+
+FORMS = ("dense", "cells", "map", "ld-c", "i-c")
+
+
+def _public(model, what):
+    return what(model) if callable(what) else evidence_coupling(model, what)
+
+
+def _assert_same(got, want):
+    """Two couplings with the same cells and moments, bit for bit."""
+    assert type(got.cells) is type(want.cells)
+    names = ("rows", "cols", "mass")
+    if isinstance(want.cells, RankOneCells):
+        names = ("row_weights", "col_weights")
+    for name in names:
+        a, b = getattr(got.cells, name), getattr(want.cells, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+        assert not a.flags.writeable
+    for a, b in zip(got.column_moments, want.column_moments):
+        assert a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Counts the couplings validated by `Coupling.__post_init__`."""
+    count = []
+    post_init = Coupling.__post_init__
+
+    def counted(self):
+        count.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Coupling, "__post_init__", counted)
+    return count
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_stack_rows_equal_their_own_constructors(seed, checked):
+    """Random families of up to 5 cases, each case up to 5 rows of any
+    joint form: dense, unsorted cells with repeats, an outcome map,
+    least-divergence and independence.  Each row's cells and moments,
+    and the stack's arrays and mean gaps, are those of the row's own
+    constructor, and the stacked pass validates no `Coupling` itself."""
+    rng = np.random.default_rng(3000 + seed)
+    forms = set()
+    for _ in range(10):
+        rows = []
+        for model in _family(rng, int(rng.integers(1, 6))):
+            for form in rng.choice(FORMS, size=int(rng.integers(1, 6))):
+                rows.append(_random_row(rng, model, str(form)))
+                forms.add(str(form))
+        del checked[:]
+        stack = stack_couplings(rows)
+        assert not checked
+        public = CouplingStack([_public(model, what) for model, what in rows])
+        for got, want in zip(stack.couplings, public.couplings, strict=True):
+            _assert_same(got, want)
+        for name in ("mass", "v0"):
+            assert getattr(stack, name).tobytes() == getattr(public, name).tobytes()
+        assert stack.mean_gaps == public.mean_gaps
+    assert forms == set(FORMS)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grid_couplings_equal_their_own_constructors(seed):
+    """A family's grid over every connection: each case's e-c, paper-table,
+    the least-divergence coupling paper-table is costed against, and
+    i-c, each from its own constructor, bit for bit."""
+    rng = np.random.default_rng(4000 + seed)
+    models = _family(rng, 4)
+    evidence = [random_vertex_coupling(rng, m) for m in models]
+    published = [_split_cells(rng, random_vertex_coupling(rng, m)) for m in models]
+    combos = [PolicyCombo("h-fi", conn, "cc-i") for conn in ("e-c", "paper-table", "i-c", "ld-c")]
+    build = build_grid(models, combos, evidence, paper_table_joint=published)
+    public = []
+    for model, joint, table in zip(models, evidence, published):
+        public += [
+            evidence_coupling(model, joint),
+            evidence_coupling(model, table),
+            least_divergence_coupling(model),
+            independence_coupling(model),
+        ]
+    for got, want in zip(build.couplings, public, strict=True):
+        _assert_same(got, want)
+
+
+def _malformed(rng, model, kind):
+    """(model, e-c joint) of one malformed kind; "dropped" is well-formed
+    but for one cell of -1e-16, which `Coupling` drops."""
+    joint = random_vertex_coupling(rng, model)
+    n = model.space.size
+    r, c = np.argwhere(joint > 0.0)[0]
+    if kind == "shape":
+        return model, np.zeros((n + 1, n + 1))
+    if kind in ("counterfactual", "factual"):
+        off = joint.copy()
+        # Moving mass along a column keeps the factual marginal; along a
+        # row, the counterfactual one.
+        other = (r + 1) % n
+        if kind == "counterfactual":
+            off[r, c] -= 1e-9
+            off[other, c] += 1e-9
+        else:
+            off[r, c] -= 1e-9
+            off[r, (c + 1) % n] += 1e-9
+        return model, off
+    if kind == "nan":
+        off = joint.copy()
+        off[r, c] = np.nan
+        return model, off
+    if kind in ("negative", "dropped"):
+        # One more cell, below zero, where the comonotone joint (at most
+        # 2n - 1 cells) has none; its lines move by far less than
+        # MARGINAL_TOL.
+        cells = least_divergence_coupling(model).cells
+        i, j = np.argwhere(np.asarray(cells) == 0.0)[0]
+        tiny = 1e-14 if kind == "negative" else 1e-16
+        return model, Cells(np.r_[cells.rows, i], np.r_[cells.cols, j], np.r_[cells.mass, -tiny], n)
+    if kind == "index":
+        cells = Cells.from_dense(joint)
+        return model, Cells(np.r_[cells.rows, n], np.r_[cells.cols, 0], np.r_[cells.mass, 0.0], n)
+    if kind == "total":
+        return model, joint * (1.0 + 2e-12)
+    if kind == "rank-one factor":
+        a = model.counterfactual.array.copy()
+        a[0] = -a[0]
+        return model, RankOneCells(a, model.factual.array)
+    assert kind == "i-c factor"
+    f = model.factual.array.copy()
+    f[-1] = np.inf
+    return dataclasses.replace(model, factual=DiscreteDistribution(tuple(f.tolist()))), joint
+
+
+MALFORMED = (
+    "shape",
+    "counterfactual",
+    "factual",
+    "nan",
+    "negative",
+    "dropped",
+    "index",
+    "total",
+    "rank-one factor",
+    "i-c factor",
+)
+
+
+def _first_refusal(rows):
+    """The first error each row's own constructor raises, in order."""
+    for model, what in rows:
+        try:
+            _public(model, what)
+        except Exception as exc:
+            return exc
+    return None
+
+
+@pytest.mark.parametrize("k", range(5))
+@pytest.mark.parametrize("kind", MALFORMED)
+def test_a_malformed_joint_is_refused_with_its_own_message(kind, k):
+    """Case k of a 5-case family holds a malformed joint.  The grid raises
+    the error its own constructor raises, byte for byte, before the
+    custom blocks' tiling error; a -1e-16 cell is dropped as `Coupling`
+    drops it."""
+    rng = np.random.default_rng(5000 + 10 * k + MALFORMED.index(kind))
+    models = _family(rng, 5)
+    evidence = [random_vertex_coupling(rng, m) for m in models]
+    models[k], evidence[k] = _malformed(rng, models[k], kind)
+    connections = ("i-c",) if kind == "i-c factor" else ("e-c", "ld-c", "i-c")
+    combos = [PolicyCombo("custom", conn, "cc-i") for conn in connections]
+    rows = [
+        (model, what)
+        for model, joint in zip(models, evidence)
+        for what in (joint, least_divergence_coupling, independence_coupling)
+        if kind != "i-c factor" or what is independence_coupling
+    ]
+    expected = _first_refusal(rows)
+    if kind == "dropped":
+        assert expected is None
+        build = build_grid(models, [PolicyCombo("h-fi", c, "cc-i") for c in connections], evidence)
+        for got, (model, what) in zip(build.couplings, rows, strict=True):
+            _assert_same(got, _public(model, what))
+        return
+    assert expected is not None
+    with pytest.raises(type(expected)) as raised:
+        build_grid(models, combos, evidence, [[0]])
+    assert str(raised.value) == str(expected)
+
+
+def test_a_large_grid_builds_no_matrix():
+    """A 3000-outcome case under an outcome map, ld-c and i-c builds its
+    l-fi grid, whose couplings are most of the build, without an n x n
+    array: 72 MB for one, against a 1 MiB peak."""
+    n = 3000
+    rng = np.random.default_rng(6)
+    labels = tuple(f"o{i}" for i in range(n))
+    cf = rng.dirichlet(np.ones(n))
+    targets = rng.integers(0, n, size=n)
+    model = CaseModel(
+        OutcomeSpace(labels, tuple(rng.normal(size=n).tolist())),
+        DiscreteDistribution(tuple(cf.tolist())),
+        DiscreteDistribution(tuple(np.bincount(targets, weights=cf, minlength=n).tolist())),
+        IdentityMoneyMap(),
+    )
+    mapping = {labels[i]: labels[int(t)] for i, t in enumerate(targets)}
+    combos = [PolicyCombo("l-fi", conn, "cc-i") for conn in ("e-c", "ld-c", "i-c")]
+    build_grid(model, combos, mapping)  # warm every cache
+    tracemalloc.start()
+    try:
+        build = build_grid(model, combos, mapping)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [type(c.cells).__name__ for c in build.couplings] == ["Cells", "Cells", "RankOneCells"]
+    assert peak < 1 << 20
