@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -80,12 +79,6 @@ class Cells:
         idx = self.cols if axis == 0 else self.rows
         return np.bincount(idx, weights=self.mass, minlength=self.n)
 
-    def column_sums(self, row_values: np.ndarray) -> np.ndarray:
-        """sum_i mass[i, k] * row_values[i] for every column k."""
-        return np.bincount(
-            self.cols, weights=self.mass * row_values[self.rows], minlength=self.n
-        )
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         j = np.zeros((self.n, self.n))
         np.add.at(j, (self.rows, self.cols), self.mass)
@@ -96,8 +89,8 @@ class Cells:
 class RankOneCells:
     """The outer product of two weight vectors, kept as its factors.
 
-    Its sums and column moments have closed forms; the explicit cells are
-    listed only when asked for.
+    Its sums have closed forms; the explicit cells are listed only when
+    asked for.
     """
 
     row_weights: np.ndarray
@@ -112,10 +105,6 @@ class RankOneCells:
         if axis is None:
             return float(a.sum() * b.sum())
         return b * a.sum() if axis == 0 else a * b.sum()
-
-    def column_sums(self, row_values: np.ndarray) -> np.ndarray:
-        # Independence: the row law is the same in every column.
-        return self.col_weights * float(self.row_weights @ row_values)
 
     @cached_property
     def explicit(self) -> Cells:
@@ -144,49 +133,6 @@ class RankOneCells:
         return j if dtype is None else j.astype(dtype)
 
 
-def _sorted_unique(cells: Cells, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Copies of the cells' arrays, checked to lie in the n x n joint,
-    sorted by (row, col), with repeated cells added up."""
-    rows = np.array(cells.rows, dtype=np.intp)
-    cols = np.array(cells.cols, dtype=np.intp)
-    mass = np.array(cells.mass, dtype=float)
-    if cells.n != n:
-        raise ValueError(f"joint has shape {cells.shape}, expected {(n, n)}")
-    if not (rows.ndim == cols.ndim == mass.ndim == 1) or not (
-        rows.size == cols.size == mass.size
-    ):
-        raise ValueError("cells need one row, column and mass per cell")
-    if rows.size:
-        # Viewed as unsigned, a negative index is huge, so one bound
-        # per side catches both ends.
-        if max(rows.view(np.uintp).max(), cols.view(np.uintp).max()) >= n:
-            raise ValueError(f"cell index out of range for a {n}x{n} joint")
-        key = rows * n + cols
-        if (key[1:] <= key[:-1]).any():
-            order = np.argsort(key, kind="stable")
-            key, mass = key[order], mass[order]
-            if (key[1:] == key[:-1]).any():
-                key, first = np.unique(key, return_index=True)
-                mass = np.add.reduceat(mass, first)
-            rows, cols = np.divmod(key, n)
-    return rows, cols, mass
-
-
-def _positive(rows: np.ndarray, cols: np.ndarray, mass: np.ndarray, n: int) -> Cells:
-    """Read-only cells after the mass checks; mass within 1e-15 below zero
-    counts as zero and is dropped with the zero cells."""
-    if not np.isfinite(mass).all():
-        raise ValueError("joint contains non-finite mass")
-    positive = mass > 0.0
-    if not positive.all():
-        negative = mass < -1e-15
-        if negative.any():
-            c = int(negative.argmax())
-            raise ValueError(f"negative mass {float(mass[c])!r} at ({rows[c]}, {cols[c]})")
-        rows, cols, mass = rows[positive], cols[positive], mass[positive]
-    return Cells(read_only(rows), read_only(cols), read_only(mass), n)
-
-
 @dataclass(frozen=True, eq=False)
 class Coupling:
     """Joint law over (counterfactual outcome, factual outcome).
@@ -194,43 +140,21 @@ class Coupling:
     `cells` is `Cells` or `RankOneCells`; validation stores it as
     positive `Cells` sorted by (row, col), or keeps a valid rank-one law
     as its factors; either kind's total mass must be 1 within
-    `MASS_SUM_TOL`.  A dense matrix or an outcome map enters through
-    `evidence_coupling`.
+    `MASS_SUM_TOL`.  `column_moments` is (P(O1 = k), E[V0 1{O1 = k}])
+    for every factual outcome k, taken by the same check.  A dense matrix
+    or an outcome map enters through `evidence_coupling`.  Every
+    constructor, and `stack_couplings`, checks through one function: a
+    lone coupling is a one-row stack.
     """
 
     space: OutcomeSpace
     cells: Union[Cells, RankOneCells]
+    column_moments: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        n = self.space.size
-        cells = self.cells
-        if isinstance(cells, RankOneCells):
-            a = np.array(cells.row_weights, dtype=float)
-            b = np.array(cells.col_weights, dtype=float)
-            if a.shape != (n,) or b.shape != (n,):
-                raise ValueError(
-                    f"joint has shape {(a.size, b.size)}, expected {(n, n)}"
-                )
-            for name, w in (("row_weights", a), ("col_weights", b)):
-                bad = ~(np.isfinite(w) & (w >= 0.0))
-                if bad.any():
-                    i = int(bad.argmax())
-                    raise ValueError(
-                        f"rank-one {name}[{i}] is {float(w[i])!r}, "
-                        f"not a finite non-negative weight"
-                    )
-            cells = RankOneCells(read_only(a), read_only(b))
-        elif isinstance(cells, Cells):
-            cells = _positive(*_sorted_unique(cells, n), n)
-        else:
-            raise TypeError(
-                f"coupling cells must be Cells or RankOneCells, "
-                f"not {type(cells).__name__}"
-            )
-        total = cells.sum()
-        if abs(total - 1.0) > MASS_SUM_TOL:
-            raise ValueError(f"joint mass sums to {total!r}, not 1")
-        object.__setattr__(self, "cells", cells)
+        (checked,), _, _ = _checked(self.space, [(None, self.cells)])
+        object.__setattr__(self, "cells", checked.cells)
+        object.__setattr__(self, "column_moments", checked.column_moments)
 
     @cached_property
     def joint(self) -> np.ndarray:
@@ -245,15 +169,6 @@ class Coupling:
     def factual_marginal(self) -> np.ndarray:
         return self.column_moments[0]
 
-    @cached_property
-    def column_moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """(P(O1 = k), E[V0 1{O1 = k}]) for every factual outcome k."""
-        v = self.space.values_array
-        return (
-            read_only(self.cells.sum(axis=0)),
-            read_only(self.cells.column_sums(v)),
-        )
-
 
 def transport_cost(coupling: Coupling) -> float:
     """Expected squared value gap E[(V0 - V1)^2] under the coupling.  A
@@ -266,28 +181,6 @@ def transport_cost(coupling: Coupling) -> float:
         return float(c.mass @ (d * d))
 
 
-def _check_marginals(model: CaseModel, joint) -> None:
-    rows = joint.sum(axis=1)
-    cols = joint.sum(axis=0)
-    cf = model.counterfactual.array
-    f = model.factual.array
-    labels = model.space.labels
-    off = np.abs(rows - cf) > MARGINAL_TOL
-    if off.any():
-        i = int(off.argmax())
-        raise ValueError(
-            f"counterfactual marginal mismatch at row {i} ({labels[i]!r}): "
-            f"coupling gives {float(rows[i])!r}, case says {float(cf[i])!r}"
-        )
-    off = np.abs(cols - f) > MARGINAL_TOL
-    if off.any():
-        k = int(off.argmax())
-        raise ValueError(
-            f"factual marginal mismatch at column {k} ({labels[k]!r}): "
-            f"coupling gives {float(cols[k])!r}, case says {float(f[k])!r}"
-        )
-
-
 def evidence_coupling(model: CaseModel, joint) -> Coupling:
     """Wrap an explicitly supplied joint, checking it against the case.
 
@@ -298,17 +191,7 @@ def evidence_coupling(model: CaseModel, joint) -> Coupling:
     counterfactual outcome is refused by the marginal check, which names
     that outcome.
     """
-    if isinstance(joint, dict):
-        joint = map_cells(model.space, model.counterfactual.array, joint)
-    elif not isinstance(joint, Cells):
-        joint = np.asarray(joint, dtype=float)
-    n = model.space.size
-    if joint.shape != (n, n):
-        raise ValueError(f"evidence joint has shape {joint.shape}, expected {(n, n)}")
-    _check_marginals(model, joint)
-    if not isinstance(joint, Cells):
-        joint = Cells.from_dense(joint)
-    return Coupling(model.space, joint)
+    return _checked(model.space, [(model, joint)])[0][0]
 
 
 def map_cells(space: OutcomeSpace, weights, mapping: dict[str, str]) -> Cells:
@@ -332,9 +215,7 @@ def coupling_from_map(model: CaseModel, mapping: dict[str, str]) -> Coupling:
 
 def independence_coupling(model: CaseModel) -> Coupling:
     """Outer product of the marginals: the runs share no information."""
-    return Coupling(
-        model.space, RankOneCells(model.counterfactual.array, model.factual.array)
-    )
+    return _checked(model.space, [(model, independence_coupling)])[0][0]
 
 
 def northwest_corner(row_order, col_order, row_mass, col_mass) -> Cells:
@@ -406,9 +287,7 @@ def least_divergence_coupling(model: CaseModel) -> Coupling:
     squared value gap.  Value ties are broken by label order, which pins
     down one minimizer when several exist.
     """
-    v = model.space.values_array
-    cells = comonotone_cells(model.counterfactual.array, model.factual.array, v, v)
-    return Coupling(model.space, cells)
+    return _checked(model.space, [(model, least_divergence_coupling)])[0][0]
 
 
 class CouplingStack:
@@ -438,218 +317,237 @@ class CouplingStack:
 def stack_couplings(rows: Sequence[tuple[CaseModel, object]]) -> CouplingStack:
     """The couplings of `rows`, row after row, as one `CouplingStack`.
 
-    Each row is a case and what to build on it: `what(model)` when `what`
-    is a builder, such as `independence_coupling` or
-    `least_divergence_coupling`, and otherwise `evidence_coupling(model,
-    what)`.  The cases share one outcome space.
+    Each row is a case and what to build on it: `independence_coupling`
+    or `least_divergence_coupling`; any other builder, whose coupling
+    (or refusal) is taken as it comes; or else an evidence joint, as
+    `evidence_coupling(model, what)` takes it.  The cases share one
+    outcome space.
 
-    The rows' cells are laid end to end, keyed by (stack row, row, col),
-    and each check runs once over the whole stack: shape, index range,
-    finiteness and sign, order and repeats, both marginals of every
-    evidence joint, and total mass.  A rank-one row keeps its factors.
-    One `np.bincount` pair gives every row's column sums, which are both
-    its factual-marginal check and its `column_moments`.  `np.bincount`
-    adds each bin's weights in input order, so every row's cells and
-    moments are bit for bit the ones its own constructor gives, and its
-    coupling is made without running `Coupling`'s checks again.
-
-    The stacked sums only decide.  A row whose total lies within rounding
-    of `MASS_SUM_TOL` takes the pairwise sum `Coupling` takes.  When some
-    row fails a check, or a marginal lies within rounding of
-    `MARGINAL_TOL`, every row is built on its own, in order, so the first
-    refusal is raised with its constructor's message.
+    Every row is checked by the one check every coupling takes, in one
+    pass over the stack: the rows' cells are laid end to end, keyed by
+    (stack row, row, col), and each check runs once over them all.  The
+    first refusal, in row order, is raised with the message and numbers
+    the row alone gives.
     """
-    stack = _stacked(rows)
-    if stack is None:
-        stack = CouplingStack(
-            [
-                what(model) if callable(what) else evidence_coupling(model, what)
-                for model, what in rows
-            ]
-        )
+    couplings, mass, v0 = _checked(rows[0][0].space, rows)
+    stack = object.__new__(CouplingStack)
+    stack._fill(tuple(couplings), mass, v0)
     return stack
 
 
-def _raw_cells(model: CaseModel, what) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The unchecked (rows, cols, mass) of a least-divergence row or an
-    evidence joint, as index and float arrays, or None when the stacked
-    pass cannot read them as their constructor does: a joint of the wrong
-    shape, arrays that do not cast safely, or indices out of range."""
-    space = model.space
-    n, v = space.size, space.values_array
-    cf = model.counterfactual.array
-    if isinstance(what, Cells):
-        # The only cells not built in range here.
-        rows, cols = np.asarray(what.rows), np.asarray(what.cols)
-        if not (
-            operator.index(what.n) == n
-            and rows.shape == cols.shape == np.shape(what.mass) == (rows.size,)
-            and np.can_cast(rows.dtype, np.intp)
-            and np.can_cast(cols.dtype, np.intp)
-        ):
-            return None
-        rows, cols = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
-        # Viewed as unsigned, a negative index is huge.
-        if rows.size and not max(rows.view(np.uintp).max(), cols.view(np.uintp).max()) < n:
-            return None
-        cells = what
-    else:
-        if what is least_divergence_coupling:
-            cells = comonotone_cells(cf, model.factual.array, v, v)
-        elif isinstance(what, dict):
-            cells = map_cells(space, cf, what)
-        else:
-            joint = np.asarray(what, dtype=float)
-            if joint.shape != (n, n):
-                return None
-            cells = Cells.from_dense(joint)
-        rows, cols = cells.rows, cells.cols
-    mass = np.asarray(cells.mass)
-    if not np.can_cast(mass.dtype, float) or not mass.size:
-        return None
-    return rows, cols, mass
+def _caller_cells(cells: Cells, n: int) -> Cells:
+    """A caller's cells with index and float arrays, checked to lie in
+    the n x n joint."""
+    rows = np.asarray(cells.rows, dtype=np.intp)
+    cols = np.asarray(cells.cols, dtype=np.intp)
+    mass = np.asarray(cells.mass, dtype=float)
+    if not (rows.ndim == cols.ndim == mass.ndim == 1) or not (
+        rows.size == cols.size == mass.size
+    ):
+        raise ValueError("cells need one row, column and mass per cell")
+    # Viewed as unsigned, a negative index is huge, so one bound per side
+    # catches both ends.
+    if rows.size and max(rows.view(np.uintp).max(), cols.view(np.uintp).max()) >= n:
+        raise ValueError(f"cell index out of range for a {n}x{n} joint")
+    return Cells(rows, cols, mass, n)
 
 
-def _gathered(rows: Sequence[tuple[CaseModel, object]], n: int):
-    """Each cell row's unchecked (rows, cols, mass), its rows moved to the
-    stacked joint, in which row i of stack row r is row r n + i; the stack
-    rows that are rank-one; and the stack rows that are evidence.  None
-    when some row is not one the stacked pass reads."""
-    parts, rank_one, evidence = [], [], []
-    try:
-        for r, (model, what) in enumerate(rows):
-            if model.counterfactual.array.shape != (n,) or model.factual.array.shape != (n,):
-                return None
-            if what is independence_coupling:
-                rank_one.append(r)
-                continue
-            if callable(what) and what is not least_divergence_coupling:
-                return None
-            cells = _raw_cells(model, what)
-            if cells is None:
-                return None
-            parts.append((cells[0] + r * n if r else cells[0], *cells[1:]))
-            if what is not least_divergence_coupling:
+def _evidence(space: OutcomeSpace, model: CaseModel, what) -> Union[Cells, np.ndarray]:
+    """An evidence joint as given, whose `sum(axis)` is its marginals: an
+    outcome map's cells, a caller's checked cells or a dense matrix."""
+    n = space.size
+    if isinstance(what, dict):
+        return map_cells(space, model.counterfactual.array, what)
+    joint = what if isinstance(what, Cells) else np.asarray(what, dtype=float)
+    if joint.shape != (n, n):
+        raise ValueError(f"evidence joint has shape {joint.shape}, expected {(n, n)}")
+    return _caller_cells(joint, n) if isinstance(joint, Cells) else joint
+
+
+def _gathered(space: OutcomeSpace, rows: list):
+    """Each row read, in order: the cell rows' unchecked (rows, cols,
+    mass), their rows moved to the stacked joint, in which row i of
+    stack row r is row r n + i; each rank-one row's factors, by stack
+    row; and the evidence rows.  Another builder's row becomes its
+    coupling's cells, in place.  A row that cannot be read (a refused
+    builder, a joint of the wrong shape, an unknown label, cells out of
+    range) raises after every earlier row is checked."""
+    n = space.size
+    parts, rank_one, evidence = [], {}, []
+    for r, (model, what) in enumerate(rows):
+        try:
+            # The two builders are named, not called: looked up here, so
+            # a builder rebound in this module is still recognised.
+            named = what is independence_coupling or what is least_divergence_coupling
+            if model is not None and callable(what) and not named:
+                # Another builder, such as a missing joint's refusal: its
+                # coupling's cells, checked as a caller's.
+                model, what = None, what(model).cells
+                rows[r] = model, what
+            factors = None
+            if model is None:
+                if isinstance(what, RankOneCells):
+                    factors = (
+                        read_only(np.array(what.row_weights, dtype=float)),
+                        read_only(np.array(what.col_weights, dtype=float)),
+                    )
+                elif isinstance(what, Cells):
+                    cells = what
+                else:
+                    raise TypeError(
+                        f"coupling cells must be Cells or RankOneCells, "
+                        f"not {type(what).__name__}"
+                    )
+            elif what is independence_coupling:
+                factors = model.counterfactual.array, model.factual.array
+            elif what is least_divergence_coupling:
+                v = space.values_array
+                cells = comonotone_cells(model.counterfactual.array, model.factual.array, v, v)
+            else:
+                cells = _evidence(space, model, what)
+                if not isinstance(cells, Cells):
+                    cells = Cells.from_dense(cells)
                 evidence.append(r)
-    except Exception:
-        # Built one by one, in order, the rows raise it again, after any
-        # refusal of an earlier row.
-        return None
-    return parts, rank_one, evidence
-
-
-def _stacked_cells(parts: list, k: int, n: int, v: np.ndarray):
-    """The cell rows' cells laid end to end, sorted by (stacked row,
-    col), repeats added up and zeros dropped: their stacked rows, own
-    rows, columns and mass; the most terms a line sums (n, or more when
-    cells repeat); and their row sums, column sums and column value sums
-    as (stack row x outcome) arrays.  None when a cell is negative or
-    NaN."""
-    sr, cc = (np.concatenate([p[i] for p in parts]).astype(np.intp, copy=False) for i in (0, 1))
-    mass = np.concatenate([p[2] for p in parts]).astype(float, copy=False)
-    # Copied: let the raw cells go, which lowers the peak.
+            if factors is not None:
+                a, b = factors
+                if a.shape != (n,) or b.shape != (n,):
+                    raise ValueError(f"joint has shape {(a.size, b.size)}, expected {(n, n)}")
+            elif cells.n != n:
+                raise ValueError(f"joint has shape {cells.shape}, expected {(n, n)}")
+            elif model is None:
+                cells = _caller_cells(cells, n)
+        except Exception as exc:
+            unread = exc
+            break
+        if factors is None:
+            parts.append((cells.rows + r * n if r else cells.rows, cells.cols, cells.mass))
+        else:
+            rank_one[r] = factors
+    else:
+        return parts, rank_one, evidence
     del parts[:]
-    # A negative cell, even one that `Coupling` drops, moves the sums; an
-    # infinite one fails the total.
-    low = mass.min()
-    if not low >= 0.0:
-        return None
-    lines = n
-    key = sr * n
-    key += cc
-    if (key[1:] <= key[:-1]).any():
-        # Rows own disjoint key ranges, so one stable sort orders each as
-        # a sort of its own cells does.
-        order = np.argsort(key, kind="stable")
-        key, mass = key[order], mass[order]
-        del order
-        if (key[1:] == key[:-1]).any():
-            lines = max(n, mass.size)
-            key, first = np.unique(key, return_index=True)
-            mass = np.add.reduceat(mass, first)
-        sr, cc = np.divmod(key, n)
-    del key
-    if low == 0.0:
-        keep = mass > 0.0
-        sr, cc, mass = sr[keep], cc[keep], mass[keep]
-    # Each cell's row of its own joint, and its column of the (stack row
-    # x outcome) arrays.
-    rr = sr if k == 1 else sr % n
-    col = cc if k == 1 else sr - rr + cc
-    sums = [
-        np.bincount(at, weights=w, minlength=k * n).reshape(k, n)
-        for at, w in ((sr, mass), (col, mass), (col, mass * v[rr]))
-    ]
-    return sr, rr, cc, mass, lines, *sums
+    if r:
+        _checked(space, rows[:r])
+    raise unread
 
 
-def _stacked(rows: Sequence[tuple[CaseModel, object]]) -> Optional[CouplingStack]:
-    """`stack_couplings` in one pass over the stack, or None when some row
-    fails a check or lies within rounding of a tolerance."""
-    space = rows[0][0].space
+def _checked(space: OutcomeSpace, rows) -> tuple[list[Coupling], np.ndarray, np.ndarray]:
+    """The one check of a coupling's cells, for a stack of couplings over
+    `space` and a lone coupling alike: the couplings of `rows` and their
+    column moments as (stack row x outcome) arrays.
+
+    A row is `(model, what)`, as `stack_couplings` takes it, or `(None,
+    cells)`, a caller's `Cells` or `RankOneCells`, checked as `Coupling`
+    checks it: without marginals.  The rows' cells are sorted as one
+    array, repeats added up and non-positive cells dropped, and one
+    `np.bincount` pair gives every line sum.  `np.bincount` adds each
+    bin's weights in input order, so every row's cells and moments are
+    bit for bit the ones the row alone gives.
+
+    Each check runs once over the whole stack, on the stacked sums, less
+    the rounding of summing in another order.  Only when a check fails,
+    or a sum lands within that rounding of its tolerance, are the rows
+    scanned in order by `_first_refusal`.
+    """
     n, v, k = space.size, space.values_array, len(rows)
-    gathered = _gathered(rows, n)
-    if gathered is None:
-        return None
-    parts, rank_one, evidence = gathered
-    # Two sums of the same m terms in [0, 2], in any order, differ by less
-    # than 4 m _EPS; a total or a line sum past 2 fails by far either way.
+    rows = list(rows)
+    parts, rank_one, evidence = _gathered(space, rows)
+    sr = cc = mass = total = col_v0 = None
     slack = 0.0
     has_cells = bool(parts)
     if has_cells:
-        cells = _stacked_cells(parts, k, n, v)
-        if cells is None:
-            return None
-        sr, rr, cc, mass, lines, row_mass, col_mass, col_v0 = cells
-        total = row_mass.sum(axis=1)
-        slack = 4 * _EPS * mass.size
+        sr, cc = (np.concatenate([p[i] for p in parts]).astype(np.intp, copy=False) for i in (0, 1))
+        mass = np.concatenate([p[2] for p in parts]).astype(float, copy=False)
+        # Copied: let the raw cells go, which lowers the peak.
+        del parts[:]
+        low = mass.min(initial=math.inf)
+        lines = n
+        key = sr * n
+        key += cc
+        if (key[1:] <= key[:-1]).any():
+            # Rows own disjoint key ranges, so one stable sort orders each
+            # as a sort of its own cells does.
+            order = np.argsort(key, kind="stable")
+            key, mass = key[order], mass[order]
+            del order
+            if (key[1:] == key[:-1]).any():
+                lines = max(n, mass.size)
+                key, first = np.unique(key, return_index=True)
+                mass = np.add.reduceat(mass, first)
+            sr, cc = np.divmod(key, n)
+        del key
+        if not low >= 0.0:
+            # A negative or NaN cell: only a row's own sums tell whether
+            # it is refused or dropped.
+            _first_refusal(space, rows, rank_one, evidence, sr, cc, mass)
+        if not low > 0.0:
+            keep = mass > 0.0
+            sr, cc, mass = sr[keep], cc[keep], mass[keep]
         # Stack row r's cells are at bounds[r]:bounds[r + 1].
         bounds = [0, mass.size]
         if k > 1:
             bounds = np.searchsorted(sr, np.arange(0, (k + 1) * n, n)).tolist()
+        # Each cell's row of its own joint, and its column of the (stack
+        # row x outcome) arrays.
+        rr = sr if k == 1 else sr % n
+        col = cc if k == 1 else sr - rr + cc
+        row_mass, col_mass = [
+            np.bincount(at, weights=mass, minlength=k * n).reshape(k, n) for at in (sr, col)
+        ]
+        total = row_mass.sum(axis=1)
+        # Two sums of the same m terms in [0, 2], in any order, differ by
+        # less than 4 m _EPS; a total or a line sum past 2 fails by far
+        # either way.
+        slack = 4 * _EPS * mass.size
     if rank_one:
-        factors = np.array(
-            [rows[r][0].counterfactual.array for r in rank_one]
-            + [rows[r][0].factual.array for r in rank_one]
-        )
+        factors = np.array([a for a, _ in rank_one.values()] + [b for _, b in rank_one.values()])
         if not (factors.min() >= 0.0 and factors.max() < math.inf):
-            return None
+            _first_refusal(space, rows, rank_one, evidence, sr, cc, mass)
         a, b = factors[: len(rank_one)], factors[len(rank_one) :]
         a_sum = a.sum(axis=1)
-        # One dot product per row, as `RankOneCells.column_sums` takes it.
-        a_v = np.array([float(w @ v) for w in a])
-        ranked = (a_sum * b.sum(axis=1), b * a_sum[:, None], b * a_v[:, None])
-        if has_cells:
-            total[rank_one], col_mass[rank_one], col_v0[rank_one] = ranked
+        ranked = (a_sum * b.sum(axis=1), b * a_sum[:, None])
+        at = list(rank_one)
+        if total is None:
+            total, col_mass = ranked
         else:
-            total, col_mass, col_v0 = ranked
-    rank_one = frozenset(rank_one)
+            total[at], col_mass[at] = ranked
     off = np.abs(total - 1.0)
-    if not off.max() <= MASS_SUM_TOL - slack:
+    ok = off.max() <= MASS_SUM_TOL - slack
+    if not ok:
         # A cell row near MASS_SUM_TOL, or past it, takes the pairwise sum
-        # `Coupling` takes.
+        # it takes alone.
         for r in np.flatnonzero(~(off <= MASS_SUM_TOL - slack)).tolist():
             if r not in rank_one:
                 off[r] = abs(float(mass[bounds[r] : bounds[r + 1]].sum()) - 1.0)
-        if not off.max() <= MASS_SUM_TOL:
-            return None
-    if evidence:
-        pick = slice(None) if len(evidence) == k else evidence
-        target = np.array(
-            [rows[r][0].counterfactual.array for r in evidence]
-            + [rows[r][0].factual.array for r in evidence]
-        )
-        target -= np.concatenate((row_mass[pick], col_mass[pick]))
-        # `evidence_coupling` sums each line in another order.
-        if not np.abs(target).max() <= MARGINAL_TOL - 4 * _EPS * lines:
-            return None
-    col_mass, col_v0 = read_only(col_mass), read_only(col_v0)
+        ok = off.max() <= MASS_SUM_TOL
+    if ok and evidence:
+        cases = [rows[r][0].counterfactual.array for r in evidence]
+        cases += [rows[r][0].factual.array for r in evidence]
+        # A case's marginals of another length fail in the scan, as
+        # numpy refuses to compare them.
+        ok = all(case.shape == (n,) for case in cases)
+        if ok:
+            pick = slice(None) if len(evidence) == k else evidence
+            target = np.array(cases)
+            target -= np.concatenate((row_mass[pick], col_mass[pick]))
+            ok = np.abs(target).max() <= MARGINAL_TOL - 4 * _EPS * lines
+    if not ok:
+        _first_refusal(space, rows, rank_one, evidence, sr, cc, mass)
     if has_cells:
+        col_v0 = np.bincount(col, weights=mass * v[rr], minlength=k * n).reshape(k, n)
         rr, cc, mass = read_only(rr), read_only(cc), read_only(mass)
+    if rank_one:
+        # One dot product per row, as a lone rank-one law takes it.
+        v0 = b * np.array([float(w @ v) for w in a])[:, None]
+        if col_v0 is None:
+            col_v0 = v0
+        else:
+            col_v0[at] = v0
+    col_mass, col_v0 = read_only(col_mass), read_only(col_v0)
     couplings = []
-    for r, (model, _) in enumerate(rows):
+    for r in range(k):
         if r in rank_one:
-            cells = RankOneCells(model.counterfactual.array, model.factual.array)
+            cells = RankOneCells(*rank_one[r])
         else:
             lo, hi = bounds[r], bounds[r + 1]
             cells = Cells(rr[lo:hi], cc[lo:hi], mass[lo:hi], n)
@@ -657,9 +555,64 @@ def _stacked(rows: Sequence[tuple[CaseModel, object]]) -> Optional[CouplingStack
         coupling = object.__new__(Coupling)
         coupling.__dict__.update(space=space, cells=cells, column_moments=(col_mass[r], col_v0[r]))
         couplings.append(coupling)
-    stack = object.__new__(CouplingStack)
-    stack._fill(tuple(couplings), col_mass, col_v0)
-    return stack
+    return couplings, col_mass, col_v0
+
+
+def _first_refusal(
+    space: OutcomeSpace, rows: list, rank_one: dict, evidence: list, sr, cc, mass
+) -> None:
+    """Raise the first refusal among `rows`, in row order, or return when
+    every row passes.  Each row is judged on its own sums, the numbers it
+    alone gives: an evidence joint's marginals are `sum(axis)` of the
+    joint as given, and a total is the pairwise sum of the row's
+    positive cells.  An evidence row checks its counterfactual marginal,
+    its factual marginal, finiteness, mass below -1e-15 and its total; a
+    rank-one row its row factor, its column factor and its total.
+    `sr`, `cc` and `mass` are the stacked cells, sorted and merged."""
+    n = space.size
+    labels = space.labels
+    if sr is not None:
+        bounds = np.searchsorted(sr, np.arange(0, (len(rows) + 1) * n, n)).tolist()
+    for r, (model, what) in enumerate(rows):
+        if r in rank_one:
+            for name, w in zip(("row_weights", "col_weights"), rank_one[r]):
+                bad = ~(np.isfinite(w) & (w >= 0.0))
+                if bad.any():
+                    i = int(bad.argmax())
+                    raise ValueError(
+                        f"rank-one {name}[{i}] is {float(w[i])!r}, "
+                        f"not a finite non-negative weight"
+                    )
+            a, b = rank_one[r]
+            total = float(a.sum() * b.sum())
+        else:
+            if r in evidence:
+                joint = _evidence(space, model, what)
+                for name, line, axis, case in (
+                    ("counterfactual", "row", 1, model.counterfactual.array),
+                    ("factual", "column", 0, model.factual.array),
+                ):
+                    sums = joint.sum(axis=axis)
+                    off = np.abs(sums - case) > MARGINAL_TOL
+                    if off.any():
+                        i = int(off.argmax())
+                        raise ValueError(
+                            f"{name} marginal mismatch at {line} {i} ({labels[i]!r}): "
+                            f"coupling gives {float(sums[i])!r}, case says {float(case[i])!r}"
+                        )
+            lo, hi = bounds[r], bounds[r + 1]
+            m = mass[lo:hi]
+            if not np.isfinite(m).all():
+                raise ValueError("joint contains non-finite mass")
+            negative = m < -1e-15
+            if negative.any():
+                c = lo + int(negative.argmax())
+                raise ValueError(
+                    f"negative mass {float(mass[c])!r} at ({sr[c] - r * n}, {cc[c]})"
+                )
+            total = float(m[m > 0.0].sum())
+        if abs(total - 1.0) > MASS_SUM_TOL:
+            raise ValueError(f"joint mass sums to {total!r}, not 1")
 
 
 def _nw_costs(

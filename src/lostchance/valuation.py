@@ -553,10 +553,11 @@ def build_grid(
     the same tables, and the build runs, case after case within a stage:
 
     * every case's couplings and their column moments, as the one
-      `CouplingStack` of one `stack_couplings` call: a row per connection
-      of each case, and after paper-table's the least-divergence
-      coupling it is costed against, unless ld-c came first (the two
-      share it); then the notes each coupling carries;
+      `CouplingStack` of one `stack_couplings` call, which runs the one
+      coupling check over them all: a row per connection of each case,
+      and after paper-table's the least-divergence coupling it is costed
+      against, unless ld-c came first (the two share it); then the notes
+      each coupling carries;
     * their selective groups, one `selective_groups` call;
     * every table's partition, one `build_partition` call, on its own
       case's factual support;
@@ -570,8 +571,8 @@ def build_grid(
     So the first stage that fails raises: a family whose cases differ in
     outcome space or money map, then values that span more than a float
     holds, then a coupling error, case by case and in order of first use,
-    with its own constructor's message, before any partition error, and
-    so on.
+    with the message the coupling gets alone, before any partition
+    error, and so on.
     """
     if not combos:
         raise ConfigurationError("a policy grid needs at least one combination")

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from lostchance.coupling import (
     independence_coupling,
     least_divergence_coupling,
     oracle_min_cost,
+    stack_couplings,
     transport_cost,
 )
 from lostchance.outcome import (
@@ -24,6 +26,7 @@ from lostchance.outcome import (
     IdentityMoneyMap,
     OutcomeSpace,
 )
+from lostchance.valuation import PolicyCombo, build_grid
 
 
 def medical_model():
@@ -157,6 +160,27 @@ class TestCells:
         with pytest.raises(ValueError, match="shape"):
             Coupling(self.space(), cells)
 
+    @pytest.mark.parametrize(
+        "builder, shape",
+        [(least_divergence_coupling, "(2, 2)"), (independence_coupling, "(2, 3)")],
+        ids=["ld-c", "i-c"],
+    )
+    def test_marginals_of_another_length_are_refused(self, builder, shape):
+        """A case is not checked when it is built, so a counterfactual law
+        of 2 weights on 3 outcomes reaches the builders, which refuse it
+        alone and as a stack row."""
+        model = CaseModel(
+            self.space(),
+            DiscreteDistribution((0.5, 0.5)),
+            DiscreteDistribution((0.2, 0.3, 0.5)),
+            IdentityMoneyMap(),
+        )
+        message = f"^{re.escape(f'joint has shape {shape}, expected (3, 3)')}$"
+        with pytest.raises(ValueError, match=message):
+            builder(model)
+        with pytest.raises(ValueError, match=message):
+            stack_couplings([(model, builder)])
+
     def test_independence_keeps_factors_until_cells_are_asked_for(self):
         model = prize_model()
         c = independence_coupling(model)
@@ -209,6 +233,24 @@ class TestEvidenceCoupling:
         case.write_text(json.dumps({**dump_case(model), "evidence_coupling": {"map": mapping}}))
         assert main(["evaluate", str(case), "--connection", "e-c"]) == 2
         assert capsys.readouterr().err == f"error: {from_dict.value}\n"
+
+    @pytest.mark.parametrize("axis", ["row", "col"])
+    @pytest.mark.parametrize("index", [5, -1])
+    def test_an_index_out_of_range_is_refused_by_name(self, index, axis):
+        """A `Cells` joint with an index of n or -1 is refused by its
+        index check, before its marginals are summed: through
+        `evidence_coupling` and at case 1 of a 3-case grid."""
+        model = prize_model()
+        good = least_divergence_coupling(model).cells
+        rows, cols = np.r_[good.rows, 0], np.r_[good.cols, 0]
+        (rows if axis == "row" else cols)[-1] = index
+        bad = Cells(rows, cols, np.r_[good.mass, 0.0], 5)
+        message = "^cell index out of range for a 5x5 joint$"
+        with pytest.raises(ValueError, match=message):
+            evidence_coupling(model, bad)
+        combos = [PolicyCombo("h-fi", conn, "cc-i") for conn in ("e-c", "ld-c", "i-c")]
+        with pytest.raises(ValueError, match=message):
+            build_grid([model] * 3, combos, [good, bad, good])
 
 
 class TestIndependence:

@@ -20,21 +20,32 @@ marginals, supports and evidence, must give each case's own grid, case
 after case, with the same notes.  A `CouplingStack`'s rows must be its
 couplings' own column moments, bit for bit.
 
-`stack_couplings` builds a whole grid's couplings in one pass.  On random
-families whose rows mix every joint form, each row's cells and moments
-must be its own constructor's, bit for bit, with no `Coupling` validated
-one at a time; a malformed joint at any case of a family must raise its
-constructor's error, byte for byte, before a partition error; and a
-3000-outcome grid must build without an n x n array.
+`stack_couplings` builds a whole grid's couplings in one pass, through
+the one check every coupling takes, so a lone coupling from a public
+constructor is a one-row stack of it.  Both are held to
+`coupling_reference`, a frozen copy of the earlier per-coupling checks.
+On random families whose rows mix every joint form, each row's cells and
+moments, and each public constructor's, must be the reference's, bit for
+bit, with no `Coupling` validated one at a time.  A malformed joint at
+any case of a family must raise the reference's error, byte for byte,
+before a partition error; of two malformed rows the earlier one's error
+wins, whatever their kinds; a total or a marginal within rounding of its
+tolerance must be accepted or refused as the reference decides; a grid
+must refuse a malformed joint with the public builders unreachable; and
+a 3000-outcome grid must build without an n x n array.
 """
 
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import coupling_reference as reference
 from lostchance.coupling import (
+    MARGINAL_TOL,
+    MASS_SUM_TOL,
     Cells,
     Coupling,
     RankOneCells,
@@ -249,7 +260,7 @@ def test_stack_rows_are_each_couplings_column_moments(seed):
     assert {"ndarray", "dict"} <= evidence_kinds
 
 
-# -- one stacked build against each coupling's own constructor ---------------
+# -- the one coupling check against the per-coupling reference --------------
 
 
 def _family(rng, cases):
@@ -300,7 +311,8 @@ def _public(model, what):
 
 
 def _assert_same(got, want):
-    """Two couplings with the same cells and moments, bit for bit."""
+    """Two couplings, or a coupling and its reference, with the same
+    cells and moments, bit for bit."""
     assert type(got.cells) is type(want.cells)
     names = ("rows", "cols", "mass")
     if isinstance(want.cells, RankOneCells):
@@ -333,8 +345,9 @@ def test_stack_rows_equal_their_own_constructors(seed, checked):
     """Random families of up to 5 cases, each case up to 5 rows of any
     joint form: dense, unsorted cells with repeats, an outcome map,
     least-divergence and independence.  Each row's cells and moments,
-    and the stack's arrays and mean gaps, are those of the row's own
-    constructor, and the stacked pass validates no `Coupling` itself."""
+    and those of the row's own public constructor, are the reference's;
+    the stack's arrays and mean gaps are those of the public couplings
+    stacked; and the stacked pass validates no `Coupling` itself."""
     rng = np.random.default_rng(3000 + seed)
     forms = set()
     for _ in range(10):
@@ -347,8 +360,10 @@ def test_stack_rows_equal_their_own_constructors(seed, checked):
         stack = stack_couplings(rows)
         assert not checked
         public = CouplingStack([_public(model, what) for model, what in rows])
-        for got, want in zip(stack.couplings, public.couplings, strict=True):
+        for got, alone, (model, what) in zip(stack.couplings, public.couplings, rows, strict=True):
+            want = reference.build(model, what)
             _assert_same(got, want)
+            _assert_same(alone, want)
         for name in ("mass", "v0"):
             assert getattr(stack, name).tobytes() == getattr(public, name).tobytes()
         assert stack.mean_gaps == public.mean_gaps
@@ -359,7 +374,7 @@ def test_stack_rows_equal_their_own_constructors(seed, checked):
 def test_grid_couplings_equal_their_own_constructors(seed):
     """A family's grid over every connection: each case's e-c, paper-table,
     the least-divergence coupling paper-table is costed against, and
-    i-c, each from its own constructor, bit for bit."""
+    i-c, each the reference's, bit for bit."""
     rng = np.random.default_rng(4000 + seed)
     models = _family(rng, 4)
     evidence = [random_vertex_coupling(rng, m) for m in models]
@@ -369,10 +384,10 @@ def test_grid_couplings_equal_their_own_constructors(seed):
     public = []
     for model, joint, table in zip(models, evidence, published):
         public += [
-            evidence_coupling(model, joint),
-            evidence_coupling(model, table),
-            least_divergence_coupling(model),
-            independence_coupling(model),
+            reference.evidence(model, joint),
+            reference.evidence(model, table),
+            reference.least_divergence(model),
+            reference.independence(model),
         ]
     for got, want in zip(build.couplings, public, strict=True):
         _assert_same(got, want)
@@ -439,23 +454,12 @@ MALFORMED = (
 )
 
 
-def _first_refusal(rows):
-    """The first error each row's own constructor raises, in order."""
-    for model, what in rows:
-        try:
-            _public(model, what)
-        except Exception as exc:
-            return exc
-    return None
-
-
 @pytest.mark.parametrize("k", range(5))
 @pytest.mark.parametrize("kind", MALFORMED)
 def test_a_malformed_joint_is_refused_with_its_own_message(kind, k):
     """Case k of a 5-case family holds a malformed joint.  The grid raises
-    the error its own constructor raises, byte for byte, before the
-    custom blocks' tiling error; a -1e-16 cell is dropped as `Coupling`
-    drops it."""
+    the reference's error, byte for byte, before the custom blocks'
+    tiling error; a -1e-16 cell is dropped as the reference drops it."""
     rng = np.random.default_rng(5000 + 10 * k + MALFORMED.index(kind))
     models = _family(rng, 5)
     evidence = [random_vertex_coupling(rng, m) for m in models]
@@ -468,16 +472,185 @@ def test_a_malformed_joint_is_refused_with_its_own_message(kind, k):
         for what in (joint, least_divergence_coupling, independence_coupling)
         if kind != "i-c factor" or what is independence_coupling
     ]
-    expected = _first_refusal(rows)
+    expected = reference.first_refusal(rows)
     if kind == "dropped":
         assert expected is None
         build = build_grid(models, [PolicyCombo("h-fi", c, "cc-i") for c in connections], evidence)
         for got, (model, what) in zip(build.couplings, rows, strict=True):
-            _assert_same(got, _public(model, what))
+            _assert_same(got, reference.build(model, what))
         return
     assert expected is not None
     with pytest.raises(type(expected)) as raised:
         build_grid(models, combos, evidence, [[0]])
+    assert str(raised.value) == str(expected)
+
+
+def _malformed_row(rng, model, kind):
+    """One `stack_couplings` row of a malformed kind: an i-c row for a
+    non-finite i-c factor, an e-c row otherwise."""
+    model, joint = _malformed(rng, model, kind)
+    return (model, independence_coupling) if kind == "i-c factor" else (model, joint)
+
+
+def _family_rows(rng, cases):
+    """Each case's e-c, ld-c and i-c rows, case after case."""
+    return [
+        (model, what)
+        for model in _family(rng, cases)
+        for what in (random_vertex_coupling(rng, model), least_divergence_coupling, independence_coupling)
+    ]
+
+
+def _assert_alone_as_reference(build, want):
+    """`build()` refuses as `want()` does, byte for byte, or builds its
+    coupling bit for bit."""
+    try:
+        expected = want()
+    except Exception as exc:
+        with pytest.raises(type(exc)) as raised:
+            build()
+        assert str(raised.value) == str(exc)
+    else:
+        _assert_same(build(), expected)
+
+
+def _assert_refused_as_reference(rows):
+    """`stack_couplings(rows)` refuses as the reference's first refusal,
+    byte for byte, or, when the reference refuses none, builds its
+    couplings bit for bit; and each row's public constructor refuses or
+    builds as the reference does with that row alone."""
+    for model, what in rows:
+        _assert_alone_as_reference(
+            lambda: _public(model, what), lambda: reference.build(model, what)
+        )
+    expected = reference.first_refusal(rows)
+    if expected is None:
+        for got, (model, what) in zip(stack_couplings(rows).couplings, rows, strict=True):
+            _assert_same(got, reference.build(model, what))
+        return None
+    with pytest.raises(type(expected)) as raised:
+        stack_couplings(rows)
+    assert str(raised.value) == str(expected)
+    return expected
+
+
+@pytest.mark.parametrize("second", MALFORMED)
+@pytest.mark.parametrize("first", MALFORMED)
+def test_the_earlier_of_two_malformed_rows_is_refused(first, second):
+    """Two malformed rows, at stack rows i < j of a 4-case family: the
+    stack raises row i's own refusal, whatever the two kinds, and row
+    j's only when row i's -1e-16 cell is dropped."""
+    rng = np.random.default_rng([7000, MALFORMED.index(first), MALFORMED.index(second)])
+    rows = _family_rows(rng, 4)
+    i, j = np.sort(rng.choice(len(rows), size=2, replace=False)).tolist()
+    rows[i] = _malformed_row(rng, rows[i][0], first)
+    rows[j] = _malformed_row(rng, rows[j][0], second)
+    expected = _assert_refused_as_reference(rows)
+    alone = reference.first_refusal([rows[i] if first != "dropped" else rows[j]])
+    assert str(expected) == str(alone)
+
+
+def _full_model(rng, n):
+    """A case of n outcomes whose marginals weigh every outcome."""
+    return CaseModel(
+        OutcomeSpace(tuple(f"o{i}" for i in range(n)), tuple(map(float, range(n)))),
+        DiscreteDistribution(tuple(rng.dirichlet(np.ones(n)).tolist())),
+        DiscreteDistribution(tuple(rng.dirichlet(np.ones(n)).tolist())),
+        IdentityMoneyMap(),
+    )
+
+
+def _uniform_total(cells, total):
+    """`cells` with their mass scaled to sum near `total`."""
+    return Cells(cells.rows, cells.cols, cells.mass * (total / cells.mass.sum()), cells.n)
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_a_total_within_rounding_of_its_tolerance(side):
+    """Joints of 144 cells, in random order with repeats, whose totals
+    step across 1 + side * MASS_SUM_TOL a few ulps at a time: each is
+    accepted or refused as the reference decides, as an evidence row of
+    a family, as `evidence_coupling` and as `Coupling`."""
+    rng = np.random.default_rng(8000 + side)
+    model = _full_model(rng, 12)
+    cells = _split_cells(rng, np.outer(model.counterfactual.array, model.factual.array))
+    assert cells.mass.size >= 64
+    ulp = np.spacing(1.0)
+    decided = set()
+    for step in range(-6, 7):
+        joint = _uniform_total(cells, 1.0 + side * MASS_SUM_TOL + step * ulp)
+        family = [(model, least_divergence_coupling), (model, joint), (model, independence_coupling)]
+        decided.add(_assert_refused_as_reference(family) is None)
+        _assert_alone_as_reference(
+            lambda: Coupling(model.space, joint), lambda: reference.coupling(model.space, joint)
+        )
+    # The steps cross the tolerance: some totals pass and some fail.
+    assert decided == {True, False}
+
+
+@pytest.mark.parametrize("line", ["counterfactual", "factual"])
+@pytest.mark.parametrize("form", ["dense", "cells"])
+def test_a_marginal_within_rounding_of_its_tolerance(form, line):
+    """An evidence joint whose counterfactual (or factual) marginal is off
+    by MARGINAL_TOL, give or take a few rounding steps: each is accepted
+    or refused as the reference decides, in a family and alone."""
+    rng = np.random.default_rng(9000 + 2 * FORMS.index(form) + (line == "factual"))
+    model = _full_model(rng, 12)
+    outer = np.outer(model.counterfactual.array, model.factual.array)
+    decided = set()
+    # A line sum near 0.1 rounds in steps of about 1.4e-17.
+    for step in range(-40, 41, 2):
+        shift = MARGINAL_TOL + step * 1e-18
+        joint = outer.copy()
+        # Moving mass along a column keeps the factual marginal; along a
+        # row, the counterfactual one.
+        joint[0, 0] -= shift
+        joint[(1, 0) if line == "counterfactual" else (0, 1)] += shift
+        what = joint if form == "dense" else _split_cells(rng, joint)
+        family = [(model, independence_coupling), (model, what), (model, least_divergence_coupling)]
+        decided.add(_assert_refused_as_reference(family) is None)
+    # The steps cross the tolerance: some marginals pass and some fail.
+    assert decided == {True, False}
+
+
+BUILDERS = ("evidence_coupling", "coupling_from_map", "independence_coupling", "least_divergence_coupling")
+
+
+@pytest.mark.parametrize("kind", MALFORMED)
+def test_a_grid_refuses_without_the_public_builders(kind, monkeypatch):
+    """With every public builder raising, under every name a `lostchance`
+    module binds it to, a family's grid with a malformed joint still
+    raises the reference's error, and one without builds: no coupling is
+    checked or refused by a second path."""
+    rng = np.random.default_rng(10000 + MALFORMED.index(kind))
+    models = _family(rng, 3)
+    good = [random_vertex_coupling(rng, m) for m in models]
+    evidence = list(good)
+    models[1], evidence[1] = _malformed(rng, models[1], kind)
+    connections = ("i-c",) if kind == "i-c factor" else ("e-c", "ld-c", "i-c")
+    rows = [
+        (model, what)
+        for model, joint in zip(models, evidence)
+        for what in (joint, least_divergence_coupling, independence_coupling)
+        if kind != "i-c factor" or what is independence_coupling
+    ]
+    expected = reference.first_refusal(rows)
+    for name in BUILDERS:
+
+        def unreachable(*args, name=name):
+            raise AssertionError(f"{name} called")
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("lostchance")]:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, unreachable)
+    combos = [PolicyCombo("h-fi", conn, "cc-i") for conn in ("e-c", "ld-c", "i-c")]
+    assert len(build_grid(models[:1] * 3, combos, good[:1] * 3).couplings) == 9
+    combos = [PolicyCombo("h-fi", conn, "cc-i") for conn in connections]
+    if expected is None:
+        build_grid(models, combos, evidence)
+        return
+    with pytest.raises(type(expected)) as raised:
+        build_grid(models, combos, evidence)
     assert str(raised.value) == str(expected)
 
 
